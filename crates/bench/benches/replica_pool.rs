@@ -8,9 +8,9 @@
 //!
 //! 1. **Batched pool vs. spawn-per-call.** A 32-input batch through one
 //!    long-lived [`ReplicaPool`] (threads and arenas reused, inputs
-//!    pipelined) against 32 separate `run_replicated` calls (each
-//!    spawning and tearing down the whole replica set). The pool's win is
-//!    pure overhead removal — both run identical replica executions.
+//!    pipelined) against 32 one-shot pools (each spawning and tearing
+//!    down the whole replica set). The pool's win is pure overhead
+//!    removal — both run identical replica executions.
 //! 2. **Early-exit streaming vote vs. full barrier.** With one replica
 //!    made a deterministic straggler, the time to the streaming quorum
 //!    verdict vs. the time to full completion of all replicas. The
@@ -23,7 +23,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bench::{bench_artifact_path, write_bench_json, BenchRecord};
 use exterminator::pool::{PoolConfig, ReplicaPool, Straggler};
-use exterminator::replicated::{run_replicated, ReplicatedConfig};
 use xt_patch::PatchTable;
 use xt_workloads::{server_session, SquidLike, WorkloadInput};
 
@@ -51,17 +50,24 @@ fn batch_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool");
     group.sample_size(10);
 
-    // Spawn-per-call baseline: the pre-pool `run_replicated` shape — a
-    // fresh replica set (threads + allocator stacks + page tables) per
-    // input.
-    let config = ReplicatedConfig {
+    // Spawn-per-call baseline: a fresh replica set (threads + allocator
+    // stacks + page tables) per input.
+    let config = PoolConfig {
         replicas: REPLICAS,
-        ..ReplicatedConfig::default()
+        ..PoolConfig::default()
+    };
+    let spawn_per_call = |input: &WorkloadInput| {
+        std::thread::scope(|scope| {
+            let mut pool = ReplicaPool::scoped(scope, &workload, config.clone(), PatchTable::new());
+            let out = pool.run_one(input, None).outcome;
+            pool.shutdown();
+            out
+        })
     };
     group.bench_function("batch32_spawn_per_call", |b| {
         b.iter(|| {
             for input in &inputs {
-                let out = run_replicated(&workload, input, None, &PatchTable::new(), &config);
+                let out = spawn_per_call(input);
                 assert!(out.vote.unanimous(), "bench inputs are clean");
             }
         });
@@ -69,15 +75,7 @@ fn batch_throughput(c: &mut Criterion) {
 
     // Persistent pool: same executions, one setup, pipelined broadcast.
     std::thread::scope(|scope| {
-        let mut pool = ReplicaPool::scoped(
-            scope,
-            &workload,
-            PoolConfig {
-                replicas: REPLICAS,
-                ..PoolConfig::default()
-            },
-            PatchTable::new(),
-        );
+        let mut pool = ReplicaPool::scoped(scope, &workload, config.clone(), PatchTable::new());
         group.bench_function("batch32_pool", |b| {
             b.iter(|| {
                 let outcomes = pool.run_batch(&inputs, None);

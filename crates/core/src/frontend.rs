@@ -10,13 +10,14 @@
 //!
 //! * **K pools, one front door.** The front-end owns `pools` independent
 //!   [`ReplicaPool`]s, each driven by its own thread inside its own worker
-//!   scope. Submissions are routed pool-per-shard by input hash
-//!   ([`RouteBy::InputHash`] — affinity for repeated inputs) or spread
-//!   round-robin ([`RouteBy::RoundRobin`], the default).
+//!   scope. Submissions are spread round-robin in global submission
+//!   order.
 //! * **Bounded queues, real backpressure.** Each pool sits behind a
-//!   bounded MPMC job queue. [`PoolFrontend::submit`] blocks while the
-//!   target queue is full, so a burst of clients cannot grow the in-flight
-//!   set without bound — the service degrades to waiting, never to OOM.
+//!   bounded [`std::sync::mpsc::sync_channel`] — the same std channel
+//!   mechanism the pool's broadcast and `xt-net`'s worker hand-off end
+//!   on. [`PoolFrontend::submit`] blocks while the target queue is full,
+//!   so a burst of clients cannot grow the in-flight set without bound —
+//!   the service degrades to waiting, never to OOM.
 //! * **Tickets instead of a caller loop.** `submit` returns a
 //!   [`JobTicket`]; the submitting thread overlaps its own work with the
 //!   replicas' and picks the outcome up via [`JobTicket::try_poll`] /
@@ -50,8 +51,9 @@
 //! PoolOutcome::deterministic_digest) instead of shipping whole outcomes.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
@@ -59,7 +61,7 @@ use std::time::Instant;
 use xt_faults::FaultSpec;
 use xt_obs::{Histogram, Registry};
 use xt_patch::{PatchEpoch, PatchTable};
-use xt_workloads::{fnv1a, Workload, WorkloadInput};
+use xt_workloads::{Workload, WorkloadInput};
 
 use crate::pool::{EarlyVerdict, PoolConfig, PoolOutcome, ReplicaPool};
 
@@ -81,8 +83,6 @@ pub struct FrontendConfig {
     /// includes image capture, and workers idle once they drain what was
     /// broadcast); shallow enough to bound the work lost on shutdown.
     pub max_inflight: usize,
-    /// How submissions pick a pool.
-    pub route: RouteBy,
     /// Fan patches isolated by one pool's failures out to the sibling
     /// pools (via the shared table every driver syncs before submitting).
     /// Requires `pool.auto_patch`; disable for measurement runs that must
@@ -97,21 +97,9 @@ impl Default for FrontendConfig {
             pool: PoolConfig::default(),
             queue_capacity: 64,
             max_inflight: 32,
-            route: RouteBy::RoundRobin,
             share_isolated: true,
         }
     }
-}
-
-/// Submission routing policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouteBy {
-    /// Spread submissions over pools in global submission order.
-    RoundRobin,
-    /// Shard by a hash of the input (seed, intensity, payload): repeated
-    /// inputs land on the same pool, like connection affinity in a
-    /// sharded server.
-    InputHash,
 }
 
 /// Aggregate front-end counters (all monotone; read via
@@ -129,9 +117,10 @@ pub struct FrontendStats {
     pub backpressure_waits: u64,
 }
 
-/// One queued submission. The input is shared, not copied: the only real
-/// copy is made once at [`PoolFrontend::submit`], and the pool broadcast
-/// downstream is reference bumps all the way.
+/// One submission, from `submit` until its outcome is posted. The input
+/// is shared, not copied: the only real copy is made once at
+/// [`PoolFrontend::submit`], and the pool broadcast downstream is
+/// reference bumps all the way.
 struct Job {
     seq: u64,
     input: Arc<WorkloadInput>,
@@ -142,6 +131,16 @@ struct Job {
     enqueued: Instant,
 }
 
+/// Wherever a job is when its driver lets go of it — still queued behind
+/// a dropped receiver, in flight in an unwinding driver, or finalized —
+/// its ticket learns that nothing further will be posted, so a waiter
+/// that did not get its result fails fast instead of hanging.
+impl Drop for Job {
+    fn drop(&mut self) {
+        self.slot.release();
+    }
+}
+
 /// What the ticket holder eventually receives.
 #[derive(Default)]
 struct TicketCell {
@@ -150,12 +149,14 @@ struct TicketCell {
     /// mutually diverged.
     verdict: Option<Option<EarlyVerdict>>,
     outcome: Option<PoolOutcome>,
-    /// The driver serving this job died; waiting any longer is hopeless.
-    dead: bool,
+    /// The driver dropped the job: nothing further will be posted, so a
+    /// result still missing means the driver died serving it.
+    released: bool,
     /// A thread is blocked on `ready` (set under the lock before every
-    /// wait, so posts skip the futex wake when nobody listens — most
-    /// tickets are collected after completion, where every wake is pure
-    /// syscall overhead on the driver's critical path).
+    /// wait and cleared by the wake, so posts skip the futex wake when
+    /// nobody listens — most tickets are collected after completion,
+    /// where every wake is pure syscall overhead on the driver's critical
+    /// path).
     waiting: bool,
 }
 
@@ -172,28 +173,31 @@ impl TicketSlot {
         }
     }
 
-    fn post_verdict(&self, verdict: Option<EarlyVerdict>) {
+    /// Applies `update` to the cell and wakes the waiters, if any.
+    fn post(&self, update: impl FnOnce(&mut TicketCell)) {
         let mut cell = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
-        cell.verdict = Some(verdict);
-        if cell.waiting {
+        update(&mut cell);
+        if std::mem::take(&mut cell.waiting) {
             self.ready.notify_all();
         }
+    }
+
+    fn post_verdict(&self, verdict: Option<EarlyVerdict>) {
+        self.post(|cell| cell.verdict = Some(verdict));
     }
 
     fn post_outcome(&self, outcome: PoolOutcome) {
-        let mut cell = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
-        cell.outcome = Some(outcome);
-        if cell.waiting {
-            self.ready.notify_all();
-        }
+        self.post(|cell| cell.outcome = Some(outcome));
     }
 
-    fn kill(&self) {
-        let mut cell = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
-        cell.dead = true;
-        self.ready.notify_all();
+    fn release(&self) {
+        self.post(|cell| cell.released = true);
     }
 }
+
+/// The panic a waiter raises when its job was released without the result
+/// it is waiting for.
+const DRIVER_DIED: &str = "pool front-end driver died serving this job";
 
 /// A per-job completion handle returned by [`PoolFrontend::submit`]. The
 /// submitting thread keeps working while the replicas execute, then polls
@@ -227,7 +231,7 @@ impl JobTicket {
             .cell
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        assert!(!cell.dead, "pool front-end driver died serving this job");
+        assert!(cell.outcome.is_some() || !cell.released, "{DRIVER_DIED}");
         cell.outcome.clone()
     }
 
@@ -241,11 +245,10 @@ impl JobTicket {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         loop {
-            assert!(!cell.dead, "pool front-end driver died serving this job");
             if let Some(outcome) = cell.outcome.take() {
-                cell.waiting = false;
                 return outcome;
             }
+            assert!(!cell.released, "{DRIVER_DIED}");
             cell.waiting = true;
             cell = self
                 .slot
@@ -267,55 +270,16 @@ impl JobTicket {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         loop {
-            assert!(!cell.dead, "pool front-end driver died serving this job");
             if let Some(verdict) = &cell.verdict {
-                let verdict = verdict.clone();
-                cell.waiting = false;
-                return verdict;
+                return verdict.clone();
             }
+            assert!(!cell.released, "{DRIVER_DIED}");
             cell.waiting = true;
             cell = self
                 .slot
                 .ready
                 .wait(cell)
                 .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// One pool's bounded job queue.
-struct PoolQueue {
-    state: Mutex<QueueState>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    /// Shutdown requested: no further submissions, drivers drain and exit.
-    closed: bool,
-    /// The serving driver died; submissions and queued jobs must fail
-    /// fast instead of waiting forever.
-    dead: bool,
-    /// The driver is blocked on `not_empty` (maintained under the lock so
-    /// pushes skip the futex wake while the driver is busy executing).
-    consumer_waiting: bool,
-    /// Submitters blocked on `not_full` (backpressure).
-    producers_waiting: usize,
-}
-
-impl PoolQueue {
-    fn new() -> Self {
-        PoolQueue {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                closed: false,
-                dead: false,
-                consumer_waiting: false,
-                producers_waiting: 0,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
         }
     }
 }
@@ -333,8 +297,6 @@ struct PatchState {
 
 /// State shared between submitters and drivers.
 struct Shared {
-    queues: Vec<PoolQueue>,
-    capacity: usize,
     patches: Mutex<PatchState>,
     /// Mirror of `patches.version` readable without the lock: drivers
     /// check it per dispatch and only take the lock on a change.
@@ -357,67 +319,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Blocking bounded push (the backpressure point).
-    fn push(&self, target: usize, job: Job) {
-        let q = &self.queues[target];
-        let mut st = q.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if st.jobs.len() >= self.capacity && !st.dead && !st.closed {
-            // Counted once per blocked push, not once per wakeup — a
-            // notify_all that races eight producers for one slot is still
-            // one backpressure episode each.
-            self.backpressure_waits.fetch_add(1, Ordering::Relaxed);
-        }
-        while st.jobs.len() >= self.capacity && !st.dead && !st.closed {
-            st.producers_waiting += 1;
-            st = q.not_full.wait(st).unwrap_or_else(PoisonError::into_inner);
-            st.producers_waiting -= 1;
-        }
-        assert!(!st.dead, "pool front-end driver died; submission rejected");
-        assert!(!st.closed, "submit on a front-end that is shutting down");
-        st.jobs.push_back(job);
-        if st.consumer_waiting {
-            q.not_empty.notify_one();
-        }
-    }
-
-    /// Driver-side refill: takes up to `max` queued jobs in one lock
-    /// acquisition. When `block` is set and the queue is open but empty,
-    /// waits until a job arrives; an empty result from a blocking refill
-    /// therefore means the queue is closed and fully drained.
-    fn refill(&self, index: usize, max: usize, block: bool) -> Vec<Job> {
-        let q = &self.queues[index];
-        let mut st = q.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if !st.jobs.is_empty() {
-                let take = st.jobs.len().min(max);
-                let jobs: Vec<Job> = st.jobs.drain(..take).collect();
-                if st.producers_waiting > 0 {
-                    q.not_full.notify_all();
-                }
-                return jobs;
-            }
-            if st.closed || !block {
-                return Vec::new();
-            }
-            st.consumer_waiting = true;
-            st = q.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
-            st.consumer_waiting = false;
-        }
-    }
-
-    /// Marks queue `index` dead after its driver died: pending jobs'
-    /// tickets are killed and future submitters routed here fail fast.
-    fn kill_queue(&self, index: usize) {
-        let q = &self.queues[index];
-        let mut st = q.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.dead = true;
-        for job in st.jobs.drain(..) {
-            job.slot.kill();
-        }
-        q.not_empty.notify_all();
-        q.not_full.notify_all();
-    }
-
     /// Merges `table` into the shared live table, bumping the version only
     /// if anything actually changed (the patch lattice makes re-merges
     /// no-ops, and `merge` reports change for free — no clone-and-compare
@@ -462,8 +363,11 @@ impl Shared {
 /// ```
 pub struct PoolFrontend<'scope> {
     shared: Arc<Shared>,
+    /// The sending half of each pool's bounded job queue. Owned here, not
+    /// in [`Shared`], so teardown closes the queues simply by dropping
+    /// them: drivers drain what is buffered, then see the disconnect.
+    queues: Vec<SyncSender<Job>>,
     drivers: Vec<ScopedJoinHandle<'scope, ()>>,
-    route: RouteBy,
     next_seq: AtomicU64,
 }
 
@@ -488,8 +392,6 @@ impl<'scope> PoolFrontend<'scope> {
             obs.histogram("frontend/exec"),
         );
         let shared = Arc::new(Shared {
-            queues: (0..pools).map(|_| PoolQueue::new()).collect(),
-            capacity: config.queue_capacity.max(1),
             patches: Mutex::new(PatchState {
                 table: patches,
                 epoch: 0,
@@ -507,8 +409,11 @@ impl<'scope> PoolFrontend<'scope> {
         });
         let share_isolated = config.share_isolated && config.pool.auto_patch;
         let max_inflight = config.max_inflight.max(1);
+        let mut queues = Vec::with_capacity(pools);
         let mut drivers = Vec::with_capacity(pools);
-        for index in 0..pools {
+        for _ in 0..pools {
+            let (tx, rx) = sync_channel(config.queue_capacity.max(1));
+            queues.push(tx);
             let shared = Arc::clone(&shared);
             let pool_config = config.pool.clone();
             drivers.push(scope.spawn(move || {
@@ -516,7 +421,7 @@ impl<'scope> PoolFrontend<'scope> {
                     workload,
                     pool_config,
                     &shared,
-                    index,
+                    rx,
                     max_inflight,
                     share_isolated,
                 );
@@ -524,8 +429,8 @@ impl<'scope> PoolFrontend<'scope> {
         }
         PoolFrontend {
             shared,
+            queues,
             drivers,
-            route: config.route,
             next_seq: AtomicU64::new(0),
         }
     }
@@ -533,7 +438,7 @@ impl<'scope> PoolFrontend<'scope> {
     /// Number of pools behind the front door.
     #[must_use]
     pub fn pools(&self) -> usize {
-        self.shared.queues.len()
+        self.queues.len()
     }
 
     /// The front-end's latency instruments (`frontend/queue_wait`,
@@ -608,30 +513,43 @@ impl<'scope> PoolFrontend<'scope> {
         true
     }
 
-    /// Routes one input to its pool and enqueues it, blocking while that
-    /// pool's queue is full (backpressure). Returns the job's ticket;
-    /// callers overlap their own work with the replicas and collect via
-    /// the ticket.
+    /// Enqueues one input on the next pool in round-robin order, blocking
+    /// while that pool's queue is full (backpressure). Returns the job's
+    /// ticket; callers overlap their own work with the replicas and
+    /// collect via the ticket.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the target pool's driver died (its worker panic
+    /// propagates from [`PoolFrontend::shutdown`]).
     pub fn submit(&self, input: &WorkloadInput, fault: Option<FaultSpec>) -> JobTicket {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let target = match self.route {
-            RouteBy::RoundRobin => (seq % self.shared.queues.len() as u64) as usize,
-            RouteBy::InputHash => input_shard(input, self.shared.queues.len()),
-        };
+        let queue = &self.queues[(seq % self.queues.len() as u64) as usize];
         let slot = Arc::new(TicketSlot::new());
         // Counted before the job becomes visible to a driver, so readers
         // of the aggregate stats never observe completed > submitted.
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        self.shared.push(
-            target,
-            Job {
-                seq,
-                input: Arc::new(input.clone()),
-                fault,
-                slot: Arc::clone(&slot),
-                enqueued: Instant::now(),
-            },
-        );
+        let job = Job {
+            seq,
+            input: Arc::new(input.clone()),
+            fault,
+            slot: Arc::clone(&slot),
+            enqueued: Instant::now(),
+        };
+        // A dead driver has dropped its receiver, so both sends fail fast
+        // instead of blocking on a queue nobody drains.
+        let delivered = match queue.try_send(job) {
+            Ok(()) => true,
+            Err(TrySendError::Full(job)) => {
+                // Counted once per blocked push, however long it blocks.
+                self.shared
+                    .backpressure_waits
+                    .fetch_add(1, Ordering::Relaxed);
+                queue.send(job).is_ok()
+            }
+            Err(TrySendError::Disconnected(_)) => false,
+        };
+        assert!(delivered, "pool front-end driver died; submission rejected");
         JobTicket { job: seq, slot }
     }
 
@@ -660,12 +578,7 @@ impl<'scope> PoolFrontend<'scope> {
     }
 
     fn close(&mut self) {
-        for q in &self.shared.queues {
-            let mut st = q.state.lock().unwrap_or_else(PoisonError::into_inner);
-            st.closed = true;
-            q.not_empty.notify_all();
-            q.not_full.notify_all();
-        }
+        self.queues.clear();
         let mut driver_panic = None;
         for handle in self.drivers.drain(..) {
             if let Err(payload) = handle.join() {
@@ -689,15 +602,6 @@ impl Drop for PoolFrontend<'_> {
     }
 }
 
-/// Shard selection for [`RouteBy::InputHash`]: FNV-1a over the input's
-/// identity, spread by multiply-shift.
-fn input_shard(input: &WorkloadInput, pools: usize) -> usize {
-    let mut h = fnv1a(0, &input.seed.to_le_bytes());
-    h = fnv1a(h, &input.intensity.to_le_bytes());
-    h = fnv1a(h, &input.payload);
-    (((h ^ (h >> 32)).wrapping_mul(0x9E37_79B9) >> 32) as usize) % pools
-}
-
 /// One driver thread: owns one [`ReplicaPool`] and marshals between the
 /// front-end's queue/tickets and the pool's synchronous caller API. Jobs
 /// are kept pipelined in the pool up to `max_inflight` deep and finalized
@@ -707,7 +611,7 @@ fn drive<W: Workload + Sync + ?Sized>(
     workload: &W,
     pool_config: PoolConfig,
     shared: &Shared,
-    index: usize,
+    queue: Receiver<Job>,
     max_inflight: usize,
     share_isolated: bool,
 ) {
@@ -729,84 +633,74 @@ fn drive<W: Workload + Sync + ?Sized>(
             initial,
             Arc::clone(&shared.obs),
         );
+        // Declared after the pool, so a panic below drops them *before*
+        // the pool joins its workers: the receiver's drop releases every
+        // job still queued and makes later submitters fail fast, and
+        // `inflight`'s drop releases every job in the pool — everyone
+        // waiting on this driver learns it died, then the panic
+        // propagates to the front-end's join.
+        let queue = queue;
         let mut inflight: VecDeque<Inflight> = VecDeque::new();
-        let served = catch_unwind(AssertUnwindSafe(|| {
-            loop {
-                // Top the pool's pipeline up from the queue — one lock
-                // acquisition per refill, not per job — blocking only
-                // when the pool has nothing to do at all.
-                if inflight.len() < max_inflight {
-                    let jobs =
-                        shared.refill(index, max_inflight - inflight.len(), inflight.is_empty());
-                    if !jobs.is_empty() {
-                        sync_patches(shared, &mut pool, &mut local_version);
-                    }
-                    for job in jobs {
-                        let dispatched = Instant::now();
-                        shared
-                            .queue_wait_hist
-                            .record_duration(dispatched - job.enqueued);
-                        let pool_job = pool.submit_shared(job.input, job.fault, job.seq);
-                        inflight.push_back(Inflight {
-                            pool_job,
-                            seq: job.seq,
-                            slot: job.slot,
-                            verdict_posted: false,
-                            dispatched,
-                        });
-                    }
-                }
-                // Empty after a (blocking-when-empty) top-up means the
-                // queue is closed and drained. The front job stays in
-                // `inflight` until its outcome is posted: if finalizing
-                // panics, the Err path below must still see (and kill)
-                // its ticket.
-                let Some(front) = inflight.front() else {
-                    break;
-                };
-                let (pool_job, seq) = (front.pool_job, front.seq);
-                let dispatched = front.dispatched;
-                let slot = Arc::clone(&front.slot);
-                if !front.verdict_posted {
-                    slot.post_verdict(pool.wait_verdict(pool_job));
-                    shared.verdict_hist.record_duration(dispatched.elapsed());
-                    inflight[0].verdict_posted = true;
-                }
-                // Quorums for pipelined successors form while the front
-                // job's events are pumped; post them now rather than
-                // head-of-line blocking each behind its predecessors'
-                // full finalization. (A quorum forming *during* the
-                // next_outcome below is still posted one finalization
-                // late — eliminating that would need a pump hook.)
-                post_ready_verdicts(&pool, shared, &mut inflight);
-                let mut outcome = pool.next_outcome().expect("front job in flight");
-                debug_assert_eq!(outcome.job, pool_job, "pool finalized out of order");
-                // Tickets speak the front-end's global sequence, not the
-                // pool-local job counter.
-                outcome.job = seq;
-                if outcome.outcome.error_observed() {
-                    shared.failures.fetch_add(1, Ordering::Relaxed);
-                }
-                if share_isolated && outcome.outcome.report.is_some() {
-                    // The pool just escalated its own isolated patches
-                    // into its live table; fan them out to the siblings.
-                    shared.fold_patches(pool.patches());
-                }
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-                shared.exec_hist.record_duration(dispatched.elapsed());
-                slot.post_outcome(outcome);
-                inflight.pop_front();
-                post_ready_verdicts(&pool, shared, &mut inflight);
+        loop {
+            // Top the pool's pipeline up from the queue, blocking only
+            // when the pool has nothing to do at all.
+            let room = max_inflight - inflight.len();
+            let first = inflight.is_empty().then(|| queue.recv().ok()).flatten();
+            for job in first.into_iter().chain(queue.try_iter()).take(room) {
+                // Per job, after its dequeue: a job submitted after
+                // `load_epoch` returned can never run under the older
+                // table.
+                sync_patches(shared, &mut pool, &mut local_version);
+                let dispatched = Instant::now();
+                shared
+                    .queue_wait_hist
+                    .record_duration(dispatched - job.enqueued);
+                let pool_job = pool.submit_shared(Arc::clone(&job.input), job.fault, job.seq);
+                inflight.push_back(Inflight {
+                    job,
+                    pool_job,
+                    verdict_posted: false,
+                    dispatched,
+                });
             }
-        }));
-        if let Err(payload) = served {
-            // Fail fast for everyone still waiting on this driver, then
-            // let the panic propagate to the front-end's join.
-            for entry in inflight.drain(..) {
-                entry.slot.kill();
+            // Empty after a blocking top-up means every sender is gone
+            // and the queue is drained. The front job stays in `inflight`
+            // until its outcome is posted, so a panic while finalizing it
+            // still releases its ticket.
+            let Some(front) = inflight.front_mut() else {
+                break;
+            };
+            let (pool_job, dispatched) = (front.pool_job, front.dispatched);
+            if !front.verdict_posted {
+                front.job.slot.post_verdict(pool.wait_verdict(pool_job));
+                shared.verdict_hist.record_duration(dispatched.elapsed());
+                front.verdict_posted = true;
             }
-            shared.kill_queue(index);
-            resume_unwind(payload);
+            // Quorums for pipelined successors form while the front
+            // job's events are pumped; post them now rather than
+            // head-of-line blocking each behind its predecessors'
+            // full finalization. (A quorum forming *during* the
+            // next_outcome below is still posted one finalization
+            // late — eliminating that would need a pump hook.)
+            post_ready_verdicts(&pool, shared, &mut inflight);
+            let mut outcome = pool.next_outcome().expect("front job in flight");
+            debug_assert_eq!(outcome.job, pool_job, "pool finalized out of order");
+            let front = inflight.pop_front().expect("front job in flight");
+            // Tickets speak the front-end's global sequence, not the
+            // pool-local job counter.
+            outcome.job = front.job.seq;
+            if outcome.outcome.error_observed() {
+                shared.failures.fetch_add(1, Ordering::Relaxed);
+            }
+            if share_isolated && outcome.outcome.report.is_some() {
+                // The pool just escalated its own isolated patches
+                // into its live table; fan them out to the siblings.
+                shared.fold_patches(pool.patches());
+            }
+            shared.completed.fetch_add(1, Ordering::Relaxed);
+            shared.exec_hist.record_duration(dispatched.elapsed());
+            front.job.slot.post_outcome(outcome);
+            post_ready_verdicts(&pool, shared, &mut inflight);
         }
         pool.shutdown();
     });
@@ -814,9 +708,8 @@ fn drive<W: Workload + Sync + ?Sized>(
 
 /// One job the driver has submitted into its pool and not yet finalized.
 struct Inflight {
+    job: Job,
     pool_job: u64,
-    seq: u64,
-    slot: Arc<TicketSlot>,
     verdict_posted: bool,
     /// When the driver dispatched the job into its pool — start of the
     /// verdict and exec latency stages.
@@ -829,7 +722,7 @@ struct Inflight {
 fn post_ready_verdicts(pool: &ReplicaPool<'_>, shared: &Shared, inflight: &mut VecDeque<Inflight>) {
     for entry in inflight.iter_mut().filter(|e| !e.verdict_posted) {
         if let Some(verdict) = pool.poll_verdict(entry.pool_job) {
-            entry.slot.post_verdict(Some(verdict));
+            entry.job.slot.post_verdict(Some(verdict));
             shared
                 .verdict_hist
                 .record_duration(entry.dispatched.elapsed());
@@ -1000,17 +893,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn input_hash_routing_is_stable_and_in_range() {
-        let a = WorkloadInput::with_seed(1).payload(b"abc".to_vec());
-        let b = WorkloadInput::with_seed(2);
-        for pools in 1..5 {
-            assert_eq!(input_shard(&a, pools), input_shard(&a, pools));
-            assert!(input_shard(&a, pools) < pools);
-            assert!(input_shard(&b, pools) < pools);
-        }
-    }
-
     /// Driver death must not hang waiting submitters: tickets fail fast.
     #[test]
     fn dead_driver_fails_tickets_fast() {
@@ -1043,5 +925,128 @@ mod tests {
             });
         }));
         assert!(result.is_err(), "a dead driver left its ticket hanging");
+    }
+
+    /// A workload whose replicas rendezvous with the test twice per run:
+    /// `arrived` proves the job is in flight, `proceed` lets it finish.
+    struct Gated {
+        arrived: std::sync::Barrier,
+        proceed: std::sync::Barrier,
+        crash: bool,
+    }
+
+    impl Gated {
+        /// Three replicas plus the test thread meet at each barrier.
+        fn new(crash: bool) -> Self {
+            Gated {
+                arrived: std::sync::Barrier::new(4),
+                proceed: std::sync::Barrier::new(4),
+                crash,
+            }
+        }
+    }
+
+    impl Workload for Gated {
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+        fn run(
+            &self,
+            heap: &mut dyn xt_alloc::Heap,
+            input: &WorkloadInput,
+        ) -> xt_workloads::RunResult {
+            self.arrived.wait();
+            self.proceed.wait();
+            assert!(!self.crash, "simulated replica crash on cue");
+            EspressoLike::new().run(heap, input)
+        }
+    }
+
+    /// The driver dies with one job in its pool and three still queued:
+    /// every one of those tickets fails fast (the queued ones through the
+    /// dropped receiver), and so does the next submitter.
+    #[test]
+    fn dead_driver_releases_queued_and_inflight_tickets() {
+        let workload = Gated::new(true);
+        let mut observed = None;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                let frontend = PoolFrontend::scoped(
+                    scope,
+                    &workload,
+                    FrontendConfig {
+                        pools: 1,
+                        max_inflight: 1,
+                        queue_capacity: 4,
+                        ..FrontendConfig::default()
+                    },
+                    PatchTable::new(),
+                );
+                // A pipeline of one: job 0 goes in flight, 1..=3 stay
+                // queued behind it however the driver is scheduled.
+                let tickets: Vec<JobTicket> = (0..4)
+                    .map(|seed| frontend.submit(&WorkloadInput::with_seed(seed), None))
+                    .collect();
+                workload.arrived.wait();
+                workload.proceed.wait();
+                let died: Vec<bool> = tickets
+                    .into_iter()
+                    .map(|t| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.wait())))
+                    .map(|waited| waited.is_err())
+                    .collect();
+                let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    frontend.submit(&WorkloadInput::with_seed(9), None)
+                }))
+                .is_err();
+                observed = Some((died, rejected));
+            });
+        }));
+        assert!(result.is_err(), "the driver's panic did not propagate");
+        let (died, rejected) = observed.expect("the waits themselves hung or escaped");
+        assert_eq!(died, [true; 4], "a ticket survived its dead driver");
+        assert!(rejected, "a submission to a dead driver was accepted");
+    }
+
+    /// `backpressure_waits` counts blocked pushes — once each, however
+    /// long the push stays blocked — and nothing else.
+    #[test]
+    fn backpressure_counts_once_per_blocked_push() {
+        let workload = Gated::new(false);
+        std::thread::scope(|scope| {
+            let frontend = PoolFrontend::scoped(
+                scope,
+                &workload,
+                FrontendConfig {
+                    pools: 1,
+                    max_inflight: 1,
+                    queue_capacity: 1,
+                    ..FrontendConfig::default()
+                },
+                PatchTable::new(),
+            );
+            let first = frontend.submit(&WorkloadInput::with_seed(0), None);
+            workload.arrived.wait(); // job 0 is in flight: the queue is empty
+            let second = frontend.submit(&WorkloadInput::with_seed(1), None);
+            assert_eq!(frontend.stats().backpressure_waits, 0, "the queue had room");
+            std::thread::scope(|submitters| {
+                let blocked =
+                    submitters.spawn(|| frontend.submit(&WorkloadInput::with_seed(2), None));
+                // The count moves before the push blocks on the full queue.
+                while frontend.stats().backpressure_waits == 0 {
+                    std::thread::yield_now();
+                }
+                workload.proceed.wait(); // job 0 finishes; the queue moves
+                for _ in 1..3 {
+                    workload.arrived.wait();
+                    workload.proceed.wait();
+                }
+                let third = blocked.join().expect("blocked submitter");
+                for ticket in [first, second, third] {
+                    assert!(ticket.wait().outcome.vote.unanimous());
+                }
+            });
+            assert_eq!(frontend.stats().backpressure_waits, 1);
+            frontend.shutdown();
+        });
     }
 }

@@ -16,10 +16,10 @@
 //! * [`replicated`] — run several differently-seeded replicas of one
 //!   execution simultaneously, vote on their outputs, and on any signal,
 //!   crash, or divergence isolate errors from the replicas' images and
-//!   hot-patch the survivors. `run_replicated` is the one-shot entry; the
-//!   deployment shape — replicas that *stay up* across inputs, a streaming
-//!   voter that answers before stragglers finish, and fleet patch epochs
-//!   hot-reloaded between inputs — is the persistent [`pool`]; the
+//!   hot-patch the survivors. The one entry is the persistent [`pool`] —
+//!   replicas that *stay up* across inputs, a streaming voter that
+//!   answers before stragglers finish, and fleet patch epochs hot-reloaded
+//!   between inputs ([`replicated`] holds its outcome types); the
 //!   *server* shape — many concurrent submitters over several pools,
 //!   bounded queues with backpressure, per-job completion tickets, and one
 //!   atomically fanned-out epoch version — is the [`frontend`].
@@ -59,10 +59,10 @@ pub use cumulative::{
     summarized_run, summarized_run_reusable, CumulativeMode, CumulativeModeConfig,
     CumulativeOutcome, SummarizedRun,
 };
-pub use frontend::{FrontendConfig, FrontendStats, JobTicket, PoolFrontend, RouteBy};
+pub use frontend::{FrontendConfig, FrontendStats, JobTicket, PoolFrontend};
 pub use iterative::{FailureKind, IterativeConfig, IterativeMode, IterativeOutcome, RoundReport};
 pub use pool::{EarlyVerdict, PoolConfig, PoolOutcome, ReplicaPool, Straggler, VoteTiming};
-pub use replicated::{run_replicated, ReplicaSummary, ReplicatedConfig, ReplicatedOutcome};
+pub use replicated::{ReplicaSummary, ReplicatedOutcome};
 pub use runner::{
     execute, execute_reusable, find_manifesting_fault, ReusableStack, RunConfig, RunRecord,
 };

@@ -3,10 +3,10 @@
 //!
 //! The paper's replicas are *processes that keep running*: inputs are
 //! broadcast to all of them, outputs are voted on, and a discovered error
-//! is patched into the survivors without restarting anything. The original
-//! `run_replicated` tore the whole replica set down — threads, allocator
-//! stacks, page tables — after every single input, a cost real deployments
-//! never pay. [`ReplicaPool`] keeps the set alive:
+//! is patched into the survivors without restarting anything. Tearing the
+//! whole replica set down — threads, allocator stacks, page tables — after
+//! every single input is a cost real deployments never pay.
+//! [`ReplicaPool`] keeps the set alive:
 //!
 //! * **Persistent workers.** Each replica is one long-lived thread owning a
 //!   [`ReusableStack`]: its simulated address space is *reset* between
@@ -75,8 +75,7 @@ pub struct PoolConfig {
     /// use 3).
     pub replicas: usize,
     /// Base seed; worker `i` running job `j` derives its heap seed from
-    /// `(base_seed, i, j)`. Job 0 uses exactly the seeds the one-shot
-    /// `run_replicated` always used.
+    /// `(base_seed, i, j)`.
     pub base_seed: u64,
     /// DieFast configuration shared by all replicas (`p = 1`).
     pub diefast: DieFastConfig,
@@ -143,8 +142,7 @@ pub struct VoteTiming {
 pub struct PoolOutcome {
     /// The job id [`ReplicaPool::submit`] returned.
     pub job: u64,
-    /// Vote, patches, isolation report, and per-replica digests — the same
-    /// shape `run_replicated` returns.
+    /// Vote, patches, isolation report, and per-replica digests.
     pub outcome: ReplicatedOutcome,
     /// Vote timing observations.
     pub timing: VoteTiming,
@@ -217,8 +215,7 @@ enum Event {
     },
 }
 
-/// Heap seed for `worker` running `job` (job 0 reproduces the historical
-/// `run_replicated` seeds).
+/// Heap seed for `worker` running `job`.
 fn replica_seed(base: u64, worker: usize, job: u64) -> u64 {
     base.wrapping_add((worker as u64 + 1).wrapping_mul(0xA5A5_1234_9E37_79B9))
         .wrapping_add(job.wrapping_mul(0xD1B5_4A32_D192_ED03))
@@ -534,9 +531,8 @@ impl<'scope> ReplicaPool<'scope> {
         Some(self.finalize(state))
     }
 
-    /// Submits one input and waits for its outcome — the pooled equivalent
-    /// of one `run_replicated` call. Outcomes of earlier pipelined
-    /// submissions are finalized along the way and dropped; use
+    /// Submits one input and waits for its outcome. Outcomes of earlier
+    /// pipelined submissions are finalized along the way and dropped; use
     /// [`ReplicaPool::next_outcome`] when collecting a batch.
     pub fn run_one(&mut self, input: &WorkloadInput, fault: Option<FaultSpec>) -> PoolOutcome {
         let job = self.submit(input, fault);

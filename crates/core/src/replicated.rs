@@ -6,60 +6,15 @@
 //! DieFast-based heaps, each with a correcting allocator. This
 //! organization lets Exterminator discover and fix errors."
 //!
-//! [`run_replicated`] is the one-shot convenience entry: it stands up a
-//! [`ReplicaPool`](crate::pool::ReplicaPool) for a single input, collects
-//! the outcome, and tears the pool down. Long-lived deployments — many
-//! inputs, streaming vote verdicts, fleet patch-epoch hot reloads — should
-//! hold a pool directly; see [`crate::pool`].
+//! Replicated mode runs through [`ReplicaPool`](crate::pool::ReplicaPool)
+//! — persistent workers, streaming vote verdicts, fleet patch-epoch hot
+//! reloads; see [`crate::pool`]. This module holds the outcome types the
+//! pool returns.
 
-use xt_diefast::DieFastConfig;
-use xt_faults::FaultSpec;
-use xt_isolate::iterative::IsolateOptions;
 use xt_isolate::IsolationReport;
 use xt_patch::PatchTable;
-use xt_workloads::{Workload, WorkloadInput};
 
-use crate::pool::{PoolConfig, ReplicaPool};
 use crate::voter::VoteResult;
-
-/// Configuration for one replicated execution.
-#[derive(Clone, Debug)]
-pub struct ReplicatedConfig {
-    /// Number of replicas (the paper's experiments use 3).
-    pub replicas: usize,
-    /// Base seed; replica `i` randomizes its heap with a seed derived
-    /// from it.
-    pub base_seed: u64,
-    /// DieFast configuration shared by all replicas (`p = 1`).
-    pub diefast: DieFastConfig,
-    /// Isolation tuning.
-    pub options: IsolateOptions,
-}
-
-impl Default for ReplicatedConfig {
-    fn default() -> Self {
-        ReplicatedConfig {
-            replicas: 3,
-            base_seed: 0x2E11_11CA,
-            diefast: DieFastConfig::with_seed(0),
-            options: IsolateOptions::default(),
-        }
-    }
-}
-
-impl ReplicatedConfig {
-    /// The pool configuration equivalent to this one-shot configuration.
-    #[must_use]
-    pub fn to_pool_config(&self) -> PoolConfig {
-        PoolConfig {
-            replicas: self.replicas,
-            base_seed: self.base_seed,
-            diefast: self.diefast.clone(),
-            options: self.options,
-            ..PoolConfig::default()
-        }
-    }
-}
 
 /// Per-replica digest.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -179,48 +134,37 @@ impl ReplicatedOutcome {
     }
 }
 
-/// Runs `workload` over `config.replicas` differently-randomized replicas
-/// in parallel, votes on their outputs, and — on any failure or
-/// divergence — isolates errors from the replicas' heap images.
-///
-/// `patches` are the currently loaded runtime patches; each replica's
-/// correcting allocator applies them, and any newly generated patches are
-/// merged into the returned table (ready for a hot reload).
-///
-/// This is a thin wrapper over a one-shot [`ReplicaPool`]; callers
-/// executing more than one input should keep a pool alive instead of
-/// paying a replica-set setup per call.
-pub fn run_replicated<W: Workload + Sync + ?Sized>(
-    workload: &W,
-    input: &WorkloadInput,
-    fault: Option<FaultSpec>,
-    patches: &PatchTable,
-    config: &ReplicatedConfig,
-) -> ReplicatedOutcome {
-    std::thread::scope(|scope| {
-        let mut pool =
-            ReplicaPool::scoped(scope, workload, config.to_pool_config(), patches.clone());
-        let outcome = pool.run_one(input, fault).outcome;
-        pool.shutdown();
-        outcome
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{PoolConfig, ReplicaPool};
     use xt_alloc::AllocTime;
     use xt_faults::{FaultKind, FaultSpec};
-    use xt_workloads::EspressoLike;
+    use xt_workloads::{EspressoLike, WorkloadInput};
+
+    /// One input through a fresh pool (job 0).
+    fn run_once(
+        input: &WorkloadInput,
+        fault: Option<FaultSpec>,
+        patches: &PatchTable,
+        config: PoolConfig,
+    ) -> ReplicatedOutcome {
+        let workload = EspressoLike::new();
+        std::thread::scope(|scope| {
+            let mut pool = ReplicaPool::scoped(scope, &workload, config, patches.clone());
+            let outcome = pool.run_one(input, fault).outcome;
+            pool.shutdown();
+            outcome
+        })
+    }
 
     #[test]
     fn clean_replicas_agree_unanimously() {
-        let outcome = run_replicated(
-            &EspressoLike::new(),
+        let outcome = run_once(
             &WorkloadInput::with_seed(3),
             None,
             &PatchTable::new(),
-            &ReplicatedConfig::default(),
+            PoolConfig::default(),
         );
         assert!(outcome.vote.unanimous(), "replicas diverged on clean run");
         assert!(!outcome.error_observed());
@@ -294,6 +238,45 @@ mod tests {
         }
     }
 
+    /// One pinned value for the unit the wire ships: the field order,
+    /// the length/presence tags and the job fold are all part of it, so
+    /// a refactor of the digest (or of the primitive under it) that
+    /// moves remote-vs-local comparisons shows up here first.
+    #[test]
+    fn pool_outcome_digest_is_pinned() {
+        let mut patches = PatchTable::new();
+        patches.add_pad(xt_alloc::SiteHash::from_raw(0xF00D), 8);
+        let outcome = crate::pool::PoolOutcome {
+            job: 7,
+            outcome: ReplicatedOutcome {
+                vote: crate::voter::VoteResult {
+                    winner: b"out".to_vec(),
+                    agreeing: vec![0, 2],
+                    dissenting: vec![1],
+                },
+                patches,
+                report: None,
+                replicas: vec![ReplicaSummary {
+                    seed: 7,
+                    completed: true,
+                    failed: false,
+                    signals: 1,
+                    output_len: 3,
+                    output_digest: 0xAB,
+                }],
+            },
+            timing: crate::pool::VoteTiming {
+                outstanding_at_verdict: 0,
+                verdict_latency: std::time::Duration::ZERO,
+                full_latency: std::time::Duration::ZERO,
+            },
+        };
+        assert_eq!(
+            outcome.deterministic_digest(),
+            0x446c_1503_b90d_a357_045d_ba62_b353_2b45
+        );
+    }
+
     #[test]
     fn injected_overflow_is_observed_and_patched() {
         // Not every manifesting fault leaves canary evidence in replica
@@ -317,14 +300,13 @@ mod tests {
             ) else {
                 continue;
             };
-            let outcome = run_replicated(
-                &EspressoLike::new(),
+            let outcome = run_once(
                 &input,
                 Some(fault),
                 &PatchTable::new(),
-                &ReplicatedConfig {
+                PoolConfig {
                     replicas: 6,
-                    ..ReplicatedConfig::default()
+                    ..PoolConfig::default()
                 },
             );
             if !outcome.error_observed() {
@@ -338,15 +320,14 @@ mod tests {
             // the error stops manifesting.
             let mut patches = outcome.patches.clone();
             for round in 0..5u64 {
-                let next = run_replicated(
-                    &EspressoLike::new(),
+                let next = run_once(
                     &input,
                     Some(fault),
                     &patches,
-                    &ReplicatedConfig {
+                    PoolConfig {
                         replicas: 6,
                         base_seed: 0x5EED_0002 + round,
-                        ..ReplicatedConfig::default()
+                        ..PoolConfig::default()
                     },
                 );
                 if !next.error_observed() {
@@ -383,14 +364,13 @@ mod tests {
             },
             trigger: AllocTime::from_raw(90),
         };
-        let outcome = run_replicated(
-            &EspressoLike::new(),
+        let outcome = run_once(
             &input,
             Some(fault),
             &PatchTable::new(),
-            &ReplicatedConfig {
+            PoolConfig {
                 replicas: 5,
-                ..ReplicatedConfig::default()
+                ..PoolConfig::default()
             },
         );
         assert_eq!(outcome.replicas.len(), 5);

@@ -291,6 +291,27 @@ pub struct DigestVote {
 mod tests {
     use super::*;
 
+    /// Golden vectors (the published FNV-1a 128 ones): outcome digests,
+    /// streaming votes and fleet snapshot digests all fold through
+    /// [`digest_chunk`], so these pin every 128-bit digest at once.
+    #[test]
+    fn digest_matches_the_fnv1a_128_golden_vectors() {
+        assert_eq!(empty_digest(), 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d);
+        assert_eq!(output_digest(b""), empty_digest());
+        assert_eq!(
+            output_digest(b"a"),
+            0xd228_cb69_6f1a_8caf_7891_2b70_4e4a_8964
+        );
+        assert_eq!(
+            output_digest(b"foobar"),
+            0x343e_1662_793c_64bf_6f0d_3597_ba44_6f18
+        );
+        assert_eq!(
+            output_digest(b"exterminator"),
+            0x98d5_4927_0895_480f_543b_1c55_b843_f31d
+        );
+    }
+
     #[test]
     fn unanimous_vote() {
         let outputs = vec![b"abc".to_vec(), b"abc".to_vec(), b"abc".to_vec()];

@@ -1,12 +1,12 @@
 //! Determinism and concurrency pins for the pool front-end: a sharded,
 //! concurrently-fed [`PoolFrontend`] is observably the *same computation*
 //! as one [`ReplicaPool`] fed the same inputs serially — the queue layer,
-//! the routing policy, and submitter interleaving can move wall-clock
-//! time, never an outcome byte.
+//! the sharding, and submitter interleaving can move wall-clock time,
+//! never an outcome byte.
 
 use std::sync::Mutex;
 
-use exterminator::frontend::{FrontendConfig, PoolFrontend, RouteBy};
+use exterminator::frontend::{FrontendConfig, PoolFrontend};
 use exterminator::pool::{PoolConfig, ReplicaPool};
 use exterminator::replicated::ReplicatedOutcome;
 use xt_alloc::AllocTime;
@@ -56,46 +56,43 @@ fn serial_reference(
     })
 }
 
-/// Determinism pin: K pools, either routing policy, bounded queues —
+/// Determinism pin: K pools, bounded queues —
 /// byte-identical to the serial single-pool run of the same inputs.
 #[test]
 fn frontend_outcomes_match_a_single_pool_byte_for_byte() {
     let workload = EspressoLike::new();
     let (inputs, fault) = mixed_batch();
     let reference = serial_reference(&workload, &inputs, fault);
-    for route in [RouteBy::RoundRobin, RouteBy::InputHash] {
-        let outcomes: Vec<ReplicatedOutcome> = std::thread::scope(|scope| {
-            let frontend = PoolFrontend::scoped(
-                scope,
-                &workload,
-                FrontendConfig {
-                    pools: 3,
-                    pool: pool_config(),
-                    // Deliberately tiny: the pin must hold through
-                    // backpressure stalls.
-                    queue_capacity: 2,
-                    route,
-                    share_isolated: false,
-                    ..FrontendConfig::default()
-                },
-                PatchTable::new(),
-            );
-            let outcomes = frontend
-                .run_all(&inputs, fault)
-                .into_iter()
-                .map(|o| o.outcome)
-                .collect();
-            frontend.shutdown();
-            outcomes
-        });
-        assert_eq!(outcomes.len(), reference.len());
-        for (job, (a, b)) in outcomes.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                a.replicas, b.replicas,
-                "replica summaries diverged at job {job} ({route:?})"
-            );
-            assert_eq!(a, b, "outcome diverged at job {job} ({route:?})");
-        }
+    let outcomes: Vec<ReplicatedOutcome> = std::thread::scope(|scope| {
+        let frontend = PoolFrontend::scoped(
+            scope,
+            &workload,
+            FrontendConfig {
+                pools: 3,
+                pool: pool_config(),
+                // Deliberately tiny: the pin must hold through
+                // backpressure stalls.
+                queue_capacity: 2,
+                share_isolated: false,
+                ..FrontendConfig::default()
+            },
+            PatchTable::new(),
+        );
+        let outcomes = frontend
+            .run_all(&inputs, fault)
+            .into_iter()
+            .map(|o| o.outcome)
+            .collect();
+        frontend.shutdown();
+        outcomes
+    });
+    assert_eq!(outcomes.len(), reference.len());
+    for (job, (a, b)) in outcomes.iter().zip(&reference).enumerate() {
+        assert_eq!(
+            a.replicas, b.replicas,
+            "replica summaries diverged at job {job}"
+        );
+        assert_eq!(a, b, "outcome diverged at job {job}");
     }
 }
 
@@ -119,7 +116,6 @@ fn concurrent_submitters_match_serial_replay_in_arrival_order() {
                 queue_capacity: 3,
                 max_inflight: 2,
                 share_isolated: false,
-                ..FrontendConfig::default()
             },
             PatchTable::new(),
         );
@@ -181,7 +177,6 @@ fn epoch_fanout_reaches_every_pool() {
             FrontendConfig {
                 pools: 3,
                 pool: pool_config(),
-                route: RouteBy::RoundRobin,
                 ..FrontendConfig::default()
             },
             PatchTable::new(),
@@ -233,7 +228,6 @@ fn isolated_patches_fan_out_to_sibling_pools() {
                     replicas: 6,
                     ..PoolConfig::default()
                 },
-                route: RouteBy::RoundRobin,
                 share_isolated: true,
                 ..FrontendConfig::default()
             },

@@ -7,12 +7,12 @@
 use std::time::Duration;
 
 use exterminator::pool::{PoolConfig, ReplicaPool, Straggler};
-use exterminator::replicated::{run_replicated, ReplicatedConfig, ReplicatedOutcome};
+use exterminator::replicated::ReplicatedOutcome;
 use exterminator::voter::output_digest;
 use xt_alloc::AllocTime;
 use xt_faults::{FaultKind, FaultSpec};
 use xt_patch::PatchTable;
-use xt_workloads::{EspressoLike, SquidLike, Workload, WorkloadInput};
+use xt_workloads::{EspressoLike, Workload, WorkloadInput};
 
 /// A batch mixing clean inputs with a data-corrupting overflow, so the
 /// determinism claim covers voting, isolation, and patch escalation — not
@@ -95,27 +95,6 @@ fn straggler_scheduling_does_not_change_outcomes() {
     let a = run_pool_batch(&workload, &smooth, &inputs, fault);
     let b = run_pool_batch(&workload, &staggered, &inputs, fault);
     assert_eq!(a, b, "a slow replica changed a deterministic outcome");
-}
-
-/// The one-shot wrapper and a persistent pool's job 0 are the same
-/// computation: `run_replicated` callers lost nothing in the rewrite.
-#[test]
-fn one_shot_wrapper_matches_pool_job_zero() {
-    let workload = SquidLike::new();
-    let input = WorkloadInput::with_seed(4).payload(xt_workloads::benign_requests(6));
-    let config = ReplicatedConfig {
-        replicas: 4,
-        ..ReplicatedConfig::default()
-    };
-    let one_shot = run_replicated(&workload, &input, None, &PatchTable::new(), &config);
-    let pooled = std::thread::scope(|scope| {
-        let mut pool =
-            ReplicaPool::scoped(scope, &workload, config.to_pool_config(), PatchTable::new());
-        let outcome = pool.run_one(&input, None).outcome;
-        pool.shutdown();
-        outcome
-    });
-    assert_eq!(one_shot, pooled);
 }
 
 /// Pooled reuse must not leak: an input's outcome is independent of what

@@ -98,4 +98,4 @@ mod rng;
 pub use addr::Addr;
 pub use arena::{Arena, PAGE_SIZE};
 pub use fault::MemFault;
-pub use rng::Rng;
+pub use rng::{fnv1a_64, splitmix_finalize, Rng, FNV1A_64_BASIS};

@@ -5,6 +5,37 @@
 //! that whole experiments are reproducible from a single seed, independent of
 //! external crate versions. The algorithm is xoshiro256** seeded via
 //! SplitMix64 — the standard construction recommended by its authors.
+//!
+//! The module is also the one home of the workspace's two 64-bit mixing
+//! primitives — [`splitmix_finalize`] (seed derivation) and [`fnv1a_64`]
+//! (checksums) — so every crate that derives a seed or folds a checksum
+//! shares one definition, pinned by golden vectors below.
+
+/// The SplitMix64 output finalizer: a bijective avalanche of `z`. Seed
+/// derivations add their own stride/offset first, then finalize.
+#[inline]
+#[must_use]
+pub fn splitmix_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// FNV-1a 64 offset basis: the checksum of zero bytes.
+pub const FNV1A_64_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a 64 state. Start from
+/// [`FNV1A_64_BASIS`]; chunk boundaries do not affect the result.
+#[inline]
+#[must_use]
+pub fn fnv1a_64(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
 
 /// Deterministic xoshiro256** generator.
 ///
@@ -33,10 +64,7 @@ impl Rng {
         let mut sm = seed;
         let mut next = || {
             sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
+            splitmix_finalize(sm)
         };
         Rng {
             state: [next(), next(), next(), next()],
@@ -133,6 +161,34 @@ impl Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Golden vectors: every seed derivation and checksum in the
+    /// workspace folds through these two functions, so these values
+    /// moving means every pinned digest downstream moved too. (The
+    /// SplitMix64 and FNV-1a vectors are the published ones; the `Rng`
+    /// pair pins the seeding construction built on them.)
+    #[test]
+    fn mixing_primitives_match_their_golden_vectors() {
+        assert_eq!(splitmix_finalize(0), 0);
+        assert_eq!(splitmix_finalize(1), 0x5692_161d_100b_05e5);
+        assert_eq!(splitmix_finalize(42), 0xa759_ea27_d472_7622);
+        // SplitMix64's first output from state 0.
+        assert_eq!(
+            splitmix_finalize(0x9e37_79b9_7f4a_7c15),
+            0xe220_a839_7b1d_cdaf
+        );
+        let mut rng = Rng::new(0);
+        assert_eq!(rng.next_u64(), 0x99ec_5f36_cb75_f2b4);
+        assert_eq!(rng.next_u64(), 0xbf6e_1f78_4956_452a);
+
+        let fnv = |bytes: &[u8]| fnv1a_64(FNV1A_64_BASIS, bytes);
+        assert_eq!(fnv(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv(b"exterminator"), 0x7b48_091c_3d08_eba5);
+        // Chunk boundaries are invisible.
+        assert_eq!(fnv1a_64(fnv(b"foo"), b"bar"), fnv(b"foobar"));
+    }
 
     #[test]
     fn deterministic_for_equal_seeds() {

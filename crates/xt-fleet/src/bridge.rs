@@ -37,7 +37,9 @@ const PROBE_MULTIPLIER: f64 = 2.0;
 
 /// SplitMix-style probe seed derivation: distinct per `(base, seq)`.
 fn probe_seed(base: u64, seq: u32) -> u64 {
-    crate::splitmix_finalize(base.wrapping_add(u64::from(seq).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+    xt_arena::splitmix_finalize(
+        base.wrapping_add(u64::from(seq).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+    )
 }
 
 /// Turns one observed runtime failure into fleet evidence: `probes`
@@ -90,25 +92,4 @@ pub fn report_failure(
 /// front-end's live table advanced.
 pub fn sync_frontend(service: &FleetService, frontend: &PoolFrontend<'_>) -> bool {
     frontend.load_epoch(&service.latest())
-}
-
-/// The socket server's ingest path: folds one wire report into the
-/// service and immediately fans any newer epoch back out to the
-/// front-end serving the same process. This is how a remote client's
-/// evidence heals the server's own pools — ingestion may cross the
-/// service's publish cadence and mint a fresh epoch, and the next job
-/// the front-end dispatches (to *any* pool) already runs under it.
-///
-/// # Errors
-///
-/// Returns the [`WireError`] for malformed bytes; the service counts the
-/// rejection and neither the evidence nor the front-end is touched.
-pub fn ingest_and_sync(
-    service: &FleetService,
-    frontend: &PoolFrontend<'_>,
-    bytes: &[u8],
-) -> Result<crate::IngestReceipt, crate::WireError> {
-    let receipt = service.ingest(bytes)?;
-    sync_frontend(service, frontend);
-    Ok(receipt)
 }

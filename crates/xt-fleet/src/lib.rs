@@ -96,15 +96,6 @@ pub mod storage;
 pub mod wal;
 pub mod wire;
 
-/// SplitMix64 finalizer — the one mixer behind every seed derivation in
-/// this crate (simulator client seeds, bridge probe seeds), so a future
-/// change to seed mixing cannot silently diverge between them.
-pub(crate) fn splitmix_finalize(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 pub use delivery::{Delivery, ReplayWindow};
 pub use frame::{Frame, FrameError, Reader};
 pub use service::{

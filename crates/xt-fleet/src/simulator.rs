@@ -150,7 +150,7 @@ impl<'a, W: Workload + Sync> FleetSimulator<'a, W> {
 
     /// SplitMix-style derivation of one client run's heap seed.
     fn heap_seed(&self, client: usize, round: usize) -> u64 {
-        crate::splitmix_finalize(
+        xt_arena::splitmix_finalize(
             self.config
                 .base_seed
                 .wrapping_add((client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))

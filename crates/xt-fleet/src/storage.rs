@@ -323,7 +323,7 @@ impl<S: Storage> FaultyStorage<S> {
     /// `seed ^ fail_at`).
     #[must_use]
     pub fn with_seed(inner: S, seed: u64, fail_at: u64) -> Self {
-        let z = crate::splitmix_finalize(seed ^ fail_at.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let z = xt_arena::splitmix_finalize(seed ^ fail_at.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mode = match z % 3 {
             0 => FaultMode::Fail,
             1 => FaultMode::Tear {

@@ -16,6 +16,7 @@
 //! trailing garbage all fail loudly with a [`WireError`] naming the
 //! offset.
 
+use exterminator::voter::{digest_chunk, empty_digest};
 use xt_alloc::{AllocTime, SiteHash};
 use xt_isolate::cumulative::{RunSummary, SiteObservation};
 
@@ -495,8 +496,8 @@ impl FleetSnapshot {
         })
     }
 
-    /// FNV-1a 128 digest of the canonical encoding — the same constants
-    /// as `core::voter`'s outcome digest, so "byte-identical state" means
+    /// FNV-1a 128 digest of the canonical encoding — the same fold as
+    /// `core::voter`'s outcome digest, so "byte-identical state" means
     /// one `u128` comparison. Volatile delivery counters (`duplicates`,
     /// `rejected_reports`) are zeroed before hashing: a crash between a
     /// WAL append and its acknowledgment legitimately turns the retried
@@ -509,20 +510,55 @@ impl FleetSnapshot {
             rejected_reports: 0,
             ..self.clone()
         };
-        const FNV_BASIS: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-        const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
-        let mut h = FNV_BASIS;
-        for &b in &canonical.encode() {
-            h ^= u128::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        digest_chunk(empty_digest(), &canonical.encode())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One pinned snapshot digest: recovery compares states by this
+    /// value, so it must not move under a refactor of the fold or of the
+    /// canonical encoding. Volatile counters are excluded by design.
+    #[test]
+    fn snapshot_digest_is_pinned() {
+        let snap = FleetSnapshot {
+            reports: 16,
+            failed_reports: 3,
+            duplicates: 2,
+            rejected_reports: 1,
+            pending: 4,
+            epoch_reports: 12,
+            n_sites: 77,
+            integration_steps: 2,
+            epoch_text: "# exterminator patch epoch v1\n".into(),
+            windows: vec![(0xA11CE, 0b1011, 7)],
+            overflow: vec![EvidenceRecord {
+                site: 0xB06,
+                obs: 5,
+                l0: 0.25,
+                grid: vec![0.5, 0.25, 0.125],
+            }],
+            dangling: vec![EvidenceRecord {
+                site: 0xD00D,
+                obs: 2,
+                l0: 1.0,
+                grid: vec![1.0, 0.5, 0.75],
+            }],
+            pad_hints: vec![(0xB06, 36)],
+            defer_hints: vec![(0xD00D, 0xF, 42)],
+        };
+        assert_eq!(FleetSnapshot::decode(&snap.encode()).unwrap(), snap);
+        let pinned = 0xbb9a_2623_071a_d428_a943_d3cc_a987_861e;
+        assert_eq!(snap.digest(), pinned);
+        let volatile = FleetSnapshot {
+            duplicates: 9,
+            rejected_reports: 9,
+            ..snap
+        };
+        assert_eq!(volatile.digest(), pinned);
+    }
 
     fn sample() -> RunReport {
         RunReport {

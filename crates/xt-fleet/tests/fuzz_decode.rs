@@ -44,10 +44,7 @@ fn assert_diagnosable(err: &WireError, len: usize) -> Result<(), TestCaseError> 
 /// SplitMix64, for seeded corruption positions.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    xt_arena::splitmix_finalize(*state)
 }
 
 const XS: [f64; 4] = [0.0, 0.25, 0.75, 1.0];

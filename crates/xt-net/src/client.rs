@@ -13,19 +13,22 @@
 //!
 //! The same connection multiplexes the fleet path:
 //! [`NetClient::ingest_report`] ships a compact `XTR1` run report (the §5
-//! "few kilobytes per execution" unit) and [`NetClient::pull_epoch`]
-//! fetches the server's newest patch epoch — so a remote client can
-//! detect locally, report remotely, and adopt the fleet's corrections,
-//! all over one socket.
+//! "few kilobytes per execution" unit), and the fleet's corrections come
+//! back *unsolicited* — so a remote client can detect locally, report
+//! remotely, and adopt the fleet's corrections, all over one socket.
 //!
-//! Since the event-loop server, epochs also arrive *unsolicited*: the
-//! server fans a [`Msg::EpochPush`] frame down every live connection the
-//! moment a new epoch publishes. The connection absorbs pushes into a
+//! Epochs are only ever pushed: the server sends a [`Msg::EpochPush`]
+//! frame down every live connection the moment an epoch publishes, greets
+//! a connection accepted after a publish with the newest epoch, and
+//! re-sends the newest epoch to a slow reader whose push it had to drop
+//! once that reader's queue drains. The connection absorbs pushes into a
 //! newest-wins cache of exactly one epoch (O(1) regardless of how many
 //! publish, or whether anyone ever looks), readable via
 //! [`NetClient::pushed_epoch`] and awaitable via
-//! [`NetClient::wait_pushed_epoch`] — so a steady-state client adopts
-//! fleet corrections without ever polling [`NetClient::pull_epoch`].
+//! [`NetClient::wait_pushed_epoch`]. A reporter learns it is behind from
+//! [`WireReceipt::epoch`] on its own acknowledgment and parks in
+//! `wait_pushed_epoch` until the push lands — there is no request to
+//! poll with.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader, Write};
@@ -33,6 +36,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
+use xt_arena::splitmix_finalize;
 use xt_faults::FaultSpec;
 use xt_fleet::frame::{Frame, FrameError, WireError};
 use xt_fleet::RunReport;
@@ -134,14 +138,13 @@ impl RetryPolicy {
         if span == 0 {
             return full;
         }
-        let mut z = self.jitter_seed.wrapping_add(
-            u64::from(retry)
-                .wrapping_add(1)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        let z = splitmix_finalize(
+            self.jitter_seed.wrapping_add(
+                u64::from(retry)
+                    .wrapping_add(1)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ),
         );
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
         half + Duration::from_nanos(z % (span + 1))
     }
 }
@@ -253,11 +256,10 @@ impl ClientConn {
                 None
             }
             Msg::EpochPush { epoch } => {
-                // Advisory channel: a push that fails to parse is
-                // dropped silently (the pull path still works and
-                // surfaces such corruption as a hard error). Epoch
-                // numbers are monotone server-side, but absorb
-                // defensively: newest wins, ties and regressions lose.
+                // A push that fails to parse is dropped: the next
+                // publish supersedes it anyway. Epoch numbers are
+                // monotone server-side, but absorb defensively: newest
+                // wins, ties and regressions lose.
                 if let Ok(epoch) = PatchEpoch::from_text(&epoch) {
                     if self.pushed.as_ref().is_none_or(|p| epoch.number > p.number) {
                         self.pushed = Some(epoch);
@@ -364,9 +366,9 @@ impl NetClient {
 
     /// Blocks until the server pushes an epoch numbered above
     /// `newer_than` (returning it), or `timeout` elapses (returning
-    /// `None`). This is the push-path replacement for polling
-    /// [`NetClient::pull_epoch`] in a loop: the client parks on the
-    /// socket and the server's broadcast wakes it.
+    /// `None`). The client parks on the socket and the server's push
+    /// wakes it; an epoch already absorbed (e.g. the greeting a late
+    /// joiner gets on accept) returns without touching the socket.
     ///
     /// Holds the connection lock for the whole wait — clones of this
     /// client sharing the connection will block behind it, so dedicate
@@ -481,25 +483,6 @@ impl NetClient {
             other => Err(NetError::Protocol(format!(
                 "expected ReportAck, got {other:?}"
             ))),
-        }
-    }
-
-    /// Fetches the server's newest patch epoch if it is newer than
-    /// `have`; `None` means the client is already current.
-    ///
-    /// # Errors
-    ///
-    /// Transport, decode, or an epoch payload that fails to parse.
-    pub fn pull_epoch(&self, have: u64) -> Result<Option<PatchEpoch>, NetError> {
-        let mut conn = self.lock();
-        conn.send(&Msg::EpochPull { have })?;
-        match conn.read_reply()? {
-            Msg::Epoch { epoch: None } => Ok(None),
-            Msg::Epoch { epoch: Some(text) } => PatchEpoch::from_text(&text)
-                .map(Some)
-                .map_err(|e| NetError::Protocol(format!("unparseable epoch payload: {e}"))),
-            Msg::Error { message } => Err(NetError::Remote(message)),
-            other => Err(NetError::Protocol(format!("expected Epoch, got {other:?}"))),
         }
     }
 
@@ -650,17 +633,22 @@ mod tests {
     fn poisoned_connection_lock_recovers() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        // A minimal server: answer one EpochPull with an empty epoch.
+        // A minimal server: answer one HealthPull.
+        let health = WireHealth {
+            healthy: true,
+            epoch: 0,
+            uptime_ms: 1,
+            recoveries: 0,
+            durable: false,
+            connections: 1,
+        };
         let responder = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let mut writer = stream;
             let frame = Frame::read_from(&mut reader).unwrap().unwrap();
-            assert!(matches!(
-                Msg::from_frame(&frame).unwrap(),
-                Msg::EpochPull { .. }
-            ));
-            Msg::Epoch { epoch: None }
+            assert_eq!(Msg::from_frame(&frame).unwrap(), Msg::HealthPull);
+            Msg::Health(health)
                 .to_frame()
                 .write_to(&mut writer)
                 .unwrap();
@@ -678,7 +666,7 @@ mod tests {
         // Every lock site still works: a pure-buffer read and a full
         // request/reply round trip over the recovered connection.
         assert_eq!(client.buffered(), 0);
-        assert!(client.pull_epoch(0).unwrap().is_none());
+        assert_eq!(client.pull_health().unwrap(), health);
         responder.join().unwrap();
     }
 
@@ -698,6 +686,9 @@ mod tests {
             first, again,
             "jitter must be a pure function of (seed, retry)"
         );
+        // Pinned: the schedule a deployed fleet reconnects on.
+        assert_eq!(first[0], Duration::from_nanos(9_316_041));
+        assert_eq!(first[6], Duration::from_nanos(56_009_624));
         for (n, d) in first.iter().enumerate() {
             let full = (policy.base * 2u32.pow(n as u32)).min(policy.cap);
             assert!(

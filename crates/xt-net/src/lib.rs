@@ -23,14 +23,18 @@
 //! 3. **The fleet path** — `XTR1` run reports ingest into the server's
 //!    co-located [`FleetService`](xt_fleet::FleetService); a newly
 //!    published epoch fans straight into the server's own pools
-//!    ([`bridge::ingest_and_sync`](xt_fleet::bridge::ingest_and_sync)),
-//!    so remote evidence heals the server, **and is pushed down every
-//!    live connection** as an `EpochPush` frame the moment it
-//!    publishes. [`NetClient`] absorbs pushes into a one-slot
-//!    newest-wins cache ([`NetClient::pushed_epoch`] /
-//!    [`NetClient::wait_pushed_epoch`]) — a patched fleet converges
-//!    without a single client poll. Explicit `EpochPull` stays for
-//!    late joiners and reconnects.
+//!    ([`bridge::sync_frontend`](xt_fleet::bridge::sync_frontend)),
+//!    so remote evidence heals the server, **and is pushed to every
+//!    client** as an `EpochPush` frame: down every live connection the
+//!    moment it publishes, on accept to a client that connects (or
+//!    reconnects) after the publish, and once more to a slow reader
+//!    whose push had to be dropped, when its queue drains. Push is the
+//!    only epoch path — there is no pull request to fall back on, so
+//!    no client can be silently behind for want of polling.
+//!    [`NetClient`] absorbs pushes into a one-slot newest-wins cache
+//!    ([`NetClient::pushed_epoch`] / [`NetClient::wait_pushed_epoch`]);
+//!    a reporter reads how far the fleet has published off its own
+//!    `ReportAck` and waits for that push.
 //!
 //! # The event loop
 //!
@@ -65,8 +69,9 @@
 //! stop past the connection budget, submissions block on the
 //! front-end's bounded queues, write queues are bounded per connection
 //! (a slow reader drops pushes for itself — counted in
-//! `net/pushes_dropped` — rather than growing the server), and nothing
-//! grows without bound: a burst degrades to waiting, never to OOM.
+//! `net/pushes_dropped`, and made good with the newest epoch when it
+//! drains — rather than growing the server), and nothing grows without
+//! bound: a burst degrades to waiting, never to OOM.
 //!
 //! # Observability
 //!

@@ -6,7 +6,7 @@
 //! the exact offending offset, same argument as `xt_fleet::wire` (these
 //! bytes cross a trust boundary; "bad message" is undebuggable).
 //!
-//! Three families share the stream:
+//! Four families share the stream:
 //!
 //! * **Job submission** — [`Msg::Submit`] carries a
 //!   [`WorkloadInput`] plus an optional [`FaultSpec`]; the server answers
@@ -17,10 +17,13 @@
 //!   the job's sequence number so clients with several jobs in flight can
 //!   demultiplex.
 //! * **Fleet path** — [`Msg::Report`] nests an `XTR1`-encoded
-//!   [`RunReport`](xt_fleet::RunReport) (acknowledged by
-//!   [`Msg::ReportAck`]), and [`Msg::EpochPull`]/[`Msg::Epoch`] poll the
-//!   server's published patch epochs — the same ingest/pull loop
-//!   `xt-fleet` runs in-process, now over the socket.
+//!   [`RunReport`](xt_fleet::RunReport), acknowledged by
+//!   [`Msg::ReportAck`] (whose `epoch` tells the reporter how far the
+//!   fleet has published); the server *pushes* every published patch
+//!   epoch as [`Msg::EpochPush`] — at publish to every live connection,
+//!   on accept to late joiners, and again after a drop once a slow
+//!   reader's queue drains. There is no epoch request: push is the only
+//!   path, and it is complete.
 //! * **Observability** — [`Msg::HealthPull`]/[`Msg::Health`] answer a
 //!   liveness probe with the server's epoch, uptime, and recovery
 //!   status; [`Msg::MetricsPull`]/[`Msg::Metrics`] ship the merged
@@ -28,8 +31,9 @@
 //!   wire) to remote operators.
 //!
 //! Replies are request-response in connection order; pushed messages
-//! (`Verdict`, `Outcome`) may interleave anywhere, which is why the
-//! client buffers them by job id.
+//! (`Verdict`, `Outcome`, `EpochPush`) may interleave anywhere, which is
+//! why the client buffers them (by job id, and in a one-slot newest-wins
+//! epoch cache).
 
 use xt_faults::{FaultKind, FaultSpec};
 use xt_fleet::frame::{Frame, Reader, WireError};
@@ -51,7 +55,10 @@ const MAX_INDICES: u32 = 1 << 10;
 /// thousands, and a hostile count prefix must not size an allocation.
 const MAX_INSTRUMENTS: u32 = 1 << 12;
 
-/// Frame kind bytes, one per message family member.
+/// Frame kind bytes, one per message family member. Kinds 7 and 8 (the
+/// retired epoch pull request and its reply) stay reserved: they decode
+/// as unknown kinds and are never reassigned, so an old client fails
+/// loudly instead of being misread.
 pub mod kind {
     /// Client → server: submit one job.
     pub const SUBMIT: u8 = 1;
@@ -65,10 +72,6 @@ pub mod kind {
     pub const REPORT: u8 = 5;
     /// Server → client: report ingested.
     pub const REPORT_ACK: u8 = 6;
-    /// Client → server: send the newest epoch if newer than `have`.
-    pub const EPOCH_PULL: u8 = 7;
-    /// Server → client: the epoch (or "nothing newer").
-    pub const EPOCH: u8 = 8;
     /// Server → client: the request failed (message names why).
     pub const ERROR: u8 = 9;
     /// Client → server: liveness probe.
@@ -79,8 +82,9 @@ pub mod kind {
     pub const METRICS_PULL: u8 = 12;
     /// Server → client: the merged registry snapshot.
     pub const METRICS: u8 = 13;
-    /// Server → client (pushed, unsolicited): a newly published epoch,
-    /// fanned down every live connection the moment it publishes.
+    /// Server → client (pushed, unsolicited): the newest published
+    /// epoch — fanned down every live connection at publish, sent on
+    /// accept to late joiners, and re-sent after a dropped push.
     pub const EPOCH_PUSH: u8 = 14;
 }
 
@@ -274,17 +278,6 @@ pub enum Msg {
     Report(Vec<u8>),
     /// Report ingested.
     ReportAck(WireReceipt),
-    /// Send the newest epoch if newer than `have`.
-    EpochPull {
-        /// The highest epoch number the client already holds.
-        have: u64,
-    },
-    /// The epoch in `xt-patch` text form, or `None` when nothing newer
-    /// than the client's `have` exists.
-    Epoch {
-        /// `PatchEpoch::to_text` output, if newer.
-        epoch: Option<String>,
-    },
     /// The request failed.
     Error {
         /// Human-readable reason (e.g. a `WireError` rendering).
@@ -299,9 +292,9 @@ pub enum Msg {
     /// The snapshot: every layer's counters, gauges, and per-stage
     /// latency histograms, merged server-side and name-sorted.
     Metrics(RegistrySnapshot),
-    /// Server → client, unsolicited: a `PatchEpoch` just published.
-    /// Unlike [`Msg::Epoch`] the text is always present — the server
-    /// only pushes when there is something new to push.
+    /// Server → client, unsolicited: the newest published `PatchEpoch`.
+    /// The server only pushes when there is an epoch to push (nothing
+    /// is sent at epoch 0).
     EpochPush {
         /// `PatchEpoch::to_text` output.
         epoch: String,
@@ -517,20 +510,6 @@ impl Msg {
                 out.extend_from_slice(&a.epoch.to_le_bytes());
                 kind::REPORT_ACK
             }
-            Msg::EpochPull { have } => {
-                out.extend_from_slice(&have.to_le_bytes());
-                kind::EPOCH_PULL
-            }
-            Msg::Epoch { epoch } => {
-                match epoch {
-                    None => out.push(0),
-                    Some(text) => {
-                        out.push(1);
-                        put_bytes(&mut out, text.as_bytes());
-                    }
-                }
-                kind::EPOCH
-            }
             Msg::Error { message } => {
                 put_bytes(&mut out, message.as_bytes());
                 kind::ERROR
@@ -649,14 +628,6 @@ impl Msg {
                 observations: r.u32()?,
                 epoch: r.u64()?,
             }),
-            kind::EPOCH_PULL => Msg::EpochPull { have: r.u64()? },
-            kind::EPOCH => Msg::Epoch {
-                epoch: if r.bool()? {
-                    Some(read_string(&mut r)?)
-                } else {
-                    None
-                },
-            },
             kind::ERROR => Msg::Error {
                 message: read_string(&mut r)?,
             },
@@ -751,11 +722,6 @@ mod tests {
                 observations: 5,
                 epoch: 3,
             }),
-            Msg::EpochPull { have: 2 },
-            Msg::Epoch { epoch: None },
-            Msg::Epoch {
-                epoch: Some("# exterminator patch epoch v1\n".into()),
-            },
             Msg::Error {
                 message: "bad report".into(),
             },
@@ -799,11 +765,17 @@ mod tests {
 
     #[test]
     fn rejects_unknown_kinds() {
-        let frame = Frame::new(0xEE, Vec::new());
-        assert!(matches!(
-            Msg::from_frame(&frame),
-            Err(WireError::BadKind { kind: 0xEE, .. })
-        ));
+        // 7 and 8 are the retired epoch pull/reply kinds, reserved forever.
+        for unknown in [0xEE, 7, 8] {
+            let frame = Frame::new(unknown, 2u64.to_le_bytes().to_vec());
+            assert_eq!(
+                Msg::from_frame(&frame),
+                Err(WireError::BadKind {
+                    at: 4,
+                    kind: unknown
+                })
+            );
+        }
         // Unknown fault tag inside a submit payload.
         let mut frame = Msg::Submit(SubmitJob {
             input: WorkloadInput::with_seed(1),

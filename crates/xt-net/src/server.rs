@@ -25,11 +25,12 @@
 //!   bytes may be queued before the server simply *stops reading* that
 //!   connection — TCP backpressure does the rest, exactly the
 //!   burst-degrades-to-waiting discipline of the front-end's bounded
-//!   queues. Epoch pushes to a client more than [`WRITE_QUEUE_HARD`]
-//!   behind are dropped (counted in `net/pushes_dropped`); such a
-//!   client still converges via [`Msg::EpochPull`].
+//!   queues. An epoch push to a client more than [`WRITE_QUEUE_HARD`]
+//!   behind is dropped (counted in `net/pushes_dropped`) and *owed*:
+//!   once that client's queue drains it is sent the newest epoch —
+//!   one flag, not a backlog, because only the newest epoch matters.
 //! * **A worker pool, so the poller never blocks.** Frame parsing and
-//!   cheap pulls (epoch/health/metrics) are answered on the poller
+//!   cheap pulls (health/metrics) are answered on the poller
 //!   thread; [`Msg::Submit`] and [`Msg::Report`] — which block on
 //!   bounded pool queues, replica execution, and WAL appends — are
 //!   dispatched to a fixed pool of `workers` threads. A worker carries
@@ -43,17 +44,20 @@
 //!   (nondeterminism a local concurrent submitter has too), never an
 //!   outcome byte. `xt-net/tests/net.rs` pins remote outcomes
 //!   byte-identical to in-process serial runs.
-//! * **Server-pushed epochs.** An epoch watcher thread parks in
-//!   [`FleetService::wait_epoch_newer`]; the moment a `PatchEpoch`
-//!   publishes it loads the epoch into the server's own pools and fans
-//!   a [`Msg::EpochPush`] frame down every live connection (per-push
-//!   propagation latency lands in the `net/epoch_push` histogram).
-//!   Remote reports still flow through the fleet service
-//!   ([`Msg::Report`] → ingest → receipt), but the old
-//!   per-report `latest()` poll in the bridge path is retired: the
-//!   worker re-syncs the front-end only when a receipt proves the
-//!   epoch number advanced, and clients get the new epoch pushed
-//!   instead of polling for it.
+//! * **Epochs are pushed — the only path, and a complete one.** An
+//!   epoch watcher thread parks in [`FleetService::wait_epoch_newer`];
+//!   the moment a `PatchEpoch` publishes (or, at start, a durable
+//!   server recovers one) it loads the epoch into the server's own
+//!   pools and hands the poller a [`Msg::EpochPush`] frame. The poller
+//!   keeps the newest push's bytes and delivers them three ways: at
+//!   *publish* down every live connection (propagation latency lands
+//!   in the `net/epoch_push` histogram), at *connect* to a client that
+//!   joins after a publish (nothing is sent while the fleet is still
+//!   at epoch 0), and at *drain* to a client whose push was dropped.
+//!   Remote reports flow through the fleet service ([`Msg::Report`] →
+//!   ingest → receipt); the worker re-syncs the front-end when a
+//!   receipt proves the epoch number advanced, and the receipt's
+//!   `epoch` tells the reporter which push to wait for.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -97,8 +101,9 @@ const MAX_CONN_INFLIGHT: usize = 64;
 const WRITE_QUEUE_SOFT: usize = 1 << 20;
 
 /// Queued write bytes per connection above which unsolicited pushes
-/// (epoch broadcasts) are dropped rather than queued. Replies are
-/// never dropped — the soft cap stops producing them first.
+/// (epoch broadcasts) are dropped rather than queued — and owed, see
+/// [`Conn::push_owed`]. Replies are never dropped — the soft cap stops
+/// producing them first.
 const WRITE_QUEUE_HARD: usize = 4 << 20;
 
 /// Bytes per non-blocking read pass.
@@ -341,6 +346,12 @@ struct Conn {
     inflight: usize,
     /// The interest set currently registered with the poller.
     interest: Interest,
+    /// The newest epoch push has not been queued to this connection: it
+    /// joined after the publish, or its queue was over
+    /// [`WRITE_QUEUE_HARD`] at the broadcast. Settled with the newest
+    /// bytes as soon as the queue has room — newest-wins, so one flag
+    /// stands in for any number of missed pushes.
+    push_owed: bool,
     /// Flush the queue, then close (protocol-error goodbyes).
     closing: bool,
     /// Close now; reaped at the end of the poll iteration.
@@ -348,7 +359,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Self {
+    fn new(stream: TcpStream, push_owed: bool) -> Self {
         Conn {
             stream,
             read_buf: Vec::new(),
@@ -357,6 +368,7 @@ impl Conn {
             queued_bytes: 0,
             inflight: 0,
             interest: Interest::READABLE,
+            push_owed,
             closing: false,
             dead: false,
         }
@@ -696,8 +708,11 @@ fn worker_loop(
 
 /// The epoch watcher: parks on the service's epoch signal and, per
 /// fresh epoch, syncs the server's own pools and broadcasts the push
-/// frame. The park is bounded by [`POLL_INTERVAL`] so the stop flag is
-/// honored promptly.
+/// frame. Starting from epoch 0 means an epoch a durable server
+/// recovered at bind counts as fresh: it takes the same path once, which
+/// primes the poller's newest-push bytes for every later connection. The
+/// park is bounded by [`POLL_INTERVAL`] so the stop flag is honored
+/// promptly.
 fn epoch_watcher(
     service: &FleetService,
     frontend: &PoolFrontend<'_>,
@@ -705,15 +720,7 @@ fn epoch_watcher(
     stop: &AtomicBool,
     synced_epoch: &AtomicU64,
 ) {
-    // A durable server may recover mid-history: treat the recovered
-    // epoch as already-known (it is loaded into the pools at bind via
-    // the config's patch table only if the caller did so; sync here to
-    // be safe) and only broadcast genuinely new publications.
-    let mut have = service.latest().number;
-    if have > 0 {
-        bridge::sync_frontend(service, frontend);
-        synced_epoch.fetch_max(have, Ordering::AcqRel);
-    }
+    let mut have = 0;
     while !stop.load(Ordering::Acquire) {
         let Some(epoch) = service.wait_epoch_newer(have, POLL_INTERVAL) else {
             continue;
@@ -772,6 +779,9 @@ fn poll_loop(
         work_tx: &work_tx,
     };
     let mut conns: BTreeMap<usize, Conn> = BTreeMap::new();
+    // The encoded frame of the newest epoch broadcast so far: what a
+    // late joiner is greeted with and what an owed push is settled with.
+    let mut newest_push: Option<Vec<u8>> = None;
     let mut next_token = LISTENER_TOKEN + 1;
     let mut listener_armed = true;
     let mut events = Vec::new();
@@ -808,19 +818,8 @@ fn poll_loop(
                     }
                 }
                 Notice::Broadcast { bytes, published } => {
-                    for (&token, c) in conns.iter_mut() {
-                        if c.closing || c.dead {
-                            continue;
-                        }
-                        if c.queued_bytes + bytes.len() > WRITE_QUEUE_HARD {
-                            obs.pushes_dropped.incr();
-                            continue;
-                        }
-                        enqueue(c, bytes.clone(), obs);
-                        drain_writes(c, obs);
-                        obs.epoch_push.record_duration(published.elapsed());
-                        touched.push(token);
-                    }
+                    broadcast_epoch(&mut conns, &bytes, published, obs, &mut touched);
+                    newest_push = Some(bytes);
                 }
             }
         }
@@ -828,6 +827,7 @@ fn poll_loop(
         // Readiness events.
         for &ev in &events {
             if ev.token == LISTENER_TOKEN {
+                let first_new = next_token;
                 accept_ready(
                     listener,
                     poller,
@@ -835,10 +835,14 @@ fn poll_loop(
                     &mut next_token,
                     max_connections,
                     &mut listener_armed,
+                    newest_push.is_some(),
                     counters,
                     obs,
                     stop,
                 );
+                // Late joiners are owed the newest epoch; the settle
+                // pass below greets them.
+                touched.extend(first_new..next_token);
             } else if let Some(c) = conns.get_mut(&ev.token) {
                 if ev.writable {
                     drain_writes(c, obs);
@@ -853,15 +857,24 @@ fn poll_loop(
             }
         }
 
-        // Reap the dead, update interests, re-arm the listener — over
-        // the touched set only. Every path that marks a connection dead
-        // or shifts its interest (reads, writes, worker completions,
+        // Settle owed pushes, reap the dead, update interests, re-arm
+        // the listener — over the touched set only. Every path that
+        // marks a connection dead, shifts its interest, or makes room in
+        // its queue (accepts, reads, writes, worker completions,
         // broadcasts) runs above and records the token, so nothing
         // outside `touched` can need attention.
         touched.sort_unstable();
         touched.dedup();
         for token in touched.drain(..) {
-            if conns.get(&token).is_some_and(|c| c.dead) {
+            let Some(c) = conns.get_mut(&token) else {
+                continue;
+            };
+            if c.push_owed && !c.closing && !c.dead {
+                if let Some(bytes) = &newest_push {
+                    push_epoch(c, bytes, obs);
+                }
+            }
+            if c.dead {
                 let c = conns.remove(&token).expect("present above");
                 let _ = poller.deregister(c.stream.as_raw_fd());
                 obs.connections.add(-1);
@@ -871,15 +884,13 @@ fn poll_loop(
                 // the floor.
                 continue;
             }
-            if let Some(c) = conns.get_mut(&token) {
-                let desired = c.desired_interest();
-                if desired != c.interest
-                    && poller
-                        .reregister(c.stream.as_raw_fd(), token, desired)
-                        .is_ok()
-                {
-                    c.interest = desired;
-                }
+            let desired = c.desired_interest();
+            if desired != c.interest
+                && poller
+                    .reregister(c.stream.as_raw_fd(), token, desired)
+                    .is_ok()
+            {
+                c.interest = desired;
             }
         }
         if !listener_armed && conns.len() < max_connections {
@@ -908,6 +919,7 @@ fn accept_ready(
     next_token: &mut usize,
     max_connections: usize,
     listener_armed: &mut bool,
+    push_owed: bool,
     counters: &Counters,
     obs: &NetObs,
     stop: &AtomicBool,
@@ -947,7 +959,7 @@ fn accept_ready(
         }
         counters.connections.fetch_add(1, Ordering::Relaxed);
         obs.connections.add(1);
-        conns.insert(token, Conn::new(stream));
+        conns.insert(token, Conn::new(stream, push_owed));
     }
 }
 
@@ -1034,12 +1046,6 @@ fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) 
                 at,
             });
         }
-        Ok(Msg::EpochPull { have }) => {
-            let latest = ctx.backend.service().latest();
-            let epoch = (latest.number > have).then(|| latest.to_text());
-            reply(c, &Msg::Epoch { epoch }, ctx.obs);
-            ctx.obs.wire_rtt.record_duration(at.elapsed());
-        }
         Ok(Msg::HealthPull) => {
             let m = ctx.backend.metrics();
             reply(
@@ -1069,8 +1075,11 @@ fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) 
         }
         Ok(other) => {
             // A server-to-client message arriving at the server is a
-            // protocol violation; name it, flush, and close.
+            // protocol violation; name it, flush, and close (`closing`
+            // goes up first, so the drain that empties the queue is the
+            // one that closes).
             ctx.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            c.closing = true;
             reply(
                 c,
                 &Msg::Error {
@@ -1078,10 +1087,10 @@ fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) 
                 },
                 ctx.obs,
             );
-            c.closing = true;
         }
         Err(e) => {
             ctx.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            c.closing = true;
             reply(
                 c,
                 &Msg::Error {
@@ -1089,7 +1098,6 @@ fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) 
                 },
                 ctx.obs,
             );
-            c.closing = true;
         }
     }
 }
@@ -1098,6 +1106,42 @@ fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) 
 fn reply(c: &mut Conn, msg: &Msg, obs: &NetObs) {
     enqueue(c, msg.to_frame().encode(), obs);
     drain_writes(c, obs);
+}
+
+/// Publish-time fan-out of one encoded [`Msg::EpochPush`] frame to every
+/// live connection. A connection too far behind is skipped and counted
+/// in `net/pushes_dropped` — owed, not lost: the settle pass sends it
+/// the newest bytes once its queue drains.
+fn broadcast_epoch(
+    conns: &mut BTreeMap<usize, Conn>,
+    bytes: &[u8],
+    published: Instant,
+    obs: &NetObs,
+    touched: &mut Vec<usize>,
+) {
+    for (&token, c) in conns.iter_mut() {
+        if c.closing || c.dead {
+            continue;
+        }
+        if push_epoch(c, bytes, obs) {
+            obs.epoch_push.record_duration(published.elapsed());
+            touched.push(token);
+        } else {
+            obs.pushes_dropped.incr();
+        }
+    }
+}
+
+/// Queues the newest epoch push unless that would take the connection
+/// past [`WRITE_QUEUE_HARD`]; either way `push_owed` records whether the
+/// connection still lacks it. Returns whether the push was queued.
+fn push_epoch(c: &mut Conn, bytes: &[u8], obs: &NetObs) -> bool {
+    c.push_owed = c.queued_bytes + bytes.len() > WRITE_QUEUE_HARD;
+    if !c.push_owed {
+        enqueue(c, bytes.to_vec(), obs);
+        drain_writes(c, obs);
+    }
+    !c.push_owed
 }
 
 /// Appends one encoded frame to the connection's write queue.
@@ -1169,13 +1213,103 @@ mod tests {
         ));
     }
 
+    /// A slow reader past the hard cap misses broadcasts — counted, and
+    /// owed — and once it drains it is sent exactly the newest epoch,
+    /// not the backlog it missed.
+    #[test]
+    fn dropped_push_is_settled_with_the_newest_epoch_on_drain() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let obs = NetObs::new();
+        let mut conns = BTreeMap::from([(1, Conn::new(stream, false))]);
+        let mut touched = Vec::new();
+        let push = |number: u64| {
+            Msg::EpochPush {
+                epoch: format!("epoch {number}"),
+            }
+            .to_frame()
+            .encode()
+        };
+
+        // The peer reads nothing: replies back up until more than the
+        // hard cap sits in the queue (the kernel's socket buffers absorb
+        // the first few megabytes).
+        let filler = Msg::Error {
+            message: "x".repeat(512 << 10),
+        }
+        .to_frame()
+        .encode();
+        let c = conns.get_mut(&1).unwrap();
+        let mut fillers = 0;
+        while c.queued_bytes <= WRITE_QUEUE_HARD {
+            enqueue(c, filler.clone(), &obs);
+            drain_writes(c, &obs);
+            fillers += 1;
+        }
+
+        // Two publishes pass it by.
+        for number in [1, 2] {
+            broadcast_epoch(
+                &mut conns,
+                &push(number),
+                Instant::now(),
+                &obs,
+                &mut touched,
+            );
+        }
+        assert_eq!(obs.pushes_dropped.get(), 2);
+        assert!(touched.is_empty(), "a dropped push touched the connection");
+        let c = conns.get_mut(&1).unwrap();
+        assert!(c.push_owed);
+        // Still over the cap: the settle attempt changes nothing.
+        assert!(!push_epoch(c, &push(2), &obs));
+
+        // The peer starts reading; the queue drains into the socket.
+        let mut received = Vec::new();
+        let mut chunk = vec![0u8; 1 << 20];
+        let mut drain_to_peer = |c: &mut Conn| {
+            while !c.queue.is_empty() {
+                let n = peer.read(&mut chunk).unwrap();
+                received.extend_from_slice(&chunk[..n]);
+                drain_writes(c, &obs);
+            }
+        };
+        drain_to_peer(c);
+        // The poll loop's settle pass, with the newest bytes it kept.
+        assert!(push_epoch(c, &push(2), &obs));
+        assert!(!c.push_owed);
+        assert_eq!(obs.pushes_dropped.get(), 2, "a settled push was counted");
+        drain_to_peer(c);
+        drop(conns);
+        peer.read_to_end(&mut received).unwrap();
+
+        let mut msgs = Vec::new();
+        while let Some((frame, used)) = Frame::parse_prefix(&received).unwrap() {
+            msgs.push(Msg::from_frame(&frame).unwrap());
+            received.drain(..used);
+        }
+        assert!(received.is_empty(), "trailing partial frame");
+        assert_eq!(msgs.len(), fillers + 1, "the backlog was replayed");
+        assert!(msgs[..fillers]
+            .iter()
+            .all(|m| matches!(m, Msg::Error { .. })));
+        assert_eq!(
+            msgs[fillers],
+            Msg::EpochPush {
+                epoch: "epoch 2".into()
+            }
+        );
+    }
+
     /// The read gate closes (stops reading) under inflight or write
     /// pressure and re-opens when both drain — the backpressure pin.
     #[test]
     fn interest_gates_reads_under_pressure() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut c = Conn::new(stream);
+        let mut c = Conn::new(stream, false);
         assert!(c.desired_interest().readable);
         assert!(!c.desired_interest().writable);
         c.inflight = MAX_CONN_INFLIGHT;

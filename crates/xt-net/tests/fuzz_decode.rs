@@ -6,11 +6,21 @@
 //! byte-mutated at seeded positions. Decoders must **never panic**, and
 //! every rejection must carry a usable diagnostic: `BadMagic` by value,
 //! or a byte offset within the buffer.
+//!
+//! The retired epoch pull/reply kinds (7 and 8) get the same treatment
+//! from the other side: whatever payload rides under them — including
+//! byte-exact frames an old client would send — is an unknown kind at
+//! the kind byte's offset, and a live server answers, closes that one
+//! connection, and keeps serving.
+
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 
 use proptest::prelude::*;
 
 use xt_fleet::{Frame, WireError};
 use xt_net::proto::{Msg, WireHealth};
+use xt_net::{NetClient, NetConfig, NetFrontend};
 use xt_obs::{HistogramSnapshot, RegistrySnapshot, HISTOGRAM_BUCKETS};
 
 /// The offset a `WireError` points at, if the variant carries one.
@@ -42,10 +52,7 @@ fn assert_diagnosable(err: &WireError, len: usize) -> Result<(), TestCaseError> 
 /// SplitMix64, for seeded corruption positions.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    xt_arena::splitmix_finalize(*state)
 }
 
 /// The full decode path a connection runs: frame layer, then message.
@@ -148,8 +155,77 @@ fn truncation_points(len: usize, seed: u64) -> Vec<usize> {
     points
 }
 
+/// What an old client's epoch pull request (kind 7, `have = 2`) and the
+/// old "nothing newer" reply (kind 8) looked like on the wire.
+fn retired_frames() -> [Frame; 2] {
+    [
+        Frame::new(7, 2u64.to_le_bytes().to_vec()),
+        Frame::new(8, vec![0]),
+    ]
+}
+
+/// A live server rejects both retired kinds with the offset-bearing
+/// diagnosis, closes only the offending connection, and survives.
+#[test]
+fn retired_epoch_kinds_are_rejected_and_the_server_survives() {
+    let server = NetFrontend::bind(
+        xt_workloads::EspressoLike::new(),
+        "127.0.0.1:0",
+        NetConfig::default(),
+    )
+    .expect("bind localhost");
+    for frame in retired_frames() {
+        let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+        frame.write_to(&mut raw).expect("write");
+        raw.flush().expect("flush");
+        let mut reader = BufReader::new(raw);
+        let reply = Frame::read_from(&mut reader)
+            .expect("read reply")
+            .expect("error frame before close");
+        let expected = WireError::BadKind {
+            at: 4,
+            kind: frame.kind,
+        };
+        assert_eq!(
+            Msg::from_frame(&reply).expect("error frame decodes"),
+            Msg::Error {
+                message: expected.to_string()
+            }
+        );
+        assert!(
+            Frame::read_from(&mut reader)
+                .expect("clean close")
+                .is_none(),
+            "the connection stayed open after a retired kind"
+        );
+    }
+    assert_eq!(server.stats().rejected, 2);
+    let client = NetClient::connect(server.local_addr()).expect("connect");
+    assert!(
+        client
+            .pull_health()
+            .expect("health after rejections")
+            .healthy
+    );
+    drop(client);
+    server.shutdown();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Kinds 7 and 8 are reserved, not recycled: any payload under them
+    /// is an unknown kind at the kind byte — never a decoded message.
+    #[test]
+    fn retired_epoch_kinds_reject_with_the_kind_offset(
+        retired in 7u8..9,
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let bytes = Frame::new(retired, payload).encode();
+        let err = decode_msg(&bytes).expect_err("a retired kind decoded");
+        assert_diagnosable(&err, bytes.len())?;
+        prop_assert_eq!(err, WireError::BadKind { at: 4, kind: retired });
+    }
 
     #[test]
     fn observability_messages_round_trip(msg in observability_msg_strategy()) {

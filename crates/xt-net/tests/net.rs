@@ -315,11 +315,10 @@ fn site_report(client: u64, seq: u32, site: u32) -> RunReport {
     }
 }
 
-/// The push-inversion pin (§6.4 without polling): a client connected
-/// *before* any epoch exists observes server-pushed epochs without ever
-/// calling `pull_epoch` — the server fans each published epoch down
-/// every live connection, and the client parks on its socket until one
-/// lands.
+/// The push pin (§6.4 without polling): a client connected *before* any
+/// epoch exists observes server-pushed epochs without ever sending a
+/// frame — the server fans each published epoch down every live
+/// connection, and the client parks on its socket until one lands.
 #[test]
 fn connected_client_observes_pushed_epochs_without_polling() {
     let mut config = net_config(1);
@@ -370,6 +369,64 @@ fn connected_client_observes_pushed_epochs_without_polling() {
     assert!(newer.number > epoch.number, "push went backwards");
     assert_eq!(observer.buffered(), 0, "pushes parked frames in buffers");
     drop(observer);
+    drop(producer);
+    server.shutdown();
+}
+
+/// Push completeness at connect: a client that joins *after* a publish
+/// is greeted with the newest epoch on accept. It never sends a frame —
+/// there is no epoch request to send — and a joiner at epoch 0 is sent
+/// nothing at all.
+#[test]
+fn late_joiner_is_pushed_the_newest_epoch_on_accept() {
+    let mut config = net_config(1);
+    config.fleet = FleetConfig {
+        shards: 4,
+        publish_every: 8,
+        ..FleetConfig::default()
+    };
+    let server =
+        NetFrontend::bind(EspressoLike::new(), "127.0.0.1:0", config).expect("bind localhost");
+    let frames_out = || {
+        server
+            .metrics_snapshot()
+            .counter("net/frames_out")
+            .expect("net/frames_out")
+    };
+
+    // At epoch 0 a joiner gets no greeting: one health round trip is the
+    // only frame the server sends it.
+    let producer = NetClient::connect(server.local_addr()).expect("connect producer");
+    assert_eq!(producer.pull_health().expect("health").epoch, 0);
+    assert_eq!(frames_out(), 1, "a frame was pushed at epoch 0");
+    assert!(producer.pushed_epoch().is_none(), "phantom epoch in cache");
+
+    let mut published = 0;
+    for seq in 0..16 {
+        let receipt = producer
+            .ingest_report(&site_report(3, seq, 0xD00D))
+            .expect("report ack");
+        published = receipt.epoch;
+    }
+    assert!(published >= 1, "publish cadence minted no epoch");
+
+    // Connected after the publish; the wait sends nothing, so the epoch
+    // can only have arrived as the accept-time push.
+    let frames_in = server.metrics_snapshot().counter("net/frames_in");
+    let joiner = NetClient::connect(server.local_addr()).expect("connect joiner");
+    let epoch = joiner
+        .wait_pushed_epoch(0, Duration::from_secs(10))
+        .expect("wait for greeting")
+        .expect("late joiner was never pushed the epoch");
+    assert_eq!(epoch.number, published, "greeted with a stale epoch");
+    assert_eq!(epoch, *server.service().latest());
+    assert_eq!(
+        server.metrics_snapshot().counter("net/frames_in"),
+        frames_in,
+        "the late joiner sent a frame"
+    );
+    assert_eq!(joiner.buffered(), 0);
+    drop(joiner);
     drop(producer);
     server.shutdown();
 }
@@ -467,13 +524,20 @@ fn remote_reports_heal_the_server() {
     let client = NetClient::connect(server.local_addr()).expect("connect");
 
     let mut epoch = 0u64;
+    // How far the fleet has published, per the newest report ack.
+    let mut acked_epoch = 0u64;
     let mut patches = PatchTable::new();
     let mut next_seq = 0u32;
     let mut failures_reported = 0u32;
     let mut healed = false;
     for _round in 0..40 {
-        // Adopt the newest epoch before serving, like a deployed client.
-        if let Some(newer) = client.pull_epoch(epoch).expect("epoch pull") {
+        // Adopt the newest epoch before serving, like a deployed client:
+        // an ack said the fleet is ahead, so park until that push lands.
+        if acked_epoch > epoch {
+            let newer = client
+                .wait_pushed_epoch(epoch, Duration::from_secs(10))
+                .expect("wait for push")
+                .expect("an acked epoch was never pushed");
             epoch = newer.number;
             patches.merge(&newer.patches);
         }
@@ -499,6 +563,7 @@ fn remote_reports_heal_the_server() {
                 next_seq += 1;
                 let receipt = client.ingest_report(&report).expect("report ack");
                 assert!(!receipt.duplicate, "fresh probe deduplicated");
+                acked_epoch = acked_epoch.max(receipt.epoch);
             }
             failures_reported += 1;
         } else if !patches.is_empty() {
@@ -513,7 +578,7 @@ fn remote_reports_heal_the_server() {
         "remote evidence never healed the server (epoch {epoch}, reports {})",
         server.stats().reports
     );
-    assert!(epoch >= 1, "no epoch was ever pulled");
+    assert!(epoch >= 1, "no epoch was ever adopted");
     assert!(
         patches.pads().any(|(_, pad)| pad >= 20),
         "correction must pad the 20-byte delta"
@@ -629,9 +694,16 @@ fn durable_server_state_survives_restart() {
         digest_before,
         "recovered evidence state diverged"
     );
+    // The recovered epoch is pushed like a published one: a client of
+    // the restarted server is greeted with it, no publish needed.
+    let client = NetClient::connect(server.local_addr()).expect("reconnect");
+    let greeted = client
+        .wait_pushed_epoch(0, Duration::from_secs(10))
+        .expect("wait for recovered epoch")
+        .expect("the recovered epoch was never pushed");
+    assert_eq!(greeted.number, epoch_before);
     // Replay windows recovered too: redelivering over the wire is a
     // duplicate, not fresh evidence.
-    let client = NetClient::connect(server.local_addr()).expect("reconnect");
     assert!(
         client.ingest_report(&report(0)).expect("ack").duplicate,
         "recovery forgot the delivery window"

@@ -32,6 +32,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use xt_arena::splitmix_finalize;
+
 /// Number of power-of-two histogram buckets. Bucket `i` holds values
 /// whose bit length is `i` (bucket 0: the value 0; bucket `i`:
 /// `[2^(i-1), 2^i)`); the last bucket absorbs everything larger.
@@ -463,7 +465,7 @@ impl TokenBucket {
         TokenBucket {
             config,
             tokens: config.burst,
-            acc: splitmix_finalize(seed) % den,
+            acc: splitmix_finalize(seed.wrapping_add(0x9E37_79B9_7F4A_7C15)) % den,
             admitted: 0,
             rejected: 0,
         }
@@ -506,15 +508,6 @@ impl TokenBucket {
     pub fn rejected(&self) -> u64 {
         self.rejected
     }
-}
-
-/// SplitMix64 finalizer (the workspace's house seed-mixing function).
-#[must_use]
-fn splitmix_finalize(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -649,6 +642,17 @@ mod tests {
             (0..200).map(|_| b.try_admit()).collect()
         };
         assert_eq!(run(7), run(7), "same seed, same decisions");
+        // Pinned mint phases (SplitMix64's output for the seed, mod the
+        // denominator): admission decisions are part of what a fleet
+        // replay must reproduce.
+        let phase = |seed: u64| {
+            let config = TokenBucketConfig {
+                refill_den: 1 << 16,
+                ..config
+            };
+            TokenBucket::new(config, seed).acc
+        };
+        assert_eq!((phase(0), phase(42)), (0xcdaf, 0x6e95));
         // Different seeds shift the mint phase but not the rate.
         let a = run(1).iter().filter(|&&x| x).count();
         let b = run(2).iter().filter(|&&x| x).count();

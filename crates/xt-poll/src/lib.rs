@@ -15,8 +15,8 @@
 //!   internal sentinel token for [`Poller::notify`]. Level-triggered
 //!   (the default; no `EPOLLET`), so a short read that leaves bytes
 //!   behind re-arms by itself.
-//! - **fallback backend** (everywhere, and on Linux when
-//!   `XT_POLL_FALLBACK=1`): keeps the registration table in a
+//! - **fallback backend** (every other platform; on Linux only via
+//!   [`Poller::new_fallback`]): keeps the registration table in a
 //!   [`BTreeMap`] and, on [`Poller::wait`], parks on a condvar for a
 //!   small slice of the timeout before reporting **every registered
 //!   fd** as ready in fd order. That is a deliberate level-triggered
@@ -78,9 +78,9 @@ pub struct Event {
     pub error: bool,
 }
 
-/// A readiness poller. Construct with [`Poller::new`] (picks epoll on
-/// Linux unless `XT_POLL_FALLBACK=1`) or [`Poller::new_fallback`]
-/// (forces the portable backend, e.g. to test both paths on one host).
+/// A readiness poller. Construct with [`Poller::new`] (epoll on Linux,
+/// the portable backend elsewhere) or [`Poller::new_fallback`] (forces
+/// the portable backend, e.g. to test both paths on one host).
 pub struct Poller {
     backend: Backend,
 }
@@ -92,19 +92,14 @@ enum Backend {
 }
 
 impl Poller {
-    /// Opens the best backend for this platform. On Linux that is
-    /// epoll; set `XT_POLL_FALLBACK=1` to force the portable fallback
-    /// (useful for exercising the fallback under the full test suite).
+    /// Opens the backend for this platform: epoll on Linux, the
+    /// portable fallback everywhere else.
     pub fn new() -> io::Result<Poller> {
         #[cfg(target_os = "linux")]
-        {
-            let forced = std::env::var("XT_POLL_FALLBACK").map(|v| v == "1");
-            if forced != Ok(true) {
-                return Ok(Poller {
-                    backend: Backend::Epoll(epoll::Epoll::new()?),
-                });
-            }
-        }
+        return Ok(Poller {
+            backend: Backend::Epoll(epoll::Epoll::new()?),
+        });
+        #[cfg(not(target_os = "linux"))]
         Ok(Poller::new_fallback())
     }
 

@@ -2,7 +2,7 @@
 //! tracking, heap access with crash propagation, and output capture.
 
 use xt_alloc::{Heap, HeapError, Rng, SiteHash, SiteStack};
-use xt_arena::{Addr, MemFault};
+use xt_arena::{fnv1a_64, Addr, MemFault, FNV1A_64_BASIS};
 
 use crate::{CrashKind, RunOutcome, RunResult};
 
@@ -231,20 +231,13 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// FNV-1a, the workloads' output-checksum function. Heap addresses must
-/// never be fed to it — outputs must be layout-independent.
+/// FNV-1a, the workloads' output-checksum function (`state == 0` starts
+/// a fresh checksum). Heap addresses must never be fed to it — outputs
+/// must be layout-independent.
 #[must_use]
 pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = if state == 0 {
-        0xcbf2_9ce4_8422_2325
-    } else {
-        state
-    };
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    let start = if state == 0 { FNV1A_64_BASIS } else { state };
+    fnv1a_64(start, bytes)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use exterminator::frontend::{FrontendConfig, PoolFrontend, RouteBy};
+use exterminator::frontend::{FrontendConfig, PoolFrontend};
 use exterminator::pool::PoolConfig;
 use xt_patch::PatchTable;
 use xt_workloads::{multi_client_sessions, SquidLike};
@@ -45,7 +45,6 @@ fn main() {
                     ..PoolConfig::default()
                 },
                 queue_capacity: 4,
-                route: RouteBy::RoundRobin,
                 share_isolated: true,
                 ..FrontendConfig::default()
             },

@@ -21,11 +21,14 @@
 //!    epoch, and — because report ingest fans epochs straight into the
 //!    server's own pools — the front-end is patched without ever having
 //!    isolated anything itself;
-//! 4. the client pulls the epoch, and its next attack submissions are
-//!    served cleanly by every pool.
+//! 4. the server pushes the epoch down the client's connection (the
+//!    report acks told the client one was coming), and its next attack
+//!    submissions are served cleanly by every pool.
 //!
 //! Because self-patching is off, any healing observed can only have come
 //! through the wire.
+
+use std::time::Duration;
 
 use exterminator::frontend::FrontendConfig;
 use exterminator::pool::PoolConfig;
@@ -82,13 +85,20 @@ fn main() {
     let client = NetClient::connect(server.local_addr()).expect("connect");
 
     let mut epoch = 0u64;
+    // How far the fleet has published, per the newest report ack.
+    let mut acked_epoch = 0u64;
     let mut patches = PatchTable::new();
     let mut next_seq = 0u32;
     let mut healed = false;
     for round in 0..40 {
-        if let Some(newer) = client.pull_epoch(epoch).expect("epoch pull") {
+        // An ack said the fleet is ahead: park until that push lands.
+        if acked_epoch > epoch {
+            let newer = client
+                .wait_pushed_epoch(epoch, Duration::from_secs(10))
+                .expect("wait for push")
+                .expect("an acked epoch was never pushed");
             println!(
-                "round {round}: pulled epoch {} ({} patch entries)",
+                "round {round}: pushed epoch {} ({} patch entries)",
                 newer.number,
                 newer.patches.len()
             );
@@ -117,7 +127,8 @@ fn main() {
                 );
                 let report = RunReport::from_summary(1, next_seq, &run.summary);
                 next_seq += 1;
-                client.ingest_report(&report).expect("report ack");
+                let receipt = client.ingest_report(&report).expect("report ack");
+                acked_epoch = acked_epoch.max(receipt.epoch);
             }
         } else if !patches.is_empty() {
             println!(

@@ -2,15 +2,31 @@
 //! (§3.4), spanning the full crate stack.
 
 use exterminator::cumulative::{CumulativeMode, CumulativeModeConfig};
-use exterminator::replicated::{run_replicated, ReplicatedConfig};
+use exterminator::pool::{PoolConfig, ReplicaPool};
+use exterminator::replicated::ReplicatedOutcome;
 use exterminator::runner::find_manifesting_fault;
 use exterminator::voter::vote;
-use xt_faults::FaultKind;
+use xt_faults::{FaultKind, FaultSpec};
 use xt_patch::PatchTable;
 use xt_workloads::{
     attack_browsing_session, benign_browsing_session, CfracLike, EspressoLike, MozillaLike,
     ProfileWorkload, Workload, WorkloadInput,
 };
+
+/// One input through a fresh pool (job 0).
+fn run_once(
+    workload: &(dyn Workload + Sync),
+    input: &WorkloadInput,
+    fault: Option<FaultSpec>,
+    config: PoolConfig,
+) -> ReplicatedOutcome {
+    std::thread::scope(|scope| {
+        let mut pool = ReplicaPool::scoped(scope, workload, config, PatchTable::new());
+        let outcome = pool.run_one(input, fault).outcome;
+        pool.shutdown();
+        outcome
+    })
+}
 
 #[test]
 fn replicas_vote_unanimously_on_clean_workloads() {
@@ -22,12 +38,11 @@ fn replicas_vote_unanimously_on_clean_workloads() {
         Box::new(ProfileWorkload::parser_like()),
     ];
     for w in &workloads {
-        let outcome = run_replicated(
+        let outcome = run_once(
             w.as_ref(),
             &WorkloadInput::with_seed(5),
             None,
-            &PatchTable::new(),
-            &ReplicatedConfig::default(),
+            PoolConfig::default(),
         );
         assert!(
             outcome.vote.unanimous(),
@@ -55,14 +70,13 @@ fn replicated_mode_observes_and_isolates_faults() {
         51,
     )
     .expect("no manifesting fault");
-    let outcome = run_replicated(
+    let outcome = run_once(
         &EspressoLike::new(),
         &input,
         Some(fault),
-        &PatchTable::new(),
-        &ReplicatedConfig {
+        PoolConfig {
             replicas: 6,
-            ..ReplicatedConfig::default()
+            ..PoolConfig::default()
         },
     );
     assert!(outcome.error_observed(), "six replicas all blind to fault");
