@@ -1,5 +1,5 @@
 //! Figure 7: runtime overhead of Exterminator, normalized to the
-//! GNU-libc-style baseline allocator.
+//! GNU-libc-style baseline allocator — and where that overhead sits.
 //!
 //! ```text
 //! cargo run -p bench --release --bin fig7_table
@@ -10,28 +10,106 @@
 //! geomean 7.2%. The absolute numbers here come from a simulated address
 //! space, but the *shape* — who pays, by roughly what factor — is the
 //! reproduction target.
+//!
+//! The second table decomposes the same runs by mechanism: each column adds
+//! one thing to the stack on its left (randomized placement → DieFast's
+//! bookkeeping → zero-fill → canaries → the correcting wrapper), so the
+//! difference between neighbouring columns is what that mechanism costs.
 
 use std::time::Instant;
 
-use bench::{fmt_ratio, geomean, row, run_on_baseline, run_on_exterminator};
+use bench::{fmt_ratio, geomean, row, run_on, run_on_baseline, run_on_exterminator};
+use xt_diefast::{DieFastConfig, DieFastHeap};
+use xt_diehard::{DieHardConfig, DieHardHeap};
 use xt_workloads::{alloc_intensive_suite, spec_suite, Workload, WorkloadInput};
 
-/// One paired sample: baseline and Exterminator back to back, so
-/// machine-wide noise (frequency scaling, background work) hits both
-/// sides equally and cancels in the ratio.
-fn paired_ratio(w: &dyn Workload, input: &WorkloadInput, round: u64) -> (f64, f64, f64) {
+/// The ladder of stacks between the baseline and the full Exterminator
+/// configuration, in the order the decomposition table prints them. The
+/// last rung is [`run_on_exterminator`]'s stack.
+const STACKS: [&str; 5] = [
+    "DieHard",
+    "DieFast p=0",
+    "+ zero-fill",
+    "p=1 canaries",
+    "Correcting",
+];
+
+fn secs<R>(f: impl FnOnce() -> R) -> f64 {
     let t = Instant::now();
-    run_on_baseline(w, input, 1 + round);
-    let base = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    run_on_exterminator(w, input, 2 + round);
-    let ext = t.elapsed().as_secs_f64();
-    (base, ext, ext / base)
+    let result = f();
+    let elapsed = t.elapsed().as_secs_f64();
+    drop(result);
+    elapsed
+}
+
+/// One paired sample: the baseline and every stack back to back, so
+/// machine-wide noise (frequency scaling, background work) hits all
+/// sides equally and cancels in the ratios. Returns baseline seconds and
+/// each stack's seconds in [`STACKS`] order.
+fn paired_sample(w: &dyn Workload, input: &WorkloadInput, round: u64) -> (f64, [f64; 5]) {
+    let seed = 2 + round;
+    let diefast = |p: f64, zero: bool| {
+        DieFastHeap::new(
+            DieFastConfig::with_seed(seed)
+                .fill_probability(p)
+                .zero_fill(zero),
+        )
+    };
+    let base = secs(|| run_on_baseline(w, input, 1 + round));
+    let stacks = [
+        secs(|| run_on(w, input, DieHardHeap::new(DieHardConfig::with_seed(seed)))),
+        secs(|| run_on(w, input, diefast(0.0, false))),
+        secs(|| run_on(w, input, diefast(0.0, true))),
+        secs(|| run_on(w, input, diefast(1.0, true))),
+        secs(|| run_on_exterminator(w, input, seed)),
+    ];
+    (base, stacks)
+}
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    values[values.len() / 2]
+}
+
+/// One program's row: median baseline and Exterminator seconds, and per
+/// stack the median of the per-pair (stack s ÷ baseline s).
+struct ProgramRow {
+    suite: &'static str,
+    name: &'static str,
+    base_s: f64,
+    ext_s: f64,
+    ratios: [f64; 5],
+}
+
+fn measure(suite: &'static str, w: &dyn Workload, input: &WorkloadInput, runs: u64) -> ProgramRow {
+    let samples: Vec<(f64, [f64; 5])> = (0..runs)
+        .map(|round| paired_sample(w, input, round))
+        .collect();
+    ProgramRow {
+        suite,
+        name: w.name(),
+        base_s: median(samples.iter().map(|s| s.0).collect()),
+        ext_s: median(samples.iter().map(|s| s.1[4]).collect()),
+        ratios: std::array::from_fn(|i| median(samples.iter().map(|s| s.1[i] / s.0).collect())),
+    }
 }
 
 fn main() {
-    let runs = 9;
+    let runs = 31;
     let input = WorkloadInput::with_seed(4).intensity(8);
+    let suites = [
+        ("alloc-intensive", alloc_intensive_suite(), "1.81x"),
+        ("SPECint2000-like", spec_suite(), "1.07x"),
+    ];
+    let rows: Vec<ProgramRow> = suites
+        .iter()
+        .flat_map(|(suite, programs, _)| {
+            programs
+                .iter()
+                .map(|w| measure(suite, w.as_ref(), &input, runs))
+        })
+        .collect();
+
     println!("# Fig. 7 — normalized execution time (baseline = 1.00x)\n");
     row(&[
         "suite".into(),
@@ -40,55 +118,51 @@ fn main() {
         "exterminator s".into(),
         "normalized".into(),
     ]);
-    row(&[
-        "---".into(),
-        "---".into(),
-        "---".into(),
-        "---".into(),
-        "---".into(),
-    ]);
-
-    let mut per_suite_ratios: Vec<(&str, Vec<f64>)> = Vec::new();
-    for (suite_name, suite) in [
-        ("alloc-intensive", alloc_intensive_suite()),
-        ("SPECint2000-like", spec_suite()),
-    ] {
-        let mut ratios = Vec::new();
-        for w in &suite {
-            let mut samples: Vec<(f64, f64, f64)> = (0..runs)
-                .map(|round| paired_ratio(w.as_ref(), &input, round))
-                .collect();
-            samples.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("no NaN"));
-            let (base, ext, ratio) = samples[samples.len() / 2];
-            ratios.push(ratio);
-            row(&[
-                suite_name.into(),
-                w.name().into(),
-                format!("{base:.4}"),
-                format!("{ext:.4}"),
-                fmt_ratio(ratio),
-            ]);
-        }
-        per_suite_ratios.push((suite_name, ratios));
+    row(&vec!["---".to_string(); 5]);
+    for r in &rows {
+        row(&[
+            r.suite.into(),
+            r.name.into(),
+            format!("{:.4}", r.base_s),
+            format!("{:.4}", r.ext_s),
+            fmt_ratio(r.ratios[4]),
+        ]);
     }
-
     println!();
-    let mut all = Vec::new();
-    for (suite_name, ratios) in &per_suite_ratios {
-        let gm = geomean(ratios);
+    let suite_geomean = |suite: &str, stack: usize| {
+        let ratios: Vec<f64> = rows
+            .iter()
+            .filter(|r| r.suite == suite)
+            .map(|r| r.ratios[stack])
+            .collect();
+        geomean(&ratios)
+    };
+    for (suite, _, paper) in &suites {
         println!(
-            "geomean {suite_name}: {} (paper: {})",
-            fmt_ratio(gm),
-            if *suite_name == "alloc-intensive" {
-                "1.81x"
-            } else {
-                "1.07x"
-            }
+            "geomean {suite}: {} (paper: {paper})",
+            fmt_ratio(suite_geomean(suite, 4))
         );
-        all.extend_from_slice(ratios);
     }
+    let all: Vec<f64> = rows.iter().map(|r| r.ratios[4]).collect();
     println!(
         "geomean overall: {} (paper: 1.25x)",
         fmt_ratio(geomean(&all))
     );
+
+    println!("\n# Where the overhead sits — each stack ÷ baseline, same runs\n");
+    let header = ["suite", "benchmark"].into_iter().chain(STACKS);
+    row(&header.map(String::from).collect::<Vec<_>>());
+    row(&vec!["---".to_string(); 7]);
+    for r in &rows {
+        let cells = [r.suite.to_string(), r.name.to_string()]
+            .into_iter()
+            .chain(r.ratios.iter().map(|&x| fmt_ratio(x)));
+        row(&cells.collect::<Vec<_>>());
+    }
+    for (suite, _, _) in &suites {
+        let cells = [suite.to_string(), "geomean".to_string()]
+            .into_iter()
+            .chain((0..STACKS.len()).map(|i| fmt_ratio(suite_geomean(suite, i))));
+        row(&cells.collect::<Vec<_>>());
+    }
 }

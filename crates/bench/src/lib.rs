@@ -8,6 +8,7 @@
 
 use std::time::Instant;
 
+use xt_alloc::Heap;
 use xt_baseline::BaselineHeap;
 use xt_correct::CorrectingHeap;
 use xt_diefast::{DieFastConfig, DieFastHeap};
@@ -35,18 +36,23 @@ pub fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
-/// Runs `workload` once over the Fig. 7 *baseline*: the Lea-style libc
-/// stand-in.
-pub fn run_on_baseline(workload: &dyn Workload, input: &WorkloadInput, seed: u64) -> RunResult {
-    let mut heap = BaselineHeap::with_seed(seed);
+/// Runs `workload` once over `heap`; a run that does not complete is a
+/// harness bug, not a measurement.
+pub fn run_on(workload: &dyn Workload, input: &WorkloadInput, mut heap: impl Heap) -> RunResult {
     let result = workload.run(&mut heap, input);
     assert!(
         result.completed(),
-        "{} crashed on baseline: {:?}",
+        "{} crashed: {:?}",
         workload.name(),
         result.outcome
     );
     result
+}
+
+/// Runs `workload` once over the Fig. 7 *baseline*: the Lea-style libc
+/// stand-in.
+pub fn run_on_baseline(workload: &dyn Workload, input: &WorkloadInput, seed: u64) -> RunResult {
+    run_on(workload, input, BaselineHeap::with_seed(seed))
 }
 
 /// Runs `workload` once over the Fig. 7 *Exterminator* stack: DieFast plus
@@ -54,15 +60,11 @@ pub fn run_on_baseline(workload: &dyn Workload, input: &WorkloadInput, seed: u64
 /// measures ("DieFast plus the correcting allocator", §7.1).
 pub fn run_on_exterminator(workload: &dyn Workload, input: &WorkloadInput, seed: u64) -> RunResult {
     let diefast = DieFastHeap::new(DieFastConfig::with_seed(seed));
-    let mut heap = CorrectingHeap::new(diefast, PatchTable::new());
-    let result = workload.run(&mut heap, input);
-    assert!(
-        result.completed(),
-        "{} crashed on exterminator stack: {:?}",
-        workload.name(),
-        result.outcome
-    );
-    result
+    run_on(
+        workload,
+        input,
+        CorrectingHeap::new(diefast, PatchTable::new()),
+    )
 }
 
 /// Prints a Markdown-ish table row.

@@ -51,8 +51,28 @@ const SPARE_LEAF_CAP: usize = 1024;
 /// `u64` words in one leaf's dirty bitmap (one bit per page).
 const DIRTY_WORDS: usize = CHUNK_PAGES / 64;
 
-/// Dirty-cache tag for "no page cached".
-const NO_DIRTY_PAGE: u64 = u64::MAX;
+/// One slot of the direct-mapped TLB (16 bytes: the flag rides in the
+/// padding the tag and region id leave).
+#[derive(Clone, Copy, Debug)]
+struct TlbEntry {
+    /// Page number this entry translates, or [`INVALID_PAGE`].
+    page: u64,
+    /// Owning region's slab id.
+    region: u32,
+    /// The page's leaf dirty bit is known to be set, so a store through
+    /// this entry has nothing to mark. Never set while the bit is clear:
+    /// whatever clears leaf bits clears or invalidates the entries too
+    /// ([`Arena::clear_dirty`], [`Arena::unmap`], [`Arena::reset`]).
+    dirty: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<TlbEntry>() == 16);
+
+const INVALID_ENTRY: TlbEntry = TlbEntry {
+    page: INVALID_PAGE,
+    region: 0,
+    dirty: false,
+};
 
 #[derive(Debug)]
 struct Region {
@@ -177,8 +197,9 @@ pub struct Arena {
     /// Region bases in address order, for placement and iteration (the
     /// access fast path never touches this).
     by_base: BTreeMap<u64, u32>,
-    /// Direct-mapped TLB: slot `page % 256` caches `(page, region id)`.
-    tlb: [Cell<(u64, u32)>; TLB_ENTRIES],
+    /// Direct-mapped TLB: slot `page % 256` caches the page's region id
+    /// and whether its dirty bit is already set.
+    tlb: [Cell<TlbEntry>; TLB_ENTRIES],
     /// Total mapped bytes, maintained incrementally.
     total_mapped: usize,
     /// Retired leaf tables (all entries `NO_REGION`) kept for reuse, so a
@@ -188,11 +209,6 @@ pub struct Arena {
     /// pool and the directory without copying the 2 KiB table.
     #[allow(clippy::vec_box)]
     spare_leaves: Vec<Box<[u32; CHUNK_PAGES]>>,
-    /// Last page marked dirty, so a run of stores into one page (the
-    /// overwhelmingly common pattern) pays the directory walk once.
-    /// Invalidated whenever a page's dirty bit may have been cleared
-    /// (`clear_dirty`, `unmap`, `reset`).
-    last_dirty_page: Cell<u64>,
 }
 
 impl Default for Arena {
@@ -210,10 +226,9 @@ impl Arena {
             free_ids: Vec::new(),
             directory: Directory::default(),
             by_base: BTreeMap::new(),
-            tlb: std::array::from_fn(|_| Cell::new((INVALID_PAGE, 0))),
+            tlb: std::array::from_fn(|_| Cell::new(INVALID_ENTRY)),
             total_mapped: 0,
             spare_leaves: Vec::new(),
-            last_dirty_page: Cell::new(NO_DIRTY_PAGE),
         }
     }
 
@@ -241,12 +256,12 @@ impl Arena {
         self.free_ids.clear();
         self.by_base.clear();
         self.total_mapped = 0;
-        for entry in &self.tlb {
-            entry.set((INVALID_PAGE, 0));
-        }
         // Dirty bitmaps died with their leaves (only the entries boxes are
-        // pooled); a reset arena reports no dirty pages.
-        self.last_dirty_page.set(NO_DIRTY_PAGE);
+        // pooled) and the TLB's dirty flags with its entries: a reset arena
+        // reports no dirty pages.
+        for entry in &self.tlb {
+            entry.set(INVALID_ENTRY);
+        }
     }
 
     /// Maps a zero-filled region of at least `len` bytes at a random
@@ -343,14 +358,13 @@ impl Arena {
                 }
             }
         }
-        // Precise shootdown: drop only translations that named this region.
+        // Precise shootdown: drop only translations that named this region
+        // (and with them the dirty flags of the pages just cleared).
         for entry in &self.tlb {
-            if entry.get().1 == idx {
-                entry.set((INVALID_PAGE, 0));
+            if entry.get().region == idx {
+                entry.set(INVALID_ENTRY);
             }
         }
-        // The dirty-page cache may name a page whose bit was just cleared.
-        self.last_dirty_page.set(NO_DIRTY_PAGE);
         self.free_ids.push(idx);
         Ok(())
     }
@@ -417,32 +431,41 @@ impl Arena {
             .expect("page table referenced a live region")
     }
 
-    /// Walks the page table (no TLB) to the region id mapping `page`.
+    /// Walks the page table (no TLB) to the TLB entry describing `page`.
     #[inline]
-    fn lookup_page(&self, page: u64) -> Option<u32> {
+    fn walk(&self, page: u64) -> Option<TlbEntry> {
         let leaf = self.directory.get(&(page >> CHUNK_SHIFT))?;
-        match leaf.entries[page as usize & (CHUNK_PAGES - 1)] {
+        let bit = page as usize & (CHUNK_PAGES - 1);
+        match leaf.entries[bit] {
             NO_REGION => None,
-            idx => Some(idx),
+            region => Some(TlbEntry {
+                page,
+                region,
+                dirty: leaf.is_dirty(bit),
+            }),
         }
     }
 
-    /// Translates `addr`'s page to its owning region id.
+    /// Translates `addr`'s page to its TLB entry (owning region id, and
+    /// whether the page is known dirty), which on return is what the page's
+    /// TLB slot holds.
     ///
     /// Fast path: one TLB probe (array index + compare). Miss path: one
-    /// hash lookup and one leaf index, then the TLB is refilled. Both are
-    /// O(1) in the number of live regions.
+    /// hash lookup and one leaf index, then the TLB is refilled — with the
+    /// page's dirty bit as the walk found it, so stores through the entry
+    /// know whether there is anything left to mark. Both are O(1) in the
+    /// number of live regions.
     #[inline]
-    fn translate(&self, addr: Addr) -> Result<u32, MemFault> {
+    fn translate(&self, addr: Addr) -> Result<TlbEntry, MemFault> {
         let page = addr.get() >> PAGE_SHIFT;
-        let slot = page as usize & (TLB_ENTRIES - 1);
-        let (tag, cached) = self.tlb[slot].get();
-        if tag == page {
+        let slot = &self.tlb[page as usize & (TLB_ENTRIES - 1)];
+        let cached = slot.get();
+        if cached.page == page {
             return Ok(cached);
         }
-        let idx = self.lookup_page(page).ok_or(MemFault::Unmapped { addr })?;
-        self.tlb[slot].set((page, idx));
-        Ok(idx)
+        let entry = self.walk(page).ok_or(MemFault::Unmapped { addr })?;
+        slot.set(entry);
+        Ok(entry)
     }
 
     /// Bounds-checks an access of `len` bytes inside `region`.
@@ -462,8 +485,7 @@ impl Arena {
     /// region and the byte offset within it.
     #[inline]
     fn locate_ref(&self, addr: Addr, len: usize) -> Result<(&Region, usize), MemFault> {
-        let idx = self.translate(addr)?;
-        let region = self.region(idx);
+        let region = self.region(self.translate(addr)?.region);
         let off = Self::bounds_check(region, addr, len)?;
         Ok((region, off))
     }
@@ -471,41 +493,64 @@ impl Arena {
     /// Translates and bounds-checks a write access, returning the owning
     /// region mutably and the byte offset within it. This is the single
     /// funnel every store path goes through (`write_bytes` and hence
-    /// `write_u8/u32/u64/addr`, `fill`, `fill_pattern_u32`), so marking
-    /// dirty pages here covers them all — bulk paths included. Marking
-    /// happens only after translation *and* bounds check succeed: a
-    /// faulting store modifies nothing and therefore dirties nothing.
+    /// `write_u8/u32/u64/addr`, `fill`, `fill_pattern_u32`,
+    /// `check_and_fill`), so marking dirty pages here covers them all —
+    /// bulk paths included. Marking happens only after translation *and*
+    /// bounds check succeed: a faulting store modifies nothing and
+    /// therefore dirties nothing.
     #[inline]
     fn locate_mut(&mut self, addr: Addr, len: usize) -> Result<(&mut Region, usize), MemFault> {
-        let idx = self.translate(addr)?;
-        let off = Self::bounds_check(self.region(idx), addr, len)?;
-        self.mark_dirty(addr, len);
-        let region = self.slab[idx as usize]
-            .as_mut()
-            .expect("page table referenced a live region");
-        Ok((region, off))
+        let (entry, off) = self.locate(addr, len)?;
+        Ok((self.dirty_region_mut(entry, addr, len), off))
     }
 
-    /// Sets the dirty bit of every page overlapping `[addr, addr + len)`.
-    /// The caller has already proven the range mapped and in-bounds.
+    /// The store half of [`Arena::locate_mut`], for a range
+    /// [`Arena::locate`] has just resolved to `entry`: marks its pages
+    /// dirty and hands out the region mutably.
     #[inline]
-    fn mark_dirty(&self, addr: Addr, len: usize) {
+    fn dirty_region_mut(&mut self, entry: TlbEntry, addr: Addr, len: usize) -> &mut Region {
+        self.mark_dirty(entry, addr, len);
+        self.slab[entry.region as usize]
+            .as_mut()
+            .expect("page table referenced a live region")
+    }
+
+    /// Sets the dirty bit of every page overlapping `[addr, addr + len)`,
+    /// a range the caller has proven mapped and in-bounds and whose first
+    /// page just translated to `entry`.
+    ///
+    /// Randomized placement makes consecutive stores land on different
+    /// pages, so "already dirty" is remembered per page, in the TLB entry
+    /// the store's translation just probed: only the first store to a page
+    /// since its bit was last cleared (or since its entry was refilled from
+    /// a clean leaf) pays the directory walk. A store that runs on into
+    /// further pages — rare — walks for each of those and leaves their TLB
+    /// entries alone.
+    #[inline]
+    fn mark_dirty(&self, entry: TlbEntry, addr: Addr, len: usize) {
         if len == 0 {
             return;
         }
-        let first = addr.get() >> PAGE_SHIFT;
+        if !entry.dirty {
+            self.mark_page_dirty(entry.page);
+            self.tlb[entry.page as usize & (TLB_ENTRIES - 1)].set(TlbEntry {
+                dirty: true,
+                ..entry
+            });
+        }
         let last = (addr.get() + (len as u64 - 1)) >> PAGE_SHIFT;
-        if first == last && first == self.last_dirty_page.get() {
-            return;
+        for page in entry.page + 1..=last {
+            self.mark_page_dirty(page);
         }
-        for page in first..=last {
-            let leaf = self
-                .directory
-                .get(&(page >> CHUNK_SHIFT))
-                .expect("dirtied page has a leaf table");
-            leaf.mark_dirty(page as usize & (CHUNK_PAGES - 1));
-        }
-        self.last_dirty_page.set(last);
+    }
+
+    /// Sets one mapped page's dirty bit in its leaf.
+    #[inline]
+    fn mark_page_dirty(&self, page: u64) {
+        self.directory
+            .get(&(page >> CHUNK_SHIFT))
+            .expect("dirtied page has a leaf table")
+            .mark_dirty(page as usize & (CHUNK_PAGES - 1));
     }
 
     /// Clears every dirty bit, making the current contents the baseline the
@@ -519,7 +564,12 @@ impl Arena {
                 word.set(0);
             }
         }
-        self.last_dirty_page.set(NO_DIRTY_PAGE);
+        for slot in &self.tlb {
+            slot.set(TlbEntry {
+                dirty: false,
+                ..slot.get()
+            });
+        }
     }
 
     /// Per-page dirty flags for the region containing `addr`, as
@@ -528,7 +578,7 @@ impl Arena {
     /// (or freshly mapped) since the last [`Arena::clear_dirty`].
     #[must_use]
     pub fn region_dirty_pages(&self, addr: Addr) -> Option<(Addr, Vec<bool>)> {
-        let idx = self.lookup_page(addr.get() >> PAGE_SHIFT)?;
+        let idx = self.walk(addr.get() >> PAGE_SHIFT)?.region;
         let region = self.region(idx);
         let first_page = region.base >> PAGE_SHIFT;
         let n_pages = region.data.len() / PAGE_SIZE;
@@ -574,10 +624,10 @@ impl Arena {
 
     /// Translates `addr` and bounds-checks an access of `len` bytes.
     #[inline]
-    fn locate(&self, addr: Addr, len: usize) -> Result<(u32, usize), MemFault> {
-        let idx = self.translate(addr)?;
-        let off = Self::bounds_check(self.region(idx), addr, len)?;
-        Ok((idx, off))
+    fn locate(&self, addr: Addr, len: usize) -> Result<(TlbEntry, usize), MemFault> {
+        let entry = self.translate(addr)?;
+        let off = Self::bounds_check(self.region(entry.region), addr, len)?;
+        Ok((entry, off))
     }
 
     /// Reads `len` bytes starting at `addr`.
@@ -744,23 +794,41 @@ impl Arena {
         pattern: u32,
     ) -> Result<Option<usize>, MemFault> {
         let (region, off) = self.locate_ref(addr, len)?;
-        let bytes = &region.data[off..off + len];
-        let pat = pattern.to_le_bytes();
-        // Double the pattern up to 64 bits and compare 8 bytes per step
-        // (the pattern's phase stays aligned because steps are multiples
-        // of four); only a differing word gets a per-byte look.
-        let pat64 = u64::from(pattern) | (u64::from(pattern) << 32);
-        let whole = len - len % 8;
-        let clean_until = bytes[..whole]
-            .chunks_exact(8)
-            .position(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")) != pat64)
-            .map_or(whole, |c| c * 8);
-        for (j, &b) in bytes[clean_until..].iter().enumerate() {
-            let i = clean_until + j;
-            if b != pat[i % 4] {
-                return Ok(Some(i));
+        Ok(first_mismatch(&region.data[off..off + len], pattern))
+    }
+
+    /// [`Arena::compare_pattern`] and [`Arena::fill`] over the same range as
+    /// one operation — one translation, one bounds check: if `expect` names
+    /// a pattern and the range does not hold it, returns the offset of the
+    /// first mismatching byte and changes **nothing** (no byte, no dirty
+    /// bit); otherwise fills the range with `value` and returns `None`.
+    ///
+    /// This is DieFast's `malloc`: verify the reserved slot's canary and,
+    /// only if it is intact, zero the slot for the application. A corrupted
+    /// slot is evidence for the error isolator and must stay exactly as the
+    /// overflow left it, dirty bits included — an untouched page must not
+    /// look modified to the next incremental capture.
+    ///
+    /// # Errors
+    ///
+    /// Faults if the range is not entirely inside one mapped region; a
+    /// faulting call neither compares nor fills.
+    pub fn check_and_fill(
+        &mut self,
+        addr: Addr,
+        len: usize,
+        expect: Option<u32>,
+        value: u8,
+    ) -> Result<Option<usize>, MemFault> {
+        let (entry, off) = self.locate(addr, len)?;
+        if let Some(pattern) = expect {
+            let held = &self.region(entry.region).data[off..off + len];
+            let mismatch = first_mismatch(held, pattern);
+            if mismatch.is_some() {
+                return Ok(mismatch);
             }
         }
+        self.dirty_region_mut(entry, addr, len).data[off..off + len].fill(value);
         Ok(None)
     }
 
@@ -780,7 +848,7 @@ impl Arena {
     /// a whole miniheap with one translation instead of one per slot.
     #[must_use]
     pub fn region_snapshot(&self, addr: Addr) -> Option<(Addr, &[u8])> {
-        let idx = self.lookup_page(addr.get() >> PAGE_SHIFT)?;
+        let idx = self.walk(addr.get() >> PAGE_SHIFT)?.region;
         let region = self.region(idx);
         Some((Addr::new(region.base), &region.data))
     }
@@ -811,6 +879,23 @@ impl Arena {
     pub fn mapped_bytes(&self) -> usize {
         self.total_mapped
     }
+}
+
+/// Offset of the first byte of `bytes` that differs from the repeating
+/// little-endian `pattern` (phase-aligned to `bytes[0]`), if any — the one
+/// scanner behind [`Arena::compare_pattern`] and [`Arena::check_and_fill`].
+fn first_mismatch(bytes: &[u8], pattern: u32) -> Option<usize> {
+    let pat = pattern.to_le_bytes();
+    // Double the pattern up to 64 bits and compare 8 bytes per step (the
+    // pattern's phase stays aligned because steps are multiples of four);
+    // only a differing word gets a per-byte look.
+    let pat64 = u64::from(pattern) | (u64::from(pattern) << 32);
+    let whole = bytes.len() - bytes.len() % 8;
+    let clean_until = bytes[..whole]
+        .chunks_exact(8)
+        .position(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")) != pat64)
+        .map_or(whole, |c| c * 8);
+    (clean_until..bytes.len()).find(|&i| bytes[i] != pat[i % 4])
 }
 
 fn round_up_pages(len: usize) -> usize {
@@ -1203,7 +1288,7 @@ mod tests {
         assert_eq!(arena.dirty_pages(), vec![b]);
     }
 
-    /// The single-page dirty cache never suppresses a mark it shouldn't:
+    /// The TLB's dirty flags never suppress a mark they shouldn't:
     /// alternating stores across pages and a clear in between stay exact.
     #[test]
     fn dirty_cache_stays_coherent() {
@@ -1215,10 +1300,42 @@ mod tests {
         }
         assert_eq!(arena.dirty_pages(), vec![base, base + PAGE_SIZE as u64]);
         arena.clear_dirty();
-        // The cache was invalidated by clear_dirty: the next store to the
-        // same page must mark again.
+        // clear_dirty dropped the flags: the next store to the same page
+        // must mark again.
         arena.write_u8(base + PAGE_SIZE as u64 + 1, 3).unwrap();
         assert_eq!(arena.dirty_pages(), vec![base + PAGE_SIZE as u64]);
+    }
+
+    /// A dirty flag belongs to the page its TLB entry is tagged with: a
+    /// store that crosses into a page whose TLB slot currently holds a
+    /// *different* (colliding, clean) page must mark its own page without
+    /// flagging the other one, or that page's next store would go unmarked.
+    #[test]
+    fn dirty_flags_survive_tlb_conflicts() {
+        let mut arena = Arena::new();
+        // Pages 0x10000/0x10001 and 0x10100/0x10101 share two TLB slots.
+        let a = Addr::new(0x1000_0000);
+        let b = Addr::new(0x1010_0000);
+        arena.map_at(a, 2 * PAGE_SIZE).unwrap();
+        arena.map_at(b, 2 * PAGE_SIZE).unwrap();
+        let (a1, b1) = (a + PAGE_SIZE as u64, b + PAGE_SIZE as u64);
+        arena.clear_dirty();
+        // b1 takes the shared slot, clean.
+        arena.read_u8(b1).unwrap();
+        // A store crossing a0 -> a1 finds b1's entry where a1's would be.
+        arena.write_u64(a1 - 4, 7).unwrap();
+        assert_eq!(arena.dirty_pages(), vec![a, a1]);
+        // b1 was never stored to, and its first store must still mark it.
+        arena.write_u8(b1, 1).unwrap();
+        assert_eq!(arena.dirty_pages(), vec![a, a1, b1]);
+        // Same page, flag now set: clear, then the colliding page's store
+        // evicts it; coming back must mark again.
+        arena.clear_dirty();
+        arena.write_u8(a1, 2).unwrap();
+        arena.write_u8(b1, 3).unwrap();
+        arena.clear_dirty();
+        arena.write_u8(a1, 4).unwrap();
+        assert_eq!(arena.dirty_pages(), vec![a1]);
     }
 
     /// Interleaved map/unmap/access across many regions: every read sees

@@ -40,7 +40,7 @@
 //! | load/store, TLB hit  | ~1 cycle address check     | array probe + bounds check    |
 //! | load/store, TLB miss | page-table walk (O(1))     | hash + leaf index (O(1))      |
 //! | `mmap`/`munmap`      | kernel, O(pages)           | page-table edit, O(pages)     |
-//! | canary fill/check    | word-wide loop             | bulk [`Arena::fill_pattern_u32`] / [`Arena::compare_pattern`] |
+//! | canary fill/check    | word-wide loop             | bulk [`Arena::fill_pattern_u32`] / [`Arena::compare_pattern`] / [`Arena::check_and_fill`] |
 //! | heap-image capture   | `memcpy` of mapped pages   | [`Arena::region_snapshot`] + slice copies |
 //!
 //! Nothing is charged per-access that scales with the number of live
@@ -53,11 +53,12 @@
 //! for `xt-image`'s incremental heap capture. The protocol:
 //!
 //! - **Set** — every successful store (`write_u8/u32/u64/addr`,
-//!   `write_bytes`, `fill`, `fill_pattern_u32`; they all funnel through one
-//!   internal locate step) marks the pages it touches, and `map`/`map_at`
-//!   mark freshly mapped pages (the zero-fill is a store — and this is what
-//!   keeps an unmap-then-remap at the same address from ever looking
-//!   clean). Faulting stores modify nothing and mark nothing.
+//!   `write_bytes`, `fill`, `fill_pattern_u32`, `check_and_fill`; they all
+//!   funnel through one internal locate step) marks the pages it touches,
+//!   and `map`/`map_at` mark freshly mapped pages (the zero-fill is a store
+//!   — and this is what keeps an unmap-then-remap at the same address from
+//!   ever looking clean). Faulting stores modify nothing and mark nothing;
+//!   neither does a [`Arena::check_and_fill`] whose check fails.
 //! - **Clear** — [`Arena::clear_dirty`] (called by capture once it has read
 //!   the heap, via `&self` interior mutability) zeroes every bit, making
 //!   the captured contents the new baseline; [`Arena::unmap`] clears the
@@ -67,11 +68,18 @@
 //!   question ("which pages changed since the baseline?");
 //!   [`Arena::dirty_pages`] enumerates all dirty pages for tests.
 //!
-//! The TLB is unaffected: it caches translations, not write state, so
-//! dirty clears need no shootdown. Spare-leaf recycling (`reset` pools the
-//! 2 KiB entry tables) cannot leak dirty bits because the bitmap lives in
-//! the leaf struct, not in the pooled allocation — a recycled leaf always
-//! starts clean.
+//! Marking must not cost a page-table walk per store, and randomised
+//! placement means consecutive stores rarely share a page, so "this page's
+//! bit is already set" is a **flag in the page's TLB entry**: a store
+//! consults the entry its translation just probed and walks the directory
+//! only when the flag is down, then raises it. The flag is a cache of the
+//! leaf bit and never outlives it: a refill copies the bit the walk found,
+//! `clear_dirty` lowers every flag along with every bit, and `unmap` and
+//! `reset` invalidate the entries of the pages whose bits they drop — the
+//! same shootdowns translation already needed. Spare-leaf recycling
+//! (`reset` pools the 2 KiB entry tables) cannot leak dirty bits because
+//! the bitmap lives in the leaf struct, not in the pooled allocation — a
+//! recycled leaf always starts clean.
 //!
 //! # Example
 //!

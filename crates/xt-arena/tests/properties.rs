@@ -8,7 +8,11 @@
 //! `OutOfBounds`), all-or-nothing writes, guard-page faults — must agree.
 //! The model also tracks the set of dirty pages (stored-to since the last
 //! `clear_dirty`), pinning the arena's dirty bitmap to the obvious
-//! semantics incremental heap capture depends on.
+//! semantics incremental heap capture depends on. The arena remembers
+//! "already dirty" per page in its TLB entries, so the scripts go out of
+//! their way to hit what could make such a flag stale: regions whose pages
+//! collide in the 256-entry TLB, `clear_dirty` between stores to one page,
+//! unmap followed by a remap of the same page, and `reset`.
 
 use std::collections::BTreeSet;
 
@@ -141,6 +145,43 @@ enum ArenaOp {
     Fill(usize, usize, u8, usize),
     /// Clear every dirty bit (what a heap-image capture does).
     ClearDirty,
+    /// Map two pages at the kth of four fixed bases whose pages are 256
+    /// apart — the same two slots of the direct-mapped TLB — unless it is
+    /// already mapped. After an `UnmapNth` of the same base this is a
+    /// remap of the same pages.
+    MapColliding(usize),
+    /// `Arena::reset`: everything unmapped, no dirty page left.
+    Reset,
+    /// Lay a pattern over a range relative to the nth region's base,
+    /// optionally corrupt one byte of it and/or clear the dirty bits, then
+    /// `check_and_fill` the range against that pattern (or against none).
+    CheckAndFill {
+        n: usize,
+        off: usize,
+        len: usize,
+        pattern: u32,
+        corrupt_at: Option<usize>,
+        clear_first: bool,
+        expect: bool,
+        value: u8,
+    },
+}
+
+/// Base of the kth TLB-colliding page (see [`ArenaOp::MapColliding`]).
+fn colliding_base(k: usize) -> Addr {
+    Addr::new(0x2000_0000 + (k as u64 % 4) * 256 * PAGE_SIZE as u64)
+}
+
+/// Offset of the first byte of `bytes` that breaks the repeating
+/// little-endian `pattern`, one byte at a time.
+fn naive_first_mismatch(bytes: &[u8], pattern: u32) -> Option<usize> {
+    let pat = pattern.to_le_bytes();
+    bytes.iter().enumerate().position(|(i, &b)| b != pat[i % 4])
+}
+
+fn pattern_bytes(pattern: u32, len: usize) -> Vec<u8> {
+    let pat = pattern.to_le_bytes();
+    (0..len).map(|i| pat[i % 4]).collect()
 }
 
 fn arena_op() -> impl Strategy<Value = ArenaOp> {
@@ -160,6 +201,28 @@ fn arena_op() -> impl Strategy<Value = ArenaOp> {
         )
             .prop_map(|(n, off, fill, len)| ArenaOp::Fill(n, off, fill, len)),
         Just(ArenaOp::ClearDirty),
+        (0usize..4).prop_map(ArenaOp::MapColliding),
+        Just(ArenaOp::Reset),
+        (
+            (0usize..16, 0usize..PAGE_SIZE + 64, 1usize..300),
+            any::<u32>(),
+            (any::<bool>(), 0usize..300),
+            (any::<bool>(), any::<bool>(), any::<u8>()),
+        )
+            .prop_map(
+                |((n, off, len), pattern, (corrupt, at), (clear_first, expect, value))| {
+                    ArenaOp::CheckAndFill {
+                        n,
+                        off,
+                        len,
+                        pattern,
+                        corrupt_at: corrupt.then_some(at),
+                        clear_first,
+                        expect,
+                        value,
+                    }
+                }
+            ),
     ]
 }
 
@@ -321,6 +384,53 @@ proptest! {
                     arena.clear_dirty();
                     model.dirty.clear();
                 }
+                ArenaOp::MapColliding(k) => {
+                    let base = colliding_base(k);
+                    if bases.contains(&base) { continue; }
+                    // Random placement may already sit on or beside the
+                    // fixed page; then the arena must refuse and nothing
+                    // changes.
+                    if arena.map_at(base, 2 * PAGE_SIZE).is_ok() {
+                        model.map(base, 2 * PAGE_SIZE);
+                        bases.push(base);
+                    }
+                }
+                ArenaOp::Reset => {
+                    arena.reset();
+                    model = ModelArena::default();
+                    bases.clear();
+                }
+                ArenaOp::CheckAndFill { n, off, len, pattern, corrupt_at, clear_first, expect, value } => {
+                    if bases.is_empty() { continue; }
+                    let addr = bases[n % bases.len()] + off as u64;
+                    let laid = classify_fault(arena.fill_pattern_u32(addr, len, pattern));
+                    prop_assert_eq!(&laid, &model.write(addr, &pattern_bytes(pattern, len)));
+                    if laid == ModelAccess::Ok {
+                        if let Some(at) = corrupt_at {
+                            let at = addr + (at % len) as u64;
+                            let byte = !arena.read_u8(at).unwrap();
+                            arena.write_u8(at, byte).unwrap();
+                            model.write(at, &[byte]);
+                        }
+                    }
+                    if clear_first {
+                        arena.clear_dirty();
+                        model.dirty.clear();
+                    }
+                    let got = arena.check_and_fill(addr, len, expect.then_some(pattern), value);
+                    match model.classify(addr, len) {
+                        ModelAccess::Ok => {
+                            let mismatch = expect
+                                .then(|| naive_first_mismatch(model.read(addr, len).unwrap(), pattern))
+                                .flatten();
+                            prop_assert_eq!(got, Ok(mismatch));
+                            if mismatch.is_none() {
+                                model.write(addr, &vec![value; len]);
+                            }
+                        }
+                        verdict => prop_assert_eq!(classify_fault(got.map(|_| ())), verdict),
+                    }
+                }
             }
             // Continuous full-state equivalence: every region's bytes match
             // the model byte-for-byte (this is what makes faulting writes
@@ -378,6 +488,64 @@ proptest! {
         prop_assert_eq!(bulk.dirty_pages(), vec![base]);
         bulk.clear_dirty();
         prop_assert!(bulk.dirty_pages().is_empty(), "stale dirty pages on a reused arena");
+    }
+
+    /// `check_and_fill` is `compare_pattern` followed, on a match, by
+    /// `fill`: same answer, same bytes, same dirty pages. On a mismatch it
+    /// changes nothing — the corrupted range is evidence, and a page it did
+    /// not write must not look written — and a faulting call does neither
+    /// half.
+    #[test]
+    fn check_and_fill_is_compare_then_fill(
+        span in (0usize..3 * PAGE_SIZE, 0usize..2 * PAGE_SIZE),
+        pattern in any::<u32>(),
+        corrupt in (any::<bool>(), 0usize..2 * PAGE_SIZE),
+        expect in any::<bool>(),
+        value in any::<u8>(),
+    ) {
+        let (off, len) = span;
+        let corrupt_at = corrupt.0.then_some(corrupt.1);
+        let total = 4 * PAGE_SIZE;
+        prop_assume!(off + len <= total);
+        let base = Addr::new(0x1000_0000);
+        let addr = base + off as u64;
+        let mut fused = Arena::new();
+        let mut split = Arena::new();
+        for arena in [&mut fused, &mut split] {
+            arena.map_at(base, total).unwrap();
+            arena.fill_pattern_u32(addr, len, pattern).unwrap();
+            if let Some(at) = corrupt_at.filter(|_| len > 0) {
+                let at = addr + (at % len) as u64;
+                let byte = !arena.read_u8(at).unwrap();
+                arena.write_u8(at, byte).unwrap();
+            }
+            arena.clear_dirty();
+        }
+        let expect = expect.then_some(pattern);
+        let got = fused.check_and_fill(addr, len, expect, value).unwrap();
+        let want = expect.and_then(|p| split.compare_pattern(addr, len, p).unwrap());
+        if want.is_none() {
+            split.fill(addr, len, value).unwrap();
+        }
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(want.is_some(), expect.is_some() && corrupt_at.is_some() && len > 0);
+        prop_assert_eq!(
+            fused.read_bytes(base, total).unwrap(),
+            split.read_bytes(base, total).unwrap()
+        );
+        prop_assert_eq!(fused.dirty_pages(), split.dirty_pages());
+        if want.is_some() {
+            prop_assert!(fused.dirty_pages().is_empty(), "a mismatch dirtied a page");
+        }
+        // Faults are all-or-nothing: the same range stretched one byte past
+        // the region's end changes neither bytes nor dirty bits, whatever
+        // its mapped part holds; nor does one that starts unmapped.
+        fused.clear_dirty();
+        let before = fused.read_bytes(base, total).unwrap().to_vec();
+        prop_assert!(fused.check_and_fill(addr, total - off + 1, expect, value).is_err());
+        prop_assert!(fused.check_and_fill(base + total as u64, 1, None, value).is_err());
+        prop_assert_eq!(fused.read_bytes(base, total).unwrap(), &before[..]);
+        prop_assert!(fused.dirty_pages().is_empty(), "a faulting call dirtied a page");
     }
 
     /// Guard pages: the page on either side of any mapping is unmapped, so

@@ -55,6 +55,8 @@ struct DeferredFree {
     due: AllocTime,
     ptr: Addr,
     site: SiteHash,
+    /// Usable bytes of the parked object, as accounted in `parked_bytes`.
+    size: u64,
 }
 
 /// Space-overhead accounting for applied corrections (§7.3).
@@ -160,9 +162,7 @@ impl<H: Heap> CorrectingHeap<H> {
             }
             let Reverse(entry) = self.queue.pop().expect("peeked entry");
             self.parked.remove(&entry.ptr);
-            if let Some(size) = self.inner.usable_size(entry.ptr) {
-                self.parked_bytes = self.parked_bytes.saturating_sub(size as u64);
-            }
+            self.parked_bytes = self.parked_bytes.saturating_sub(entry.size);
             self.inner.free(entry.ptr, entry.site);
         }
     }
@@ -196,7 +196,15 @@ impl<H: Heap> Heap for CorrectingHeap<H> {
 
     /// `correcting_free` (Fig. 6): look up the (alloc site, free site)
     /// deferral; either free now or park the pointer until its due time.
+    /// With no patches loaded and nothing parked there is nothing to look
+    /// up, and the call is the inner heap's `free` — one pointer
+    /// resolution, not one here to find the allocation site and another
+    /// below.
     fn free(&mut self, ptr: Addr, site: SiteHash) -> FreeOutcome {
+        if self.patches.is_empty() && self.parked.is_empty() {
+            // Every path below would end in this same call.
+            return self.inner.free(ptr, site);
+        }
         if self.parked.contains(&ptr) {
             // The application freed an object whose release is already
             // scheduled; like any double free, this is benign.
@@ -215,7 +223,12 @@ impl<H: Heap> Heap for CorrectingHeap<H> {
         }
         let due = self.inner.clock() + defer;
         let size = self.inner.usable_size(ptr).unwrap_or(0) as u64;
-        self.queue.push(Reverse(DeferredFree { due, ptr, site }));
+        self.queue.push(Reverse(DeferredFree {
+            due,
+            ptr,
+            site,
+            size,
+        }));
         self.parked.insert(ptr);
         self.stats.frees_deferred += 1;
         self.stats.total_drag_bytes_ticks += size * defer;
@@ -389,6 +402,132 @@ mod tests {
             h.malloc(16, FREE_SITE).unwrap(); // t5..t8 → b released
         }
         assert_eq!(h.deferred_len(), 0);
+    }
+
+    /// Forwards to a `DieHardHeap`, counting the calls that make it resolve
+    /// a pointer to its slot (each of the three does so exactly once).
+    struct CountingHeap {
+        inner: DieHardHeap,
+        resolutions: std::cell::Cell<usize>,
+    }
+
+    impl CountingHeap {
+        fn resolved(&self) {
+            self.resolutions.set(self.resolutions.get() + 1);
+        }
+    }
+
+    impl Heap for CountingHeap {
+        fn malloc(&mut self, size: usize, site: SiteHash) -> Result<Addr, HeapError> {
+            self.inner.malloc(size, site)
+        }
+
+        fn free(&mut self, ptr: Addr, site: SiteHash) -> FreeOutcome {
+            self.resolved();
+            self.inner.free(ptr, site)
+        }
+
+        fn arena(&self) -> &Arena {
+            self.inner.arena()
+        }
+
+        fn arena_mut(&mut self) -> &mut Arena {
+            self.inner.arena_mut()
+        }
+
+        fn clock(&self) -> AllocTime {
+            self.inner.clock()
+        }
+
+        fn usable_size(&self, ptr: Addr) -> Option<usize> {
+            self.resolved();
+            self.inner.usable_size(ptr)
+        }
+
+        fn alloc_site_of(&self, ptr: Addr) -> Option<SiteHash> {
+            self.resolved();
+            self.inner.alloc_site_of(ptr)
+        }
+    }
+
+    fn counting_heap_with(patches: PatchTable) -> CorrectingHeap<CountingHeap> {
+        let inner = CountingHeap {
+            inner: DieHardHeap::new(DieHardConfig::with_seed(9)),
+            resolutions: std::cell::Cell::new(0),
+        };
+        CorrectingHeap::new(inner, patches)
+    }
+
+    /// Resolutions the inner heap performed while `f` ran.
+    fn resolutions_during<R>(
+        h: &mut CorrectingHeap<CountingHeap>,
+        f: impl FnOnce(&mut CorrectingHeap<CountingHeap>) -> R,
+    ) -> (R, usize) {
+        let before = h.inner().resolutions.get();
+        let out = f(h);
+        (out, h.inner().resolutions.get() - before)
+    }
+
+    #[test]
+    fn empty_table_frees_resolve_the_pointer_once() {
+        let mut h = counting_heap_with(PatchTable::new());
+        let p = h.malloc(32, ALLOC_SITE).unwrap();
+        for want in [
+            FreeOutcome::Freed,
+            FreeOutcome::DoubleFreeIgnored, // same pointer again
+        ] {
+            assert_eq!(
+                resolutions_during(&mut h, |h| h.free(p, FREE_SITE)),
+                (want, 1)
+            );
+        }
+        assert_eq!(
+            resolutions_during(&mut h, |h| h.free(p + 1, FREE_SITE)),
+            (FreeOutcome::InvalidFreeIgnored, 1)
+        );
+    }
+
+    #[test]
+    fn deferred_frees_resolve_twice_to_park_and_once_to_release() {
+        let mut patches = PatchTable::new();
+        patches.add_deferral(SitePair::new(ALLOC_SITE, FREE_SITE), 1);
+        let mut h = counting_heap_with(patches);
+        let p = h.malloc(32, ALLOC_SITE).unwrap();
+        // Parking needs the allocation site and the object's size.
+        let (outcome, parked) = resolutions_during(&mut h, |h| h.free(p, FREE_SITE));
+        assert!(matches!(outcome, FreeOutcome::Deferred { .. }));
+        assert_eq!(parked, 2);
+        // A parked pointer is recognised without asking the inner heap.
+        assert_eq!(
+            resolutions_during(&mut h, |h| h.free(p, FREE_SITE)),
+            (FreeOutcome::DoubleFreeIgnored, 0)
+        );
+        // The release is the inner free and nothing else: the size was
+        // recorded when the object was parked.
+        let (_, released) = resolutions_during(&mut h, |h| h.malloc(32, FREE_SITE).unwrap());
+        assert_eq!((released, h.deferred_len()), (1, 0));
+        assert_eq!(h.stats().peak_deferred_bytes, 32);
+    }
+
+    #[test]
+    fn emptied_table_still_honours_parked_pointers() {
+        // The fast path keys on the table *and* the parked set: reloading
+        // an empty table must not let a double free of a still-parked
+        // object through to the inner heap.
+        let mut patches = PatchTable::new();
+        patches.add_deferral(SitePair::new(ALLOC_SITE, FREE_SITE), 3);
+        let mut h = heap_with(patches);
+        let p = h.malloc(16, ALLOC_SITE).unwrap();
+        assert!(h.free(p, FREE_SITE).accepted());
+        h.reload_patches(PatchTable::new());
+        assert_eq!(h.free(p, FREE_SITE), FreeOutcome::DoubleFreeIgnored);
+        assert_eq!(h.usable_size(p), Some(16), "parked object was released");
+        let q = h.malloc(16, ALLOC_SITE).unwrap();
+        assert_eq!(
+            h.free(q, FREE_SITE),
+            FreeOutcome::Freed,
+            "table is empty now"
+        );
     }
 
     #[test]

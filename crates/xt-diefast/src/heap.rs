@@ -134,19 +134,6 @@ impl DieFastHeap {
             clock: self.inner.clock(),
         });
     }
-
-    /// The canary check both `malloc` and `free` perform on a freed,
-    /// canaried slot. Returns `true` if the slot was clean.
-    fn verify_or_signal(&mut self, loc: SlotRef, kind: SignalKind) -> bool {
-        if !self.inner.meta(loc).canaried {
-            return true;
-        }
-        if self.canary_intact(loc) {
-            return true;
-        }
-        self.signal(kind, loc);
-        false
-    }
 }
 
 impl Heap for DieFastHeap {
@@ -160,55 +147,62 @@ impl Heap for DieFastHeap {
                 at: self.inner.clock(),
             });
         }
-        let mut loc = self.inner.reserve_slot(size)?;
-        // "Check if the object wasn't canary-filled or is uncorrupted."
-        while self.inner.meta(loc).canaried && !self.canary_intact(loc) {
+        loop {
+            let slot = self.inner.reserve_slot(size)?;
+            // "Check if the object wasn't canary-filled or is uncorrupted" —
+            // and zero it for the application in the same pass over the
+            // slot, which leaves a corrupted slot untouched as evidence.
+            let expect = slot.canaried.then_some(self.canary);
+            let mismatch = if self.zero_fill {
+                self.inner
+                    .arena_mut()
+                    .check_and_fill(slot.addr, slot.size, expect, 0)
+            } else {
+                expect.map_or(Ok(None), |canary| {
+                    self.inner
+                        .arena()
+                        .compare_pattern(slot.addr, slot.size, canary)
+                })
+            };
+            if mismatch.expect("slot memory is always mapped").is_none() {
+                return Ok(self.inner.commit_slot(slot.loc, size, site));
+            }
             // "If not: mark allocated; signal error."
-            self.signal(SignalKind::CanaryCorruptedOnAlloc, loc);
-            self.inner.retire_reserved(loc);
-            loc = self.inner.reserve_slot(size)?;
+            self.signal(SignalKind::CanaryCorruptedOnAlloc, slot.loc);
+            self.inner.retire_reserved(slot.loc);
         }
-        let addr = self.inner.commit_slot(loc, size, site);
-        if self.zero_fill {
-            let slot_size = self.inner.miniheap(loc).object_size();
-            self.inner
-                .arena_mut()
-                .fill(addr, slot_size, 0)
-                .expect("slot memory is always mapped");
-        }
-        Ok(addr)
     }
 
     /// `diefast_free` (Fig. 4): free, canary-check both physically adjacent
     /// slots, then probabilistically canary the freed object itself.
     fn free(&mut self, ptr: Addr, site: SiteHash) -> FreeOutcome {
-        let outcome = self.inner.free(ptr, site);
-        if outcome != FreeOutcome::Freed {
-            return outcome;
-        }
-        let loc = self.inner.location_of(ptr).expect("freed address resolves");
+        let loc = match self.inner.free_slot(ptr, site) {
+            Ok(loc) => loc,
+            Err(ignored) => return ignored,
+        };
         // "After every deallocation, DieFast checks both the preceding and
         // following objects" — if they are free, their canaries must be
         // intact; corruption here is the signature of an overflow from a
         // neighbour, detected immediately upon deallocation.
         let (prev, next) = self.inner.neighbors(loc);
         for neighbor in [prev, next].into_iter().flatten() {
-            if self.inner.meta(neighbor).state == SlotState::Free {
-                self.verify_or_signal(neighbor, SignalKind::CanaryCorruptedOnFree);
+            let meta = self.inner.meta(neighbor);
+            if meta.state == SlotState::Free && meta.canaried && !self.canary_intact(neighbor) {
+                self.signal(SignalKind::CanaryCorruptedOnFree, neighbor);
             }
         }
-        // "Probabilistically fill with canary."
+        // "Probabilistically fill with canary." `free_slot` only resolves
+        // exact slot bases, so `ptr` is the slot's address.
         if self.coin.chance(self.fill_probability) {
-            let mh = self.inner.miniheap(loc);
-            let (addr, size) = (mh.slot_addr(loc.slot()), mh.object_size());
+            let size = self.inner.miniheap(loc).object_size();
             let canary = self.canary;
             self.inner
                 .arena_mut()
-                .fill_pattern_u32(addr, size, canary)
+                .fill_pattern_u32(ptr, size, canary)
                 .expect("slot memory is always mapped");
             self.inner.set_canaried(loc, true);
         }
-        outcome
+        FreeOutcome::Freed
     }
 
     fn arena(&self) -> &Arena {

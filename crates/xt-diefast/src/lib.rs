@@ -21,6 +21,29 @@
 //!   object isolation*: the corrupt slot is retired (never reused) so its
 //!   contents survive as evidence for the error isolator.
 //!
+//! # What a call costs
+//!
+//! Fig. 7 charges DieFast for randomisation, zero-fill and canaries, so
+//! the bookkeeping around them is kept to one of each thing:
+//!
+//! * `free` resolves its pointer **once**: it calls
+//!   [`DieHardHeap::free_slot`](xt_diehard::DieHardHeap::free_slot), which
+//!   returns the slot it freed, and does the neighbour checks and the
+//!   canary fill on that slot. There is no second lookup to fail.
+//! * `malloc` gets the reserved slot's address, size and canary flag in one
+//!   [`ReservedSlot`](xt_diehard::ReservedSlot), and verifies the canary
+//!   and zero-fills in **one pass** over the slot
+//!   ([`Arena::check_and_fill`](xt_arena::Arena::check_and_fill)); a
+//!   corrupted slot is left byte-for-byte (and dirty-bit-for-dirty-bit) as
+//!   the overflow left it.
+//! * Everything `malloc`/`free` ask of `xt-diehard` is `#[inline]` there,
+//!   so the layer boundary costs no call per accessor (see that crate's
+//!   docs for the list and the measurement).
+//!
+//! Slot placement, the canary coin's draw order and signal order are
+//! observable behaviour; `tests/allocator_stack.rs` pins them with golden
+//! transcripts.
+//!
 //! # Example
 //!
 //! ```

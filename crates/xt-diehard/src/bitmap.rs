@@ -39,18 +39,21 @@ impl BitMap {
     }
 
     /// Number of bits.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// `true` if the bitmap has zero bits.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Number of set bits.
+    #[inline]
     #[must_use]
     pub fn count_ones(&self) -> usize {
         self.ones
@@ -61,6 +64,7 @@ impl BitMap {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[inline]
     #[must_use]
     pub fn get(&self, idx: usize) -> bool {
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
@@ -72,6 +76,7 @@ impl BitMap {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[inline]
     pub fn set(&mut self, idx: usize) -> bool {
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
         let word = &mut self.words[idx / 64];
@@ -89,6 +94,7 @@ impl BitMap {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[inline]
     pub fn clear(&mut self, idx: usize) -> bool {
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
         let word = &mut self.words[idx / 64];

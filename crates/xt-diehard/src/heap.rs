@@ -1,7 +1,5 @@
 //! The adaptive DieHard heap (paper §3.1–3.2, Fig. 2).
 
-use std::collections::BTreeMap;
-
 use xt_alloc::{AllocTime, FreeOutcome, Heap, HeapError, ObjectId, SiteHash};
 use xt_arena::{Addr, Arena, Rng};
 
@@ -30,28 +28,59 @@ pub struct SlotRef {
 
 impl SlotRef {
     /// Size-class index.
+    #[inline]
     #[must_use]
     pub fn class(self) -> usize {
         self.class as usize
     }
 
     /// Miniheap ordinal within the class.
+    #[inline]
     #[must_use]
     pub fn miniheap_index(self) -> usize {
         self.miniheap as usize
     }
 
     /// Slot index within the miniheap.
+    #[inline]
     #[must_use]
     pub fn slot(self) -> usize {
         self.slot as usize
     }
 
     /// The owning miniheap's id.
+    #[inline]
     #[must_use]
     pub fn miniheap_id(self) -> MiniHeapId {
         MiniHeapId::new(self.class, self.miniheap)
     }
+}
+
+/// What [`DieHardHeap::reserve_slot`] hands back: the reserved slot and
+/// everything a caller needs to vet it before committing — in one value, so
+/// DieFast's `malloc` does not come back for the address, the slot size and
+/// the previous occupant's canary flag one accessor at a time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReservedSlot {
+    /// The slot, for [`DieHardHeap::commit_slot`] or
+    /// [`DieHardHeap::retire_reserved`].
+    pub loc: SlotRef,
+    /// Base address of the slot.
+    pub addr: Addr,
+    /// Size of the slot in bytes (the class's object size, not the request).
+    pub size: usize,
+    /// Whether the slot's previous occupant was canary-filled when freed.
+    pub canaried: bool,
+}
+
+/// One miniheap's extent in the address index.
+#[derive(Clone, Copy, Debug)]
+struct Extent {
+    base: u64,
+    /// Exclusive end of the slot area.
+    end: u64,
+    class: u32,
+    miniheap: u32,
 }
 
 #[derive(Debug, Default)]
@@ -74,7 +103,10 @@ pub struct DieHardHeap {
     rng: Rng,
     config: DieHardConfig,
     classes: Vec<ClassHeap>,
-    addr_index: BTreeMap<u64, (u32, u32)>,
+    /// Every miniheap's extent, sorted by base. Miniheaps are never
+    /// unmapped, so the only mutation is the rare sorted insert in
+    /// `grow_class`; every `free` binary-searches it.
+    addr_index: Vec<Extent>,
     clock: AllocTime,
     live_objects: usize,
     breakpoint: Option<AllocTime>,
@@ -106,7 +138,7 @@ impl DieHardHeap {
             history: config.track_history.then(ObjectLog::new),
             config,
             classes,
-            addr_index: BTreeMap::new(),
+            addr_index: Vec::new(),
             clock: AllocTime::ZERO,
             live_objects: 0,
             breakpoint: None,
@@ -143,6 +175,7 @@ impl DieHardHeap {
     }
 
     /// Number of live application objects (excludes retired bad slots).
+    #[inline]
     #[must_use]
     pub fn live_objects(&self) -> usize {
         self.live_objects
@@ -168,47 +201,61 @@ impl DieHardHeap {
     }
 
     /// Resolves an exact object base address to its slot.
+    #[inline]
     #[must_use]
     pub fn location_of(&self, addr: Addr) -> Option<SlotRef> {
-        let (loc, mh) = self.lookup(addr)?;
+        let (extent, mh) = self.lookup(addr)?;
         mh.slot_of(addr).map(|slot| SlotRef {
-            class: loc.0,
-            miniheap: loc.1,
+            class: extent.class,
+            miniheap: extent.miniheap,
             slot: slot as u32,
         })
     }
 
     /// Resolves any address inside a slot to that slot (interior pointers).
+    #[inline]
     #[must_use]
     pub fn location_containing(&self, addr: Addr) -> Option<SlotRef> {
-        let (loc, mh) = self.lookup(addr)?;
+        let (extent, mh) = self.lookup(addr)?;
         mh.slot_containing(addr).map(|slot| SlotRef {
-            class: loc.0,
-            miniheap: loc.1,
+            class: extent.class,
+            miniheap: extent.miniheap,
             slot: slot as u32,
         })
     }
 
-    fn lookup(&self, addr: Addr) -> Option<((u32, u32), &MiniHeap)> {
-        let (&base, &(class, mh_idx)) = self.addr_index.range(..=addr.get()).next_back()?;
-        let mh = &self.classes[class as usize].miniheaps[mh_idx as usize];
-        debug_assert_eq!(mh.base().get(), base);
-        (addr < mh.end()).then_some(((class, mh_idx), mh))
+    /// The miniheap whose slot area contains `addr`: the last extent based
+    /// at or below it, if `addr` is short of that extent's end (guard gaps
+    /// and everything outside the heap resolve to nothing).
+    #[inline]
+    fn lookup(&self, addr: Addr) -> Option<(Extent, &MiniHeap)> {
+        let raw = addr.get();
+        let after = self.addr_index.partition_point(|e| e.base <= raw);
+        let extent = *self.addr_index[..after].last()?;
+        if raw >= extent.end {
+            return None;
+        }
+        let mh = &self.classes[extent.class as usize].miniheaps[extent.miniheap as usize];
+        debug_assert_eq!((mh.base().get(), mh.end().get()), (extent.base, extent.end));
+        Some((extent, mh))
     }
 
     /// The miniheap owning `loc`.
+    #[inline]
     #[must_use]
     pub fn miniheap(&self, loc: SlotRef) -> &MiniHeap {
         &self.classes[loc.class()].miniheaps[loc.miniheap_index()]
     }
 
     /// Metadata of the slot at `loc`.
+    #[inline]
     #[must_use]
     pub fn meta(&self, loc: SlotRef) -> &SlotMeta {
         self.miniheap(loc).meta(loc.slot())
     }
 
     /// Base address of the slot at `loc`.
+    #[inline]
     #[must_use]
     pub fn slot_addr(&self, loc: SlotRef) -> Addr {
         self.miniheap(loc).slot_addr(loc.slot())
@@ -216,6 +263,7 @@ impl DieHardHeap {
 
     /// Physically adjacent slots (previous, next) within the same miniheap.
     /// Random placement means nothing else is ever adjacent (§3.3).
+    #[inline]
     #[must_use]
     pub fn neighbors(&self, loc: SlotRef) -> (Option<SlotRef>, Option<SlotRef>) {
         let mh = self.miniheap(loc);
@@ -232,6 +280,7 @@ impl DieHardHeap {
 
     /// Sets the canary flag on a slot (DieFast bookkeeping). Also mirrors
     /// the flag into the allocation history when tracking is on.
+    #[inline]
     pub fn set_canaried(&mut self, loc: SlotRef, canaried: bool) {
         let meta = self.classes[loc.class()].miniheaps[loc.miniheap_index()].meta_mut(loc.slot());
         meta.canaried = canaried;
@@ -260,7 +309,8 @@ impl DieHardHeap {
     ///
     /// Fails like `malloc`: breakpoint armed and reached, zero/oversized
     /// request, or the class cannot grow.
-    pub fn reserve_slot(&mut self, size: usize) -> Result<SlotRef, HeapError> {
+    #[inline]
+    pub fn reserve_slot(&mut self, size: usize) -> Result<ReservedSlot, HeapError> {
         if let Some(bp) = self.breakpoint {
             if self.clock >= bp {
                 return Err(HeapError::Breakpoint { at: self.clock });
@@ -278,16 +328,23 @@ impl DieHardHeap {
         let class = size_class_of(size);
         self.ensure_capacity(class)?;
         let (mh_idx, slot) = self.take_random_slot(class);
-        Ok(SlotRef {
-            class: class as u32,
-            miniheap: mh_idx as u32,
-            slot: slot as u32,
+        let mh = &self.classes[class].miniheaps[mh_idx];
+        Ok(ReservedSlot {
+            loc: SlotRef {
+                class: class as u32,
+                miniheap: mh_idx as u32,
+                slot: slot as u32,
+            },
+            addr: mh.slot_addr(slot),
+            size: mh.object_size(),
+            canaried: mh.meta(slot).canaried,
         })
     }
 
     /// Commits a reserved slot to the application: ticks the allocation
     /// clock, assigns the next object id, and records the allocation.
     /// Returns the object's address.
+    #[inline]
     pub fn commit_slot(&mut self, loc: SlotRef, size: usize, site: SiteHash) -> Addr {
         self.clock = self.clock.next();
         let id = ObjectId::from(self.clock);
@@ -309,6 +366,7 @@ impl DieHardHeap {
         self.finish_commit(loc, id, alloc_time, size, site)
     }
 
+    #[inline]
     fn finish_commit(
         &mut self,
         loc: SlotRef,
@@ -379,6 +437,7 @@ impl DieHardHeap {
         self.classes.iter().map(|c| c.occupied).sum()
     }
 
+    #[inline]
     fn ensure_capacity(&mut self, class: usize) -> Result<(), HeapError> {
         loop {
             let c = &self.classes[class];
@@ -407,7 +466,16 @@ impl DieHardHeap {
         let mh_idx = self.classes[class].miniheaps.len() as u32;
         let id = MiniHeapId::new(class as u32, mh_idx);
         let mh = MiniHeap::new(id, base, object_size, n_slots, self.clock);
-        self.addr_index.insert(base.get(), (class as u32, mh_idx));
+        let at = self.addr_index.partition_point(|e| e.base < base.get());
+        self.addr_index.insert(
+            at,
+            Extent {
+                base: base.get(),
+                end: mh.end().get(),
+                class: class as u32,
+                miniheap: mh_idx,
+            },
+        );
         let c = &mut self.classes[class];
         c.capacity += n_slots;
         c.miniheaps.push(mh);
@@ -417,6 +485,7 @@ impl DieHardHeap {
     /// Picks a uniformly random free slot in the class. The class is at most
     /// `1/M` occupied when called, so random probing terminates quickly; a
     /// deterministic fallback keeps the worst case bounded.
+    #[inline]
     fn take_random_slot(&mut self, class: usize) -> (usize, usize) {
         let capacity = self.classes[class].capacity;
         debug_assert!(capacity > self.classes[class].occupied);
@@ -445,6 +514,7 @@ impl DieHardHeap {
         unreachable!("class occupancy accounting violated");
     }
 
+    #[inline]
     fn nth_slot(class: &ClassHeap, mut t: usize) -> (usize, usize) {
         for (mh_idx, mh) in class.miniheaps.iter().enumerate() {
             if t < mh.n_slots() {
@@ -456,21 +526,29 @@ impl DieHardHeap {
     }
 }
 
-impl Heap for DieHardHeap {
-    fn malloc(&mut self, size: usize, site: SiteHash) -> Result<Addr, HeapError> {
-        let loc = self.reserve_slot(size)?;
-        Ok(self.commit_slot(loc, size, site))
-    }
-
-    fn free(&mut self, ptr: Addr, site: SiteHash) -> FreeOutcome {
+impl DieHardHeap {
+    /// The heap's one `free`: releases the live object based at `ptr` and
+    /// returns the slot it resolved, so a wrapper with work left to do on
+    /// that slot (DieFast: neighbour checks, canary fill) continues from
+    /// the resolution this call already paid for instead of looking the
+    /// pointer up again. [`Heap::free`] is this call with the slot dropped.
+    ///
+    /// # Errors
+    ///
+    /// A pointer the heap never issued, or an interior pointer, is
+    /// [`FreeOutcome::InvalidFreeIgnored`]; a slot that is not live (free
+    /// or retired) is [`FreeOutcome::DoubleFreeIgnored`]. Nothing changes
+    /// in either case.
+    #[inline]
+    pub fn free_slot(&mut self, ptr: Addr, site: SiteHash) -> Result<SlotRef, FreeOutcome> {
         let Some(loc) = self.location_of(ptr) else {
-            return FreeOutcome::InvalidFreeIgnored;
+            return Err(FreeOutcome::InvalidFreeIgnored);
         };
         let clock = self.clock;
         let mh = &mut self.classes[loc.class()].miniheaps[loc.miniheap_index()];
         let meta = mh.meta_mut(loc.slot());
         match meta.state {
-            SlotState::Free | SlotState::Bad => FreeOutcome::DoubleFreeIgnored,
+            SlotState::Free | SlotState::Bad => Err(FreeOutcome::DoubleFreeIgnored),
             SlotState::Live => {
                 meta.state = SlotState::Free;
                 meta.free_site = site;
@@ -490,9 +568,23 @@ impl Heap for DieHardHeap {
                         },
                     );
                 }
-                FreeOutcome::Freed
+                Ok(loc)
             }
         }
+    }
+}
+
+impl Heap for DieHardHeap {
+    #[inline]
+    fn malloc(&mut self, size: usize, site: SiteHash) -> Result<Addr, HeapError> {
+        let reserved = self.reserve_slot(size)?;
+        Ok(self.commit_slot(reserved.loc, size, site))
+    }
+
+    #[inline]
+    fn free(&mut self, ptr: Addr, site: SiteHash) -> FreeOutcome {
+        self.free_slot(ptr, site)
+            .map_or_else(|ignored| ignored, |_| FreeOutcome::Freed)
     }
 
     fn arena(&self) -> &Arena {
@@ -507,6 +599,7 @@ impl Heap for DieHardHeap {
         self.clock
     }
 
+    #[inline]
     fn usable_size(&self, ptr: Addr) -> Option<usize> {
         let loc = self.location_of(ptr)?;
         self.meta(loc)
@@ -514,6 +607,7 @@ impl Heap for DieHardHeap {
             .then(|| class_object_size(loc.class()))
     }
 
+    #[inline]
     fn alloc_site_of(&self, ptr: Addr) -> Option<SiteHash> {
         let loc = self.location_of(ptr)?;
         let meta = self.meta(loc);
@@ -704,9 +798,8 @@ mod tests {
         h.free(p, free_site);
         // Reserve slots until we land on p's slot, then retire it.
         let target = h.location_of(p).unwrap();
-        let mut reserved;
         loop {
-            reserved = h.reserve_slot(16).unwrap();
+            let reserved = h.reserve_slot(16).unwrap().loc;
             if reserved == target {
                 h.retire_reserved(reserved);
                 break;
@@ -737,7 +830,8 @@ mod tests {
         // Simulate DieFast's replacement path: reserve another slot and
         // commit it under the same identity.
         let reserved = h.reserve_slot(40).unwrap();
-        let q = h.commit_slot_as(reserved, id, t, 40, SITE);
+        let q = h.commit_slot_as(reserved.loc, id, t, 40, SITE);
+        assert_eq!((q, reserved.size), (reserved.addr, 64));
         assert_ne!(q, p);
         assert_eq!(h.clock(), clock, "clock must not tick");
         let new_loc = h.location_of(q).unwrap();
@@ -757,15 +851,17 @@ mod tests {
         // Reserve until the old slot comes up again.
         loop {
             let r = h.reserve_slot(16).unwrap();
-            if r == target {
-                let meta = *h.meta(r);
+            if r.loc == target {
+                let meta = *h.meta(r.loc);
                 assert_eq!(meta.state, SlotState::Free);
                 assert_eq!(meta.free_site, fsite);
-                assert!(meta.canaried);
+                assert!(meta.canaried && r.canaried);
                 assert_eq!(meta.object_id, ObjectId::from_raw(1));
+                assert_eq!((r.addr, r.size), (p, 16));
                 break;
             }
-            h.commit_slot(r, 16, SITE);
+            assert!(!r.canaried, "only the freed slot was canaried");
+            h.commit_slot(r.loc, 16, SITE);
         }
     }
 

@@ -40,7 +40,9 @@ impl fmt::Display for MiniHeapId {
 pub struct MiniHeap {
     id: MiniHeapId,
     base: Addr,
-    object_size: usize,
+    /// log2 of the object size: slot ↔ address conversions are a shift and
+    /// a mask, never a divide.
+    size_shift: u32,
     bitmap: BitMap,
     meta: Vec<SlotMeta>,
     created_at: AllocTime,
@@ -48,6 +50,11 @@ pub struct MiniHeap {
 
 impl MiniHeap {
     /// Creates a miniheap whose region has already been mapped at `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `object_size` is a power of two (every size class is:
+    /// see [`class_object_size`](crate::class_object_size)).
     #[must_use]
     pub fn new(
         id: MiniHeapId,
@@ -56,10 +63,14 @@ impl MiniHeap {
         n_slots: usize,
         created_at: AllocTime,
     ) -> Self {
+        assert!(
+            object_size.is_power_of_two(),
+            "object size {object_size} is not a power of two"
+        );
         MiniHeap {
             id,
             base,
-            object_size,
+            size_shift: object_size.trailing_zeros(),
             bitmap: BitMap::new(n_slots),
             meta: vec![SlotMeta::default(); n_slots],
             created_at,
@@ -67,24 +78,28 @@ impl MiniHeap {
     }
 
     /// This miniheap's identity.
+    #[inline]
     #[must_use]
     pub fn id(&self) -> MiniHeapId {
         self.id
     }
 
     /// Base address of slot 0.
+    #[inline]
     #[must_use]
     pub fn base(&self) -> Addr {
         self.base
     }
 
     /// Size of every object slot, in bytes.
+    #[inline]
     #[must_use]
     pub fn object_size(&self) -> usize {
-        self.object_size
+        1 << self.size_shift
     }
 
     /// Number of slots.
+    #[inline]
     #[must_use]
     pub fn n_slots(&self) -> usize {
         self.bitmap.len()
@@ -92,12 +107,14 @@ impl MiniHeap {
 
     /// Allocation time at which this miniheap was created — `τ(M_j)` in the
     /// cumulative-isolation formula (§5.1).
+    #[inline]
     #[must_use]
     pub fn created_at(&self) -> AllocTime {
         self.created_at
     }
 
     /// Number of slots whose allocation bit is set (live + bad).
+    #[inline]
     #[must_use]
     pub fn used_slots(&self) -> usize {
         self.bitmap.count_ones()
@@ -108,50 +125,54 @@ impl MiniHeap {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[inline]
     #[must_use]
     pub fn slot_addr(&self, idx: usize) -> Addr {
         assert!(idx < self.n_slots(), "slot {idx} out of range");
-        self.base + (idx * self.object_size) as u64
+        self.base + ((idx as u64) << self.size_shift)
     }
 
     /// Maps an address to a slot index, requiring `addr` to be exactly a
     /// slot base — DieHard treats interior pointers as invalid frees.
+    #[inline]
     #[must_use]
     pub fn slot_of(&self, addr: Addr) -> Option<usize> {
         if addr < self.base {
             return None;
         }
         let off = addr - self.base;
-        let idx = (off / self.object_size as u64) as usize;
-        if idx >= self.n_slots() || !off.is_multiple_of(self.object_size as u64) {
-            return None;
-        }
-        Some(idx)
+        let idx = (off >> self.size_shift) as usize;
+        let exact = off & (self.object_size() as u64 - 1) == 0;
+        (exact && idx < self.n_slots()).then_some(idx)
     }
 
     /// Maps an address to the slot *containing* it (interior pointers ok).
+    #[inline]
     #[must_use]
     pub fn slot_containing(&self, addr: Addr) -> Option<usize> {
         if addr < self.base {
             return None;
         }
-        let idx = ((addr - self.base) / self.object_size as u64) as usize;
+        let idx = ((addr - self.base) >> self.size_shift) as usize;
         (idx < self.n_slots()).then_some(idx)
     }
 
     /// End address (exclusive) of the slot area.
+    #[inline]
     #[must_use]
     pub fn end(&self) -> Addr {
-        self.base + (self.n_slots() * self.object_size) as u64
+        self.base + ((self.n_slots() as u64) << self.size_shift)
     }
 
     /// The allocation bitmap.
+    #[inline]
     #[must_use]
     pub fn bitmap(&self) -> &BitMap {
         &self.bitmap
     }
 
     /// Mutable access to the allocation bitmap (used by the heap).
+    #[inline]
     pub(crate) fn bitmap_mut(&mut self) -> &mut BitMap {
         &mut self.bitmap
     }
@@ -161,12 +182,14 @@ impl MiniHeap {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[inline]
     #[must_use]
     pub fn meta(&self, idx: usize) -> &SlotMeta {
         &self.meta[idx]
     }
 
     /// Mutable metadata of slot `idx` (used by the heap and DieFast).
+    #[inline]
     pub(crate) fn meta_mut(&mut self, idx: usize) -> &mut SlotMeta {
         &mut self.meta[idx]
     }
@@ -220,5 +243,17 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn slot_addr_out_of_range_panics() {
         let _ = mh().slot_addr(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn non_power_of_two_object_size_is_rejected() {
+        let _ = MiniHeap::new(
+            MiniHeapId::new(1, 0),
+            Addr::new(0x10_000),
+            48,
+            8,
+            AllocTime::ZERO,
+        );
     }
 }

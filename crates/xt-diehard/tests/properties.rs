@@ -1,10 +1,88 @@
 //! Property tests for the DieHard allocator's invariants.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use xt_alloc::{FreeOutcome, Heap, Rng, SiteHash};
 use xt_arena::Addr;
-use xt_diehard::{class_object_size, size_class_of, DieHardConfig, DieHardHeap};
+use xt_diehard::{class_object_size, size_class_of, DieHardConfig, DieHardHeap, SlotRef};
+
+/// The address lookup's reference semantics, rebuilt from the heap's
+/// public miniheap list: a `BTreeMap` from base to extent, a range query
+/// for the last base at or below the address, and a divide for the slot.
+struct LookupModel {
+    /// base → (end, object size, class, miniheap ordinal).
+    extents: BTreeMap<u64, (u64, u64, usize, usize)>,
+}
+
+impl LookupModel {
+    fn of(heap: &DieHardHeap) -> Self {
+        let extents = heap
+            .miniheaps()
+            .map(|mh| {
+                let id = mh.id();
+                (
+                    mh.base().get(),
+                    (
+                        mh.end().get(),
+                        mh.object_size() as u64,
+                        id.class as usize,
+                        id.index as usize,
+                    ),
+                )
+            })
+            .collect();
+        LookupModel { extents }
+    }
+
+    /// `(class, miniheap, slot, offset within the slot)` of `addr`.
+    fn containing(&self, addr: u64) -> Option<(usize, usize, usize, u64)> {
+        let (&base, &(end, size, class, index)) = self.extents.range(..=addr).next_back()?;
+        (addr < end).then(|| {
+            (
+                class,
+                index,
+                ((addr - base) / size) as usize,
+                (addr - base) % size,
+            )
+        })
+    }
+
+    /// Addresses worth asking about: around every miniheap's first slot,
+    /// a middle slot, its end and the guard gap beyond it, plus a few
+    /// anywhere in the address space.
+    fn probes(&self, rng: &mut Rng) -> Vec<u64> {
+        let mut probes = vec![0, 1, u64::MAX / 2];
+        if let Some((&first, _)) = self.extents.iter().next() {
+            probes.extend([first - 1, first - 4096, first / 2]);
+        }
+        for (&base, &(end, size, _, _)) in &self.extents {
+            let slots = (end - base) / size;
+            let mid = base + rng.below(slots) * size;
+            probes.extend([
+                base,
+                base + 1,
+                base + size - 1,
+                base + size,
+                mid,
+                mid + 1 + rng.below(size - 1),
+                end - size,
+                end - 1,
+                end,
+                end + 1,
+                end + 4095,
+                end + 4096,
+            ]);
+        }
+        probes.extend((0..32).map(|_| rng.below(1 << 47)));
+        probes
+    }
+}
+
+fn as_tuple(loc: SlotRef) -> (usize, usize, usize) {
+    (loc.class(), loc.miniheap_index(), loc.slot())
+}
 
 /// A randomized malloc/free script.
 #[derive(Clone, Debug)]
@@ -122,6 +200,44 @@ proptest! {
             .filter(|_| a.malloc(16, site).unwrap() == b.malloc(16, site).unwrap())
             .count();
         prop_assert!(same < 4, "{same}/32 identical placements across seeds");
+    }
+
+    /// `location_of` / `location_containing` agree with the `BTreeMap`
+    /// model on every probe — below the first base, exact slot bases,
+    /// interior pointers, exactly at a miniheap's `end()`, inside the guard
+    /// gap after it, anywhere else — and keep agreeing as classes grow and
+    /// new miniheaps land between, below and above the old ones.
+    #[test]
+    fn address_lookup_matches_btreemap_model(
+        seed in 0u64..10_000,
+        growth in proptest::collection::vec((1usize..3000, 1usize..120), 2..7),
+    ) {
+        let mut heap = DieHardHeap::new(DieHardConfig::with_seed(seed));
+        let mut rng = Rng::new(seed ^ 0xA11C);
+        let site = SiteHash::from_raw(5);
+        let mut miniheaps = 0;
+        for (size, count) in growth {
+            for _ in 0..count {
+                heap.malloc(size, site).unwrap();
+            }
+            let model = LookupModel::of(&heap);
+            prop_assert!(model.extents.len() >= miniheaps, "miniheaps are never removed");
+            miniheaps = model.extents.len();
+            for addr in model.probes(&mut rng) {
+                let want = model.containing(addr);
+                prop_assert_eq!(
+                    heap.location_containing(Addr::new(addr)).map(as_tuple),
+                    want.map(|(class, index, slot, _)| (class, index, slot)),
+                    "location_containing({:#x})", addr
+                );
+                prop_assert_eq!(
+                    heap.location_of(Addr::new(addr)).map(as_tuple),
+                    want.filter(|w| w.3 == 0).map(|(class, index, slot, _)| (class, index, slot)),
+                    "location_of({:#x})", addr
+                );
+            }
+        }
+        prop_assert!(miniheaps >= 2, "script grew nothing");
     }
 
     /// Object ids equal the allocation ordinal regardless of script.

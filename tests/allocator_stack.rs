@@ -199,3 +199,274 @@ fn deferred_objects_survive_heavy_pressure() {
         assert_eq!(s.arena().read_u64(*p).unwrap(), *tag, "drag data lost");
     }
 }
+
+// ---------------------------------------------------------------------
+// Allocator-level determinism pin.
+//
+// Slot placement, the canary coin's draw order, signal order and the
+// correcting allocator's bookkeeping are observable behaviour: replicas
+// and replays only line up because the same seed and the same calls give
+// the same heap. Everything above the allocator pins that indirectly
+// (pool digests); this transcript pins it at the `Heap` boundary, so a
+// refactor of the malloc/free path that reorders one RNG draw fails here
+// with the stack's name instead of in a pool digest three layers up.
+//
+// The constants were captured by running this exact test against the
+// parent of the PR that introduced it (one resolution per free, fused
+// check-and-zero, TLB dirty flag); they are equal before and after it.
+// ---------------------------------------------------------------------
+
+/// What the transcript needs beyond [`Heap`] from each stack under test.
+trait Transcribed: Heap {
+    /// Error signals raised since the last call (none below DieFast).
+    fn drain_signals(&mut self) -> Vec<xt_diefast::ErrorSignal> {
+        Vec::new()
+    }
+
+    /// Folds the stack's end state: live-object count, then whatever the
+    /// layers above DieHard can report (stats, history, the heap image).
+    fn fold_end_state(&self, fold: &mut Fold);
+}
+
+/// A running FNV-1a 64 over little-endian words.
+struct Fold(u64);
+
+impl Fold {
+    fn word(&mut self, v: u64) {
+        self.0 = xt_arena::fnv1a_64(self.0, &v.to_le_bytes());
+    }
+
+    fn bytes(&mut self, v: &[u8]) {
+        self.word(v.len() as u64);
+        self.0 = xt_arena::fnv1a_64(self.0, v);
+    }
+}
+
+impl Transcribed for xt_diehard::DieHardHeap {
+    fn fold_end_state(&self, fold: &mut Fold) {
+        fold.word(self.live_objects() as u64);
+        fold.word(self.total_occupied() as u64);
+        fold.word(self.total_capacity() as u64);
+    }
+}
+
+impl Transcribed for DieFastHeap {
+    fn drain_signals(&mut self) -> Vec<xt_diefast::ErrorSignal> {
+        self.take_signals()
+    }
+
+    fn fold_end_state(&self, fold: &mut Fold) {
+        self.inner().fold_end_state(fold);
+        for rec in self.inner().history().into_iter().flat_map(|h| h.records()) {
+            fold.word(rec.id.raw());
+            fold.word((u64::from(rec.miniheap.class) << 32) | u64::from(rec.miniheap.index));
+            fold.word(u64::from(rec.slot));
+            match rec.free {
+                None => fold.word(0),
+                Some(free) => {
+                    fold.word(1 + u64::from(free.canaried));
+                    fold.word(u64::from(free.free_site.raw()));
+                    fold.word(free.free_time.raw());
+                }
+            }
+        }
+        let image = xt_image::HeapImage::try_capture(self).expect("well-formed heap");
+        fold.bytes(&image.to_bytes());
+    }
+}
+
+impl Transcribed for CorrectingHeap<DieFastHeap> {
+    fn drain_signals(&mut self) -> Vec<xt_diefast::ErrorSignal> {
+        self.inner_mut().take_signals()
+    }
+
+    fn fold_end_state(&self, fold: &mut Fold) {
+        let stats = self.stats();
+        for v in [
+            self.deferred_len() as u64,
+            stats.pads_applied,
+            stats.bytes_padded,
+            stats.peak_padded_bytes,
+            stats.frees_deferred,
+            stats.total_drag_bytes_ticks,
+            stats.peak_deferred_bytes,
+        ] {
+            fold.word(v);
+        }
+        self.inner().fold_end_state(fold);
+    }
+}
+
+const TRANSCRIPT_ALLOC_SITES: u32 = 48;
+const TRANSCRIPT_FREE_SITES: u32 = 8;
+
+fn transcript_alloc_site(i: u32) -> SiteHash {
+    SiteHash::from_raw(0xA000 + i)
+}
+
+fn transcript_free_site(i: u32) -> SiteHash {
+    SiteHash::from_raw(0xF000 + i)
+}
+
+/// 32 pads and 32 deferrals over the script's own sites, so a good share
+/// of its mallocs are padded and of its frees parked.
+fn transcript_patch_table() -> PatchTable {
+    let mut patches = PatchTable::new();
+    for i in 0..32 {
+        patches.add_pad(transcript_alloc_site(i), 1 + (i * 7) % 40);
+        patches.add_deferral(
+            SitePair::new(
+                transcript_alloc_site(16 + i),
+                transcript_free_site(i % TRANSCRIPT_FREE_SITES),
+            ),
+            1 + u64::from(i * 5 % 50),
+        );
+    }
+    assert_eq!(patches.len(), 64);
+    patches
+}
+
+/// Drives the fixed 5000-op churn script over `heap` and returns the fold
+/// of everything the heap said back.
+fn churn_transcript<H: Transcribed>(heap: &mut H) -> u64 {
+    let mut rng = xt_arena::Rng::new(0x7A5C_21B7);
+    let mut fold = Fold(xt_arena::FNV1A_64_BASIS);
+    let mut live: Vec<xt_arena::Addr> = Vec::new();
+    let mut freed: Vec<xt_arena::Addr> = Vec::new();
+    for _ in 0..5000 {
+        let roll = rng.below(1000);
+        if roll < 450 && !live.is_empty() {
+            // Plain free of a random live object; one in sixteen is then
+            // written through the stale pointer (a guaranteed canary
+            // mismatch wherever the slot was canaried), so retire-and-retry
+            // and the free-time neighbour check both run.
+            let ptr = live.swap_remove(rng.below_usize(live.len()));
+            let site = transcript_free_site(rng.below(u64::from(TRANSCRIPT_FREE_SITES)) as u32);
+            fold_outcome(&mut fold, heap.free(ptr, site));
+            if rng.below(16) == 0 {
+                let at = ptr + rng.below(16);
+                let byte = heap.arena().read_u8(at).expect("freed slot stays mapped");
+                heap.arena_mut().write_u8(at, !byte).expect("mapped");
+            }
+            freed.push(ptr);
+        } else if roll < 460 && !freed.is_empty() {
+            // Double free (the slot may have been reused since).
+            let ptr = freed[rng.below_usize(freed.len())];
+            let outcome = heap.free(ptr, transcript_free_site(0));
+            fold_outcome(&mut fold, outcome);
+            if outcome.accepted() {
+                live.retain(|&p| p != ptr);
+            }
+        } else if roll < 470 && !live.is_empty() {
+            // Interior pointer into a live object.
+            let ptr = live[rng.below_usize(live.len())];
+            fold_outcome(
+                &mut fold,
+                heap.free(ptr + 1 + rng.below(8), transcript_free_site(1)),
+            );
+        } else if roll < 480 {
+            // Wild pointer: anywhere in the 47-bit space.
+            let wild = xt_arena::Addr::new(rng.below(1 << 47));
+            if !live.contains(&wild) {
+                fold_outcome(&mut fold, heap.free(wild, transcript_free_site(2)));
+            }
+        } else {
+            let size = 1 + rng.below_usize(2000);
+            let site = transcript_alloc_site(rng.below(u64::from(TRANSCRIPT_ALLOC_SITES)) as u32);
+            match heap.malloc(size, site) {
+                Ok(ptr) => {
+                    fold.word(ptr.get());
+                    fold.word(heap.usable_size(ptr).expect("fresh object is live") as u64);
+                    // Fresh memory is part of the contract too (zero-fill
+                    // above DieFast, whatever was there below it).
+                    let first = heap.arena().read_u8(ptr).expect("mapped");
+                    fold.word(u64::from(first));
+                    heap.arena_mut()
+                        .fill(ptr, size, rng.next_u32() as u8)
+                        .expect("object memory is mapped");
+                    live.push(ptr);
+                }
+                Err(e) => panic!("churn script malloc failed: {e}"),
+            }
+        }
+        for s in heap.drain_signals() {
+            fold.word(match s.kind {
+                xt_diefast::SignalKind::CanaryCorruptedOnAlloc => 1,
+                xt_diefast::SignalKind::CanaryCorruptedOnFree => 2,
+            });
+            fold.word(s.addr.get());
+            fold.word(s.object_id.raw());
+            fold.word(s.clock.raw());
+        }
+    }
+    fold.word(heap.clock().raw());
+    heap.fold_end_state(&mut fold);
+    fold.0
+}
+
+fn fold_outcome(fold: &mut Fold, outcome: FreeOutcome) {
+    match outcome {
+        FreeOutcome::Freed => fold.word(1),
+        FreeOutcome::DoubleFreeIgnored => fold.word(2),
+        FreeOutcome::InvalidFreeIgnored => fold.word(3),
+        FreeOutcome::Deferred { until } => {
+            fold.word(4);
+            fold.word(until.raw());
+        }
+    }
+}
+
+#[test]
+fn allocator_transcripts_match_golden_constants() {
+    const SEED: u64 = 0x5EED_0017;
+    let transcripts = [
+        (
+            "DieHardHeap",
+            churn_transcript(&mut xt_diehard::DieHardHeap::new(
+                xt_diehard::DieHardConfig::with_seed(SEED),
+            )),
+        ),
+        (
+            "DieFastHeap p=1",
+            churn_transcript(&mut DieFastHeap::new(DieFastConfig::with_seed(SEED))),
+        ),
+        (
+            "DieFastHeap p=0.5 (cumulative: history on)",
+            churn_transcript(&mut DieFastHeap::new(DieFastConfig::cumulative_with_seed(
+                SEED,
+            ))),
+        ),
+        (
+            "CorrectingHeap<DieFastHeap>, empty table",
+            churn_transcript(&mut CorrectingHeap::new(
+                DieFastHeap::new(DieFastConfig::with_seed(SEED)),
+                PatchTable::new(),
+            )),
+        ),
+        (
+            "CorrectingHeap<DieFastHeap>, 64-entry pad+deferral table",
+            churn_transcript(&mut CorrectingHeap::new(
+                DieFastHeap::new(DieFastConfig::with_seed(SEED)),
+                transcript_patch_table(),
+            )),
+        ),
+    ];
+    let golden: [u64; 5] = [
+        0xaad8_2c14_fc01_b3eb,
+        0xef90_234f_4fa0_9d5c,
+        0xa409_a257_181f_9237,
+        0x6c61_0907_4bb0_051c,
+        0x9587_df6f_af2b_c114,
+    ];
+    let mismatches: Vec<String> = transcripts
+        .iter()
+        .zip(golden)
+        .filter(|((_, got), want)| got != want)
+        .map(|((name, got), want)| format!("{name}: got {got:#018x}, golden {want:#018x}"))
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "allocator transcripts moved:\n{}",
+        mismatches.join("\n")
+    );
+}
