@@ -12,8 +12,9 @@
 //! shape rather than trusting it:
 //!
 //! 1. **Fixed-size thread pool.** The process thread count after
-//!    accepting every connection equals the count right after bind —
-//!    zero threads per connection, at 1k (quick) and 10k (full) alike.
+//!    accepting every connection equals the count once the first job
+//!    has completed (every pool thread exists by then) — zero threads
+//!    per connection, at 1k (quick) and 10k (full) alike.
 //! 2. **Bounded memory.** Resident-set growth divided by the connection
 //!    count stays under a per-connection budget (buffered reader/writer
 //!    pairs on the client side dominate; the server's per-connection
@@ -149,10 +150,18 @@ fn main() {
     let server = NetFrontend::bind(SquidLike::new(), "127.0.0.1:0", net_config(conns + 8))
         .expect("bind localhost");
     let addr = server.local_addr();
-    // One round trip proves the loop, workers, and watcher are all up;
-    // the thread count is the fixed-pool baseline from here on.
+    // A health round trip proves the loop, workers, and watcher are up,
+    // but not the replicas: the front-end's pool driver spawns them on
+    // its own thread, after `bind` has returned. One *completed job*
+    // does — every replica ran it — so the thread count is the
+    // fixed-pool baseline only from here on. (Reading it earlier raced
+    // the driver and failed pin 1 by exactly the replica count.)
     let probe = NetClient::connect(addr).expect("connect probe");
     assert!(probe.pull_health().expect("health pull").healthy);
+    let warmup_input = WorkloadInput::with_seed(u64::MAX);
+    let warmup = probe.submit(&warmup_input, None).expect("submit warm-up");
+    let warmup_seq = warmup.job();
+    let warmup_digest = warmup.wait().expect("warm-up outcome").digest;
     let threads_baseline = proc_status("Threads").expect("/proc/self/status");
     let rss_baseline = proc_status("VmRSS").expect("/proc/self/status");
 
@@ -198,8 +207,10 @@ fn main() {
     );
 
     // Pin 3: determinism at full occupancy — concurrent submissions over
-    // 3 of the held connections, against the serial in-process replay.
-    let collected: Mutex<Vec<(u64, WorkloadInput, u128)>> = Mutex::new(Vec::new());
+    // 3 of the held connections, against the serial in-process replay
+    // (which starts, like the server's sequence, at the warm-up job).
+    let collected: Mutex<Vec<(u64, WorkloadInput, u128)>> =
+        Mutex::new(vec![(warmup_seq, warmup_input, warmup_digest)]);
     std::thread::scope(|scope| {
         for (c, client) in clients.iter().take(3).enumerate() {
             let collected = &collected;

@@ -10,7 +10,9 @@
 //! same injected dangling fault.
 
 use exterminator::iterative::{IterativeConfig, IterativeMode};
-use exterminator::runner::{execute, find_manifesting_fault, RunConfig};
+use exterminator::runner::{
+    execute, find_manifesting_fault, probe_failed, ReusableStack, RunConfig,
+};
 use xt_alloc::SitePair;
 use xt_faults::{FaultKind, FaultSpec, INJECTED_FREE_SITE};
 use xt_patch::PatchTable;
@@ -35,6 +37,7 @@ fn fixed_increment_policy(
 ) -> Option<usize> {
     let mut patches = PatchTable::new();
     let mut deferral = 0u64;
+    let mut stack = ReusableStack::new();
     for round in 1..=max_rounds {
         // Probe: do a few randomized runs fail?
         let mut failed = false;
@@ -43,7 +46,7 @@ fn fixed_increment_policy(
             config.fault = Some(fault);
             config.patches = patches.clone();
             config.halt_on_signal = true;
-            if execute(&EspressoLike::new(), input, config).failed() {
+            if probe_failed(&EspressoLike::new(), input, config, &mut stack) {
                 failed = true;
                 break;
             }

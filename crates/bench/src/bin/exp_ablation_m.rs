@@ -9,7 +9,7 @@
 //! at the cost of address-space footprint. The paper fixes `M = 2`
 //! throughout (§7.1); this sweep shows what that choice buys.
 
-use exterminator::runner::{execute, find_manifesting_fault, RunConfig};
+use exterminator::runner::{find_manifesting_fault, probe_failed, ReusableStack, RunConfig};
 use xt_alloc::Heap as _;
 use xt_diefast::DieFastConfig;
 use xt_diehard::DieHardConfig;
@@ -36,6 +36,7 @@ fn main() {
     println!("# Ablation: heap multiplier M (20B injected overflow, 24 runs each)\n");
     println!("| M | detection rate | theorem-2 per-image floor | heap footprint (clean run) |");
     println!("| --- | --- | --- | --- |");
+    let mut stack = ReusableStack::new();
     for m in [1.5, 2.0, 4.0, 8.0] {
         let mut detected = 0;
         let runs = 24;
@@ -45,7 +46,7 @@ fn main() {
                 DieFastConfig::with_seed(0).heap(DieHardConfig::with_seed(0).multiplier(m));
             config.fault = Some(fault);
             config.halt_on_signal = true;
-            if execute(&EspressoLike::new(), &input, config).failed() {
+            if probe_failed(&EspressoLike::new(), &input, config, &mut stack) {
                 detected += 1;
             }
         }

@@ -12,7 +12,7 @@
 //! contributing user's error.
 
 use exterminator::iterative::{IterativeConfig, IterativeMode};
-use exterminator::runner::{execute, find_manifesting_fault, RunConfig};
+use exterminator::runner::{find_manifesting_fault, probe_failed, ReusableStack, RunConfig};
 use xt_faults::{FaultKind, FaultSpec};
 use xt_patch::PatchTable;
 use xt_workloads::{EspressoLike, WorkloadInput};
@@ -73,6 +73,7 @@ fn main() {
 
     // The merged file protects every contributing user.
     let mut all_clean = true;
+    let mut stack = ReusableStack::new();
     for (i, (fault, _)) in user_patches.iter().enumerate() {
         let mut failures = 0;
         for seed in 0..3 {
@@ -80,7 +81,7 @@ fn main() {
             config.fault = Some(*fault);
             config.patches = merged.clone();
             config.halt_on_signal = true;
-            if execute(&EspressoLike::new(), &input, config).failed() {
+            if probe_failed(&EspressoLike::new(), &input, config, &mut stack) {
                 failures += 1;
             }
         }

@@ -9,7 +9,7 @@
 //! culprit, and "generates a pad of exactly 6 bytes, fixing the error."
 
 use exterminator::iterative::{IterativeConfig, IterativeMode};
-use exterminator::runner::{execute, RunConfig};
+use exterminator::runner::{probe_failed, ReusableStack, RunConfig};
 use xt_workloads::{overflow_requests, SquidLike, Workload as _, WorkloadInput};
 
 fn main() {
@@ -42,11 +42,12 @@ fn main() {
 
     // Verify across fresh randomization.
     let mut failures = 0;
+    let mut stack = ReusableStack::new();
     for seed in 0..5 {
         let mut config = RunConfig::with_seed(100 + seed);
         config.patches = outcome.patches.clone();
         config.halt_on_signal = true;
-        if execute(&SquidLike::new(), &input, config).failed() {
+        if probe_failed(&SquidLike::new(), &input, config, &mut stack) {
             failures += 1;
         }
     }

@@ -1,6 +1,6 @@
 //! The concurrent pool front-end: replicated execution as a *server*.
 //!
-//! A [`ReplicaPool`](crate::pool::ReplicaPool) is a single-caller object —
+//! A [`ReplicaPool`] is a single-caller object —
 //! every submission is broadcast synchronously from the owning thread, and
 //! outcomes are collected by the same thread in submission order. That is
 //! the right shape for one driver loop, but the paper deploys Exterminator

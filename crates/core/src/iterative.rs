@@ -11,6 +11,20 @@
 //! collect `k` independently randomized images at the same logical time →
 //! isolate → patch → verify, repeating while errors remain (each round
 //! isolates one error) up to a configured bound.
+//!
+//! **Who dumps a heap image.** The paper dumps on error, and so does this
+//! loop, over one [`ReusableStack`] kept for the whole call. A *discovery*
+//! run is asked [`ActiveRun::failed`](crate::runner::ActiveRun::failed)
+//! first and captured only when it did fail — its image is the round's
+//! first piece of evidence and its clock the malloc breakpoint. The clean
+//! discovery runs that end a repair (`discovery_attempts` of them, all
+//! passing) and the final *verification* run are probes
+//! ([`probe_failed`]): only their verdict is read, so no image is taken.
+//! *Replays* always capture: a replay exists to produce an image at the
+//! breakpoint, its own failed bit is never read ("ignore signals raised
+//! before it"), and isolation needs all `k` of them. Seeds are drawn in
+//! the same order whichever way a run ends, so outcomes are identical to
+//! capturing every run (`tests/repair_golden.rs` pins them).
 
 use xt_alloc::AllocTime;
 use xt_diefast::DieFastConfig;
@@ -21,7 +35,7 @@ use xt_isolate::IsolationReport;
 use xt_patch::PatchTable;
 use xt_workloads::{CrashKind, RunOutcome, Workload, WorkloadInput};
 
-use crate::runner::{execute, RunConfig};
+use crate::runner::{execute_reusable, probe_failed, ReusableStack, RunConfig};
 
 /// Configuration for iterative repair.
 #[derive(Clone, Debug)]
@@ -147,6 +161,7 @@ impl IterativeMode {
         input: &WorkloadInput,
         fault: Option<FaultSpec>,
     ) -> IterativeOutcome {
+        let mut stack = ReusableStack::new();
         let mut patches = PatchTable::new();
         let mut rounds = Vec::new();
         let mut images_used = 0;
@@ -155,16 +170,19 @@ impl IterativeMode {
         for _ in 0..self.config.max_rounds {
             // Discovery: re-run under fresh randomization until an error is
             // detected; several clean attempts mean the program is (now)
-            // clean with high probability (Theorem 2).
+            // clean with high probability (Theorem 2). Only a failing run
+            // is dumped.
             let mut detected = None;
             for _ in 0..self.config.discovery_attempts.max(1) {
                 let mut discover = self.run_config(patches.clone(), fault);
                 discover.halt_on_signal = true;
-                let rec = execute(workload, input, discover);
-                if rec.failed() {
-                    detected = Some(rec);
+                let mut run = stack.start(discover);
+                run.run(workload, input);
+                if run.failed() {
+                    detected = Some(run.finish());
                     break;
                 }
+                run.abandon();
             }
             let Some(rec) = detected else {
                 // Clean under current patches: repaired.
@@ -194,7 +212,7 @@ impl IterativeMode {
                 while images.len() < target {
                     let mut replay = self.run_config(patches.clone(), fault);
                     replay.breakpoint = Some(breakpoint);
-                    let rec = execute(workload, input, replay);
+                    let rec = execute_reusable(workload, input, replay, &mut stack);
                     images_used += 1;
                     images.push(rec.image);
                 }
@@ -236,11 +254,10 @@ impl IterativeMode {
             }
         }
 
-        // Final verification.
+        // Final verification: only the verdict is read.
         let verify = self.run_config(patches.clone(), fault);
-        let rec = execute(workload, input, verify);
         IterativeOutcome {
-            fixed: !rec.failed(),
+            fixed: !probe_failed(workload, input, verify, &mut stack),
             patches,
             rounds,
             images_used,
@@ -310,12 +327,15 @@ mod tests {
         let outcome = mode.repair(&EspressoLike::new(), &input, Some(fault));
         assert!(outcome.fixed);
         // Re-verify on 3 fresh seeds with the produced patches only.
+        let mut stack = ReusableStack::new();
         for seed in 900..903 {
             let mut config = RunConfig::with_seed(seed);
             config.patches = outcome.patches.clone();
             config.fault = Some(fault);
-            let rec = execute(&EspressoLike::new(), &input, config);
-            assert!(!rec.failed(), "patched run failed under seed {seed}");
+            assert!(
+                !probe_failed(&EspressoLike::new(), &input, config, &mut stack),
+                "patched run failed under seed {seed}"
+            );
         }
     }
 

@@ -1,5 +1,23 @@
 //! Shared run machinery: builds the allocator stack, executes one
-//! workload run, and captures everything the modes need afterwards.
+//! workload run, and captures what the modes need afterwards — on
+//! request.
+//!
+//! The paper dumps a heap image when it *detects an error* (§3.4), not
+//! after every run, so "did this run fail?" and "dump the heap" are two
+//! questions with two answers. After [`ActiveRun::run`] the heap is still
+//! standing and [`ActiveRun::failed`] already knows the verdict; the
+//! caller then either pays for the evidence ([`ActiveRun::finish`]:
+//! image, history, injection log → [`RunRecord`]) or walks away
+//! ([`ActiveRun::abandon`]). [`probe_failed`] is the walk-away path as one
+//! call.
+//!
+//! Who captures: [`execute`]/[`execute_reusable`] (every caller that reads
+//! the record), iterative mode's *failed* discovery runs and all of its
+//! replays, cumulative mode (it summarises every image), and — until the
+//! follow-up that reuses this seam — every [`pool`](crate::pool) run. Who
+//! probes: iterative mode's clean discovery and verification runs,
+//! [`find_manifesting_fault`], and the fleet simulator's
+//! `verified_corrected`.
 
 use xt_alloc::{AllocTime, Heap as _};
 use xt_correct::CorrectingHeap;
@@ -64,20 +82,24 @@ pub struct RunRecord {
     pub clock: AllocTime,
 }
 
+/// The one failure predicate behind [`RunRecord::failed`] (signals already
+/// drained into the record) and [`ActiveRun::failed`] (signals still
+/// pending in the heap).
+fn is_failure(signalled: bool, outcome: &RunOutcome) -> bool {
+    signalled
+        || match outcome {
+            RunOutcome::Completed | RunOutcome::Crashed(CrashKind::Breakpoint) => false,
+            RunOutcome::Crashed(_) => true,
+        }
+}
+
 impl RunRecord {
     /// Whether this run counts as a *failure* for the runtime: a DieFast
     /// signal, or any crash other than the malloc breakpoint (which is the
     /// runtime's own stop mechanism).
     #[must_use]
     pub fn failed(&self) -> bool {
-        if !self.signals.is_empty() {
-            return true;
-        }
-        match &self.result.outcome {
-            RunOutcome::Completed => false,
-            RunOutcome::Crashed(CrashKind::Breakpoint) => false,
-            RunOutcome::Crashed(_) => true,
-        }
+        is_failure(!self.signals.is_empty(), &self.result.outcome)
     }
 
     /// Whether the run was cut short by the malloc breakpoint.
@@ -98,9 +120,11 @@ impl RunRecord {
 /// startup per request.
 ///
 /// One-shot callers use [`execute`]; repeated callers keep one
-/// `ReusableStack` and call [`execute_reusable`] (or drive
-/// [`ReusableStack::start`] / [`ActiveRun::finish`] directly when they
-/// need to observe the run's output before the heap image is captured).
+/// `ReusableStack` and call [`execute_reusable`], or [`probe_failed`] when
+/// the verdict is all they read (or drive [`ReusableStack::start`] /
+/// [`ActiveRun::finish`] directly when they need to observe the run's
+/// output — or its [`ActiveRun::failed`] bit — before deciding whether
+/// the heap image is worth capturing).
 #[derive(Debug, Default)]
 pub struct ReusableStack {
     arena: Option<xt_arena::Arena>,
@@ -142,7 +166,9 @@ impl ReusableStack {
 /// One run in flight over a [`ReusableStack`]. After [`ActiveRun::run`]
 /// the heap is still standing: the replicated mode's streaming voter reads
 /// the output here, *before* [`ActiveRun::finish`] captures the heap image
-/// — so a vote verdict never waits on image capture.
+/// — so a vote verdict never waits on image capture — and the error path
+/// asks [`ActiveRun::failed`] here, so a clean run is
+/// [`abandon`](ActiveRun::abandon)ed without ever being dumped.
 #[derive(Debug)]
 pub struct ActiveRun<'a> {
     home: &'a mut ReusableStack,
@@ -156,6 +182,35 @@ impl ActiveRun<'_> {
     pub fn run(&mut self, workload: &dyn Workload, input: &WorkloadInput) -> &RunResult {
         let result = workload.run(&mut self.stack, input);
         self.result.insert(result)
+    }
+
+    /// Whether the completed run counts as a failure — exactly what
+    /// [`RunRecord::failed`] will say of the record [`ActiveRun::finish`]
+    /// returns (capture reads the heap, it raises no signal), answered
+    /// before any image exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`ActiveRun::run`].
+    #[must_use]
+    pub fn failed(&self) -> bool {
+        let result = self
+            .result
+            .as_ref()
+            .expect("failed() requires a completed run()");
+        let diefast = self.stack.inner().inner();
+        is_failure(diefast.has_signals(), &result.outcome)
+    }
+
+    /// Tears the stack down and recycles the arena back into the owning
+    /// [`ReusableStack`] *without* capturing anything: the run's image,
+    /// history and signals are dropped. The stack's incremental-capture
+    /// base goes with them — it described a heap two runs back — so the
+    /// next [`ActiveRun::finish`] on this stack is a full capture.
+    pub fn abandon(self) {
+        self.home.base_image = None;
+        let diefast = self.stack.into_inner().into_inner();
+        self.home.arena = Some(diefast.into_inner().into_arena());
     }
 
     /// Captures the heap image, tears the stack down, and recycles the
@@ -214,6 +269,25 @@ pub fn execute_reusable(
     active.finish()
 }
 
+/// Runs `config` over `stack`'s recycled address space and returns only
+/// whether the run failed — [`execute_reusable`]`(..).failed()` without
+/// the heap image, history and injection log nobody was going to read.
+/// Detection-only callers (fault screening, verification runs, clean
+/// re-discovery) use this; anything that isolates needs the record.
+#[must_use]
+pub fn probe_failed(
+    workload: &dyn Workload,
+    input: &WorkloadInput,
+    config: RunConfig,
+    stack: &mut ReusableStack,
+) -> bool {
+    let mut active = stack.start(config);
+    active.run(workload, input);
+    let failed = active.failed();
+    active.abandon();
+    failed
+}
+
 /// Reproduces the paper's fault-selection methodology (§7.2): "we run the
 /// injector using a random seed until it triggers an error or divergent
 /// output. We next use this seed to deterministically trigger a single
@@ -238,6 +312,7 @@ pub fn find_manifesting_fault(
     selection_seed: u64,
 ) -> Option<FaultSpec> {
     let mut rng = xt_arena::Rng::new(selection_seed ^ 0xF1AD_5EED);
+    let mut stack = ReusableStack::new();
     for attempt in 0..attempts {
         let spec = FaultSpec {
             kind,
@@ -248,8 +323,7 @@ pub fn find_manifesting_fault(
                 RunConfig::with_seed(selection_seed ^ (attempt as u64 * 131 + probe as u64 + 1));
             config.fault = Some(spec);
             config.halt_on_signal = true;
-            let rec = execute(workload, input, config);
-            if rec.failed() {
+            if probe_failed(workload, input, config, &mut stack) {
                 return Some(spec);
             }
         }
@@ -327,36 +401,145 @@ mod tests {
 
     /// The no-leak pin for pooled reuse: a run over a recycled arena (with
     /// arbitrary prior state) is observationally identical to the same run
-    /// over a fresh stack — result, signals, image, history, clock.
+    /// over a fresh stack — result, signals, image, history, clock —
+    /// whether the prior runs were captured ([`ActiveRun::finish`]) or
+    /// walked away from ([`ActiveRun::abandon`], clean and faulty).
     #[test]
     fn reused_stack_runs_are_identical_to_fresh_runs() {
         let input = WorkloadInput::with_seed(11).intensity(2);
+        let overflow_at = |trigger| FaultSpec {
+            kind: FaultKind::BufferOverflow {
+                delta: 20,
+                fill: 0xEE,
+            },
+            trigger: AllocTime::from_raw(trigger),
+        };
         let config = || {
             let mut c = RunConfig::with_seed(31337);
             c.diefast = DieFastConfig::cumulative_with_seed(31337);
-            c.fault = Some(FaultSpec {
-                kind: FaultKind::BufferOverflow {
-                    delta: 20,
-                    fill: 0xEE,
-                },
-                trigger: AllocTime::from_raw(140),
-            });
+            c.fault = Some(overflow_at(140));
             c
         };
         let fresh = execute(&EspressoLike::new(), &input, config());
-        let mut stack = ReusableStack::new();
-        // Pollute the stack with two unrelated prior runs (different seed,
-        // different workload input, no fault) before the run under test.
-        for prior in 0..2 {
-            let _ = execute_reusable(
-                &EspressoLike::new(),
-                &WorkloadInput::with_seed(90 + prior),
-                RunConfig::with_seed(777 + prior),
-                &mut stack,
+        // An unrelated prior run: different seed and workload input, clean
+        // or (odd `prior`) with a fault that leaves signals pending and a
+        // corrupted heap behind.
+        let prior_config = |prior: u64| {
+            let mut c = RunConfig::with_seed(777 + prior);
+            c.fault = (prior % 2 == 1).then(|| overflow_at(120 + prior));
+            c
+        };
+        for abandoned in [0, 1, 2, 4] {
+            let mut stack = ReusableStack::new();
+            // Two captured runs first, so there is a `base_image` and dirty
+            // state for the abandoned runs to leak.
+            for prior in 0..2 {
+                let _ = execute_reusable(
+                    &EspressoLike::new(),
+                    &WorkloadInput::with_seed(90 + prior),
+                    prior_config(prior),
+                    &mut stack,
+                );
+            }
+            assert!(stack.base_image.is_some());
+            let mut abandoned_failures = 0;
+            for prior in 2..2 + abandoned {
+                let mut active = stack.start(prior_config(prior));
+                active.run(&EspressoLike::new(), &WorkloadInput::with_seed(90 + prior));
+                abandoned_failures += usize::from(active.failed());
+                active.abandon();
+                assert!(
+                    stack.base_image.is_none(),
+                    "abandon kept an incremental base describing an older heap"
+                );
+                assert!(stack.arena.is_some(), "abandon lost the recycled arena");
+            }
+            assert!(
+                abandoned < 2 || abandoned_failures > 0,
+                "no abandoned prior run was faulty: the test lost its teeth"
+            );
+            let reused = execute_reusable(&EspressoLike::new(), &input, config(), &mut stack);
+            assert_eq!(
+                fresh, reused,
+                "recycled arena leaked state into the run after {abandoned} abandoned run(s)"
             );
         }
-        let reused = execute_reusable(&EspressoLike::new(), &input, config(), &mut stack);
-        assert_eq!(fresh, reused, "recycled arena leaked state into the run");
+    }
+
+    /// `ActiveRun::failed` — asked before any image exists — equals
+    /// `RunRecord::failed` of the record `finish` then returns, over faults
+    /// × `halt_on_signal` × `breakpoint` × seeds, and [`probe_failed`]
+    /// agrees with both on a fresh stack. The grid must reach every way a
+    /// verdict is made: signals alone (run completed, or halted at the
+    /// runtime's own breakpoint crash), a real crash with no signal, and
+    /// clean runs with and without a breakpoint stop.
+    #[test]
+    fn failed_before_capture_equals_failed_after() {
+        let input = WorkloadInput::with_seed(6).intensity(3);
+        let overflow = |delta| FaultKind::BufferOverflow { delta, fill: 0xEE };
+        let mut faults = vec![None];
+        for kind in [
+            overflow(4),
+            overflow(20),
+            overflow(36),
+            FaultKind::DanglingFree { lag: 12 },
+            FaultKind::DanglingFree { lag: 3 },
+        ] {
+            for trigger in [102, 124, 185, 205] {
+                faults.push(Some(FaultSpec {
+                    kind,
+                    trigger: AllocTime::from_raw(trigger),
+                }));
+            }
+        }
+        let (mut by_signal_only, mut by_crash_only, mut clean, mut stopped_clean) = (0, 0, 0, 0);
+        let mut stack = ReusableStack::new();
+        for &fault in &faults {
+            for halt_on_signal in [false, true] {
+                for breakpoint in [None, Some(60), Some(150), Some(400)] {
+                    for seed in 0..3 {
+                        let config = || {
+                            let mut c = RunConfig::with_seed(5000 + seed);
+                            c.fault = fault;
+                            c.halt_on_signal = halt_on_signal;
+                            c.breakpoint = breakpoint.map(AllocTime::from_raw);
+                            c
+                        };
+                        let mut active = stack.start(config());
+                        active.run(&EspressoLike::new(), &input);
+                        let before = active.failed();
+                        let rec = active.finish();
+                        let case = format!(
+                            "{fault:?} halt={halt_on_signal} breakpoint={breakpoint:?} seed={seed}"
+                        );
+                        assert_eq!(before, rec.failed(), "verdict moved across capture: {case}");
+                        assert_eq!(
+                            before,
+                            probe_failed(
+                                &EspressoLike::new(),
+                                &input,
+                                config(),
+                                &mut ReusableStack::new()
+                            ),
+                            "probe disagrees with the captured run: {case}"
+                        );
+                        let crashed = !rec.result.completed() && !rec.hit_breakpoint();
+                        match (rec.signals.is_empty(), crashed) {
+                            (false, false) => by_signal_only += 1,
+                            (true, true) => by_crash_only += 1,
+                            (true, false) if rec.hit_breakpoint() => stopped_clean += 1,
+                            (true, false) => clean += 1,
+                            (false, true) => {}
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            by_signal_only > 0 && by_crash_only > 0 && clean > 0 && stopped_clean > 0,
+            "grid misses a verdict path: signal-only {by_signal_only}, crash-only \
+             {by_crash_only}, clean {clean}, clean at breakpoint {stopped_clean}"
+        );
     }
 
     #[test]

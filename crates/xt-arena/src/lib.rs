@@ -4,7 +4,7 @@
 //! The paper instruments the real process heap of C programs. Reproducing
 //! that directly in Rust would make every injected memory error undefined
 //! behaviour, so this crate provides the substitute substrate described in
-//! `DESIGN.md`: a 47-bit *simulated* address space ([`Arena`]) made of
+//! `ROADMAP.md` ("Current architecture"): a 47-bit *simulated* address space ([`Arena`]) made of
 //! sparsely mapped pages. Heap pointers are [`Addr`] values (plain offsets),
 //! and all loads/stores are bounds-checked: an access to unmapped memory
 //! returns a [`MemFault`], which the runtime treats exactly like a SIGSEGV.

@@ -348,33 +348,7 @@ impl DieHardHeap {
     pub fn commit_slot(&mut self, loc: SlotRef, size: usize, site: SiteHash) -> Addr {
         self.clock = self.clock.next();
         let id = ObjectId::from(self.clock);
-        self.finish_commit(loc, id, self.clock, size, site)
-    }
-
-    /// Commits a reserved slot as a *replacement* for a previously reserved
-    /// slot that was retired: the object keeps `id`, `alloc_time`, and
-    /// `site`, and the clock does **not** tick, so object ids keep matching
-    /// across replicas and replays (§3.2).
-    pub fn commit_slot_as(
-        &mut self,
-        loc: SlotRef,
-        id: ObjectId,
-        alloc_time: AllocTime,
-        size: usize,
-        site: SiteHash,
-    ) -> Addr {
-        self.finish_commit(loc, id, alloc_time, size, site)
-    }
-
-    #[inline]
-    fn finish_commit(
-        &mut self,
-        loc: SlotRef,
-        id: ObjectId,
-        alloc_time: AllocTime,
-        size: usize,
-        site: SiteHash,
-    ) -> Addr {
+        let alloc_time = self.clock;
         let mh = &mut self.classes[loc.class()].miniheaps[loc.miniheap_index()];
         let addr = mh.slot_addr(loc.slot());
         let meta = mh.meta_mut(loc.slot());
@@ -817,27 +791,6 @@ mod tests {
             assert_ne!(q, p, "bad slot was reused");
         }
         assert_eq!(h.free(p, SITE), FreeOutcome::DoubleFreeIgnored);
-    }
-
-    #[test]
-    fn commit_slot_as_preserves_identity_without_clock_tick() {
-        let mut h = heap(14);
-        let p = h.malloc(40, SITE).unwrap();
-        let loc = h.location_of(p).unwrap();
-        let id = h.meta(loc).object_id;
-        let t = h.meta(loc).alloc_time;
-        let clock = h.clock();
-        // Simulate DieFast's replacement path: reserve another slot and
-        // commit it under the same identity.
-        let reserved = h.reserve_slot(40).unwrap();
-        let q = h.commit_slot_as(reserved.loc, id, t, 40, SITE);
-        assert_eq!((q, reserved.size), (reserved.addr, 64));
-        assert_ne!(q, p);
-        assert_eq!(h.clock(), clock, "clock must not tick");
-        let new_loc = h.location_of(q).unwrap();
-        assert_eq!(h.meta(new_loc).object_id, id);
-        assert_eq!(h.meta(new_loc).requested, 40);
-        assert_eq!(h.live_objects(), 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! shards, evidence, epochs — is [`FleetService`]. The *runtime* half is a
 //! replicated executor that notices something went wrong long before any
 //! classifier could: a vote divergence or replica failure on a single
-//! input ([`PoolFrontend`](exterminator::frontend::PoolFrontend)). This
+//! input ([`PoolFrontend`]). This
 //! module closes the loop between them inside one process:
 //!
 //! 1. The front-end observes a failure (`outcome.error_observed()`).

@@ -4,7 +4,7 @@
 //!
 //! * **Ingestion** — a decoded [`RunReport`] is split by allocation site
 //!   and folded into `N` shards, each a
-//!   [`EvidenceTable`](xt_isolate::evidence::EvidenceTable) behind its own
+//!   [`EvidenceTable`] behind its own
 //!   mutex. Sites are assigned to shards by Fibonacci hash, so two
 //!   concurrent reports contend only when they carry evidence for sites
 //!   that map to the same shard — ingestion throughput scales with cores
@@ -19,13 +19,13 @@
 //!   under the global prior, joins the flagged patches into the previous
 //!   epoch's table (the patch lattice of `xt-patch` makes this a
 //!   convergent, monotone state), and installs a new
-//!   [`PatchEpoch`](xt_patch::PatchEpoch) snapshot. Clients poll
+//!   [`PatchEpoch`] snapshot. Clients poll
 //!   [`FleetService::latest`], which hands out the current `Arc` snapshot
 //!   without touching any shard lock — readers never block ingestion.
 //! * **Delivery dedup** — reports are identified by `(client, seq)`;
 //!   redelivery (at-least-once transports, client retries) is dropped, so
 //!   ingestion is idempotent at the service level. Dedup state is a
-//!   per-client [`ReplayWindow`](crate::delivery::ReplayWindow) — a
+//!   per-client [`ReplayWindow`] — a
 //!   high-water mark plus a 128-bit out-of-order window — so memory is
 //!   O(clients), not O(reports ever ingested). The property tests in
 //!   `tests/properties.rs` verify order-insensitivity and idempotence

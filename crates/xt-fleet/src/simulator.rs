@@ -9,7 +9,7 @@
 //!
 //! [`FleetSimulator`] reproduces that loop. It spawns one scoped thread
 //! per simulated client; each client is a *persistent executor* — it owns
-//! one [`ReusableStack`](exterminator::runner::ReusableStack) whose
+//! one [`ReusableStack`] whose
 //! simulated address space is reset (not rebuilt) between rounds, exactly
 //! like the replica workers of [`exterminator::pool`] — and repeatedly
 //!
@@ -35,7 +35,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use exterminator::cumulative::{CumulativeMode, CumulativeModeConfig};
-use exterminator::runner::{execute, find_manifesting_fault, ReusableStack, RunConfig};
+use exterminator::runner::{
+    execute, find_manifesting_fault, probe_failed, ReusableStack, RunConfig,
+};
 use exterminator::summarized_run_reusable;
 use xt_alloc::ObjectId;
 use xt_diefast::DieFastConfig;
@@ -285,6 +287,7 @@ impl<'a, W: Workload + Sync> FleetSimulator<'a, W> {
 
 /// Independent verification runs (§6.3): `patches` corrects `fault` if
 /// `probes` fresh-seeded executions of the faulty workload all complete.
+/// Only each run's verdict is read, so no heap image is captured.
 #[must_use]
 pub fn verified_corrected(
     workload: &dyn Workload,
@@ -294,12 +297,13 @@ pub fn verified_corrected(
     probes: usize,
     base_seed: u64,
 ) -> bool {
+    let mut stack = ReusableStack::new();
     (0..probes as u64).all(|probe| {
         let mut config = RunConfig::with_seed(base_seed ^ (0xC0DE + probe * 97));
         config.fault = Some(fault);
         config.patches = patches.clone();
         config.halt_on_signal = true;
-        !execute(workload, input, config).failed()
+        !probe_failed(workload, input, config, &mut stack)
     })
 }
 

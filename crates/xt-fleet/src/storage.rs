@@ -124,9 +124,9 @@ impl<S: Storage + ?Sized> Storage for Box<S> {
 
 /// In-memory storage: a mutex-guarded object map behind an `Arc`, so a
 /// clone is a second handle onto the *same* disk — which is exactly what
-/// a crash test needs: the "process" (a [`DurableFleet`]
-/// (crate::wal::DurableFleet)) dies, the "disk" (this map) survives, and
-/// recovery reopens it.
+/// a crash test needs: the "process" (a
+/// [`DurableFleet`](crate::wal::DurableFleet)) dies, the "disk" (this
+/// map) survives, and recovery reopens it.
 #[derive(Clone, Debug, Default)]
 pub struct MemStorage {
     objects: Arc<Mutex<HashMap<String, Vec<u8>>>>,

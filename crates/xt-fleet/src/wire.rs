@@ -3,7 +3,7 @@
 //! Cumulative mode's whole deployment argument (§5, §6.4) is that a run
 //! reduces to "a few kilobytes per execution, compared to tens or hundreds
 //! of megabytes for each heap image". [`RunReport`] is that reduction on
-//! the wire: a [`RunSummary`](xt_isolate::cumulative::RunSummary) plus the
+//! the wire: a [`RunSummary`] plus the
 //! client identity and sequence number the service needs for at-least-once
 //! delivery dedup.
 //!
@@ -11,7 +11,7 @@
 //! identity, four counted arrays). No self-describing framing — both ends
 //! are this crate, and `xt-net` wraps reports in a [`frame`](crate::frame)
 //! when they cross a socket — but decode validates everything through the
-//! shared offset-tracking [`Reader`](crate::frame::Reader): magic,
+//! shared offset-tracking [`Reader`]: magic,
 //! version, boolean bytes, array bounds, the site-population claim, and
 //! trailing garbage all fail loudly with a [`WireError`] naming the
 //! offset.

@@ -3,18 +3,19 @@
 //!
 //! The paper's deployment story (§5, §6.4) is distributed: many machines
 //! run patched replicas and exchange a-few-kilobytes reports with an
-//! aggregator. PR 4's [`PoolFrontend`](exterminator::frontend::
-//! PoolFrontend) built the server side of that picture *in-process*;
-//! this crate puts a real socket in front of it. Three message families
-//! share one framed TCP connection (module [`proto`]):
+//! aggregator. PR 4's
+//! [`PoolFrontend`](exterminator::frontend::PoolFrontend) built the
+//! server side of that picture *in-process*; this crate puts a real
+//! socket in front of it. Three message families share one framed TCP
+//! connection (module [`proto`]):
 //!
-//! 1. **Job submission** — a [`WorkloadInput`](xt_workloads::
-//!    WorkloadInput) (plus optional fault, for attack traffic in demos
-//!    and tests) goes in; the front-end's global sequence number comes
-//!    back. That number, not the connection or the read interleaving,
-//!    seeds the replicas — so remote outcomes are byte-identical to the
-//!    same inputs submitted in-process serially, pinned by digest in
-//!    `tests/net.rs`.
+//! 1. **Job submission** — a
+//!    [`WorkloadInput`](xt_workloads::WorkloadInput) (plus optional
+//!    fault, for attack traffic in demos and tests) goes in; the
+//!    front-end's global sequence number comes back. That number, not
+//!    the connection or the read interleaving, seeds the replicas — so
+//!    remote outcomes are byte-identical to the same inputs submitted
+//!    in-process serially, pinned by digest in `tests/net.rs`.
 //! 2. **Streaming results** — the server pushes the quorum verdict the
 //!    moment the streaming voter declares (stragglers still running),
 //!    then the finalized outcome. [`NetClient`] exposes both through the

@@ -20,12 +20,12 @@
 //!   accept path stops pulling from the kernel backlog at
 //!   `max_connections` (the listener is deregistered until a slot
 //!   frees — the event-loop analogue of the old blocking accept
-//!   budget). Per connection, at most [`MAX_CONN_INFLIGHT`] worker
-//!   jobs run concurrently and at most [`WRITE_QUEUE_SOFT`] reply
+//!   budget). Per connection, at most `MAX_CONN_INFLIGHT` worker
+//!   jobs run concurrently and at most `WRITE_QUEUE_SOFT` reply
 //!   bytes may be queued before the server simply *stops reading* that
 //!   connection — TCP backpressure does the rest, exactly the
 //!   burst-degrades-to-waiting discipline of the front-end's bounded
-//!   queues. An epoch push to a client more than [`WRITE_QUEUE_HARD`]
+//!   queues. An epoch push to a client more than `WRITE_QUEUE_HARD`
 //!   behind is dropped (counted in `net/pushes_dropped`) and *owed*:
 //!   once that client's queue drains it is sent the newest epoch —
 //!   one flag, not a backlog, because only the newest epoch matters.

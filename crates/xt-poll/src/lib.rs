@@ -17,9 +17,10 @@
 //!   behind re-arms by itself.
 //! - **fallback backend** (every other platform; on Linux only via
 //!   [`Poller::new_fallback`]): keeps the registration table in a
-//!   [`BTreeMap`] and, on [`Poller::wait`], parks on a condvar for a
-//!   small slice of the timeout before reporting **every registered
-//!   fd** as ready in fd order. That is a deliberate level-triggered
+//!   [`BTreeMap`](std::collections::BTreeMap) and, on
+//!   [`Poller::wait`], parks on a condvar for a small slice of the
+//!   timeout before reporting **every registered fd** as ready in fd
+//!   order. That is a deliberate level-triggered
 //!   over-approximation: correctness rests on the caller's sockets
 //!   being non-blocking (a spurious readable just yields
 //!   `WouldBlock`), and the slice bounds the wakeup rate so the

@@ -5,7 +5,7 @@
 //! allocation-intensive suite (espresso, cfrac, ...), the Squid web cache,
 //! and Mozilla. None of those C programs can run over the simulated
 //! address space, so this crate provides *behavioural stand-ins* (see
-//! `DESIGN.md`): each workload
+//! `ROADMAP.md`, "Current architecture"): each workload
 //!
 //! * allocates and frees with a realistic profile (sizes, lifetimes,
 //!   allocation intensity) through any [`Heap`];

@@ -14,7 +14,7 @@
 //! clean.
 
 use exterminator::iterative::{IterativeConfig, IterativeMode};
-use exterminator::runner::{execute, find_manifesting_fault, RunConfig};
+use exterminator::runner::{find_manifesting_fault, probe_failed, ReusableStack, RunConfig};
 use xt_faults::FaultKind;
 use xt_workloads::{EspressoLike, WorkloadInput};
 
@@ -46,11 +46,12 @@ fn main() {
     // Step 2: demonstrate the symptom. Without patches, randomized runs
     // fail (DieFast signal or crash) with high probability.
     let mut unpatched_failures = 0;
+    let mut stack = ReusableStack::new();
     for seed in 0..5 {
         let mut config = RunConfig::with_seed(seed);
         config.fault = Some(fault);
         config.halt_on_signal = true;
-        if execute(&workload, &input, config).failed() {
+        if probe_failed(&workload, &input, config, &mut stack) {
             unpatched_failures += 1;
         }
     }
@@ -82,7 +83,7 @@ fn main() {
         config.fault = Some(fault);
         config.patches = outcome.patches.clone();
         config.halt_on_signal = true;
-        if execute(&workload, &input, config).failed() {
+        if probe_failed(&workload, &input, config, &mut stack) {
             patched_failures += 1;
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! The implementation lives in the `crates/` workspace members; this package
 //! hosts the runnable examples (`examples/`) and the cross-crate integration
-//! tests (`tests/`). See `README.md` for a tour and `DESIGN.md` for the
-//! system inventory.
+//! tests (`tests/`). See `ROADMAP.md`'s "Current architecture" section
+//! for a tour of the stack and the system inventory.
 
 pub use exterminator;
 pub use xt_alloc;
