@@ -388,7 +388,10 @@ fn capture_incremental(c: &mut Criterion) {
                 b.iter(|| {
                     round += 1;
                     touch(&mut heap, &objects, round);
-                    std::hint::black_box(HeapImage::capture(&heap))
+                    std::hint::black_box(
+                        HeapImage::try_capture(&heap)
+                            .expect("the allocator mapped every miniheap this heap records"),
+                    )
                 });
             },
         );
@@ -396,9 +399,10 @@ fn capture_incremental(c: &mut Criterion) {
     {
         let (mut heap, objects) = build();
         let mut round = 0u64;
-        // Rolling base, exactly how a pool replica uses it: each capture
-        // becomes the baseline the next one diffs against.
-        let mut base = HeapImage::capture(&heap);
+        // Rolling base: each capture becomes the baseline the next one
+        // diffs against.
+        let mut base = HeapImage::try_capture(&heap)
+            .expect("the allocator mapped every miniheap this heap records");
         group.bench_with_input(
             BenchmarkId::new("incremental_capture", "incremental"),
             &(),
@@ -406,7 +410,8 @@ fn capture_incremental(c: &mut Criterion) {
                 b.iter(|| {
                     round += 1;
                     touch(&mut heap, &objects, round);
-                    base = HeapImage::capture_incremental(&base, &heap);
+                    base = HeapImage::try_capture_incremental(&base, &heap)
+                        .expect("the allocator mapped every miniheap this heap records");
                     std::hint::black_box(base.slots().count())
                 });
             },

@@ -39,10 +39,19 @@ fn isolation(c: &mut Criterion) {
     let mut group = c.benchmark_group("isolation");
     for steps in [200usize, 800] {
         let heaps: Vec<DieFastHeap> = (0..3).map(|i| scripted_heap(i, steps)).collect();
-        let images: Vec<HeapImage> = heaps.iter().map(HeapImage::capture).collect();
+        let images: Vec<HeapImage> = heaps
+            .iter()
+            .map(|h| {
+                HeapImage::try_capture(h)
+                    .expect("the allocator mapped every miniheap this heap records")
+            })
+            .collect();
 
         group.bench_with_input(BenchmarkId::new("capture", steps), &steps, |b, _| {
-            b.iter(|| HeapImage::capture(&heaps[0]));
+            b.iter(|| {
+                HeapImage::try_capture(&heaps[0])
+                    .expect("the allocator mapped every miniheap this heap records")
+            });
         });
         group.bench_with_input(BenchmarkId::new("encode", steps), &steps, |b, _| {
             b.iter(|| images[0].to_bytes());

@@ -45,7 +45,8 @@ fn measure_missed_overflow(k: u32, trials: usize) -> f64 {
             let mut h = h;
             let target = culprit + 16;
             let _ = h.arena_mut().write_bytes(target, &[0xE7; 8]);
-            let image = HeapImage::capture(&h);
+            let image = HeapImage::try_capture(&h)
+                .expect("the allocator mapped every miniheap this heap records");
             if !image.scan_canary_corruptions().is_empty() {
                 undetected_everywhere = false;
                 break;
@@ -70,7 +71,8 @@ fn measure_spurious_culprits(k: u32, trials: usize) -> f64 {
         let victim_id = 40u64; // the 40th allocation is the victim
         for i in 0..k {
             let (h, _) = churned(t as u64 * 131 + u64::from(i) * 7 + 1, 60);
-            let image = HeapImage::capture(&h);
+            let image = HeapImage::try_capture(&h)
+                .expect("the allocator mapped every miniheap this heap records");
             let Some(victim) = image.find_object(xt_alloc::ObjectId::from_raw(victim_id)) else {
                 sets.clear();
                 break;
@@ -112,7 +114,8 @@ fn measure_identical_overflow(k: u32, trials: usize) -> f64 {
         let mut all_same = true;
         for i in 0..k {
             let (h, _) = churned(t as u64 * 17 + u64::from(i) * 3 + 5, 60);
-            let image = HeapImage::capture(&h);
+            let image = HeapImage::try_capture(&h)
+                .expect("the allocator mapped every miniheap this heap records");
             let Some(culprit) = image.find_object(xt_alloc::ObjectId::from_raw(30)) else {
                 all_same = false;
                 break;

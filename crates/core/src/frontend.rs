@@ -79,9 +79,10 @@ pub struct FrontendConfig {
     /// How many jobs a driver keeps in flight inside its pool at once —
     /// the pipelining depth downstream of the queue. Deep enough that the
     /// replica workers never starve while the driver finalizes the front
-    /// job (a shallow pipeline measurably costs throughput: finalization
-    /// includes image capture, and workers idle once they drain what was
-    /// broadcast); shallow enough to bound the work lost on shutdown.
+    /// job (a shallow pipeline measurably costs throughput: workers idle
+    /// once they drain what was broadcast, and finalizing a failed job
+    /// replays and isolates it); shallow enough to bound the work lost on
+    /// shutdown.
     pub max_inflight: usize,
     /// Fan patches isolated by one pool's failures out to the sibling
     /// pools (via the shared table every driver syncs before submitting).
@@ -310,8 +311,9 @@ struct Shared {
     /// `frontend/verdict` (dispatch → streaming quorum posted),
     /// `frontend/exec` (dispatch → outcome finalized on all replicas).
     /// Each driver's [`ReplicaPool`] also records into this registry
-    /// (`pool/capture`, the heap-image capture stage), so one snapshot
-    /// carries the whole service's stage latencies.
+    /// (`pool/capture`, one sample per heap image a failed job's replay
+    /// dumps), so one snapshot carries the whole service's stage
+    /// latencies.
     obs: Arc<Registry>,
     queue_wait_hist: Arc<Histogram>,
     verdict_hist: Arc<Histogram>,
@@ -442,8 +444,9 @@ impl<'scope> PoolFrontend<'scope> {
     }
 
     /// The front-end's latency instruments (`frontend/queue_wait`,
-    /// `frontend/verdict`, `frontend/exec`) plus the pools' capture-stage
-    /// histogram (`pool/capture`). Observability only: none of it feeds
+    /// `frontend/verdict`, `frontend/exec`) plus the pools' heap-dump
+    /// histogram (`pool/capture`: failed jobs' replays only, so zero
+    /// samples on benign traffic). Observability only: none of it feeds
     /// outcome bytes or deterministic digests.
     #[must_use]
     pub fn observability(&self) -> &Arc<Registry> {
@@ -606,7 +609,7 @@ impl Drop for PoolFrontend<'_> {
 /// front-end's queue/tickets and the pool's synchronous caller API. Jobs
 /// are kept pipelined in the pool up to `max_inflight` deep and finalized
 /// in FIFO order; the streaming verdict is posted to each job's ticket
-/// before paying for the stragglers' image capture.
+/// without waiting for the stragglers.
 fn drive<W: Workload + Sync + ?Sized>(
     workload: &W,
     pool_config: PoolConfig,
@@ -856,9 +859,9 @@ mod tests {
             assert_eq!(snap.histogram("frontend/queue_wait").unwrap().count(), 12);
             assert_eq!(snap.histogram("frontend/verdict").unwrap().count(), 12);
             assert_eq!(snap.histogram("frontend/exec").unwrap().count(), 12);
-            // The pools record into the same registry: one capture per
-            // replica per job, aggregated across both pools.
-            assert_eq!(snap.histogram("pool/capture").unwrap().count(), 12 * 3);
+            // The pools record into the same registry, and benign jobs
+            // dump no heap.
+            assert_eq!(snap.histogram("pool/capture").unwrap().count(), 0);
             frontend.shutdown();
         });
     }

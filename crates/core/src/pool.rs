@@ -19,11 +19,15 @@
 //!   replica 2. [`ReplicaPool::next_outcome`] completes jobs in submission
 //!   order.
 //! * **Streaming vote.** Workers publish their output the moment the
-//!   workload returns — *before* heap-image capture — and the
-//!   [`StreamingVoter`] folds it into per-replica digests. A quorum of
-//!   matching digests yields a verdict while stragglers are still
-//!   executing; their images are still collected afterwards, because
-//!   isolation wants every replica's heap (§4).
+//!   workload returns, and the [`StreamingVoter`] folds it into
+//!   per-replica digests. A quorum of matching digests yields a verdict
+//!   while stragglers are still executing.
+//! * **Heaps are dumped on error, not per run.** A replica hands back its
+//!   run's verdict — result, signals, clock — and recycles its arena
+//!   without capturing anything. Only when a job failed or diverged does
+//!   the pool replay it on every worker, halted at the detection clock,
+//!   and capture *those* heaps: Fig. 5's "dump all replicas at the
+//!   failure point", and the only images isolation reads (§3.4).
 //! * **Hot patch reload.** [`ReplicaPool::load_epoch`] joins a fleet
 //!   [`PatchEpoch`] into the pool's live table between inputs, and (by
 //!   default) patches isolated from the pool's own failures are folded in
@@ -34,7 +38,7 @@
 //! index, input, fault, patch table at submit time) — never on thread
 //! scheduling. The patch table rides inside each job's broadcast message,
 //! the vote partition is computed over the full replica set, and isolation
-//! sees images in replica order. Two pools with identical configs fed
+//! sees the replay's images in replica order. Two pools with identical configs fed
 //! identical submissions produce byte-identical outcomes (pinned by the
 //! determinism tests); only the [`VoteTiming`] wall-clock observations
 //! vary. [`ReplicaPool::submit`] uses the pool-local job index as the seed
@@ -65,7 +69,7 @@ use xt_patch::{PatchEpoch, PatchTable};
 use xt_workloads::{Workload, WorkloadInput};
 
 use crate::replicated::{ReplicaSummary, ReplicatedOutcome};
-use crate::runner::{ReusableStack, RunConfig, RunRecord};
+use crate::runner::{ReusableStack, RunConfig, RunVerdict};
 use crate::voter::{StreamingVoter, VoteResult};
 
 /// Configuration for a [`ReplicaPool`].
@@ -132,7 +136,7 @@ pub struct VoteTiming {
     pub outstanding_at_verdict: usize,
     /// Submission → quorum verdict.
     pub verdict_latency: Duration,
-    /// Submission → all replicas done (images captured, job finalized).
+    /// Submission → all replicas done (job ready to finalize).
     pub full_latency: Duration,
 }
 
@@ -198,21 +202,15 @@ enum WorkerMsg {
     },
 }
 
-/// What workers send back.
-enum Event {
-    /// The workload returned; its output is ready for the voter. Sent
-    /// *before* heap-image capture.
-    Output {
-        job: u64,
-        worker: usize,
-        output: Vec<u8>,
-    },
-    /// Image captured, stack torn down, arena recycled.
-    Done {
-        job: u64,
-        worker: usize,
-        record: Box<RunRecord>,
-    },
+/// What a worker sends back, once per execution: the stack is torn down
+/// and the arena recycled.
+struct Done {
+    job: u64,
+    worker: usize,
+    /// The run's verdict; its `result.output` is what the voter folds.
+    run: RunVerdict,
+    /// The heap at the malloc breakpoint — replays only.
+    image: Option<HeapImage>,
 }
 
 /// Heap seed for `worker` running `job`.
@@ -233,8 +231,9 @@ struct JobState {
     fault: Option<FaultSpec>,
     patches: Arc<PatchTable>,
     voter: StreamingVoter,
-    outputs: Vec<Option<Vec<u8>>>,
-    records: Vec<Option<Box<RunRecord>>>,
+    /// Per replica, once it reported: its verdict, and (replays only) its
+    /// heap image.
+    runs: Vec<Option<(RunVerdict, Option<HeapImage>)>>,
     done: usize,
     verdict_at: Option<(Instant, usize)>,
 }
@@ -256,15 +255,14 @@ impl JobState {
             fault,
             patches,
             voter: StreamingVoter::new(replicas),
-            outputs: vec![None; replicas],
-            records: (0..replicas).map(|_| None).collect(),
+            runs: (0..replicas).map(|_| None).collect(),
             done: 0,
             verdict_at: None,
         }
     }
 
     fn complete(&self) -> bool {
-        self.done == self.records.len()
+        self.done == self.runs.len()
     }
 }
 
@@ -290,10 +288,13 @@ impl JobState {
 /// ```
 pub struct ReplicaPool<'scope> {
     txs: Vec<Sender<WorkerMsg>>,
-    events: Receiver<Event>,
+    events: Receiver<Done>,
     handles: Vec<ScopedJoinHandle<'scope, ()>>,
     config: PoolConfig,
-    patches: PatchTable,
+    /// Shared with every in-flight job's broadcast message: submitting
+    /// bumps the count, and a load copies the table only while a job
+    /// still holds the old one.
+    patches: Arc<PatchTable>,
     epoch: u64,
     next_job: u64,
     inflight: VecDeque<JobState>,
@@ -367,7 +368,7 @@ impl<'scope> ReplicaPool<'scope> {
             events,
             handles,
             config,
-            patches,
+            patches: Arc::new(patches),
             epoch: 0,
             next_job: 0,
             inflight: VecDeque::new(),
@@ -375,10 +376,10 @@ impl<'scope> ReplicaPool<'scope> {
         }
     }
 
-    /// The pool's latency instruments — currently `pool/capture`, the
-    /// per-run heap-image capture stage (workers retain each run's image
-    /// as the base for incremental capture of the next, so this histogram
-    /// is where the dirty-page splicing shows up operationally).
+    /// The pool's latency instruments — currently `pool/capture`, one
+    /// sample per heap image dumped. Only a failed job's replay dumps any
+    /// (one per replica), so on benign traffic its count stays at zero:
+    /// the histogram is the observable that says capture is on demand.
     /// Observability only: nothing here feeds outcome bytes or
     /// deterministic digests.
     #[must_use]
@@ -407,7 +408,7 @@ impl<'scope> ReplicaPool<'scope> {
     /// Joins `table` into the live patch table (lattice merge). Running
     /// workers pick it up with the next submitted input — no restart.
     pub fn load_patches(&mut self, table: &PatchTable) {
-        self.patches.merge(table);
+        Arc::make_mut(&mut self.patches).merge(table);
     }
 
     /// Loads a fleet [`PatchEpoch`] if it is newer than the last one
@@ -417,7 +418,7 @@ impl<'scope> ReplicaPool<'scope> {
             return false;
         }
         self.epoch = epoch.number;
-        self.patches.merge(&epoch.patches);
+        Arc::make_mut(&mut self.patches).merge(&epoch.patches);
         true
     }
 
@@ -460,7 +461,7 @@ impl<'scope> ReplicaPool<'scope> {
     ) -> u64 {
         let job = self.next_job;
         self.next_job += 1;
-        let patches = Arc::new(self.patches.clone());
+        let patches = Arc::clone(&self.patches);
         for tx in &self.txs {
             tx.send(WorkerMsg::Exec {
                 job,
@@ -496,9 +497,13 @@ impl<'scope> ReplicaPool<'scope> {
             digest: verdict.digest,
             agreeing: verdict.agreeing.clone(),
             outstanding: verdict.outstanding,
-            output: state.outputs[rep]
-                .clone()
-                .expect("agreeing replica published its output"),
+            output: state.runs[rep]
+                .as_ref()
+                .expect("agreeing replica published its output")
+                .0
+                .result
+                .output
+                .clone(),
         })
     }
 
@@ -607,40 +612,30 @@ impl<'scope> ReplicaPool<'scope> {
                 }
             }
         };
-        match event {
-            Event::Output {
-                job,
-                worker,
-                output,
-            } => {
-                let state = self.state_mut(job);
-                // The FNV digest is chunk-boundary-invariant, so the whole
-                // output folds in one call; a producer that truly streamed
-                // would call push_chunk per chunk with the same result.
-                state.voter.push_chunk(worker, &output);
-                let newly = state.verdict_at.is_none();
-                if state.voter.finish_replica(worker).is_some() && newly {
-                    let outstanding = state
-                        .voter
-                        .verdict()
-                        .expect("verdict just formed")
-                        .outstanding;
-                    // xt-analyze: allow(time-source) -- verdict latency observation; feeds VoteTiming only, never an outcome byte
-                    state.verdict_at = Some((Instant::now(), outstanding));
-                }
-                state.outputs[worker] = Some(output);
-            }
-            Event::Done {
-                job,
-                worker,
-                record,
-            } => {
-                let state = self.state_mut(job);
-                debug_assert!(state.records[worker].is_none(), "worker finished twice");
-                state.records[worker] = Some(record);
-                state.done += 1;
-            }
+        let Done {
+            job,
+            worker,
+            run,
+            image,
+        } = event;
+        let state = self.state_mut(job);
+        debug_assert!(state.runs[worker].is_none(), "worker finished twice");
+        // The FNV digest is chunk-boundary-invariant, so the whole output
+        // folds in one call; a producer that truly streamed would call
+        // push_chunk per chunk with the same result.
+        state.voter.push_chunk(worker, &run.result.output);
+        let newly = state.verdict_at.is_none();
+        if state.voter.finish_replica(worker).is_some() && newly {
+            let outstanding = state
+                .voter
+                .verdict()
+                .expect("verdict just formed")
+                .outstanding;
+            // xt-analyze: allow(time-source) -- verdict latency observation; feeds VoteTiming only, never an outcome byte
+            state.verdict_at = Some((Instant::now(), outstanding));
         }
+        state.runs[worker] = Some((run, image));
+        state.done += 1;
     }
 
     fn state_mut(&mut self, job: u64) -> &mut JobState {
@@ -651,27 +646,18 @@ impl<'scope> ReplicaPool<'scope> {
     }
 
     /// Turns a completed job into its outcome: full-set vote, per-replica
-    /// summaries, isolation over the images on any failure or divergence,
-    /// and (optionally) auto-reload of the newly isolated patches.
+    /// summaries, isolation over a detection-aligned replay's images on
+    /// any failure or divergence, and (optionally) auto-reload of the
+    /// newly isolated patches.
     fn finalize(&mut self, mut state: JobState) -> PoolOutcome {
         // xt-analyze: allow(time-source) -- full-completion latency observation; feeds VoteTiming only, never an outcome byte
         let full_at = Instant::now();
-        let records: Vec<Box<RunRecord>> = state
-            .records
+        let mut runs: Vec<RunVerdict> = state
+            .runs
             .drain(..)
-            .map(|r| r.expect("job complete"))
+            .map(|r| r.expect("job complete").0)
             .collect();
-        let digest_vote = state.voter.final_vote();
-        let winner = state.outputs[digest_vote.agreeing[0]]
-            .clone()
-            .expect("winning replica published its output");
-        let vote = VoteResult {
-            winner,
-            agreeing: digest_vote.agreeing,
-            dissenting: digest_vote.dissenting,
-        };
-
-        let replicas: Vec<ReplicaSummary> = records
+        let replicas: Vec<ReplicaSummary> = runs
             .iter()
             .enumerate()
             .map(|(i, r)| ReplicaSummary {
@@ -684,6 +670,15 @@ impl<'scope> ReplicaPool<'scope> {
             })
             .collect();
 
+        let digest_vote = state.voter.final_vote();
+        // The summaries above were the output's last reader.
+        let winner = std::mem::take(&mut runs[digest_vote.agreeing[0]].result.output);
+        let vote = VoteResult {
+            winner,
+            agreeing: digest_vote.agreeing,
+            dissenting: digest_vote.dissenting,
+        };
+
         let any_failure = !vote.unanimous() || replicas.iter().any(|r| r.failed);
         let mut merged = (*state.patches).clone();
         let report = if any_failure {
@@ -694,7 +689,7 @@ impl<'scope> ReplicaPool<'scope> {
             // images would let replicas that kept running recycle the
             // corrupted slots (canary refill on free), erasing — and then
             // actively refuting — the evidence.
-            let images = self.aligned_images(&state, &records, &vote);
+            let images = self.aligned_images(&state, &runs, &vote);
             let report = isolate_with(&images, self.config.options).unwrap_or_default();
             let new_patches = report.to_patches();
             // Escalate rather than max: deferrals isolated while patches
@@ -702,7 +697,7 @@ impl<'scope> ReplicaPool<'scope> {
             // (§6.2).
             merged.escalate(&new_patches);
             if self.config.auto_patch {
-                self.patches.escalate(&new_patches);
+                Arc::make_mut(&mut self.patches).escalate(&new_patches);
             }
             Some(report)
         } else {
@@ -730,22 +725,22 @@ impl<'scope> ReplicaPool<'scope> {
     /// replays the job with the same heap seed, stopped at the malloc
     /// breakpoint of the earliest failure (or the earliest dissenting
     /// replica's clock when corruption produced divergence without a
-    /// crash). Deterministic: the breakpoint derives from the records and
+    /// crash). Deterministic: the breakpoint derives from the verdicts and
     /// replays reuse the job's seeds, so the images are a pure function of
-    /// the job.
+    /// the job. These are the only heap images the pool ever captures.
     fn aligned_images(
         &mut self,
         state: &JobState,
-        records: &[Box<RunRecord>],
+        runs: &[RunVerdict],
         vote: &VoteResult,
     ) -> Vec<HeapImage> {
-        let breakpoint = records
+        let breakpoint = runs
             .iter()
             .filter(|r| r.failed())
             .map(|r| r.clock)
             .min()
-            .or_else(|| vote.dissenting.iter().map(|&i| records[i].clock).min())
-            .or_else(|| records.iter().map(|r| r.clock).min())
+            .or_else(|| vote.dissenting.iter().map(|&i| runs[i].clock).min())
+            .or_else(|| runs.iter().map(|r| r.clock).min())
             .expect("a failed job has at least one replica");
         let replay = self.next_job;
         self.next_job += 1;
@@ -784,9 +779,9 @@ impl<'scope> ReplicaPool<'scope> {
             .expect("replay job in flight");
         let replay_state = self.inflight.remove(pos).expect("position just found");
         replay_state
-            .records
+            .runs
             .into_iter()
-            .map(|r| r.expect("replay complete").image)
+            .map(|r| r.and_then(|(_, image)| image).expect("replays capture"))
             .collect()
     }
 }
@@ -816,7 +811,7 @@ fn worker_loop<W: Workload + Sync + ?Sized>(
     halt_on_signal: bool,
     straggle: Option<Duration>,
     rx: &Receiver<WorkerMsg>,
-    events: &Sender<Event>,
+    events: &Sender<Done>,
     capture_hist: &Histogram,
 ) {
     let mut stack = ReusableStack::new();
@@ -847,30 +842,29 @@ fn worker_loop<W: Workload + Sync + ?Sized>(
         let mut active = stack.start(config);
         // `&W` may be unsized; `&&W` is a Sized `Workload` via the blanket
         // reference impl, so it coerces to `&dyn Workload`.
-        let output = active.run(&workload, input.as_ref()).output.clone();
-        // Publish the output before paying for image capture: the voter
-        // can reach quorum while this worker (and stragglers) finish.
-        if events
-            .send(Event::Output {
-                job,
-                worker,
-                output,
-            })
-            .is_err()
-        {
-            return;
-        }
-        let capture_start = Instant::now();
-        let record = active.finish();
-        capture_hist.record_duration(capture_start.elapsed());
-        if events
-            .send(Event::Done {
-                job,
-                worker,
-                record: Box::new(record),
-            })
-            .is_err()
-        {
+        active.run(&workload, input.as_ref());
+        // Dump the heap only where it is read: a replay's whole product is
+        // its image at the breakpoint; any other run's is its verdict.
+        let (run, image) = if breakpoint.is_some() {
+            let capture_start = Instant::now();
+            let record = active.finish();
+            capture_hist.record_duration(capture_start.elapsed());
+            let run = RunVerdict {
+                result: record.result,
+                signals: record.signals,
+                clock: record.clock,
+            };
+            (run, Some(record.image))
+        } else {
+            (active.abandon(), None)
+        };
+        let done = Done {
+            job,
+            worker,
+            run,
+            image,
+        };
+        if events.send(done).is_err() {
             return;
         }
     }
@@ -896,9 +890,48 @@ mod tests {
                 assert_eq!(out.outcome.replicas.len(), 3);
                 assert!(out.outcome.replicas.iter().all(|r| r.completed));
             }
-            // Every replica's finish() landed one capture-stage sample.
-            let snap = pool.observability().snapshot();
-            assert_eq!(snap.histogram("pool/capture").unwrap().count(), 4 * 3);
+            // Nothing failed, so no replica dumped its heap.
+            assert_eq!(captures(&pool), 0);
+            pool.shutdown();
+        });
+    }
+
+    fn captures(pool: &ReplicaPool<'_>) -> u64 {
+        let snap = pool.observability().snapshot();
+        snap.histogram("pool/capture").unwrap().count()
+    }
+
+    /// Capture on demand, the positive half: a failed job dumps exactly one
+    /// heap per replica — its detection-aligned replay — and not a second
+    /// set for the run that failed.
+    #[test]
+    fn a_failed_job_captures_only_its_replay() {
+        let workload = EspressoLike::new();
+        // `mode_equivalence`'s espresso overflow-20 cell.
+        let input = WorkloadInput::with_seed(6).intensity(3);
+        let fault = FaultSpec {
+            kind: FaultKind::BufferOverflow {
+                delta: 20,
+                fill: 0xEE,
+            },
+            trigger: AllocTime::from_raw(65),
+        };
+        std::thread::scope(|scope| {
+            let config = PoolConfig {
+                auto_patch: false,
+                ..PoolConfig::default()
+            };
+            let mut pool = ReplicaPool::scoped(scope, &workload, config, PatchTable::new());
+            let replicas = pool.replicas() as u64;
+            // This fault manifests on each of a fresh pool's first jobs
+            // (`tests/pool_golden.rs` pins the outcomes).
+            for failures in 1..=2 {
+                let out = pool.run_one(&input, Some(fault)).outcome;
+                assert!(out.error_observed() && out.report.is_some());
+                assert_eq!(captures(&pool), failures * replicas);
+            }
+            assert!(!pool.run_one(&input, None).outcome.error_observed());
+            assert_eq!(captures(&pool), 2 * replicas, "a benign job dumped a heap");
             pool.shutdown();
         });
     }

@@ -7,15 +7,17 @@
 //! questions with two answers. After [`ActiveRun::run`] the heap is still
 //! standing and [`ActiveRun::failed`] already knows the verdict; the
 //! caller then either pays for the evidence ([`ActiveRun::finish`]:
-//! image, history, injection log → [`RunRecord`]) or walks away
-//! ([`ActiveRun::abandon`]). [`probe_failed`] is the walk-away path as one
-//! call.
+//! image, history, injection log → [`RunRecord`]) or walks away with the
+//! verdict alone ([`ActiveRun::abandon`] → [`RunVerdict`]: result, signals,
+//! clock). [`probe_failed`] is the walk-away path as one call.
 //!
 //! Who captures: [`execute`]/[`execute_reusable`] (every caller that reads
 //! the record), iterative mode's *failed* discovery runs and all of its
-//! replays, cumulative mode (it summarises every image), and — until the
-//! follow-up that reuses this seam — every [`pool`](crate::pool) run. Who
-//! probes: iterative mode's clean discovery and verification runs,
+//! replays, cumulative mode (it summarises every image), and the
+//! [`pool`](crate::pool)'s detection-aligned replays of a failed job. Who
+//! walks away: every other pool run (the vote, the replica summaries and
+//! the replay's breakpoint need the verdict, not the heap), iterative
+//! mode's clean discovery and verification runs,
 //! [`find_manifesting_fault`], and the fleet simulator's
 //! `verified_corrected`.
 
@@ -82,9 +84,9 @@ pub struct RunRecord {
     pub clock: AllocTime,
 }
 
-/// The one failure predicate behind [`RunRecord::failed`] (signals already
-/// drained into the record) and [`ActiveRun::failed`] (signals still
-/// pending in the heap).
+/// The one failure predicate behind [`RunRecord::failed`] and
+/// [`RunVerdict::failed`] (signals already drained) and
+/// [`ActiveRun::failed`] (signals still pending in the heap).
 fn is_failure(signalled: bool, outcome: &RunOutcome) -> bool {
     signalled
         || match outcome {
@@ -112,6 +114,27 @@ impl RunRecord {
     }
 }
 
+/// What a run leaves behind when nobody dumps its heap: everything of a
+/// [`RunRecord`] that does not need the heap to be read — and, field for
+/// field, what the record of the same run would say.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunVerdict {
+    /// The workload's outcome and output.
+    pub result: RunResult,
+    /// DieFast error signals raised during the run.
+    pub signals: Vec<ErrorSignal>,
+    /// Final allocation clock.
+    pub clock: AllocTime,
+}
+
+impl RunVerdict {
+    /// [`RunRecord::failed`], without the record.
+    #[must_use]
+    pub fn failed(&self) -> bool {
+        is_failure(!self.signals.is_empty(), &self.result.outcome)
+    }
+}
+
 /// A reusable execution engine: holds a recycled [`Arena`](xt_arena::Arena)
 /// across runs, so a long-lived worker (a [`pool`](crate::pool) replica, a
 /// fleet-simulator client) builds translation structures once and *resets*
@@ -128,12 +151,6 @@ impl RunRecord {
 #[derive(Debug, Default)]
 pub struct ReusableStack {
     arena: Option<xt_arena::Arena>,
-    /// The previous run's heap image, kept as the base for incremental
-    /// capture. [`Arena::reset`](xt_arena::Arena::reset) clears all dirty
-    /// state and remapping marks every fresh page, so diffing against the
-    /// base stays byte-identical to a full capture even across inputs —
-    /// the reused-vs-fresh determinism tests pin this.
-    base_image: Option<HeapImage>,
 }
 
 impl ReusableStack {
@@ -164,11 +181,10 @@ impl ReusableStack {
 }
 
 /// One run in flight over a [`ReusableStack`]. After [`ActiveRun::run`]
-/// the heap is still standing: the replicated mode's streaming voter reads
-/// the output here, *before* [`ActiveRun::finish`] captures the heap image
-/// — so a vote verdict never waits on image capture — and the error path
-/// asks [`ActiveRun::failed`] here, so a clean run is
-/// [`abandon`](ActiveRun::abandon)ed without ever being dumped.
+/// the heap is still standing: the error path asks [`ActiveRun::failed`]
+/// here, so a clean run is [`abandon`](ActiveRun::abandon)ed without ever
+/// being dumped, and a pool replica that is not replaying a failure walks
+/// away with its [`RunVerdict`] the same way.
 #[derive(Debug)]
 pub struct ActiveRun<'a> {
     home: &'a mut ReusableStack,
@@ -204,13 +220,23 @@ impl ActiveRun<'_> {
 
     /// Tears the stack down and recycles the arena back into the owning
     /// [`ReusableStack`] *without* capturing anything: the run's image,
-    /// history and signals are dropped. The stack's incremental-capture
-    /// base goes with them — it described a heap two runs back — so the
-    /// next [`ActiveRun::finish`] on this stack is a full capture.
-    pub fn abandon(self) {
-        self.home.base_image = None;
-        let diefast = self.stack.into_inner().into_inner();
+    /// history and injection log are dropped; its result, signals and
+    /// clock come back as the [`RunVerdict`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`ActiveRun::run`].
+    pub fn abandon(self) -> RunVerdict {
+        let result = self.result.expect("abandon() requires a completed run()");
+        let mut diefast = self.stack.into_inner().into_inner();
+        let signals = diefast.take_signals();
+        let clock = diefast.inner().clock();
         self.home.arena = Some(diefast.into_inner().into_arena());
+        RunVerdict {
+            result,
+            signals,
+            clock,
+        }
     }
 
     /// Captures the heap image, tears the stack down, and recycles the
@@ -221,21 +247,16 @@ impl ActiveRun<'_> {
     /// Panics if called before [`ActiveRun::run`].
     #[must_use]
     pub fn finish(self) -> RunRecord {
-        let result = self.result.expect("finish() requires a completed run()");
         let injected = self.stack.events().to_vec();
-        let diefast = self.stack.into_inner().into_inner();
-        let image = match self.home.base_image.take() {
-            Some(base) => HeapImage::capture_incremental(&base, &diefast),
-            None => HeapImage::capture(&diefast),
-        };
-        // Cheap: slot data is `Arc`-shared, so the retained base costs one
-        // refcount per slot, not a byte copy.
-        self.home.base_image = Some(image.clone());
-        let clock = diefast.inner().clock();
+        let diefast = self.stack.inner().inner();
+        let image = HeapImage::try_capture(diefast)
+            .expect("the run's own allocator built this heap over an arena it mapped");
         let history = diefast.inner().history().cloned();
-        let mut diefast = diefast;
-        let signals = diefast.take_signals();
-        self.home.arena = Some(diefast.into_inner().into_arena());
+        let RunVerdict {
+            result,
+            signals,
+            clock,
+        } = self.abandon();
         RunRecord {
             result,
             signals,
@@ -283,9 +304,7 @@ pub fn probe_failed(
 ) -> bool {
     let mut active = stack.start(config);
     active.run(workload, input);
-    let failed = active.failed();
-    active.abandon();
-    failed
+    active.abandon().failed()
 }
 
 /// Reproduces the paper's fault-selection methodology (§7.2): "we run the
@@ -429,30 +448,18 @@ mod tests {
             c.fault = (prior % 2 == 1).then(|| overflow_at(120 + prior));
             c
         };
-        for abandoned in [0, 1, 2, 4] {
+        for (captured, abandoned) in [(2, 0), (0, 1), (0, 2), (2, 1), (2, 4), (0, 4)] {
             let mut stack = ReusableStack::new();
-            // Two captured runs first, so there is a `base_image` and dirty
-            // state for the abandoned runs to leak.
-            for prior in 0..2 {
-                let _ = execute_reusable(
-                    &EspressoLike::new(),
-                    &WorkloadInput::with_seed(90 + prior),
-                    prior_config(prior),
-                    &mut stack,
-                );
-            }
-            assert!(stack.base_image.is_some());
             let mut abandoned_failures = 0;
-            for prior in 2..2 + abandoned {
+            for prior in 0..captured + abandoned {
                 let mut active = stack.start(prior_config(prior));
                 active.run(&EspressoLike::new(), &WorkloadInput::with_seed(90 + prior));
-                abandoned_failures += usize::from(active.failed());
-                active.abandon();
-                assert!(
-                    stack.base_image.is_none(),
-                    "abandon kept an incremental base describing an older heap"
-                );
-                assert!(stack.arena.is_some(), "abandon lost the recycled arena");
+                if prior < captured {
+                    let _ = active.finish();
+                } else {
+                    abandoned_failures += usize::from(active.abandon().failed());
+                }
+                assert!(stack.arena.is_some(), "teardown lost the recycled arena");
             }
             assert!(
                 abandoned < 2 || abandoned_failures > 0,
@@ -461,15 +468,18 @@ mod tests {
             let reused = execute_reusable(&EspressoLike::new(), &input, config(), &mut stack);
             assert_eq!(
                 fresh, reused,
-                "recycled arena leaked state into the run after {abandoned} abandoned run(s)"
+                "recycled arena leaked state into the run after {captured} captured and \
+                 {abandoned} abandoned run(s)"
             );
         }
     }
 
     /// `ActiveRun::failed` — asked before any image exists — equals
     /// `RunRecord::failed` of the record `finish` then returns, over faults
-    /// × `halt_on_signal` × `breakpoint` × seeds, and [`probe_failed`]
-    /// agrees with both on a fresh stack. The grid must reach every way a
+    /// × `halt_on_signal` × `breakpoint` × seeds; the [`RunVerdict`] the
+    /// walk-away path returns for the same run on a fresh stack equals the
+    /// record's `result`/`signals`/`clock` field for field, and
+    /// [`probe_failed`] agrees with all of them. The grid must reach every way a
     /// verdict is made: signals alone (run completed, or halted at the
     /// runtime's own breakpoint crash), a real crash with no signal, and
     /// clean runs with and without a breakpoint stop.
@@ -513,14 +523,19 @@ mod tests {
                             "{fault:?} halt={halt_on_signal} breakpoint={breakpoint:?} seed={seed}"
                         );
                         assert_eq!(before, rec.failed(), "verdict moved across capture: {case}");
+                        let mut fresh = ReusableStack::new();
+                        let mut walked = fresh.start(config());
+                        walked.run(&EspressoLike::new(), &input);
+                        let verdict = walked.abandon();
+                        assert_eq!(
+                            (&verdict.result, &verdict.signals, verdict.clock),
+                            (&rec.result, &rec.signals, rec.clock),
+                            "walking away and capturing disagree: {case}"
+                        );
+                        assert_eq!(verdict.failed(), rec.failed(), "{case}");
                         assert_eq!(
                             before,
-                            probe_failed(
-                                &EspressoLike::new(),
-                                &input,
-                                config(),
-                                &mut ReusableStack::new()
-                            ),
+                            probe_failed(&EspressoLike::new(), &input, config(), &mut fresh),
                             "probe disagrees with the captured run: {case}"
                         );
                         let crashed = !rec.result.completed() && !rec.hit_breakpoint();

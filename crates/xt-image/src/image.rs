@@ -178,7 +178,7 @@ impl Error for CaptureError {}
 /// let mut heap = DieFastHeap::new(DieFastConfig::with_seed(3));
 /// let p = heap.malloc(32, SiteHash::from_raw(0xC0DE))?;
 /// heap.arena_mut().write_u64(p, 99).unwrap();
-/// let image = HeapImage::capture(&heap);
+/// let image = HeapImage::try_capture(&heap).expect("a heap the allocator built is arena-backed");
 /// let obj = image.find_object(xt_alloc::ObjectId::from_raw(1)).unwrap();
 /// assert_eq!(&image.slot(obj).data[..8], &99u64.to_le_bytes());
 /// // Images round-trip through their binary format.
@@ -217,19 +217,8 @@ impl HeapImage {
     /// Captures the complete state of a DieFast heap.
     ///
     /// Clears the arena's dirty-page bits: the returned image is the
-    /// baseline future [`HeapImage::capture_incremental`] calls diff
+    /// baseline future [`HeapImage::try_capture_incremental`] calls diff
     /// against.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed heap state (see [`HeapImage::try_capture`] for
-    /// the fallible form).
-    #[must_use]
-    pub fn capture(heap: &DieFastHeap) -> Self {
-        Self::try_capture(heap).unwrap_or_else(|e| panic!("heap capture failed: {e}"))
-    }
-
-    /// Fallible form of [`HeapImage::capture`].
     ///
     /// # Errors
     ///
@@ -243,7 +232,7 @@ impl HeapImage {
     /// Captures the heap by re-reading only slots on pages stored to since
     /// `base` was captured, splicing every other slot's bytes from `base`
     /// by reference (no copy). Byte-identical to a full
-    /// [`HeapImage::capture`] of the same heap — the property tests pin
+    /// [`HeapImage::try_capture`] of the same heap — the property tests pin
     /// this — but on a sparse-touch heap it costs a fraction of one.
     ///
     /// Slot *metadata* is always re-read (allocator state changes without
@@ -254,18 +243,6 @@ impl HeapImage {
     ///
     /// Clears the arena's dirty-page bits: the returned image becomes the
     /// next baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed heap state (see
-    /// [`HeapImage::try_capture_incremental`] for the fallible form).
-    #[must_use]
-    pub fn capture_incremental(base: &HeapImage, heap: &DieFastHeap) -> Self {
-        Self::try_capture_incremental(base, heap)
-            .unwrap_or_else(|e| panic!("incremental heap capture failed: {e}"))
-    }
-
-    /// Fallible form of [`HeapImage::capture_incremental`].
     ///
     /// # Errors
     ///
@@ -710,6 +687,18 @@ mod tests {
 
     const SITE: SiteHash = SiteHash::from_raw(0x717E);
 
+    /// Capture cannot fail here: the heap was only ever touched through the
+    /// allocator, so every miniheap it records is backed by its own arena.
+    fn capture(heap: &DieFastHeap) -> HeapImage {
+        HeapImage::try_capture(heap).expect("the allocator mapped every miniheap this heap records")
+    }
+
+    /// As [`capture`]; any base is correct, so the base cannot fail it either.
+    fn capture_incremental(base: &HeapImage, heap: &DieFastHeap) -> HeapImage {
+        HeapImage::try_capture_incremental(base, heap)
+            .expect("the allocator mapped every miniheap this heap records")
+    }
+
     fn heap_with_activity(seed: u64) -> DieFastHeap {
         let mut h = DieFastHeap::new(DieFastConfig::with_seed(seed));
         let mut live = Vec::new();
@@ -727,7 +716,7 @@ mod tests {
     #[test]
     fn capture_indexes_all_objects() {
         let h = heap_with_activity(1);
-        let img = HeapImage::capture(&h);
+        let img = capture(&h);
         for id in 1..=40u64 {
             let r = img.find_object(ObjectId::from_raw(id)).unwrap();
             assert_eq!(img.slot(r).object_id, ObjectId::from_raw(id));
@@ -739,7 +728,7 @@ mod tests {
     #[test]
     fn live_object_data_is_captured() {
         let h = heap_with_activity(2);
-        let img = HeapImage::capture(&h);
+        let img = capture(&h);
         // Object #2 (index 1) was never freed: its first word is 1.
         let r = img.find_object(ObjectId::from_raw(2)).unwrap();
         assert_eq!(img.slot(r).state, SlotState::Live);
@@ -749,7 +738,7 @@ mod tests {
     #[test]
     fn freed_slots_record_canary_state() {
         let h = heap_with_activity(3);
-        let img = HeapImage::capture(&h);
+        let img = capture(&h);
         // Object #1 was freed (step_by(3) starts at index 0) and p=1.0, so
         // its slot must be canaried and intact.
         let r = img.find_object(ObjectId::from_raw(1)).unwrap();
@@ -762,7 +751,7 @@ mod tests {
     #[test]
     fn resolve_addr_finds_interior_pointers() {
         let h = heap_with_activity(4);
-        let img = HeapImage::capture(&h);
+        let img = capture(&h);
         let r = img.find_object(ObjectId::from_raw(5)).unwrap();
         let base = img.slot_addr(r);
         let hit = img.resolve_addr(base + 7).unwrap();
@@ -776,7 +765,7 @@ mod tests {
     #[test]
     fn resolve_addr_rejects_gap_past_miniheap() {
         let h = heap_with_activity(5);
-        let img = HeapImage::capture(&h);
+        let img = capture(&h);
         for mh in &img.miniheaps {
             assert_eq!(img.resolve_addr(mh.end()), None);
             assert!(img.resolve_addr(mh.base).is_some());
@@ -787,11 +776,11 @@ mod tests {
     fn corruption_scan_reports_extent() {
         let mut h = heap_with_activity(6);
         // Corrupt 5 bytes of a canaried freed slot.
-        let img0 = HeapImage::capture(&h);
+        let img0 = capture(&h);
         let r = img0.find_object(ObjectId::from_raw(1)).unwrap();
         let addr = img0.slot_addr(r);
         h.arena_mut().write_bytes(addr + 2, b"OOPS!").unwrap();
-        let img = HeapImage::capture(&h);
+        let img = capture(&h);
         let corruptions = img.scan_canary_corruptions();
         assert_eq!(corruptions.len(), 1);
         let c = corruptions[0];
@@ -805,7 +794,7 @@ mod tests {
     #[test]
     fn binary_round_trip_preserves_everything() {
         let h = heap_with_activity(7);
-        let img = HeapImage::capture(&h);
+        let img = capture(&h);
         let decoded = HeapImage::from_bytes(&img.to_bytes()).unwrap();
         assert_eq!(decoded, img);
         assert_eq!(
@@ -821,14 +810,14 @@ mod tests {
             HeapImage::from_bytes(&[0; 8]).unwrap_err(),
             ImageDecodeError::BadMagic
         );
-        let mut good = HeapImage::capture(&heap_with_activity(8)).to_bytes();
+        let mut good = capture(&heap_with_activity(8)).to_bytes();
         good.truncate(good.len() / 2);
         assert!(matches!(
             HeapImage::from_bytes(&good).unwrap_err(),
             ImageDecodeError::UnexpectedEof { .. }
         ));
         // Corrupt the version field.
-        let mut bad_version = HeapImage::capture(&heap_with_activity(9)).to_bytes();
+        let mut bad_version = capture(&heap_with_activity(9)).to_bytes();
         bad_version[4] = 0xFF;
         assert!(matches!(
             HeapImage::from_bytes(&bad_version).unwrap_err(),
@@ -841,7 +830,7 @@ mod tests {
         let dir = std::env::temp_dir().join("xt_image_test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("heap.ximg");
-        let img = HeapImage::capture(&heap_with_activity(10));
+        let img = capture(&heap_with_activity(10));
         img.save(&path).unwrap();
         assert_eq!(HeapImage::load(&path).unwrap(), img);
         fs::remove_file(&path).unwrap();
@@ -850,13 +839,13 @@ mod tests {
     #[test]
     fn incremental_capture_equals_full_and_shares_clean_slots() {
         let mut h = heap_with_activity(20);
-        let base = HeapImage::capture(&h); // clears dirty bits
-                                           // Touch exactly one live object's memory.
+        let base = capture(&h); // clears dirty bits
+                                // Touch exactly one live object's memory.
         let r = base.find_object(ObjectId::from_raw(2)).unwrap();
         let addr = base.slot_addr(r);
         h.arena_mut().write_u64(addr, 0xFEED).unwrap();
-        let inc = HeapImage::capture_incremental(&base, &h);
-        let full = HeapImage::capture(&h);
+        let inc = capture_incremental(&base, &h);
+        let full = capture(&h);
         assert_eq!(inc, full);
         // The touched slot was re-read...
         assert_eq!(&inc.slot(r).data[..8], &0xFEEDu64.to_le_bytes());
@@ -877,15 +866,15 @@ mod tests {
     #[test]
     fn incremental_capture_resets_its_baseline() {
         let mut h = heap_with_activity(21);
-        let base = HeapImage::capture(&h);
+        let base = capture(&h);
         let r = base.find_object(ObjectId::from_raw(3)).unwrap();
         let addr = base.slot_addr(r);
         h.arena_mut().write_u64(addr, 1).unwrap();
-        let second = HeapImage::capture_incremental(&base, &h);
+        let second = capture_incremental(&base, &h);
         // The second image is the new baseline: with no stores since, a
         // third incremental capture matches a full one and splices all.
-        let third = HeapImage::capture_incremental(&second, &h);
-        assert_eq!(third, HeapImage::capture(&h));
+        let third = capture_incremental(&second, &h);
+        assert_eq!(third, capture(&h));
         assert_eq!(&third.slot(r).data[..8], &1u64.to_le_bytes());
     }
 
@@ -893,11 +882,11 @@ mod tests {
     fn incremental_capture_against_foreign_base_is_a_full_capture() {
         let mut h = heap_with_activity(22);
         // A base from a *different* heap shares no miniheap geometry.
-        let foreign = HeapImage::capture(&heap_with_activity(23));
+        let foreign = capture(&heap_with_activity(23));
         let p = h.malloc(64, SITE).unwrap();
         h.arena_mut().write_u64(p, 42).unwrap();
-        let inc = HeapImage::capture_incremental(&foreign, &h);
-        assert_eq!(inc, HeapImage::capture(&h));
+        let inc = capture_incremental(&foreign, &h);
+        assert_eq!(inc, capture(&h));
     }
 
     #[test]
@@ -911,7 +900,7 @@ mod tests {
             CaptureError::UnmappedMiniHeap { id, base }
         );
         // The incremental path reports the same malformation.
-        let empty_base = HeapImage::capture(&heap_with_activity(25));
+        let empty_base = capture(&heap_with_activity(25));
         assert_eq!(
             HeapImage::try_capture_incremental(&empty_base, &h).unwrap_err(),
             CaptureError::UnmappedMiniHeap { id, base }
@@ -953,7 +942,7 @@ mod tests {
     #[test]
     fn total_slots_counts_capacity() {
         let h = heap_with_activity(11);
-        let img = HeapImage::capture(&h);
+        let img = capture(&h);
         assert_eq!(img.total_slots(), h.inner().total_capacity());
         assert!(img.total_slots() >= 80, "M=2 over-provisioning");
     }

@@ -22,13 +22,14 @@
 //!
 //! # Incremental capture
 //!
-//! Replicated execution captures a heap image per replica per input, which
-//! makes capture the heaviest fixed cost the machinery pays. Against a
-//! previous image of the *same* heap, [`HeapImage::capture_incremental`]
-//! re-reads only slots on pages the arena's dirty-page bits say were
-//! stored to since that base was taken, and splices every other slot's
-//! bytes from the base by `Arc` reference — no copy, byte-identical result
-//! (property-tested against full capture).
+//! Against a previous image of the *same* heap,
+//! [`HeapImage::try_capture_incremental`] re-reads only slots on pages the
+//! arena's dirty-page bits say were stored to since that base was taken,
+//! and splices every other slot's bytes from the base by `Arc` reference —
+//! no copy, byte-identical result (property-tested against full capture).
+//! It pays on a heap captured repeatedly *while it lives*; the runtime
+//! dumps a heap once, on error (§3.4), over an arena whose reset left
+//! every page dirty, so no mode calls it today.
 //!
 //! The protocol between the two layers:
 //!
@@ -37,8 +38,8 @@
 //!   unmapping clear bits, so reused replica arenas never carry stale
 //!   dirty state (see `xt-arena`'s crate docs for the full set/clear
 //!   rules, TLB non-interaction, and spare-leaf recycling);
-//! * **every capture** — [`HeapImage::capture`] and
-//!   [`HeapImage::capture_incremental`] alike — clears the dirty bits on
+//! * **every capture** — [`HeapImage::try_capture`] and
+//!   [`HeapImage::try_capture_incremental`] alike — clears the dirty bits on
 //!   its way out, making the image it returns the baseline the next
 //!   incremental capture diffs against;
 //! * slot *metadata* is never spliced: allocator state can change without
@@ -46,8 +47,7 @@
 //!   capture. Only the data bytes ride the dirty bits.
 //!
 //! Malformed heap state (metadata naming memory the arena does not back)
-//! surfaces as a [`CaptureError`] through the `try_` variants instead of a
-//! panic in the capture hot path.
+//! surfaces as a [`CaptureError`] instead of a panic in the capture path.
 
 mod format;
 mod image;

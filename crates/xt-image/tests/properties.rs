@@ -6,6 +6,18 @@ use xt_alloc::{Heap, ObjectId, Rng, SiteHash};
 use xt_diefast::{DieFastConfig, DieFastHeap};
 use xt_image::HeapImage;
 
+/// Capture cannot fail here: the heap was only ever touched through the
+/// allocator, so every miniheap it records is backed by its own arena.
+fn capture(heap: &DieFastHeap) -> HeapImage {
+    HeapImage::try_capture(heap).expect("the allocator mapped every miniheap this heap records")
+}
+
+/// As [`capture`]; any base is correct, so the base cannot fail it either.
+fn capture_incremental(base: &HeapImage, heap: &DieFastHeap) -> HeapImage {
+    HeapImage::try_capture_incremental(base, heap)
+        .expect("the allocator mapped every miniheap this heap records")
+}
+
 /// Applies `steps` random malloc/free/store steps to `heap`.
 fn churn(heap: &mut DieFastHeap, rng: &mut Rng, live: &mut Vec<xt_arena::Addr>, steps: usize) {
     for i in 0..steps {
@@ -41,7 +53,7 @@ proptest! {
     #[test]
     fn binary_round_trip(seed in 0u64..5000, steps in 10usize..150, p in 0.0f64..=1.0) {
         let heap = churned_heap(seed, steps, p);
-        let image = HeapImage::capture(&heap);
+        let image = capture(&heap);
         let decoded = HeapImage::from_bytes(&image.to_bytes()).unwrap();
         prop_assert_eq!(&decoded, &image);
         for id in 1..=steps as u64 {
@@ -55,7 +67,7 @@ proptest! {
     #[test]
     fn capture_indexes_every_live_object(seed in 0u64..5000, steps in 10usize..120) {
         let heap = churned_heap(seed, steps, 1.0);
-        let image = HeapImage::capture(&heap);
+        let image = capture(&heap);
         for (r, slot) in image.live_objects() {
             prop_assert_eq!(image.find_object(slot.object_id), Some(r));
         }
@@ -73,7 +85,7 @@ proptest! {
     #[test]
     fn resolution_matches_geometry(seed in 0u64..5000, steps in 10usize..100) {
         let heap = churned_heap(seed, steps, 1.0);
-        let image = HeapImage::capture(&heap);
+        let image = capture(&heap);
         for (r, slot) in image.slots() {
             let base = image.slot_addr(r);
             let hit = image.resolve_addr(base).unwrap();
@@ -87,7 +99,7 @@ proptest! {
     #[test]
     fn clean_heaps_scan_clean(seed in 0u64..5000, steps in 10usize..150, p in 0.0f64..=1.0) {
         let heap = churned_heap(seed, steps, p);
-        let image = HeapImage::capture(&heap);
+        let image = capture(&heap);
         prop_assert!(image.scan_canary_corruptions().is_empty());
     }
 
@@ -106,12 +118,12 @@ proptest! {
         let mut rng = Rng::new(seed ^ 0x5EED);
         let mut live = Vec::new();
         churn(&mut heap, &mut rng, &mut live, steps);
-        let base = HeapImage::capture(&heap); // clears dirty bits → baseline
+        let base = capture(&heap); // clears dirty bits → baseline
         churn(&mut heap, &mut rng, &mut live, extra);
         // Incremental before full: every capture clears the dirty bits it
         // consumed, so the full capture here must come second.
-        let inc = HeapImage::capture_incremental(&base, &heap);
-        let full = HeapImage::capture(&heap);
+        let inc = capture_incremental(&base, &heap);
+        let full = capture(&heap);
         prop_assert_eq!(&inc, &full);
         // Captures leave no dirty pages behind (they are the new baseline).
         prop_assert!(heap.arena().dirty_pages().is_empty());
@@ -128,7 +140,7 @@ proptest! {
         heap.free(p, SiteHash::from_raw(2));
         let original = heap.arena().read_u8(p + offset as u64).unwrap();
         heap.arena_mut().write_u8(p + offset as u64, original ^ flip).unwrap();
-        let image = HeapImage::capture(&heap);
+        let image = capture(&heap);
         let corruptions = image.scan_canary_corruptions();
         prop_assert_eq!(corruptions.len(), 1);
         prop_assert_eq!(corruptions[0].first_bad, offset);

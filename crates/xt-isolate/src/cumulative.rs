@@ -614,6 +614,12 @@ mod tests {
     use xt_alloc::Heap;
     use xt_diefast::{DieFastConfig, DieFastHeap};
 
+    /// Capture cannot fail here: the heap was only ever touched through the
+    /// allocator, so every miniheap it records is backed by its own arena.
+    fn capture(heap: &DieFastHeap) -> HeapImage {
+        HeapImage::try_capture(heap).expect("the allocator mapped every miniheap this heap records")
+    }
+
     const BUGGY: SiteHash = SiteHash::from_raw(0xB06);
     const CLEAN: SiteHash = SiteHash::from_raw(0xC1EA);
 
@@ -695,7 +701,7 @@ mod tests {
             return;
         }
         h.arena_mut().write_u32(victim, 0x0BAD_0B0E).unwrap();
-        let image = HeapImage::capture(&h);
+        let image = capture(&h);
         let log = h.inner().history().unwrap();
         let summary = summarize_run(&image, log, true, 0.5);
         assert!(
@@ -741,7 +747,7 @@ mod tests {
                 frees += 1;
             }
         }
-        let image = HeapImage::capture(&h);
+        let image = capture(&h);
         let summary = summarize_run(&image, h.inner().history().unwrap(), true, 0.5);
         let obs = summary
             .dangling_obs
@@ -759,7 +765,7 @@ mod tests {
         let mut h = DieFastHeap::new(DieFastConfig::cumulative_with_seed(4));
         let p = h.malloc(16, BUGGY).unwrap();
         h.free(p, SiteHash::from_raw(0xF));
-        let image = HeapImage::capture(&h);
+        let image = capture(&h);
         let summary = summarize_run(&image, h.inner().history().unwrap(), false, 0.5);
         assert!(summary.dangling_obs.is_empty());
         assert!(!summary.failed);

@@ -462,6 +462,12 @@ mod tests {
     use xt_alloc::{AllocTime, Heap, SiteHash};
     use xt_diefast::{DieFastConfig, DieFastHeap};
 
+    /// Capture cannot fail here: the heap was only ever touched through the
+    /// allocator, so every miniheap it records is backed by its own arena.
+    fn capture(heap: &DieFastHeap) -> HeapImage {
+        HeapImage::try_capture(heap).expect("the allocator mapped every miniheap this heap records")
+    }
+
     const SITE_A: SiteHash = SiteHash::from_raw(0xAAAA);
     const SITE_B: SiteHash = SiteHash::from_raw(0xBBBB);
     const FREE_SITE: SiteHash = SiteHash::from_raw(0xFFFF);
@@ -516,7 +522,7 @@ mod tests {
     }
 
     fn capture_all(heaps: &[DieFastHeap]) -> Vec<HeapImage> {
-        heaps.iter().map(HeapImage::capture).collect()
+        heaps.iter().map(capture).collect()
     }
 
     #[test]
@@ -529,7 +535,7 @@ mod tests {
     #[test]
     fn needs_two_images() {
         let (h, _) = scripted_heap(1);
-        let imgs = vec![HeapImage::capture(&h)];
+        let imgs = vec![capture(&h)];
         assert_eq!(
             isolate(&imgs).unwrap_err(),
             IsolationError::NotEnoughImages { got: 1 }

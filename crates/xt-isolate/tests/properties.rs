@@ -105,7 +105,7 @@ proptest! {
                     live.push(p);
                 }
             }
-            images.push(HeapImage::capture(&heap));
+            images.push(HeapImage::try_capture(&heap).expect("the allocator mapped every miniheap this heap records"));
         }
         let report = isolate(&images).unwrap();
         prop_assert!(report.is_empty(), "false positive: {report}");
