@@ -18,10 +18,62 @@
 
 use std::time::Instant;
 
-use bench::{fmt_ratio, geomean, row, run_on, run_on_baseline, run_on_exterminator};
+use xt_alloc::Heap;
+use xt_baseline::BaselineHeap;
+use xt_correct::CorrectingHeap;
 use xt_diefast::{DieFastConfig, DieFastHeap};
 use xt_diehard::{DieHardConfig, DieHardHeap};
-use xt_workloads::{alloc_intensive_suite, spec_suite, Workload, WorkloadInput};
+use xt_patch::PatchTable;
+use xt_workloads::{alloc_intensive_suite, spec_suite, RunResult, Workload, WorkloadInput};
+
+/// Geometric mean of positive values.
+fn geomean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return f64::NAN;
+    }
+    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
+}
+
+/// Runs `workload` once over `heap`; a run that does not complete is a
+/// harness bug, not a measurement.
+fn run_on(workload: &dyn Workload, input: &WorkloadInput, mut heap: impl Heap) -> RunResult {
+    let result = workload.run(&mut heap, input);
+    assert!(
+        result.completed(),
+        "{} crashed: {:?}",
+        workload.name(),
+        result.outcome
+    );
+    result
+}
+
+/// Runs `workload` once over the Fig. 7 *baseline*: the Lea-style libc
+/// stand-in.
+fn run_on_baseline(workload: &dyn Workload, input: &WorkloadInput, seed: u64) -> RunResult {
+    run_on(workload, input, BaselineHeap::with_seed(seed))
+}
+
+/// Runs `workload` once over the Fig. 7 *Exterminator* stack: DieFast plus
+/// the correcting allocator, in the non-replicated configuration the paper
+/// measures ("DieFast plus the correcting allocator", §7.1).
+fn run_on_exterminator(workload: &dyn Workload, input: &WorkloadInput, seed: u64) -> RunResult {
+    let diefast = DieFastHeap::new(DieFastConfig::with_seed(seed));
+    run_on(
+        workload,
+        input,
+        CorrectingHeap::new(diefast, PatchTable::new()),
+    )
+}
+
+/// Prints a Markdown-ish table row.
+fn row(cols: &[String]) {
+    println!("| {} |", cols.join(" | "));
+}
+
+/// Formats a ratio like Fig. 7's normalized execution time.
+fn fmt_ratio(r: f64) -> String {
+    format!("{r:.2}x")
+}
 
 /// The ladder of stacks between the baseline and the full Exterminator
 /// configuration, in the order the decomposition table prints them. The
@@ -164,5 +216,26 @@ fn main() {
             .into_iter()
             .chain((0..STACKS.len()).map(|i| fmt_ratio(suite_geomean(suite, i))));
         row(&cells.collect::<Vec<_>>());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xt_workloads::EspressoLike;
+
+    #[test]
+    fn geomean_matches_hand_computation() {
+        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
+        assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
+        assert!(geomean(&[]).is_nan());
+    }
+
+    #[test]
+    fn both_stacks_run_the_suite() {
+        let input = WorkloadInput::with_seed(5);
+        let a = run_on_baseline(&EspressoLike::new(), &input, 1);
+        let b = run_on_exterminator(&EspressoLike::new(), &input, 2);
+        assert_eq!(a.output, b.output, "stacks disagree on output");
     }
 }

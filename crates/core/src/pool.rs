@@ -98,9 +98,10 @@ pub struct PoolConfig {
     /// loop). Disable for measurement runs that must keep re-observing the
     /// same fault.
     pub auto_patch: bool,
-    /// Bench/test instrumentation: delay one worker before every
-    /// execution, making it a reproducible straggler for early-exit vote
-    /// measurements.
+    /// Test instrumentation (the straggler tests and
+    /// `examples/replicated_pool.rs` are its only users): delay one
+    /// worker before every execution, making it a reproducible straggler
+    /// for early-exit vote checks.
     pub straggler: Option<Straggler>,
 }
 
@@ -118,7 +119,7 @@ impl Default for PoolConfig {
     }
 }
 
-/// One deliberately slowed replica (bench/test instrumentation).
+/// One deliberately slowed replica (test instrumentation).
 #[derive(Clone, Copy, Debug)]
 pub struct Straggler {
     /// Worker index to slow down.

@@ -5,7 +5,7 @@
 //! source line and byte offset so diagnostics can point at the exact
 //! site. Deliberately not a parser: the scanners in
 //! [`model`](crate::model) pattern-match over this stream, the same
-//! offline stand-in approach as `crates/proptest`/`crates/criterion` —
+//! offline stand-in approach as `crates/proptest` —
 //! no `syn`, no compiler plugin, no network.
 
 /// What kind of token this is.

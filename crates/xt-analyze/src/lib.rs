@@ -49,9 +49,9 @@
 //! available as a library via [`analyze_sources`] (used by the fixture
 //! tests) and [`analyze_workspace`].
 //!
-//! Like `crates/proptest` and `crates/criterion`, the crate is a
-//! dependency-free offline stand-in: a hand-rolled lexer and token-level
-//! scanners, no `syn`, no rustc plugin, no network.
+//! Like `crates/proptest`, the crate is a dependency-free offline
+//! stand-in: a hand-rolled lexer and token-level scanners, no `syn`, no
+//! rustc plugin, no network.
 
 pub mod lexer;
 pub mod locks;

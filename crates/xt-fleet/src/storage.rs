@@ -140,7 +140,7 @@ impl MemStorage {
     }
 
     /// Current size of the named object in bytes (0 if absent) —
-    /// test/bench introspection.
+    /// test introspection.
     #[must_use]
     pub fn object_len(&self, name: &str) -> usize {
         self.objects

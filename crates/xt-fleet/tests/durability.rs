@@ -435,8 +435,9 @@ fn crash_mid_batch_recovers_and_batch_retry_is_idempotent() {
 
 /// Durable ingest throughput sanity: WAL-on over in-memory storage stays
 /// within an order of magnitude of the plain service (the real numbers
-/// live in the bench series; this guards against the write gate
-/// accidentally serializing something pathological).
+/// are `BENCHMARK.json`'s `fleet.wal_ingest_ns` / `fleet.ingest_ns`;
+/// this guards against the write gate accidentally serializing
+/// something pathological).
 #[test]
 fn durable_ingest_completes_a_real_workload() {
     let disk = MemStorage::new();

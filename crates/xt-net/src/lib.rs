@@ -44,7 +44,7 @@
 //! with bounded threads and memory. A single poller thread owns every
 //! connection through [`xt_poll::Poller`] (epoll via a thin FFI shim on
 //! Linux, portable `poll(2)` fallback elsewhere — the same
-//! offline-stand-in pattern as `proptest`/`criterion`). Sockets are
+//! offline-stand-in pattern as `proptest`). Sockets are
 //! non-blocking; reads accumulate into a per-connection buffer and
 //! [`Frame::parse_prefix`](xt_fleet::frame::Frame::parse_prefix) cuts
 //! complete frames out of it, so a frame arriving one byte at a time
@@ -52,10 +52,9 @@
 //! handed to a fixed worker pool; replies and pushes are *posted* to
 //! bounded per-connection write queues that the poller drains when the
 //! socket reports writable. Per connection the cost is one fd plus
-//! those buffers (the 10k soak in `crates/bench/benches/soak.rs`
-//! measures ~4.6 KB and zero threads per connection, and epoch
-//! propagation to ~9.9k connections in ~134 ms on one CPU); per server
-//! it is O(workers) threads, fixed at bind time.
+//! those buffers (the 1k soak in `tests/soak.rs` pins zero threads and
+//! under 128 KiB per connection, and reads ~4.6 KB); per server it is
+//! O(workers) threads, fixed at bind time.
 //!
 //! Everything on the wire rides the shared length-prefixed frame layer
 //! ([`xt_fleet::frame`]) and validates **with byte offsets**: these

@@ -6,8 +6,8 @@
 //! for readiness with a timeout, and wake the waiter from another
 //! thread. The real ecosystem answer is `mio`, but this workspace is
 //! built offline — so, in the same stand-in spirit as the local
-//! `proptest`/`criterion` crates, this crate implements the subset it
-//! needs directly:
+//! `proptest` crate, this crate implements the subset it needs
+//! directly:
 //!
 //! - **epoll backend** (Linux): raw `extern "C"` declarations against
 //!   the libc that `std` already links — `epoll_create1` /
