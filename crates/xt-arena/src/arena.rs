@@ -48,30 +48,18 @@ const PLACEMENT_ATTEMPTS: usize = 4096;
 /// set of simultaneously mapped chunks).
 const SPARE_LEAF_CAP: usize = 1024;
 
-/// `u64` words in one leaf's dirty bitmap (one bit per page).
-const DIRTY_WORDS: usize = CHUNK_PAGES / 64;
-
-/// One slot of the direct-mapped TLB (16 bytes: the flag rides in the
-/// padding the tag and region id leave).
+/// One slot of the direct-mapped TLB.
 #[derive(Clone, Copy, Debug)]
 struct TlbEntry {
     /// Page number this entry translates, or [`INVALID_PAGE`].
     page: u64,
     /// Owning region's slab id.
     region: u32,
-    /// The page's leaf dirty bit is known to be set, so a store through
-    /// this entry has nothing to mark. Never set while the bit is clear:
-    /// whatever clears leaf bits clears or invalidates the entries too
-    /// ([`Arena::clear_dirty`], [`Arena::unmap`], [`Arena::reset`]).
-    dirty: bool,
 }
-
-const _: () = assert!(std::mem::size_of::<TlbEntry>() == 16);
 
 const INVALID_ENTRY: TlbEntry = TlbEntry {
     page: INVALID_PAGE,
     region: 0,
-    dirty: false,
 };
 
 #[derive(Debug)]
@@ -85,45 +73,6 @@ struct Leaf {
     entries: Box<[u32; CHUNK_PAGES]>,
     /// Count of mapped entries, so empty leaves can be reclaimed.
     mapped: usize,
-    /// One dirty bit per page, set on every store into the page and cleared
-    /// by [`Arena::clear_dirty`] (capture) or implicitly when the leaf dies
-    /// ([`Arena::reset`], [`Arena::unmap`] clearing the page's bit). `Cell`
-    /// because capture observes the arena through `&self`. The bitmap lives
-    /// with the `Leaf`, not in the spare-entries pool, so a recycled leaf
-    /// always starts with a clean bitmap — spare-leaf reuse cannot leak
-    /// another cycle's dirty bits.
-    dirty: [Cell<u64>; DIRTY_WORDS],
-}
-
-impl Leaf {
-    fn new() -> Self {
-        Leaf::with_entries(Box::new([NO_REGION; CHUNK_PAGES]))
-    }
-
-    fn with_entries(entries: Box<[u32; CHUNK_PAGES]>) -> Self {
-        Leaf {
-            entries,
-            mapped: 0,
-            dirty: std::array::from_fn(|_| Cell::new(0)),
-        }
-    }
-
-    #[inline]
-    fn mark_dirty(&self, bit: usize) {
-        let word = &self.dirty[bit >> 6];
-        word.set(word.get() | 1 << (bit & 63));
-    }
-
-    #[inline]
-    fn is_dirty(&self, bit: usize) -> bool {
-        self.dirty[bit >> 6].get() & (1 << (bit & 63)) != 0
-    }
-
-    #[inline]
-    fn clear_dirty_bit(&self, bit: usize) {
-        let word = &self.dirty[bit >> 6];
-        word.set(word.get() & !(1 << (bit & 63)));
-    }
 }
 
 impl std::fmt::Debug for Leaf {
@@ -197,8 +146,8 @@ pub struct Arena {
     /// Region bases in address order, for placement and iteration (the
     /// access fast path never touches this).
     by_base: BTreeMap<u64, u32>,
-    /// Direct-mapped TLB: slot `page % 256` caches the page's region id
-    /// and whether its dirty bit is already set.
+    /// Direct-mapped TLB: slot `page % 256` caches the page's region id.
+    /// `Cell` so loads, which take `&self`, can refill it.
     tlb: [Cell<TlbEntry>; TLB_ENTRIES],
     /// Total mapped bytes, maintained incrementally.
     total_mapped: usize,
@@ -256,9 +205,6 @@ impl Arena {
         self.free_ids.clear();
         self.by_base.clear();
         self.total_mapped = 0;
-        // Dirty bitmaps died with their leaves (only the entries boxes are
-        // pooled) and the TLB's dirty flags with its entries: a reset arena
-        // reports no dirty pages.
         for entry in &self.tlb {
             entry.set(INVALID_ENTRY);
         }
@@ -346,7 +292,6 @@ impl Arena {
                 .get_mut(&chunk)
                 .expect("mapped page has a leaf table");
             leaf.entries[page as usize & (CHUNK_PAGES - 1)] = NO_REGION;
-            leaf.clear_dirty_bit(page as usize & (CHUNK_PAGES - 1));
             leaf.mapped -= 1;
             if leaf.mapped == 0 {
                 // Every entry is NO_REGION again: retire the leaf's table
@@ -358,8 +303,7 @@ impl Arena {
                 }
             }
         }
-        // Precise shootdown: drop only translations that named this region
-        // (and with them the dirty flags of the pages just cleared).
+        // Precise shootdown: drop only translations that named this region.
         for entry in &self.tlb {
             if entry.get().region == idx {
                 entry.set(INVALID_ENTRY);
@@ -393,9 +337,11 @@ impl Arena {
             let leaf = self
                 .directory
                 .entry(page >> CHUNK_SHIFT)
-                .or_insert_with(|| match spare.pop() {
-                    Some(entries) => Leaf::with_entries(entries),
-                    None => Leaf::new(),
+                .or_insert_with(|| Leaf {
+                    entries: spare
+                        .pop()
+                        .unwrap_or_else(|| Box::new([NO_REGION; CHUNK_PAGES])),
+                    mapped: 0,
                 });
             debug_assert_eq!(
                 leaf.entries[page as usize & (CHUNK_PAGES - 1)],
@@ -404,10 +350,6 @@ impl Arena {
             );
             leaf.entries[page as usize & (CHUNK_PAGES - 1)] = idx;
             leaf.mapped += 1;
-            // Mapping zero-fills the page — that store dirties it. This also
-            // closes the unmap-then-remap hole: a page reused at the same
-            // address can never be spliced from a stale base image.
-            leaf.mark_dirty(page as usize & (CHUNK_PAGES - 1));
         }
     }
 
@@ -431,41 +373,39 @@ impl Arena {
             .expect("page table referenced a live region")
     }
 
-    /// Walks the page table (no TLB) to the TLB entry describing `page`.
     #[inline]
-    fn walk(&self, page: u64) -> Option<TlbEntry> {
+    fn region_mut(&mut self, idx: u32) -> &mut Region {
+        self.slab[idx as usize]
+            .as_mut()
+            .expect("page table referenced a live region")
+    }
+
+    /// Walks the page table (no TLB) to the id of the region mapping `page`.
+    #[inline]
+    fn walk(&self, page: u64) -> Option<u32> {
         let leaf = self.directory.get(&(page >> CHUNK_SHIFT))?;
-        let bit = page as usize & (CHUNK_PAGES - 1);
-        match leaf.entries[bit] {
+        match leaf.entries[page as usize & (CHUNK_PAGES - 1)] {
             NO_REGION => None,
-            region => Some(TlbEntry {
-                page,
-                region,
-                dirty: leaf.is_dirty(bit),
-            }),
+            region => Some(region),
         }
     }
 
-    /// Translates `addr`'s page to its TLB entry (owning region id, and
-    /// whether the page is known dirty), which on return is what the page's
-    /// TLB slot holds.
+    /// Translates `addr`'s page to the id of its owning region.
     ///
     /// Fast path: one TLB probe (array index + compare). Miss path: one
-    /// hash lookup and one leaf index, then the TLB is refilled — with the
-    /// page's dirty bit as the walk found it, so stores through the entry
-    /// know whether there is anything left to mark. Both are O(1) in the
-    /// number of live regions.
+    /// hash lookup and one leaf index, then the TLB is refilled. Both are
+    /// O(1) in the number of live regions.
     #[inline]
-    fn translate(&self, addr: Addr) -> Result<TlbEntry, MemFault> {
+    fn translate(&self, addr: Addr) -> Result<u32, MemFault> {
         let page = addr.get() >> PAGE_SHIFT;
         let slot = &self.tlb[page as usize & (TLB_ENTRIES - 1)];
         let cached = slot.get();
         if cached.page == page {
-            return Ok(cached);
+            return Ok(cached.region);
         }
-        let entry = self.walk(page).ok_or(MemFault::Unmapped { addr })?;
-        slot.set(entry);
-        Ok(entry)
+        let region = self.walk(page).ok_or(MemFault::Unmapped { addr })?;
+        slot.set(TlbEntry { page, region });
+        Ok(region)
     }
 
     /// Bounds-checks an access of `len` bytes inside `region`.
@@ -481,153 +421,31 @@ impl Arena {
         Ok(off)
     }
 
+    /// Translates `addr` and bounds-checks an access of `len` bytes,
+    /// returning the owning region's id and the byte offset within it.
+    #[inline]
+    fn locate(&self, addr: Addr, len: usize) -> Result<(u32, usize), MemFault> {
+        let idx = self.translate(addr)?;
+        let off = Self::bounds_check(self.region(idx), addr, len)?;
+        Ok((idx, off))
+    }
+
     /// Translates and bounds-checks a read access, returning the owning
     /// region and the byte offset within it.
     #[inline]
     fn locate_ref(&self, addr: Addr, len: usize) -> Result<(&Region, usize), MemFault> {
-        let region = self.region(self.translate(addr)?.region);
+        let region = self.region(self.translate(addr)?);
         let off = Self::bounds_check(region, addr, len)?;
         Ok((region, off))
     }
 
     /// Translates and bounds-checks a write access, returning the owning
-    /// region mutably and the byte offset within it. This is the single
-    /// funnel every store path goes through (`write_bytes` and hence
-    /// `write_u8/u32/u64/addr`, `fill`, `fill_pattern_u32`,
-    /// `check_and_fill`), so marking dirty pages here covers them all —
-    /// bulk paths included. Marking happens only after translation *and*
-    /// bounds check succeed: a faulting store modifies nothing and
-    /// therefore dirties nothing.
+    /// region mutably and the byte offset within it. A faulting store
+    /// never gets this far, so it modifies nothing.
     #[inline]
     fn locate_mut(&mut self, addr: Addr, len: usize) -> Result<(&mut Region, usize), MemFault> {
-        let (entry, off) = self.locate(addr, len)?;
-        Ok((self.dirty_region_mut(entry, addr, len), off))
-    }
-
-    /// The store half of [`Arena::locate_mut`], for a range
-    /// [`Arena::locate`] has just resolved to `entry`: marks its pages
-    /// dirty and hands out the region mutably.
-    #[inline]
-    fn dirty_region_mut(&mut self, entry: TlbEntry, addr: Addr, len: usize) -> &mut Region {
-        self.mark_dirty(entry, addr, len);
-        self.slab[entry.region as usize]
-            .as_mut()
-            .expect("page table referenced a live region")
-    }
-
-    /// Sets the dirty bit of every page overlapping `[addr, addr + len)`,
-    /// a range the caller has proven mapped and in-bounds and whose first
-    /// page just translated to `entry`.
-    ///
-    /// Randomized placement makes consecutive stores land on different
-    /// pages, so "already dirty" is remembered per page, in the TLB entry
-    /// the store's translation just probed: only the first store to a page
-    /// since its bit was last cleared (or since its entry was refilled from
-    /// a clean leaf) pays the directory walk. A store that runs on into
-    /// further pages — rare — walks for each of those and leaves their TLB
-    /// entries alone.
-    #[inline]
-    fn mark_dirty(&self, entry: TlbEntry, addr: Addr, len: usize) {
-        if len == 0 {
-            return;
-        }
-        if !entry.dirty {
-            self.mark_page_dirty(entry.page);
-            self.tlb[entry.page as usize & (TLB_ENTRIES - 1)].set(TlbEntry {
-                dirty: true,
-                ..entry
-            });
-        }
-        let last = (addr.get() + (len as u64 - 1)) >> PAGE_SHIFT;
-        for page in entry.page + 1..=last {
-            self.mark_page_dirty(page);
-        }
-    }
-
-    /// Sets one mapped page's dirty bit in its leaf.
-    #[inline]
-    fn mark_page_dirty(&self, page: u64) {
-        self.directory
-            .get(&(page >> CHUNK_SHIFT))
-            .expect("dirtied page has a leaf table")
-            .mark_dirty(page as usize & (CHUNK_PAGES - 1));
-    }
-
-    /// Clears every dirty bit, making the current contents the baseline the
-    /// next [`Arena::region_dirty_pages`] answers are relative to. Heap-image
-    /// capture calls this after reading the heap, so dirty bits always mean
-    /// "stored to since the last capture". Interior mutability (`&self`)
-    /// because capture observes the heap immutably.
-    pub fn clear_dirty(&self) {
-        for leaf in self.directory.values() {
-            for word in &leaf.dirty {
-                word.set(0);
-            }
-        }
-        for slot in &self.tlb {
-            slot.set(TlbEntry {
-                dirty: false,
-                ..slot.get()
-            });
-        }
-    }
-
-    /// Per-page dirty flags for the region containing `addr`, as
-    /// `(region base, one flag per page in address order)`, or `None` if
-    /// `addr` is unmapped. A `true` flag means the page has been stored to
-    /// (or freshly mapped) since the last [`Arena::clear_dirty`].
-    #[must_use]
-    pub fn region_dirty_pages(&self, addr: Addr) -> Option<(Addr, Vec<bool>)> {
-        let idx = self.walk(addr.get() >> PAGE_SHIFT)?.region;
-        let region = self.region(idx);
-        let first_page = region.base >> PAGE_SHIFT;
-        let n_pages = region.data.len() / PAGE_SIZE;
-        let flags = (first_page..first_page + n_pages as u64)
-            .map(|page| {
-                self.directory
-                    .get(&(page >> CHUNK_SHIFT))
-                    .expect("mapped page has a leaf table")
-                    .is_dirty(page as usize & (CHUNK_PAGES - 1))
-            })
-            .collect();
-        Some((Addr::new(region.base), flags))
-    }
-
-    /// Base addresses of every dirty page, in address order. Dirty bits are
-    /// only ever set on mapped pages and cleared when their page unmaps, so
-    /// every returned address is currently mapped. Intended for tests and
-    /// diagnostics; capture uses [`Arena::region_dirty_pages`] per region.
-    #[must_use]
-    pub fn dirty_pages(&self) -> Vec<Addr> {
-        let mut pages: Vec<Addr> = self
-            .directory
-            .iter()
-            .flat_map(|(&chunk, leaf)| {
-                (0..CHUNK_PAGES).filter_map(move |bit| {
-                    if leaf.is_dirty(bit) {
-                        debug_assert_ne!(
-                            leaf.entries[bit], NO_REGION,
-                            "dirty bit on unmapped page"
-                        );
-                        Some(Addr::new(
-                            ((chunk << CHUNK_SHIFT) + bit as u64) << PAGE_SHIFT,
-                        ))
-                    } else {
-                        None
-                    }
-                })
-            })
-            .collect();
-        pages.sort_unstable();
-        pages
-    }
-
-    /// Translates `addr` and bounds-checks an access of `len` bytes.
-    #[inline]
-    fn locate(&self, addr: Addr, len: usize) -> Result<(TlbEntry, usize), MemFault> {
-        let entry = self.translate(addr)?;
-        let off = Self::bounds_check(self.region(entry.region), addr, len)?;
-        Ok((entry, off))
+        let (idx, off) = self.locate(addr, len)?;
+        Ok((self.region_mut(idx), off))
     }
 
     /// Reads `len` bytes starting at `addr`.
@@ -800,14 +618,13 @@ impl Arena {
     /// [`Arena::compare_pattern`] and [`Arena::fill`] over the same range as
     /// one operation — one translation, one bounds check: if `expect` names
     /// a pattern and the range does not hold it, returns the offset of the
-    /// first mismatching byte and changes **nothing** (no byte, no dirty
-    /// bit); otherwise fills the range with `value` and returns `None`.
+    /// first mismatching byte and changes **nothing**; otherwise fills the
+    /// range with `value` and returns `None`.
     ///
     /// This is DieFast's `malloc`: verify the reserved slot's canary and,
     /// only if it is intact, zero the slot for the application. A corrupted
     /// slot is evidence for the error isolator and must stay exactly as the
-    /// overflow left it, dirty bits included — an untouched page must not
-    /// look modified to the next incremental capture.
+    /// overflow left it.
     ///
     /// # Errors
     ///
@@ -820,15 +637,15 @@ impl Arena {
         expect: Option<u32>,
         value: u8,
     ) -> Result<Option<usize>, MemFault> {
-        let (entry, off) = self.locate(addr, len)?;
+        let (idx, off) = self.locate(addr, len)?;
         if let Some(pattern) = expect {
-            let held = &self.region(entry.region).data[off..off + len];
+            let held = &self.region(idx).data[off..off + len];
             let mismatch = first_mismatch(held, pattern);
             if mismatch.is_some() {
                 return Ok(mismatch);
             }
         }
-        self.dirty_region_mut(entry, addr, len).data[off..off + len].fill(value);
+        self.region_mut(idx).data[off..off + len].fill(value);
         Ok(None)
     }
 
@@ -848,8 +665,7 @@ impl Arena {
     /// a whole miniheap with one translation instead of one per slot.
     #[must_use]
     pub fn region_snapshot(&self, addr: Addr) -> Option<(Addr, &[u8])> {
-        let idx = self.walk(addr.get() >> PAGE_SHIFT)?.region;
-        let region = self.region(idx);
+        let region = self.region(self.walk(addr.get() >> PAGE_SHIFT)?);
         Some((Addr::new(region.base), &region.data))
     }
 
@@ -1207,135 +1023,6 @@ mod tests {
         arena.unmap(a).unwrap();
         assert!(arena.read_u64(a).is_err());
         assert_eq!(arena.read_u64(b).unwrap(), 2);
-    }
-
-    /// Freshly mapped pages are dirty (mapping zero-fills them), and
-    /// `clear_dirty` establishes a clean baseline.
-    #[test]
-    fn mapping_dirties_and_clear_establishes_baseline() {
-        let (arena, base) = arena_with_region(3 * PAGE_SIZE);
-        assert_eq!(
-            arena.dirty_pages(),
-            vec![base, base + PAGE_SIZE as u64, base + 2 * PAGE_SIZE as u64]
-        );
-        arena.clear_dirty();
-        assert!(arena.dirty_pages().is_empty());
-        let (b, flags) = arena.region_dirty_pages(base + 5000).unwrap();
-        assert_eq!(b, base);
-        assert_eq!(flags, vec![false, false, false]);
-    }
-
-    /// Every store path marks exactly the pages it touches; reads mark none.
-    #[test]
-    fn stores_mark_their_pages() {
-        let (mut arena, base) = arena_with_region(4 * PAGE_SIZE);
-        arena.clear_dirty();
-        arena.read_u64(base + 100).unwrap();
-        assert!(arena.dirty_pages().is_empty(), "reads must not dirty");
-        arena.write_u8(base + 10, 1).unwrap();
-        assert_eq!(arena.dirty_pages(), vec![base]);
-        // A store crossing a page boundary marks both pages.
-        arena.write_u64(base + PAGE_SIZE as u64 * 2 - 4, 7).unwrap();
-        let (_, flags) = arena.region_dirty_pages(base).unwrap();
-        assert_eq!(flags, vec![true, true, true, false]);
-        // Bulk fill over the last two pages.
-        arena.clear_dirty();
-        arena
-            .fill_pattern_u32(base + 2 * PAGE_SIZE as u64 + 8, PAGE_SIZE + 16, 0xAB)
-            .unwrap();
-        let (_, flags) = arena.region_dirty_pages(base).unwrap();
-        assert_eq!(flags, vec![false, false, true, true]);
-        // A faulting store dirties nothing.
-        arena.clear_dirty();
-        assert!(arena
-            .write_bytes(base + 4 * PAGE_SIZE as u64 - 2, &[0; 8])
-            .is_err());
-        assert!(arena.dirty_pages().is_empty());
-    }
-
-    /// Unmapping clears a region's dirty bits; remapping at the same spot
-    /// re-dirties, so stale clean-page assumptions can't survive reuse.
-    #[test]
-    fn unmap_clears_and_remap_redirties() {
-        let mut arena = Arena::new();
-        let base = Addr::new(0x1000_0000);
-        arena.map_at(base, 2 * PAGE_SIZE).unwrap();
-        arena.clear_dirty();
-        arena.write_u8(base, 9).unwrap();
-        assert_eq!(arena.dirty_pages(), vec![base]);
-        arena.unmap(base).unwrap();
-        assert!(arena.dirty_pages().is_empty());
-        arena.map_at(base, 2 * PAGE_SIZE).unwrap();
-        assert_eq!(arena.dirty_pages(), vec![base, base + PAGE_SIZE as u64]);
-    }
-
-    /// A reset (reused) arena reports no stale dirty pages even though its
-    /// leaf tables are recycled through the spare pool.
-    #[test]
-    fn reset_leaves_no_stale_dirty_pages() {
-        let mut arena = Arena::new();
-        let mut rng = Rng::new(11);
-        for _ in 0..8 {
-            let b = arena.map(2 * PAGE_SIZE, &mut rng);
-            arena.write_u64(b + 100, 1).unwrap();
-        }
-        assert!(!arena.dirty_pages().is_empty());
-        arena.reset();
-        assert!(arena.dirty_pages().is_empty());
-        // Recycled leaves start clean: only the freshly mapped pages of the
-        // next cycle are dirty.
-        let b = arena.map(PAGE_SIZE, &mut rng);
-        assert_eq!(arena.dirty_pages(), vec![b]);
-    }
-
-    /// The TLB's dirty flags never suppress a mark they shouldn't:
-    /// alternating stores across pages and a clear in between stay exact.
-    #[test]
-    fn dirty_cache_stays_coherent() {
-        let (mut arena, base) = arena_with_region(2 * PAGE_SIZE);
-        arena.clear_dirty();
-        for _ in 0..10 {
-            arena.write_u8(base + 1, 1).unwrap();
-            arena.write_u8(base + PAGE_SIZE as u64 + 1, 2).unwrap();
-        }
-        assert_eq!(arena.dirty_pages(), vec![base, base + PAGE_SIZE as u64]);
-        arena.clear_dirty();
-        // clear_dirty dropped the flags: the next store to the same page
-        // must mark again.
-        arena.write_u8(base + PAGE_SIZE as u64 + 1, 3).unwrap();
-        assert_eq!(arena.dirty_pages(), vec![base + PAGE_SIZE as u64]);
-    }
-
-    /// A dirty flag belongs to the page its TLB entry is tagged with: a
-    /// store that crosses into a page whose TLB slot currently holds a
-    /// *different* (colliding, clean) page must mark its own page without
-    /// flagging the other one, or that page's next store would go unmarked.
-    #[test]
-    fn dirty_flags_survive_tlb_conflicts() {
-        let mut arena = Arena::new();
-        // Pages 0x10000/0x10001 and 0x10100/0x10101 share two TLB slots.
-        let a = Addr::new(0x1000_0000);
-        let b = Addr::new(0x1010_0000);
-        arena.map_at(a, 2 * PAGE_SIZE).unwrap();
-        arena.map_at(b, 2 * PAGE_SIZE).unwrap();
-        let (a1, b1) = (a + PAGE_SIZE as u64, b + PAGE_SIZE as u64);
-        arena.clear_dirty();
-        // b1 takes the shared slot, clean.
-        arena.read_u8(b1).unwrap();
-        // A store crossing a0 -> a1 finds b1's entry where a1's would be.
-        arena.write_u64(a1 - 4, 7).unwrap();
-        assert_eq!(arena.dirty_pages(), vec![a, a1]);
-        // b1 was never stored to, and its first store must still mark it.
-        arena.write_u8(b1, 1).unwrap();
-        assert_eq!(arena.dirty_pages(), vec![a, a1, b1]);
-        // Same page, flag now set: clear, then the colliding page's store
-        // evicts it; coming back must mark again.
-        arena.clear_dirty();
-        arena.write_u8(a1, 2).unwrap();
-        arena.write_u8(b1, 3).unwrap();
-        arena.clear_dirty();
-        arena.write_u8(a1, 4).unwrap();
-        assert_eq!(arena.dirty_pages(), vec![a1]);
     }
 
     /// Interleaved map/unmap/access across many regions: every read sees

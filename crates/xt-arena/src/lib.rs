@@ -45,41 +45,10 @@
 //!
 //! Nothing is charged per-access that scales with the number of live
 //! regions, so measured allocator overheads reflect the algorithms under
-//! study (randomized probing, canary work), not the substrate.
-//!
-//! # Dirty tracking for incremental capture
-//!
-//! Each page-table leaf carries one **dirty bit per page**, the substrate
-//! for `xt-image`'s incremental heap capture. The protocol:
-//!
-//! - **Set** — every successful store (`write_u8/u32/u64/addr`,
-//!   `write_bytes`, `fill`, `fill_pattern_u32`, `check_and_fill`; they all
-//!   funnel through one internal locate step) marks the pages it touches,
-//!   and `map`/`map_at` mark freshly mapped pages (the zero-fill is a store
-//!   — and this is what keeps an unmap-then-remap at the same address from
-//!   ever looking clean). Faulting stores modify nothing and mark nothing;
-//!   neither does a [`Arena::check_and_fill`] whose check fails.
-//! - **Clear** — [`Arena::clear_dirty`] (called by capture once it has read
-//!   the heap, via `&self` interior mutability) zeroes every bit, making
-//!   the captured contents the new baseline; [`Arena::unmap`] clears the
-//!   dead pages' bits; [`Arena::reset`] drops every leaf, so a reused
-//!   replica arena starts with no dirty pages at all.
-//! - **Query** — [`Arena::region_dirty_pages`] answers capture's per-region
-//!   question ("which pages changed since the baseline?");
-//!   [`Arena::dirty_pages`] enumerates all dirty pages for tests.
-//!
-//! Marking must not cost a page-table walk per store, and randomised
-//! placement means consecutive stores rarely share a page, so "this page's
-//! bit is already set" is a **flag in the page's TLB entry**: a store
-//! consults the entry its translation just probed and walks the directory
-//! only when the flag is down, then raises it. The flag is a cache of the
-//! leaf bit and never outlives it: a refill copies the bit the walk found,
-//! `clear_dirty` lowers every flag along with every bit, and `unmap` and
-//! `reset` invalidate the entries of the pages whose bits they drop — the
-//! same shootdowns translation already needed. Spare-leaf recycling
-//! (`reset` pools the 2 KiB entry tables) cannot leak dirty bits because
-//! the bitmap lives in the leaf struct, not in the pooled allocation — a
-//! recycled leaf always starts clean.
+//! study (randomized probing, canary work), not the substrate. A store
+//! costs what a load costs plus the copy: no per-page bookkeeping rides
+//! the store path, and a read-only observer such as heap-image capture
+//! leaves the arena exactly as it found it.
 //!
 //! # Example
 //!

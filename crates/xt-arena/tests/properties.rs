@@ -6,26 +6,18 @@
 //! driven in lockstep through random map/unmap/access interleavings, and
 //! every result — data read, fault classification (`Unmapped` vs
 //! `OutOfBounds`), all-or-nothing writes, guard-page faults — must agree.
-//! The model also tracks the set of dirty pages (stored-to since the last
-//! `clear_dirty`), pinning the arena's dirty bitmap to the obvious
-//! semantics incremental heap capture depends on. The arena remembers
-//! "already dirty" per page in its TLB entries, so the scripts go out of
-//! their way to hit what could make such a flag stale: regions whose pages
-//! collide in the 256-entry TLB, `clear_dirty` between stores to one page,
+//! The scripts go out of their way to hit what could make a cached
+//! translation stale: regions whose pages collide in the 256-entry TLB,
 //! unmap followed by a remap of the same page, and `reset`.
-
-use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use xt_arena::{Addr, Arena, MemFault, Rng, PAGE_SIZE};
 
-/// The reference semantics: a flat list of regions, searched linearly,
-/// plus the set of dirty page addresses.
+/// The reference semantics: a flat list of regions, searched linearly.
 #[derive(Default)]
 struct ModelArena {
     regions: Vec<(u64, Vec<u8>)>,
-    dirty: BTreeSet<u64>,
 }
 
 /// What the model says an access should observe.
@@ -39,34 +31,14 @@ enum ModelAccess {
 impl ModelArena {
     fn map(&mut self, base: Addr, len: usize) {
         self.regions.push((base.get(), vec![0u8; len]));
-        // Mapping zero-fills: the fresh pages are dirty.
-        self.mark_dirty(base.get(), len);
     }
 
     fn unmap(&mut self, base: Addr) -> bool {
         let Some(pos) = self.regions.iter().position(|&(b, _)| b == base.get()) else {
             return false;
         };
-        let (b, data) = self.regions.swap_remove(pos);
-        for page in 0..data.len() / PAGE_SIZE {
-            self.dirty.remove(&(b + (page * PAGE_SIZE) as u64));
-        }
+        self.regions.swap_remove(pos);
         true
-    }
-
-    fn mark_dirty(&mut self, addr: u64, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = addr / PAGE_SIZE as u64;
-        let last = (addr + len as u64 - 1) / PAGE_SIZE as u64;
-        for page in first..=last {
-            self.dirty.insert(page * PAGE_SIZE as u64);
-        }
-    }
-
-    fn dirty_pages(&self) -> Vec<Addr> {
-        self.dirty.iter().map(|&p| Addr::new(p)).collect()
     }
 
     fn classify(&self, addr: Addr, len: usize) -> ModelAccess {
@@ -93,8 +65,6 @@ impl ModelArena {
                     data[off..off + bytes.len()].copy_from_slice(bytes);
                 }
             }
-            // Only a successful store dirties its pages.
-            self.mark_dirty(addr.get(), bytes.len());
         }
         verdict
     }
@@ -141,27 +111,24 @@ enum ArenaOp {
     Read(usize, usize, usize),
     /// Read at an absolute (mostly unmapped) address.
     ReadAbs(u64, usize),
-    /// Bulk-fill relative to the nth region's base (dirties like a store).
+    /// Bulk-fill relative to the nth region's base.
     Fill(usize, usize, u8, usize),
-    /// Clear every dirty bit (what a heap-image capture does).
-    ClearDirty,
     /// Map two pages at the kth of four fixed bases whose pages are 256
     /// apart — the same two slots of the direct-mapped TLB — unless it is
     /// already mapped. After an `UnmapNth` of the same base this is a
     /// remap of the same pages.
     MapColliding(usize),
-    /// `Arena::reset`: everything unmapped, no dirty page left.
+    /// `Arena::reset`: everything unmapped.
     Reset,
     /// Lay a pattern over a range relative to the nth region's base,
-    /// optionally corrupt one byte of it and/or clear the dirty bits, then
-    /// `check_and_fill` the range against that pattern (or against none).
+    /// optionally corrupt one byte of it, then `check_and_fill` the range
+    /// against that pattern (or against none).
     CheckAndFill {
         n: usize,
         off: usize,
         len: usize,
         pattern: u32,
         corrupt_at: Option<usize>,
-        clear_first: bool,
         expect: bool,
         value: u8,
     },
@@ -200,29 +167,25 @@ fn arena_op() -> impl Strategy<Value = ArenaOp> {
             1usize..2 * PAGE_SIZE
         )
             .prop_map(|(n, off, fill, len)| ArenaOp::Fill(n, off, fill, len)),
-        Just(ArenaOp::ClearDirty),
         (0usize..4).prop_map(ArenaOp::MapColliding),
         Just(ArenaOp::Reset),
         (
             (0usize..16, 0usize..PAGE_SIZE + 64, 1usize..300),
             any::<u32>(),
             (any::<bool>(), 0usize..300),
-            (any::<bool>(), any::<bool>(), any::<u8>()),
+            (any::<bool>(), any::<u8>()),
         )
-            .prop_map(
-                |((n, off, len), pattern, (corrupt, at), (clear_first, expect, value))| {
-                    ArenaOp::CheckAndFill {
-                        n,
-                        off,
-                        len,
-                        pattern,
-                        corrupt_at: corrupt.then_some(at),
-                        clear_first,
-                        expect,
-                        value,
-                    }
+            .prop_map(|((n, off, len), pattern, (corrupt, at), (expect, value))| {
+                ArenaOp::CheckAndFill {
+                    n,
+                    off,
+                    len,
+                    pattern,
+                    corrupt_at: corrupt.then_some(at),
+                    expect,
+                    value,
                 }
-            ),
+            }),
     ]
 }
 
@@ -380,10 +343,6 @@ proptest! {
                     let want = model.write(addr, &vec![fill; len]);
                     prop_assert_eq!(got, want);
                 }
-                ArenaOp::ClearDirty => {
-                    arena.clear_dirty();
-                    model.dirty.clear();
-                }
                 ArenaOp::MapColliding(k) => {
                     let base = colliding_base(k);
                     if bases.contains(&base) { continue; }
@@ -400,7 +359,7 @@ proptest! {
                     model = ModelArena::default();
                     bases.clear();
                 }
-                ArenaOp::CheckAndFill { n, off, len, pattern, corrupt_at, clear_first, expect, value } => {
+                ArenaOp::CheckAndFill { n, off, len, pattern, corrupt_at, expect, value } => {
                     if bases.is_empty() { continue; }
                     let addr = bases[n % bases.len()] + off as u64;
                     let laid = classify_fault(arena.fill_pattern_u32(addr, len, pattern));
@@ -412,10 +371,6 @@ proptest! {
                             arena.write_u8(at, byte).unwrap();
                             model.write(at, &[byte]);
                         }
-                    }
-                    if clear_first {
-                        arena.clear_dirty();
-                        model.dirty.clear();
                     }
                     let got = arena.check_and_fill(addr, len, expect.then_some(pattern), value);
                     match model.classify(addr, len) {
@@ -444,56 +399,12 @@ proptest! {
                 );
             }
             prop_assert_eq!(arena.regions().count(), bases.len());
-            // The dirty-page set matches the model's after every op: reads
-            // never dirty, stores (scalar and bulk) and fresh mappings do,
-            // unmap and clear_dirty erase, faulting accesses change nothing.
-            prop_assert_eq!(arena.dirty_pages(), model.dirty_pages());
         }
-    }
-
-    /// Bulk store paths dirty exactly the pages an equivalent run of
-    /// per-byte stores dirties, and `reset` leaves a reused arena with no
-    /// stale dirty pages.
-    #[test]
-    fn bulk_stores_dirty_like_scalar_stores(
-        off in 0usize..3 * PAGE_SIZE,
-        len in 0usize..2 * PAGE_SIZE,
-        pattern in any::<u32>(),
-        which in 0usize..3,
-    ) {
-        let total = 4 * PAGE_SIZE;
-        prop_assume!(off + len.max(1) <= total);
-        let base = Addr::new(0x1000_0000);
-        let mut bulk = Arena::new();
-        let mut scalar = Arena::new();
-        bulk.map_at(base, total).unwrap();
-        scalar.map_at(base, total).unwrap();
-        bulk.clear_dirty();
-        scalar.clear_dirty();
-        let addr = base + off as u64;
-        match which {
-            0 => bulk.fill(addr, len, 0xAA).unwrap(),
-            1 => bulk.fill_pattern_u32(addr, len, pattern).unwrap(),
-            _ => bulk.write_bytes(addr, &vec![0x5A; len]).unwrap(),
-        }
-        for i in 0..len {
-            scalar.write_u8(addr + i as u64, 1).unwrap();
-        }
-        prop_assert_eq!(bulk.dirty_pages(), scalar.dirty_pages());
-        // Reset clears all dirty state; the reused arena reports only what
-        // the next cycle actually dirties.
-        bulk.reset();
-        prop_assert!(bulk.dirty_pages().is_empty());
-        bulk.map_at(base, PAGE_SIZE).unwrap();
-        prop_assert_eq!(bulk.dirty_pages(), vec![base]);
-        bulk.clear_dirty();
-        prop_assert!(bulk.dirty_pages().is_empty(), "stale dirty pages on a reused arena");
     }
 
     /// `check_and_fill` is `compare_pattern` followed, on a match, by
-    /// `fill`: same answer, same bytes, same dirty pages. On a mismatch it
-    /// changes nothing — the corrupted range is evidence, and a page it did
-    /// not write must not look written — and a faulting call does neither
+    /// `fill`: same answer, same bytes. On a mismatch it changes nothing —
+    /// the corrupted range is evidence — and a faulting call does neither
     /// half.
     #[test]
     fn check_and_fill_is_compare_then_fill(
@@ -519,7 +430,6 @@ proptest! {
                 let byte = !arena.read_u8(at).unwrap();
                 arena.write_u8(at, byte).unwrap();
             }
-            arena.clear_dirty();
         }
         let expect = expect.then_some(pattern);
         let got = fused.check_and_fill(addr, len, expect, value).unwrap();
@@ -533,19 +443,13 @@ proptest! {
             fused.read_bytes(base, total).unwrap(),
             split.read_bytes(base, total).unwrap()
         );
-        prop_assert_eq!(fused.dirty_pages(), split.dirty_pages());
-        if want.is_some() {
-            prop_assert!(fused.dirty_pages().is_empty(), "a mismatch dirtied a page");
-        }
         // Faults are all-or-nothing: the same range stretched one byte past
-        // the region's end changes neither bytes nor dirty bits, whatever
-        // its mapped part holds; nor does one that starts unmapped.
-        fused.clear_dirty();
+        // the region's end changes no byte, whatever its mapped part holds;
+        // nor does one that starts unmapped.
         let before = fused.read_bytes(base, total).unwrap().to_vec();
         prop_assert!(fused.check_and_fill(addr, total - off + 1, expect, value).is_err());
         prop_assert!(fused.check_and_fill(base + total as u64, 1, None, value).is_err());
         prop_assert_eq!(fused.read_bytes(base, total).unwrap(), &before[..]);
-        prop_assert!(fused.dirty_pages().is_empty(), "a faulting call dirtied a page");
     }
 
     /// Guard pages: the page on either side of any mapping is unmapped, so

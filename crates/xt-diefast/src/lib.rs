@@ -34,8 +34,7 @@
 //!   [`ReservedSlot`](xt_diehard::ReservedSlot), and verifies the canary
 //!   and zero-fills in **one pass** over the slot
 //!   ([`Arena::check_and_fill`](xt_arena::Arena::check_and_fill)); a
-//!   corrupted slot is left byte-for-byte (and dirty-bit-for-dirty-bit) as
-//!   the overflow left it.
+//!   corrupted slot is left byte-for-byte as the overflow left it.
 //! * Everything `malloc`/`free` ask of `xt-diehard` is `#[inline]` there,
 //!   so the layer boundary costs no call per accessor (see that crate's
 //!   docs for the list and the measurement).

@@ -6,10 +6,9 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 use xt_alloc::{AllocTime, Heap, ObjectId, SiteHash};
-use xt_arena::{Addr, PAGE_SIZE};
+use xt_arena::Addr;
 use xt_diefast::DieFastHeap;
 use xt_diehard::{MiniHeapId, SlotState};
 
@@ -17,6 +16,15 @@ use crate::{ByteReader, ByteWriter, ImageDecodeError};
 
 const MAGIC: u32 = 0x5849_4D47; // "XIMG"
 const VERSION: u32 = 1;
+
+/// Encoded bytes of a miniheap record before its slots (class, index,
+/// base, object size, creation time, slot count).
+const MINIHEAP_HEADER_LEN: usize = 4 + 4 + 8 + 4 + 8 + 4;
+
+/// Encoded bytes of a slot record before its `object_size` data bytes
+/// (state, canaried, ever used, object id, two sites, two times,
+/// requested size).
+const SLOT_HEADER_LEN: usize = 1 + 1 + 1 + 8 + 4 + 4 + 8 + 8 + 4;
 
 /// Everything recorded about one object slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,11 +47,8 @@ pub struct SlotImage {
     pub ever_used: bool,
     /// Bytes the occupant requested.
     pub requested: u32,
-    /// The slot's full contents (object-size bytes). Shared (`Arc`) so
-    /// incremental capture can splice an unchanged slot from the base
-    /// image by reference count instead of copying it — equality still
-    /// compares contents.
-    pub data: Arc<[u8]>,
+    /// The slot's full contents (object-size bytes).
+    pub data: Box<[u8]>,
 }
 
 /// One miniheap's snapshot.
@@ -214,11 +219,8 @@ impl PartialEq for HeapImage {
 }
 
 impl HeapImage {
-    /// Captures the complete state of a DieFast heap.
-    ///
-    /// Clears the arena's dirty-page bits: the returned image is the
-    /// baseline future [`HeapImage::try_capture_incremental`] calls diff
-    /// against.
+    /// Captures the complete state of a DieFast heap. Capture only reads:
+    /// the heap is left exactly as it was.
     ///
     /// # Errors
     ///
@@ -226,41 +228,8 @@ impl HeapImage {
     /// memory the arena does not back — corrupted allocator metadata
     /// surfaces here as a diagnosable error, not a panic.
     pub fn try_capture(heap: &DieFastHeap) -> Result<Self, CaptureError> {
-        Self::capture_impl(heap, None)
-    }
-
-    /// Captures the heap by re-reading only slots on pages stored to since
-    /// `base` was captured, splicing every other slot's bytes from `base`
-    /// by reference (no copy). Byte-identical to a full
-    /// [`HeapImage::try_capture`] of the same heap — the property tests pin
-    /// this — but on a sparse-touch heap it costs a fraction of one.
-    ///
-    /// Slot *metadata* is always re-read (allocator state changes without
-    /// touching slot memory); only the data bytes are spliced, and only
-    /// when the base describes the same miniheap (same id, base, geometry,
-    /// creation time). A miniheap the base does not know is captured in
-    /// full, so any base — even an empty one — is correct, just slower.
-    ///
-    /// Clears the arena's dirty-page bits: the returned image becomes the
-    /// next baseline.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CaptureError`] if a miniheap's recorded geometry names
-    /// memory the arena does not back.
-    pub fn try_capture_incremental(
-        base: &HeapImage,
-        heap: &DieFastHeap,
-    ) -> Result<Self, CaptureError> {
-        Self::capture_impl(heap, Some(base))
-    }
-
-    fn capture_impl(heap: &DieFastHeap, base: Option<&HeapImage>) -> Result<Self, CaptureError> {
         let inner = heap.inner();
         let arena = heap.arena();
-        let base_by_id: HashMap<MiniHeapId, &MiniHeapImage> = base
-            .map(|b| b.miniheaps.iter().map(|m| (m.id, m)).collect())
-            .unwrap_or_default();
         let mut miniheaps = Vec::new();
         for mh in inner.miniheaps() {
             // One translation for the whole miniheap: snapshot its backing
@@ -273,50 +242,22 @@ impl HeapImage {
                         id: mh.id(),
                         base: mh.base(),
                     })?;
-            // Splice from the base image only if it describes this exact
-            // miniheap; geometry drift (different base, size, or creation
-            // time) falls back to a full re-read of every slot.
-            let base_mh = base_by_id.get(&mh.id()).copied().filter(|b| {
-                b.base == mh.base()
-                    && b.object_size as usize == mh.object_size()
-                    && b.created_at == mh.created_at()
-                    && b.slots.len() == mh.n_slots()
-            });
-            let dirty = base_mh.map(|_| {
-                let (dirty_base, flags) = arena
-                    .region_dirty_pages(mh.base())
-                    .expect("snapshotted region is mapped");
-                debug_assert_eq!(dirty_base, region_base);
-                flags
-            });
             let first = (mh.base() - region_base) as usize;
             let mut slots = Vec::with_capacity(mh.n_slots());
             for idx in 0..mh.n_slots() {
                 let meta = mh.meta(idx);
                 let off = first + idx * mh.object_size();
                 let end = off + mh.object_size();
-                // A slot whose pages are all clean since the base capture
-                // has byte-identical contents: share the base's buffer.
-                // Out-of-range pages count as dirty so a truncated region
-                // falls through to the checked slice (and its error) below.
-                let clean = match (&dirty, base_mh) {
-                    (Some(flags), Some(_)) => (off / PAGE_SIZE..=(end - 1) / PAGE_SIZE)
-                        .all(|p| flags.get(p).is_some_and(|&d| !d)),
-                    _ => false,
-                };
-                let data = match (clean, base_mh) {
-                    (true, Some(b)) => Arc::clone(&b.slots[idx].data),
-                    _ => region
-                        .get(off..end)
-                        .ok_or(CaptureError::TruncatedRegion {
-                            id: mh.id(),
-                            base: mh.base(),
-                            slot: idx,
-                            needed: end,
-                            region_len: region.len(),
-                        })?
-                        .into(),
-                };
+                let data = region
+                    .get(off..end)
+                    .ok_or(CaptureError::TruncatedRegion {
+                        id: mh.id(),
+                        base: mh.base(),
+                        slot: idx,
+                        needed: end,
+                        region_len: region.len(),
+                    })?
+                    .into();
                 slots.push(SlotImage {
                     state: meta.state,
                     object_id: meta.object_id,
@@ -338,8 +279,6 @@ impl HeapImage {
                 slots,
             });
         }
-        // Every capture — full or incremental — is the next diff baseline.
-        arena.clear_dirty();
         Ok(Self::assemble(
             heap.clock(),
             heap.canary(),
@@ -347,6 +286,20 @@ impl HeapImage {
             inner.config().multiplier,
             miniheaps,
         ))
+    }
+
+    /// [`HeapImage::try_capture`] under its old incremental name; `_base`
+    /// is ignored. Kept only because `benchmark/`'s frozen surface calls
+    /// it (the `image.capture_incr_us` probe); nothing else should.
+    ///
+    /// # Errors
+    ///
+    /// As [`HeapImage::try_capture`].
+    pub fn try_capture_incremental(
+        _base: &HeapImage,
+        heap: &DieFastHeap,
+    ) -> Result<Self, CaptureError> {
+        Self::try_capture(heap)
     }
 
     fn assemble(
@@ -598,8 +551,12 @@ impl HeapImage {
         let canary = r.u32()?;
         let fill_probability = r.f64()?;
         let multiplier = r.f64()?;
+        // Counts are untrusted: reserve no more records than the remaining
+        // bytes could hold, so a hostile count fails at end of input
+        // instead of aborting on a huge allocation.
         let n_miniheaps = r.u32()? as usize;
-        let mut miniheaps = Vec::with_capacity(n_miniheaps);
+        let mut miniheaps =
+            Vec::with_capacity(n_miniheaps.min(r.remaining() / MINIHEAP_HEADER_LEN));
         for _ in 0..n_miniheaps {
             let class = r.u32()?;
             let index = r.u32()?;
@@ -612,7 +569,8 @@ impl HeapImage {
             }
             let created_at = AllocTime::from_raw(r.u64()?);
             let n_slots = r.u32()? as usize;
-            let mut slots = Vec::with_capacity(n_slots);
+            let slot_len = SLOT_HEADER_LEN + object_size as usize;
+            let mut slots = Vec::with_capacity(n_slots.min(r.remaining() / slot_len));
             for _ in 0..n_slots {
                 let state = match r.u8()? {
                     0 => SlotState::Free,
@@ -628,7 +586,7 @@ impl HeapImage {
                 let alloc_time = AllocTime::from_raw(r.u64()?);
                 let free_time = AllocTime::from_raw(r.u64()?);
                 let requested = r.u32()?;
-                let data: Arc<[u8]> = r.take(object_size as usize)?.into();
+                let data = r.take(object_size as usize)?.into();
                 slots.push(SlotImage {
                     state,
                     object_id,
@@ -691,12 +649,6 @@ mod tests {
     /// allocator, so every miniheap it records is backed by its own arena.
     fn capture(heap: &DieFastHeap) -> HeapImage {
         HeapImage::try_capture(heap).expect("the allocator mapped every miniheap this heap records")
-    }
-
-    /// As [`capture`]; any base is correct, so the base cannot fail it either.
-    fn capture_incremental(base: &HeapImage, heap: &DieFastHeap) -> HeapImage {
-        HeapImage::try_capture_incremental(base, heap)
-            .expect("the allocator mapped every miniheap this heap records")
     }
 
     fn heap_with_activity(seed: u64) -> DieFastHeap {
@@ -804,6 +756,26 @@ mod tests {
         );
     }
 
+    /// The record sizes `from_bytes` bounds its reservations by are the
+    /// ones `to_bytes` writes: header, then per miniheap its header and
+    /// per slot its fixed fields plus `object_size` data bytes.
+    #[test]
+    fn record_sizes_match_the_encoding() {
+        let img = capture(&heap_with_activity(12));
+        // Magic, version, clock, canary, p, M, miniheap count.
+        let header = 4 + 4 + 8 + 4 + 8 + 8 + 4;
+        let expected: usize = header
+            + img
+                .miniheaps
+                .iter()
+                .map(|mh| {
+                    MINIHEAP_HEADER_LEN
+                        + mh.slots.len() * (SLOT_HEADER_LEN + mh.object_size as usize)
+                })
+                .sum::<usize>();
+        assert_eq!(img.to_bytes().len(), expected);
+    }
+
     #[test]
     fn decode_rejects_garbage() {
         assert_eq!(
@@ -836,57 +808,29 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
+    /// The incremental name is an alias: whatever the base — the heap's
+    /// own earlier image, another heap's — it returns what
+    /// `try_capture` returns, errors included.
     #[test]
-    fn incremental_capture_equals_full_and_shares_clean_slots() {
-        let mut h = heap_with_activity(20);
-        let base = capture(&h); // clears dirty bits
-                                // Touch exactly one live object's memory.
-        let r = base.find_object(ObjectId::from_raw(2)).unwrap();
-        let addr = base.slot_addr(r);
-        h.arena_mut().write_u64(addr, 0xFEED).unwrap();
-        let inc = capture_incremental(&base, &h);
-        let full = capture(&h);
-        assert_eq!(inc, full);
-        // The touched slot was re-read...
-        assert_eq!(&inc.slot(r).data[..8], &0xFEEDu64.to_le_bytes());
-        // ...while a slot on an untouched page shares the base's buffer
-        // (same allocation, not a copy).
-        let shared = inc
-            .slots()
-            .zip(base.slots())
-            .filter(|((ri, si), (rb, sb))| ri == rb && Arc::ptr_eq(&si.data, &sb.data))
-            .count();
-        assert!(
-            shared > inc.total_slots() / 2,
-            "sparse touch must splice most slots by reference ({shared} of {})",
-            inc.total_slots()
-        );
-    }
-
-    #[test]
-    fn incremental_capture_resets_its_baseline() {
-        let mut h = heap_with_activity(21);
-        let base = capture(&h);
-        let r = base.find_object(ObjectId::from_raw(3)).unwrap();
-        let addr = base.slot_addr(r);
-        h.arena_mut().write_u64(addr, 1).unwrap();
-        let second = capture_incremental(&base, &h);
-        // The second image is the new baseline: with no stores since, a
-        // third incremental capture matches a full one and splices all.
-        let third = capture_incremental(&second, &h);
-        assert_eq!(third, capture(&h));
-        assert_eq!(&third.slot(r).data[..8], &1u64.to_le_bytes());
-    }
-
-    #[test]
-    fn incremental_capture_against_foreign_base_is_a_full_capture() {
+    fn try_capture_incremental_is_try_capture() {
         let mut h = heap_with_activity(22);
-        // A base from a *different* heap shares no miniheap geometry.
+        let own = capture(&h);
         let foreign = capture(&heap_with_activity(23));
         let p = h.malloc(64, SITE).unwrap();
         h.arena_mut().write_u64(p, 42).unwrap();
-        let inc = capture_incremental(&foreign, &h);
-        assert_eq!(inc, capture(&h));
+        for base in [&own, &foreign] {
+            assert_eq!(
+                HeapImage::try_capture_incremental(base, &h),
+                HeapImage::try_capture(&h)
+            );
+        }
+        let victim = h.inner().miniheaps().next().unwrap();
+        let (id, base) = (victim.id(), victim.base());
+        h.arena_mut().unmap(base).unwrap();
+        assert_eq!(
+            HeapImage::try_capture_incremental(&own, &h).unwrap_err(),
+            CaptureError::UnmappedMiniHeap { id, base }
+        );
     }
 
     #[test]
@@ -897,12 +841,6 @@ mod tests {
         h.arena_mut().unmap(base).unwrap();
         assert_eq!(
             HeapImage::try_capture(&h).unwrap_err(),
-            CaptureError::UnmappedMiniHeap { id, base }
-        );
-        // The incremental path reports the same malformation.
-        let empty_base = capture(&heap_with_activity(25));
-        assert_eq!(
-            HeapImage::try_capture_incremental(&empty_base, &h).unwrap_err(),
             CaptureError::UnmappedMiniHeap { id, base }
         );
     }

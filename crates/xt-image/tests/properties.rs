@@ -12,14 +12,13 @@ fn capture(heap: &DieFastHeap) -> HeapImage {
     HeapImage::try_capture(heap).expect("the allocator mapped every miniheap this heap records")
 }
 
-/// As [`capture`]; any base is correct, so the base cannot fail it either.
-fn capture_incremental(base: &HeapImage, heap: &DieFastHeap) -> HeapImage {
-    HeapImage::try_capture_incremental(base, heap)
-        .expect("the allocator mapped every miniheap this heap records")
-}
-
-/// Applies `steps` random malloc/free/store steps to `heap`.
-fn churn(heap: &mut DieFastHeap, rng: &mut Rng, live: &mut Vec<xt_arena::Addr>, steps: usize) {
+/// Builds a heap with a random (seed-driven) history of `steps`
+/// malloc/free/store steps.
+fn churned_heap(seed: u64, steps: usize, fill_probability: f64) -> DieFastHeap {
+    let mut heap =
+        DieFastHeap::new(DieFastConfig::with_seed(seed).fill_probability(fill_probability));
+    let mut rng = Rng::new(seed ^ 0x5EED);
+    let mut live = Vec::new();
     for i in 0..steps {
         if !live.is_empty() && rng.chance(0.4) {
             let victim: xt_arena::Addr = live.swap_remove(rng.below_usize(live.len()));
@@ -33,15 +32,6 @@ fn churn(heap: &mut DieFastHeap, rng: &mut Rng, live: &mut Vec<xt_arena::Addr>, 
             live.push(p);
         }
     }
-}
-
-/// Builds a heap with a random (seed-driven) churn history.
-fn churned_heap(seed: u64, steps: usize, fill_probability: f64) -> DieFastHeap {
-    let mut heap =
-        DieFastHeap::new(DieFastConfig::with_seed(seed).fill_probability(fill_probability));
-    let mut rng = Rng::new(seed ^ 0x5EED);
-    let mut live = Vec::new();
-    churn(&mut heap, &mut rng, &mut live, steps);
     heap
 }
 
@@ -101,34 +91,6 @@ proptest! {
         let heap = churned_heap(seed, steps, p);
         let image = capture(&heap);
         prop_assert!(image.scan_canary_corruptions().is_empty());
-    }
-
-    /// An incremental capture against any earlier image of the same heap is
-    /// byte-identical to a full capture, no matter how much churn happened
-    /// in between — the equality that makes dirty-page splicing safe to use
-    /// anywhere a full capture was used.
-    #[test]
-    fn incremental_capture_is_byte_identical_to_full(
-        seed in 0u64..5000,
-        steps in 5usize..80,
-        extra in 0usize..80,
-        p in 0.0f64..=1.0,
-    ) {
-        let mut heap = DieFastHeap::new(DieFastConfig::with_seed(seed).fill_probability(p));
-        let mut rng = Rng::new(seed ^ 0x5EED);
-        let mut live = Vec::new();
-        churn(&mut heap, &mut rng, &mut live, steps);
-        let base = capture(&heap); // clears dirty bits → baseline
-        churn(&mut heap, &mut rng, &mut live, extra);
-        // Incremental before full: every capture clears the dirty bits it
-        // consumed, so the full capture here must come second.
-        let inc = capture_incremental(&base, &heap);
-        let full = capture(&heap);
-        prop_assert_eq!(&inc, &full);
-        // Captures leave no dirty pages behind (they are the new baseline).
-        prop_assert!(heap.arena().dirty_pages().is_empty());
-        // Spliced (shared) slot buffers serialize by content like any other.
-        prop_assert_eq!(&HeapImage::from_bytes(&inc.to_bytes()).unwrap(), &inc);
     }
 
     /// Any single corrupted byte in a canaried slot is found by the scan

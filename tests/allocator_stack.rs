@@ -213,7 +213,8 @@ fn deferred_objects_survive_heavy_pressure() {
 //
 // The constants were captured by running this exact test against the
 // parent of the PR that introduced it (one resolution per free, fused
-// check-and-zero, TLB dirty flag); they are equal before and after it.
+// check-and-zero); they are equal before and after it, and after the
+// arena's dirty-page tracking was deleted.
 // ---------------------------------------------------------------------
 
 /// What the transcript needs beyond [`Heap`] from each stack under test.
