@@ -7,14 +7,21 @@
 //! and the Bayesian classifier accumulates them until an allocation site
 //! crosses the `cN − 1` likelihood threshold, at which point patches are
 //! generated and applied to subsequent runs.
+//!
+//! Neither half does more than that sentence says. A run is summarised
+//! from the heap while it still stands, then abandoned: no image is ever
+//! captured ([`summarized_run_reusable`]). The classifier keeps each
+//! site's likelihoods next to its observations and re-integrates only the
+//! sites a run observed, so asking for patches or verdicts between runs
+//! costs a threshold test per site, not an integral.
 
 use xt_diefast::DieFastConfig;
 use xt_faults::FaultSpec;
-use xt_isolate::cumulative::{summarize_run, CumulativeConfig, CumulativeIsolator, Verdict};
+use xt_isolate::cumulative::{summarize_heap, CumulativeConfig, CumulativeIsolator, Verdict};
 use xt_patch::PatchTable;
 use xt_workloads::{Workload, WorkloadInput};
 
-use crate::runner::RunConfig;
+use crate::runner::{ReusableStack, RunConfig};
 
 /// Configuration for the cumulative-mode driver.
 #[derive(Clone, Debug)]
@@ -57,42 +64,22 @@ pub struct SummarizedRun {
     pub summary: xt_isolate::cumulative::RunSummary,
 }
 
-/// Executes **one** deployed run under `patches` and reduces it to a
-/// [`RunSummary`](xt_isolate::cumulative::RunSummary) — the reusable
+/// Executes **one** deployed run under `patches` over `stack` and reduces
+/// it to a [`RunSummary`](xt_isolate::cumulative::RunSummary) — the one
 /// single-run entry point. [`CumulativeMode::run_once`] wraps this for the
-/// single-user loop; `xt-fleet` simulator clients call it directly and
-/// ship the summary to the aggregation service instead of folding it into
-/// local state.
-#[must_use]
-pub fn summarized_run(
-    workload: &dyn Workload,
-    input: &WorkloadInput,
-    fault: Option<FaultSpec>,
-    patches: PatchTable,
-    heap_seed: u64,
-    fill_probability: f64,
-    multiplier: f64,
-) -> SummarizedRun {
-    summarized_run_reusable(
-        workload,
-        input,
-        fault,
-        patches,
-        heap_seed,
-        fill_probability,
-        multiplier,
-        &mut crate::runner::ReusableStack::new(),
-    )
-}
-
-/// [`summarized_run`] over a caller-held [`ReusableStack`]: identical
-/// behaviour, but the simulated address space is reset and reused between
-/// runs instead of rebuilt. A long-lived deployed client (or a
-/// fleet-simulator client thread executing hundreds of rounds) keeps one
-/// stack for its whole lifetime, like a real process keeps its page
-/// tables.
+/// single-user loop; `xt-fleet` simulator clients and bridge probes call
+/// it directly and ship the summary to the aggregation service instead of
+/// folding it into local state. A long-lived deployed client keeps one
+/// [`ReusableStack`] for its whole lifetime, like a real process keeps its
+/// page tables.
 ///
-/// [`ReusableStack`]: crate::runner::ReusableStack
+/// The run is summarised where it stands
+/// ([`summarize_heap`]: canary corruptions scanned in place, the
+/// allocation history borrowed) and then
+/// [`abandon`](crate::runner::ActiveRun::abandon)ed — no heap image is
+/// captured and no history is cloned, yet the summary is the one
+/// [`summarize_run`](xt_isolate::cumulative::summarize_run) would make of
+/// the captured image.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn summarized_run_reusable(
@@ -103,30 +90,41 @@ pub fn summarized_run_reusable(
     heap_seed: u64,
     fill_probability: f64,
     multiplier: f64,
-    stack: &mut crate::runner::ReusableStack,
+    stack: &mut ReusableStack,
 ) -> SummarizedRun {
     let mut diefast = DieFastConfig::cumulative_with_seed(heap_seed);
     diefast.fill_probability = fill_probability;
     diefast.heap.multiplier = multiplier;
-    let run_config = RunConfig {
+    let mut active = stack.start(RunConfig {
         heap_seed,
         diefast,
         patches,
         fault,
         breakpoint: None,
         halt_on_signal: true,
-    };
-    let rec = crate::runner::execute_reusable(workload, input, run_config, stack);
-    let failed = rec.failed();
-    let history = rec
-        .history
-        .as_ref()
+    });
+    active.run(workload, input);
+    let failed = active.failed();
+    let heap = active.heap();
+    let history = heap
+        .inner()
+        .history()
         .expect("cumulative runs require history tracking");
-    let summary = summarize_run(&rec.image, history, failed, fill_probability);
+    let summary = summarize_heap(heap, history, failed, fill_probability)
+        .expect("the run's own allocator built this heap over an arena it mapped");
     SummarizedRun {
         failed,
-        clock: rec.clock,
+        clock: active.abandon().clock,
         summary,
+    }
+}
+
+/// The classifier configuration a driver runs: `config.isolator` with the
+/// heaps' own fill probability.
+fn isolator_config(config: &CumulativeModeConfig) -> CumulativeConfig {
+    CumulativeConfig {
+        fill_probability: config.fill_probability,
+        ..config.isolator
     }
 }
 
@@ -156,24 +154,25 @@ pub struct CumulativeOutcome {
     pub flagged: Vec<Verdict>,
 }
 
-/// The cumulative-mode driver: owns the accumulated state across runs.
-#[derive(Clone, Debug)]
+/// The cumulative-mode driver: owns the accumulated state across runs,
+/// and one [`ReusableStack`] its runs recycle.
+#[derive(Debug)]
 pub struct CumulativeMode {
     config: CumulativeModeConfig,
     isolator: CumulativeIsolator,
     run_counter: u64,
+    stack: ReusableStack,
 }
 
 impl CumulativeMode {
     /// Creates a driver with empty accumulated state.
     #[must_use]
     pub fn new(config: CumulativeModeConfig) -> Self {
-        let mut isolator_config = config.isolator;
-        isolator_config.fill_probability = config.fill_probability;
         CumulativeMode {
-            isolator: CumulativeIsolator::new(isolator_config),
+            isolator: CumulativeIsolator::new(isolator_config(&config)),
             config,
             run_counter: 0,
+            stack: ReusableStack::new(),
         }
     }
 
@@ -217,7 +216,7 @@ impl CumulativeMode {
         if self.config.vary_input_seed {
             run_input.seed = input.seed.wrapping_add(self.run_counter);
         }
-        let run = summarized_run(
+        let run = summarized_run_reusable(
             workload,
             &run_input,
             fault,
@@ -225,6 +224,7 @@ impl CumulativeMode {
             heap_seed,
             self.config.fill_probability,
             self.config.multiplier,
+            &mut self.stack,
         );
         self.isolator.record_run(&run.summary);
         RunDigest {
@@ -251,19 +251,29 @@ impl CumulativeMode {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; parse failures surface as `InvalidData`.
+    /// Propagates I/O errors. Parse failures, and a file accumulated under
+    /// a classifier configuration other than `config`'s (its evidence and
+    /// this driver's would silently mix), surface as `InvalidData`.
     pub fn load_state(
         config: CumulativeModeConfig,
         path: impl AsRef<std::path::Path>,
     ) -> std::io::Result<Self> {
+        let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         let text = std::fs::read_to_string(path)?;
-        let isolator = CumulativeIsolator::from_text(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        let isolator = CumulativeIsolator::from_text(&text).map_err(invalid)?;
+        let expected = isolator_config(&config);
+        if *isolator.config() != expected {
+            return Err(invalid(format!(
+                "cumulative state was accumulated under {:?}, this driver runs {expected:?}",
+                isolator.config()
+            )));
+        }
         let run_counter = isolator.runs() as u64;
         Ok(CumulativeMode {
             config,
             isolator,
             run_counter,
+            stack: ReusableStack::new(),
         })
     }
 
@@ -319,6 +329,58 @@ mod tests {
         assert_eq!(digest.run, 6, "run counter must resume");
         assert_eq!(resumed.isolator().runs(), 6);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A state file is trusted no further than its parser checks it: the
+    /// two hostile `meta` lines (a 2^62-step grid that used to spin, a NaN
+    /// prior that used to flag a single chance observation) and a file
+    /// accumulated under another classifier configuration all come back
+    /// as `InvalidData`, at once.
+    #[test]
+    fn load_state_rejects_hostile_and_foreign_files() {
+        let dir = std::env::temp_dir().join(format!("xt_cumulative_load_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.txt");
+        let load = |config: CumulativeModeConfig| CumulativeMode::load_state(config, &path);
+        for hostile in [
+            "meta 1 1 10 4 4611686018427387904 0.5\noobs 00000bad 3fe0000000000000 1\n",
+            "meta 1 1 10 NaN 512 0.5\noobs 00000bad 3fe0000000000000 1\n",
+        ] {
+            std::fs::write(&path, hostile).unwrap();
+            let start = std::time::Instant::now();
+            let err = load(CumulativeModeConfig::default()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{hostile}");
+            assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        }
+        let mut mode = CumulativeMode::new(CumulativeModeConfig::default());
+        mode.run_once(&EspressoLike::new(), &WorkloadInput::with_seed(4), None);
+        mode.save_state(&path).unwrap();
+        assert!(load(CumulativeModeConfig::default()).is_ok());
+        let foreign = [
+            CumulativeModeConfig {
+                fill_probability: 0.25,
+                ..CumulativeModeConfig::default()
+            },
+            CumulativeModeConfig {
+                isolator: CumulativeConfig {
+                    prior_c: 2.0,
+                    ..CumulativeConfig::default()
+                },
+                ..CumulativeModeConfig::default()
+            },
+            CumulativeModeConfig {
+                isolator: CumulativeConfig {
+                    integration_steps: 64,
+                    ..CumulativeConfig::default()
+                },
+                ..CumulativeModeConfig::default()
+            },
+        ];
+        for config in foreign {
+            let err = load(config.clone()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{config:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -56,8 +56,7 @@ pub mod runner;
 pub mod voter;
 
 pub use cumulative::{
-    summarized_run, summarized_run_reusable, CumulativeMode, CumulativeModeConfig,
-    CumulativeOutcome, SummarizedRun,
+    summarized_run_reusable, CumulativeMode, CumulativeModeConfig, CumulativeOutcome, SummarizedRun,
 };
 pub use frontend::{FrontendConfig, FrontendStats, JobTicket, PoolFrontend};
 pub use iterative::{FailureKind, IterativeConfig, IterativeMode, IterativeOutcome, RoundReport};

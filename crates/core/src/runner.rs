@@ -13,13 +13,15 @@
 //!
 //! Who captures: [`execute`]/[`execute_reusable`] (every caller that reads
 //! the record), iterative mode's *failed* discovery runs and all of its
-//! replays, cumulative mode (it summarises every image), and the
-//! [`pool`](crate::pool)'s detection-aligned replays of a failed job. Who
-//! walks away: every other pool run (the vote, the replica summaries and
-//! the replay's breakpoint need the verdict, not the heap), iterative
-//! mode's clean discovery and verification runs,
-//! [`find_manifesting_fault`], and the fleet simulator's
-//! `verified_corrected`.
+//! replays, and the [`pool`](crate::pool)'s detection-aligned replays of a
+//! failed job. Who walks away: every other pool run (the vote, the replica
+//! summaries and the replay's breakpoint need the verdict, not the heap),
+//! iterative mode's clean discovery and verification runs,
+//! [`find_manifesting_fault`], the fleet simulator's `verified_corrected`,
+//! and every cumulative-mode run — it reads the standing heap for its
+//! per-site summary (corruptions scanned in place, history borrowed) and
+//! then abandons it
+//! ([`summarized_run_reusable`](crate::cumulative::summarized_run_reusable)).
 
 use xt_alloc::{AllocTime, Heap as _};
 use xt_correct::CorrectingHeap;
@@ -214,8 +216,14 @@ impl ActiveRun<'_> {
             .result
             .as_ref()
             .expect("failed() requires a completed run()");
-        let diefast = self.stack.inner().inner();
-        is_failure(diefast.has_signals(), &result.outcome)
+        is_failure(self.heap().has_signals(), &result.outcome)
+    }
+
+    /// The standing DieFast heap (over its DieHard heap and arena), for
+    /// readers that need less than an image — cumulative mode summarises
+    /// it in place.
+    pub(crate) fn heap(&self) -> &DieFastHeap {
+        self.stack.inner().inner()
     }
 
     /// Tears the stack down and recycles the arena back into the owning
@@ -248,7 +256,7 @@ impl ActiveRun<'_> {
     #[must_use]
     pub fn finish(self) -> RunRecord {
         let injected = self.stack.events().to_vec();
-        let diefast = self.stack.inner().inner();
+        let diefast = self.heap();
         let image = HeapImage::try_capture(diefast)
             .expect("the run's own allocator built this heap over an arena it mapped");
         let history = diefast.inner().history().cloned();

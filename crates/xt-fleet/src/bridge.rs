@@ -10,8 +10,9 @@
 //!
 //! 1. The front-end observes a failure (`outcome.error_observed()`).
 //! 2. [`report_failure`] re-runs the failing input a handful of times
-//!    under cumulative instrumentation — [`exterminator::summarized_run`],
-//!    the *exact* path deployed cumulative-mode clients use — and submits
+//!    under cumulative instrumentation, over one reused stack —
+//!    [`exterminator::summarized_run_reusable`], the *exact* path
+//!    deployed cumulative-mode clients use — and submits
 //!    each run's summary over the same wire ingestion the fleet already
 //!    speaks. No second evidence format, no privileged side door: the
 //!    runtime's discovery is just more reports.
@@ -24,7 +25,8 @@
 //! evidence its own failures generated.
 
 use exterminator::frontend::PoolFrontend;
-use exterminator::summarized_run;
+use exterminator::runner::ReusableStack;
+use exterminator::summarized_run_reusable;
 use xt_faults::FaultSpec;
 use xt_patch::PatchTable;
 use xt_workloads::{Workload, WorkloadInput};
@@ -65,9 +67,10 @@ pub fn report_failure(
 ) -> u32 {
     let fill = service.config().isolator.fill_probability;
     let mut accepted = 0;
+    let mut stack = ReusableStack::new();
     for probe in 0..probes {
         let seq = seq_base.wrapping_add(probe);
-        let run = summarized_run(
+        let run = summarized_run_reusable(
             workload,
             input,
             fault,
@@ -75,6 +78,7 @@ pub fn report_failure(
             probe_seed(base_seed, seq),
             fill,
             PROBE_MULTIPLIER,
+            &mut stack,
         );
         let report = RunReport::from_summary(client, seq, &run.summary);
         let receipt = service

@@ -10,8 +10,9 @@
 //!
 //! 1. **Clients** run their workload under the correcting allocator,
 //!    reduce the run to a [`RunSummary`](xt_isolate::cumulative::RunSummary)
-//!    (via [`exterminator::summarized_run`]), and submit it as a compact
-//!    binary [`RunReport`] (module [`wire`]).
+//!    (via [`exterminator::summarized_run_reusable`], over one stack per
+//!    client), and submit it as a compact binary [`RunReport`] (module
+//!    [`wire`]).
 //! 2. **The service** ([`FleetService`], module [`service`]) folds reports
 //!    into `N` evidence shards keyed by allocation-site hash. Each shard
 //!    is an [`EvidenceTable`](xt_isolate::evidence::EvidenceTable) — the

@@ -8,9 +8,9 @@ use std::io;
 use std::path::Path;
 
 use xt_alloc::{AllocTime, Heap, ObjectId, SiteHash};
-use xt_arena::Addr;
+use xt_arena::{Addr, Arena};
 use xt_diefast::DieFastHeap;
-use xt_diehard::{MiniHeapId, SlotState};
+use xt_diehard::{MiniHeap, MiniHeapId, SlotState};
 
 use crate::{ByteReader, ByteWriter, ImageDecodeError};
 
@@ -83,7 +83,9 @@ impl MiniHeapImage {
 /// Position of a slot within a heap image.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ObjectRef {
-    /// Index into [`HeapImage::miniheaps`].
+    /// Index into [`HeapImage::miniheaps`] (from
+    /// [`scan_live_canary_corruptions`]: into the heap's miniheaps, in the
+    /// same order).
     pub miniheap: usize,
     /// Slot index within that miniheap.
     pub slot: usize,
@@ -229,35 +231,12 @@ impl HeapImage {
     /// surfaces here as a diagnosable error, not a panic.
     pub fn try_capture(heap: &DieFastHeap) -> Result<Self, CaptureError> {
         let inner = heap.inner();
-        let arena = heap.arena();
         let mut miniheaps = Vec::new();
         for mh in inner.miniheaps() {
-            // One translation for the whole miniheap: snapshot its backing
-            // region and slice per-slot data out of it, instead of paying a
-            // bounds-checked simulated load per slot.
-            let (region_base, region) =
-                arena
-                    .region_snapshot(mh.base())
-                    .ok_or(CaptureError::UnmappedMiniHeap {
-                        id: mh.id(),
-                        base: mh.base(),
-                    })?;
-            let first = (mh.base() - region_base) as usize;
+            let region = miniheap_region(heap.arena(), mh)?;
             let mut slots = Vec::with_capacity(mh.n_slots());
             for idx in 0..mh.n_slots() {
                 let meta = mh.meta(idx);
-                let off = first + idx * mh.object_size();
-                let end = off + mh.object_size();
-                let data = region
-                    .get(off..end)
-                    .ok_or(CaptureError::TruncatedRegion {
-                        id: mh.id(),
-                        base: mh.base(),
-                        slot: idx,
-                        needed: end,
-                        region_len: region.len(),
-                    })?
-                    .into();
                 slots.push(SlotImage {
                     state: meta.state,
                     object_id: meta.object_id,
@@ -268,7 +247,7 @@ impl HeapImage {
                     canaried: meta.canaried,
                     ever_used: meta.ever_used,
                     requested: meta.requested,
-                    data,
+                    data: slot_bytes(mh, region, idx)?.into(),
                 });
             }
             miniheaps.push(MiniHeapImage {
@@ -448,51 +427,18 @@ impl HeapImage {
     /// canary was corrupt.
     #[must_use]
     pub fn scan_canary_corruptions(&self) -> Vec<CanaryCorruption> {
-        let pattern = self.canary.to_le_bytes();
-        let mut out = Vec::new();
-        for (r, slot) in self.slots() {
-            if !slot.canaried || slot.state == SlotState::Live {
-                continue;
-            }
-            let mut first_bad = None;
-            let mut end_bad = 0;
-            let mut n_bad = 0;
-            // Word-at-a-time: whole intact words (the common case) are
-            // skipped with one comparison; only corrupt words get a
-            // per-byte look.
-            let whole = slot.data.len() - slot.data.len() % 4;
-            for (w, chunk) in slot.data[..whole].chunks_exact(4).enumerate() {
-                if chunk != &pattern[..] {
-                    for (j, (&b, &p)) in chunk.iter().zip(&pattern).enumerate() {
-                        if b != p {
-                            let i = w * 4 + j;
-                            first_bad.get_or_insert(i);
-                            end_bad = i + 1;
-                            n_bad += 1;
-                        }
-                    }
-                }
-            }
-            for (j, &b) in slot.data[whole..].iter().enumerate() {
-                if b != pattern[j] {
-                    let i = whole + j;
-                    first_bad.get_or_insert(i);
-                    end_bad = i + 1;
-                    n_bad += 1;
-                }
-            }
-            if let Some(first_bad) = first_bad {
-                out.push(CanaryCorruption {
-                    slot: r,
-                    addr: self.slot_addr(r),
-                    object_id: slot.object_id,
-                    first_bad,
-                    end_bad,
-                    n_bad,
-                });
-            }
-        }
-        out
+        self.slots()
+            .filter(|(_, slot)| holds_canary(slot.canaried, slot.state))
+            .filter_map(|(r, slot)| {
+                canary_corruption(
+                    r,
+                    self.slot_addr(r),
+                    slot.object_id,
+                    &slot.data,
+                    self.canary,
+                )
+            })
+            .collect()
     }
 
     /// Encodes the image into its binary format.
@@ -636,6 +582,127 @@ impl HeapImage {
         let bytes = fs::read(path)?;
         Self::from_bytes(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
+}
+
+/// [`HeapImage::scan_canary_corruptions`] of the image
+/// [`HeapImage::try_capture`] would take of `heap`, read from the standing
+/// heap instead: the same corruptions in the same order, without copying
+/// a slot. [`ObjectRef::miniheap`] indexes the heap's miniheaps in the
+/// order capture records them.
+///
+/// # Errors
+///
+/// Returns a [`CaptureError`] if a miniheap, or a canaried slot, names
+/// memory the arena does not back.
+pub fn scan_live_canary_corruptions(
+    heap: &DieFastHeap,
+) -> Result<Vec<CanaryCorruption>, CaptureError> {
+    let mut out = Vec::new();
+    for (mi, mh) in heap.inner().miniheaps().enumerate() {
+        let region = miniheap_region(heap.arena(), mh)?;
+        for idx in 0..mh.n_slots() {
+            let meta = mh.meta(idx);
+            if !holds_canary(meta.canaried, meta.state) {
+                continue;
+            }
+            let r = ObjectRef {
+                miniheap: mi,
+                slot: idx,
+            };
+            let data = slot_bytes(mh, region, idx)?;
+            out.extend(canary_corruption(
+                r,
+                mh.slot_addr(idx),
+                meta.object_id,
+                data,
+                heap.canary(),
+            ));
+        }
+    }
+    Ok(out)
+}
+
+/// Whether a slot should still hold the canary pattern: filled on free
+/// and not handed out since. Bad slots count — they were retired
+/// *because* their canary was corrupt.
+fn holds_canary(canaried: bool, state: SlotState) -> bool {
+    canaried && state != SlotState::Live
+}
+
+/// The one canary word loop: where `data`, the bytes of the slot at `r`,
+/// differ from the repeating `canary`. Whole intact words (the common
+/// case) are skipped with one comparison; only corrupt words get a
+/// per-byte look.
+fn canary_corruption(
+    r: ObjectRef,
+    addr: Addr,
+    object_id: ObjectId,
+    data: &[u8],
+    canary: u32,
+) -> Option<CanaryCorruption> {
+    let pattern = canary.to_le_bytes();
+    let mut first_bad = None;
+    let mut end_bad = 0;
+    let mut n_bad = 0;
+    let mut note = |i: usize| {
+        first_bad.get_or_insert(i);
+        end_bad = i + 1;
+        n_bad += 1;
+    };
+    let whole = data.len() - data.len() % 4;
+    for (w, chunk) in data[..whole].chunks_exact(4).enumerate() {
+        if chunk != &pattern[..] {
+            for (j, (&b, &p)) in chunk.iter().zip(&pattern).enumerate() {
+                if b != p {
+                    note(w * 4 + j);
+                }
+            }
+        }
+    }
+    for (j, &b) in data[whole..].iter().enumerate() {
+        if b != pattern[j] {
+            note(whole + j);
+        }
+    }
+    Some(CanaryCorruption {
+        slot: r,
+        addr,
+        object_id,
+        first_bad: first_bad?,
+        end_bad,
+        n_bad,
+    })
+}
+
+/// One translation for a whole miniheap, instead of a bounds-checked
+/// simulated load per slot: the offset of its slot 0 within the region
+/// backing it, and that region's bytes.
+fn miniheap_region<'a>(arena: &'a Arena, mh: &MiniHeap) -> Result<(usize, &'a [u8]), CaptureError> {
+    let (region_base, region) =
+        arena
+            .region_snapshot(mh.base())
+            .ok_or(CaptureError::UnmappedMiniHeap {
+                id: mh.id(),
+                base: mh.base(),
+            })?;
+    Ok(((mh.base() - region_base) as usize, region))
+}
+
+/// Slot `idx`'s bytes, sliced out of its miniheap's region.
+fn slot_bytes<'a>(
+    mh: &MiniHeap,
+    (first, region): (usize, &'a [u8]),
+    idx: usize,
+) -> Result<&'a [u8], CaptureError> {
+    let off = first + idx * mh.object_size();
+    let end = off + mh.object_size();
+    region.get(off..end).ok_or(CaptureError::TruncatedRegion {
+        id: mh.id(),
+        base: mh.base(),
+        slot: idx,
+        needed: end,
+        region_len: region.len(),
+    })
 }
 
 #[cfg(test)]
@@ -841,6 +908,10 @@ mod tests {
         h.arena_mut().unmap(base).unwrap();
         assert_eq!(
             HeapImage::try_capture(&h).unwrap_err(),
+            CaptureError::UnmappedMiniHeap { id, base }
+        );
+        assert_eq!(
+            scan_live_canary_corruptions(&h).unwrap_err(),
             CaptureError::UnmappedMiniHeap { id, base }
         );
     }

@@ -16,7 +16,9 @@
 //! * address resolution — how values stored in heap memory are classified
 //!   as pointers to the same logical target across heaps;
 //! * canary-corruption scanning — the first phase of both isolation
-//!   algorithm families;
+//!   algorithm families (also of a heap that is still standing:
+//!   [`scan_live_canary_corruptions`] runs the same scan without an
+//!   image, which is all cumulative mode reads of one);
 //! * a compact binary serialization (images replace core dumps, so they
 //!   must be writable to disk and shippable).
 //!
@@ -33,5 +35,6 @@ mod image;
 
 pub use format::{ByteReader, ByteWriter, ImageDecodeError};
 pub use image::{
-    CanaryCorruption, CaptureError, HeapImage, MiniHeapImage, ObjectRef, ResolvedAddr, SlotImage,
+    scan_live_canary_corruptions, CanaryCorruption, CaptureError, HeapImage, MiniHeapImage,
+    ObjectRef, ResolvedAddr, SlotImage,
 };

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use xt_alloc::{Heap, ObjectId, Rng, SiteHash};
 use xt_diefast::{DieFastConfig, DieFastHeap};
-use xt_image::HeapImage;
+use xt_image::{scan_live_canary_corruptions, HeapImage};
 
 /// Capture cannot fail here: the heap was only ever touched through the
 /// allocator, so every miniheap it records is backed by its own arena.
@@ -107,5 +107,34 @@ proptest! {
         prop_assert_eq!(corruptions.len(), 1);
         prop_assert_eq!(corruptions[0].first_bad, offset);
         prop_assert_eq!(corruptions[0].n_bad, 1);
+    }
+
+    /// The live scan reads the standing heap and finds exactly what the
+    /// image scan finds — same slots, same extents, same order — over
+    /// churned heaps with seeded bytes overwritten anywhere in their
+    /// slots (freed or live, canaried or not, partial words included).
+    #[test]
+    fn live_scan_equals_image_scan(
+        seed in 0u64..5000,
+        steps in 10usize..150,
+        p in 0.0f64..=1.0,
+        writes in 0usize..24,
+    ) {
+        let mut heap = churned_heap(seed, steps, p);
+        let slots: Vec<(xt_arena::Addr, u32)> = {
+            let image = capture(&heap);
+            image
+                .slots()
+                .map(|(r, _)| (image.slot_addr(r), image.miniheap_of(r).object_size))
+                .collect()
+        };
+        let mut rng = Rng::new(seed ^ 0xB17E);
+        for _ in 0..writes {
+            let (base, size) = slots[rng.below_usize(slots.len())];
+            let at = base + rng.below(u64::from(size));
+            heap.arena_mut().write_u8(at, rng.below(256) as u8).unwrap();
+        }
+        let live = scan_live_canary_corruptions(&heap).unwrap();
+        prop_assert_eq!(live, capture(&heap).scan_canary_corruptions());
     }
 }

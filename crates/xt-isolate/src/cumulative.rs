@@ -32,9 +32,10 @@
 
 use std::collections::BTreeMap;
 
-use xt_alloc::{AllocTime, SiteHash};
+use xt_alloc::{AllocTime, Heap as _, SiteHash};
+use xt_diefast::DieFastHeap;
 use xt_diehard::{MiniHeapId, ObjectLog};
-use xt_image::HeapImage;
+use xt_image::{scan_live_canary_corruptions, CanaryCorruption, CaptureError, HeapImage};
 use xt_patch::PatchTable;
 
 /// Tuning parameters for cumulative isolation.
@@ -46,6 +47,34 @@ pub struct CumulativeConfig {
     pub integration_steps: usize,
     /// DieFast's canary fill probability `p` (must match the heaps used).
     pub fill_probability: f64,
+}
+
+impl CumulativeConfig {
+    /// Checks that the classifier can run under a configuration read from
+    /// a state file: an integration grid of `2..=65_536` intervals, a
+    /// finite positive prior constant, and a fill probability in `(0, 1]`.
+    /// Names the first parameter out of range.
+    fn validate(&self) -> Result<(), String> {
+        if !(2..=65_536).contains(&self.integration_steps) {
+            return Err(format!(
+                "integration steps {} outside 2..=65536",
+                self.integration_steps
+            ));
+        }
+        if !(self.prior_c.is_finite() && self.prior_c > 0.0) {
+            return Err(format!(
+                "prior constant {} is not finite and positive",
+                self.prior_c
+            ));
+        }
+        if !(self.fill_probability > 0.0 && self.fill_probability <= 1.0) {
+            return Err(format!(
+                "fill probability {} outside (0, 1]",
+                self.fill_probability
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for CumulativeConfig {
@@ -96,6 +125,11 @@ pub struct RunSummary {
 ///
 /// `failed` tells the summarizer whether the run counts as a failure
 /// (dangling observations are only meaningful for failed runs, §5.2).
+///
+/// Cumulative mode itself never captures an image: it calls
+/// [`summarize_heap`] on the standing heap. This adapter over the same
+/// core reads the image's corruptions and geometry instead, for callers
+/// that already hold an image (`benchmark/`'s frozen surface, tests).
 #[must_use]
 pub fn summarize_run(
     image: &HeapImage,
@@ -103,15 +137,95 @@ pub fn summarize_run(
     failed: bool,
     fill_probability: f64,
 ) -> RunSummary {
+    let geometry: Vec<MiniHeapGeometry> = image
+        .miniheaps
+        .iter()
+        .map(|m| MiniHeapGeometry {
+            id: m.id,
+            base: m.base.get(),
+            object_size: u64::from(m.object_size),
+            created_at: m.created_at,
+            n_slots: m.slots.len(),
+        })
+        .collect();
+    let corruptions = image.scan_canary_corruptions();
+    summarize(
+        image.clock,
+        &corruptions,
+        &geometry,
+        log,
+        failed,
+        fill_probability,
+    )
+}
+
+/// [`summarize_run`] of a heap that is still standing: the same summary
+/// the image [`HeapImage::try_capture`] would take of `heap` yields, read
+/// without taking it — canary corruptions are scanned in place
+/// ([`scan_live_canary_corruptions`]) and `log` is borrowed, not cloned.
+///
+/// # Errors
+///
+/// Returns a [`CaptureError`] if the heap's metadata names memory its
+/// arena does not back (what capture would have reported).
+pub fn summarize_heap(
+    heap: &DieFastHeap,
+    log: &ObjectLog,
+    failed: bool,
+    fill_probability: f64,
+) -> Result<RunSummary, CaptureError> {
+    let corruptions = scan_live_canary_corruptions(heap)?;
+    let geometry: Vec<MiniHeapGeometry> = heap
+        .inner()
+        .miniheaps()
+        .map(|m| MiniHeapGeometry {
+            id: m.id(),
+            base: m.base().get(),
+            object_size: m.object_size() as u64,
+            created_at: m.created_at(),
+            n_slots: m.n_slots(),
+        })
+        .collect();
+    Ok(summarize(
+        heap.clock(),
+        &corruptions,
+        &geometry,
+        log,
+        failed,
+        fill_probability,
+    ))
+}
+
+/// What §5 reads of one miniheap: its identity, where its slots start,
+/// their size and count, and when it was created (`τ(M_j)`).
+struct MiniHeapGeometry {
+    id: MiniHeapId,
+    base: u64,
+    object_size: u64,
+    created_at: AllocTime,
+    n_slots: usize,
+}
+
+/// The summary core both entry points share: the run's canary
+/// corruptions (their `slot.miniheap` indexing `miniheaps`), the heap's
+/// miniheap geometry, and its allocation history.
+fn summarize(
+    clock: AllocTime,
+    corruptions: &[CanaryCorruption],
+    miniheaps: &[MiniHeapGeometry],
+    log: &ObjectLog,
+    failed: bool,
+    fill_probability: f64,
+) -> RunSummary {
     let mut summary = RunSummary {
         failed,
-        clock: image.clock,
+        clock,
         n_sites: log.distinct_alloc_sites().len(),
         ..RunSummary::default()
     };
-    summarize_overflow(image, log, &mut summary);
+    summarize_overflow(corruptions, miniheaps, log, &mut summary);
     if failed {
-        summarize_dangling(log, image.clock, fill_probability, &mut summary);
+        summarize_dangling(log, clock, fill_probability, &mut summary);
     }
     summary
 }
@@ -128,11 +242,13 @@ struct CorruptionGeometry {
     object_size: u64,
 }
 
-fn principal_corruption(image: &HeapImage) -> Option<CorruptionGeometry> {
-    let corruptions = image.scan_canary_corruptions();
+fn principal_corruption(
+    corruptions: &[CanaryCorruption],
+    miniheaps: &[MiniHeapGeometry],
+) -> Option<CorruptionGeometry> {
     // Group by miniheap; take the miniheap with the most corrupt bytes.
     let mut per_mh: BTreeMap<usize, (usize, u64, u64)> = BTreeMap::new();
-    for c in &corruptions {
+    for c in corruptions {
         let start = c.addr.get() + c.first_bad as u64;
         let end = c.addr.get() + c.end_bad as u64;
         let entry = per_mh.entry(c.slot.miniheap).or_insert((0, u64::MAX, 0));
@@ -142,32 +258,36 @@ fn principal_corruption(image: &HeapImage) -> Option<CorruptionGeometry> {
     }
     let (&mh_idx, &(_, corr_start, corr_end)) =
         per_mh.iter().max_by_key(|(_, (bytes, _, _))| *bytes)?;
-    let mh = &image.miniheaps[mh_idx];
-    let corrupt_slot = ((corr_start - mh.base.get()) / u64::from(mh.object_size)) as usize;
+    let mh = &miniheaps[mh_idx];
+    let corrupt_slot = ((corr_start - mh.base) / mh.object_size) as usize;
     Some(CorruptionGeometry {
         miniheap: mh.id,
         corrupt_slot,
-        n_slots: mh.slots.len(),
+        n_slots: mh.n_slots,
         corr_start,
         corr_end,
-        mh_base: mh.base.get(),
-        object_size: u64::from(mh.object_size),
+        mh_base: mh.base,
+        object_size: mh.object_size,
     })
 }
 
 /// §5.1: per-site culprit-criteria probabilities for the observed
 /// corruption.
-fn summarize_overflow(image: &HeapImage, log: &ObjectLog, summary: &mut RunSummary) {
-    let Some(geo) = principal_corruption(image) else {
+fn summarize_overflow(
+    corruptions: &[CanaryCorruption],
+    miniheaps: &[MiniHeapGeometry],
+    log: &ObjectLog,
+    summary: &mut RunSummary,
+) {
+    let Some(geo) = principal_corruption(corruptions, miniheaps) else {
         return;
     };
     // Miniheaps of the corrupt size class, with creation times — the
     // denominator of the placement factor.
-    let class_heaps: Vec<(MiniHeapId, AllocTime, u64)> = image
-        .miniheaps
+    let class_heaps: Vec<(MiniHeapId, AllocTime, u64)> = miniheaps
         .iter()
         .filter(|m| m.id.class == geo.miniheap.class)
-        .map(|m| (m.id, m.created_at, m.slots.len() as u64))
+        .map(|m| (m.id, m.created_at, m.n_slots as u64))
         .collect();
     let mc_size = geo.n_slots as f64;
     let k = geo.corrupt_slot as f64;
@@ -285,6 +405,38 @@ pub struct Verdict {
     pub observations: usize,
 }
 
+impl Verdict {
+    /// The §5.1 decision rule, once for every classifier: the likelihood
+    /// ratio `l1 / l0` (∞ if `l0` underflows to zero while `l1 > 0`, 1 if
+    /// both vanish) against the threshold `c·N − 1` (at least 1), for a
+    /// site whose `observations` integrate to `l0` and `l1`.
+    #[must_use]
+    pub(crate) fn decide(
+        site: SiteHash,
+        (l0, l1): (f64, f64),
+        observations: usize,
+        n_sites: usize,
+        prior_c: f64,
+    ) -> Self {
+        let threshold = (prior_c * n_sites.max(1) as f64 - 1.0).max(1.0);
+        let ratio = if l0 > 0.0 {
+            l1 / l0
+        } else if l1 > 0.0 {
+            f64::INFINITY
+        } else {
+            1.0
+        };
+        Verdict {
+            site,
+            l0,
+            l1,
+            ratio,
+            flagged: ratio > threshold,
+            observations,
+        }
+    }
+}
+
 /// `P(X̄, Ȳ | H0) = Π ((1−X)(1−Y) + X·Y)`.
 #[must_use]
 pub fn likelihood_h0(obs: &[(f64, bool)]) -> f64 {
@@ -319,6 +471,11 @@ pub fn likelihood_h1(obs: &[(f64, bool)], steps: usize) -> f64 {
     sum * h / 3.0
 }
 
+/// Both likelihoods of one site's observation list.
+fn likelihoods(obs: &[(f64, bool)], steps: usize) -> (f64, f64) {
+    (likelihood_h0(obs), likelihood_h1(obs, steps))
+}
+
 /// Runs the §5.1 hypothesis test for one site's accumulated observations.
 #[must_use]
 pub fn classify(
@@ -327,27 +484,34 @@ pub fn classify(
     n_sites: usize,
     config: &CumulativeConfig,
 ) -> Verdict {
-    let l0 = likelihood_h0(obs);
-    let l1 = likelihood_h1(obs, config.integration_steps);
-    let threshold = (config.prior_c * n_sites.max(1) as f64 - 1.0).max(1.0);
-    let ratio = if l0 > 0.0 {
-        l1 / l0
-    } else if l1 > 0.0 {
-        f64::INFINITY
-    } else {
-        1.0
-    };
-    Verdict {
+    Verdict::decide(
         site,
-        l0,
-        l1,
-        ratio,
-        flagged: ratio > threshold,
-        observations: obs.len(),
-    }
+        likelihoods(obs, config.integration_steps),
+        obs.len(),
+        n_sites,
+        config.prior_c,
+    )
 }
 
+/// One site's evidence in one family: its observation list (the state
+/// [`CumulativeIsolator::to_text`] persists) and that list's likelihoods
+/// `(l0, l1)`, re-integrated only when the list grows.
+#[derive(Clone, Debug, Default)]
+struct SiteRecord {
+    obs: Vec<(f64, bool)>,
+    likelihoods: (f64, f64),
+}
+
+/// Per-site records of one error family, in site order.
+type Family = BTreeMap<SiteHash, SiteRecord>;
+
 /// Accumulates run summaries and produces verdicts and patches.
+///
+/// Each site keeps its observation list together with that list's two
+/// likelihoods. [`CumulativeIsolator::record_run`] re-integrates only the
+/// sites the run observed, so a verdict query is a threshold decision per
+/// site, not an integral: the likelihoods are exactly what [`classify`]
+/// computes over the stored list, bit for bit.
 ///
 /// # Example
 ///
@@ -374,8 +538,8 @@ pub fn classify(
 #[derive(Clone, Debug)]
 pub struct CumulativeIsolator {
     config: CumulativeConfig,
-    overflow_data: BTreeMap<SiteHash, Vec<(f64, bool)>>,
-    dangling_data: BTreeMap<SiteHash, Vec<(f64, bool)>>,
+    overflow: Family,
+    dangling: Family,
     pad_hints: BTreeMap<SiteHash, u32>,
     defer_hints: BTreeMap<SiteHash, (SiteHash, u64)>,
     n_sites: usize,
@@ -389,8 +553,8 @@ impl CumulativeIsolator {
     pub fn new(config: CumulativeConfig) -> Self {
         CumulativeIsolator {
             config,
-            overflow_data: BTreeMap::new(),
-            dangling_data: BTreeMap::new(),
+            overflow: Family::new(),
+            dangling: Family::new(),
             pad_hints: BTreeMap::new(),
             defer_hints: BTreeMap::new(),
             n_sites: 1,
@@ -417,25 +581,17 @@ impl CumulativeIsolator {
         self.failures
     }
 
-    /// Folds one run's summary into the accumulated state.
+    /// Folds one run's summary into the accumulated state, re-integrating
+    /// the likelihoods of the sites it observed (and no others).
     pub fn record_run(&mut self, summary: &RunSummary) {
         self.runs += 1;
         if summary.failed {
             self.failures += 1;
         }
         self.n_sites = self.n_sites.max(summary.n_sites);
-        for obs in &summary.overflow_obs {
-            self.overflow_data
-                .entry(obs.site)
-                .or_default()
-                .push((obs.x, obs.y));
-        }
-        for obs in &summary.dangling_obs {
-            self.dangling_data
-                .entry(obs.site)
-                .or_default()
-                .push((obs.x, obs.y));
-        }
+        let steps = self.config.integration_steps;
+        fold(&mut self.overflow, &summary.overflow_obs, steps);
+        fold(&mut self.dangling, &summary.dangling_obs, steps);
         for &(site, pad) in &summary.pad_hints {
             let e = self.pad_hints.entry(site).or_insert(0);
             *e = (*e).max(pad);
@@ -448,22 +604,33 @@ impl CumulativeIsolator {
         }
     }
 
+    /// Verdicts for every site of `family` under the current site
+    /// population.
+    fn verdicts(&self, family: &Family) -> Vec<Verdict> {
+        family
+            .iter()
+            .map(|(&site, record)| {
+                Verdict::decide(
+                    site,
+                    record.likelihoods,
+                    record.obs.len(),
+                    self.n_sites,
+                    self.config.prior_c,
+                )
+            })
+            .collect()
+    }
+
     /// Hypothesis-test verdicts for all sites with overflow observations.
     #[must_use]
     pub fn overflow_verdicts(&self) -> Vec<Verdict> {
-        self.overflow_data
-            .iter()
-            .map(|(&site, obs)| classify(site, obs, self.n_sites, &self.config))
-            .collect()
+        self.verdicts(&self.overflow)
     }
 
     /// Hypothesis-test verdicts for all sites with dangling observations.
     #[must_use]
     pub fn dangling_verdicts(&self) -> Vec<Verdict> {
-        self.dangling_data
-            .iter()
-            .map(|(&site, obs)| classify(site, obs, self.n_sites, &self.config))
-            .collect()
+        self.verdicts(&self.dangling)
     }
 
     /// Generates runtime patches for every flagged site, using the pad and
@@ -493,7 +660,8 @@ impl CumulativeIsolator {
     /// Serializes the accumulated state to a text format, so it can be
     /// carried between executions alongside the patch file — §3.4:
     /// "Exterminator computes relevant statistics about each run and
-    /// stores them in its patch file."
+    /// stores them in its patch file." The likelihoods are not written:
+    /// they are a function of the lists.
     #[must_use]
     pub fn to_text(&self) -> String {
         let mut out = String::from("# exterminator cumulative state v1\n");
@@ -506,9 +674,9 @@ impl CumulativeIsolator {
             self.config.integration_steps,
             self.config.fill_probability,
         ));
-        let dump = |out: &mut String, tag: &str, data: &BTreeMap<SiteHash, Vec<(f64, bool)>>| {
-            for (site, obs) in data {
-                for &(x, y) in obs {
+        let dump = |out: &mut String, tag: &str, family: &Family| {
+            for (site, record) in family {
+                for &(x, y) in &record.obs {
                     out.push_str(&format!(
                         "{tag} {:08x} {:016x} {}\n",
                         site.raw(),
@@ -518,8 +686,8 @@ impl CumulativeIsolator {
                 }
             }
         };
-        dump(&mut out, "oobs", &self.overflow_data);
-        dump(&mut out, "dobs", &self.dangling_data);
+        dump(&mut out, "oobs", &self.overflow);
+        dump(&mut out, "dobs", &self.dangling);
         for (site, pad) in &self.pad_hints {
             out.push_str(&format!("padhint {:08x} {pad}\n", site.raw()));
         }
@@ -533,7 +701,15 @@ impl CumulativeIsolator {
         out
     }
 
-    /// Restores accumulated state written by [`CumulativeIsolator::to_text`].
+    /// Restores accumulated state written by [`CumulativeIsolator::to_text`]
+    /// and integrates every site once.
+    ///
+    /// The text is untrusted (it is a file on disk): an integration grid
+    /// outside `2..=65_536` intervals, a prior constant that is not finite
+    /// and positive, a fill probability outside `(0, 1]`, or an `X` that
+    /// is not a probability is an error like any malformed line — never a
+    /// hang in the integral or a patch minted from a meaningless
+    /// threshold.
     ///
     /// # Errors
     ///
@@ -557,25 +733,31 @@ impl CumulativeIsolator {
                     iso.runs = runs.parse().map_err(|_| fail("bad runs"))?;
                     iso.failures = failures.parse().map_err(|_| fail("bad failures"))?;
                     iso.n_sites = n_sites.parse().map_err(|_| fail("bad n_sites"))?;
-                    iso.config.prior_c = prior_c.parse().map_err(|_| fail("bad prior"))?;
-                    iso.config.integration_steps = steps.parse().map_err(|_| fail("bad steps"))?;
-                    iso.config.fill_probability = p.parse().map_err(|_| fail("bad p"))?;
+                    iso.config = CumulativeConfig {
+                        prior_c: prior_c.parse().map_err(|_| fail("bad prior"))?,
+                        integration_steps: steps.parse().map_err(|_| fail("bad steps"))?,
+                        fill_probability: p.parse().map_err(|_| fail("bad p"))?,
+                    };
+                    iso.config.validate().map_err(|e| fail(&e))?;
                 }
                 [tag @ ("oobs" | "dobs"), s, xbits, y] => {
                     let x = f64::from_bits(
                         u64::from_str_radix(xbits, 16).map_err(|_| fail("bad x bits"))?,
                     );
+                    if !(0.0..=1.0).contains(&x) {
+                        return Err(fail("x is not a probability"));
+                    }
                     let y = match *y {
                         "0" => false,
                         "1" => true,
                         _ => return Err(fail("bad y")),
                     };
-                    let data = if *tag == "oobs" {
-                        &mut iso.overflow_data
+                    let family = if *tag == "oobs" {
+                        &mut iso.overflow
                     } else {
-                        &mut iso.dangling_data
+                        &mut iso.dangling
                     };
-                    data.entry(site(s)?).or_default().push((x, y));
+                    family.entry(site(s)?).or_default().obs.push((x, y));
                 }
                 ["padhint", s, pad] => {
                     let pad: u32 = pad.parse().map_err(|_| fail("bad pad"))?;
@@ -589,22 +771,46 @@ impl CumulativeIsolator {
                 _ => return Err(fail("unrecognized directive")),
             }
         }
+        let steps = iso.config.integration_steps;
+        for record in iso.overflow.values_mut().chain(iso.dangling.values_mut()) {
+            record.likelihoods = likelihoods(&record.obs, steps);
+        }
         Ok(iso)
     }
 
     /// Approximate retained-state size in bytes — the paper stresses this
-    /// is "a few kilobytes per execution" instead of a heap image.
+    /// is "a few kilobytes per execution" instead of a heap image. Per
+    /// site and family: a key, the two stored likelihoods, and the
+    /// observation list.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
         let per_obs = std::mem::size_of::<(f64, bool)>();
-        (self.overflow_data.len() + self.dangling_data.len()) * 8
+        let per_site = 8 + std::mem::size_of::<(f64, f64)>();
+        (self.overflow.len() + self.dangling.len()) * per_site
             + self
-                .overflow_data
+                .overflow
                 .values()
-                .chain(self.dangling_data.values())
-                .map(|v| v.len() * per_obs)
+                .chain(self.dangling.values())
+                .map(|r| r.obs.len() * per_obs)
                 .sum::<usize>()
             + (self.pad_hints.len() + self.defer_hints.len()) * 16
+    }
+}
+
+/// Appends one run's observations to `family`, then re-integrates each
+/// site they touched — once, however many observations it received.
+fn fold(family: &mut Family, observations: &[SiteObservation], steps: usize) {
+    let mut touched: Vec<SiteHash> = Vec::with_capacity(observations.len());
+    for obs in observations {
+        family.entry(obs.site).or_default().obs.push((obs.x, obs.y));
+        touched.push(obs.site);
+    }
+    touched.sort_unstable();
+    touched.dedup();
+    for site in touched {
+        if let Some(record) = family.get_mut(&site) {
+            record.likelihoods = likelihoods(&record.obs, steps);
+        }
     }
 }
 

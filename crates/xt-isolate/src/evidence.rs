@@ -1,12 +1,13 @@
 //! Incremental, mergeable cumulative-mode evidence (§5, fleet-scale form).
 //!
-//! [`CumulativeIsolator`](crate::cumulative::CumulativeIsolator) is
-//! *batch*-shaped: it stores every `(X, Y)` observation and re-evaluates
-//! the likelihood integral over the full list on each query — O(runs ×
-//! steps) per site per classification, and two isolators cannot be
-//! combined without replaying raw observations. That is fine for one
-//! user's patch file; it does not scale to a service aggregating reports
-//! from thousands of clients.
+//! [`CumulativeIsolator`](crate::cumulative::CumulativeIsolator) keeps
+//! each site's `(X, Y)` observation list and that list's two likelihoods,
+//! re-integrating a site only when a run adds to its list. That is the
+//! right shape for one user's patch file: the lists are small (§3.4's "a
+//! few kilobytes per execution") and they are what gets persisted. Two
+//! isolators cannot be combined without replaying raw observations,
+//! though, which a service aggregating reports from thousands of clients
+//! needs to do constantly.
 //!
 //! This module keeps the same hypothesis test in *running-product* form.
 //! For one site, the two likelihoods of §5 are products over observations:
@@ -31,6 +32,15 @@
 //! same state (up to float rounding). [`EvidenceTable`] lifts the same
 //! property to whole run summaries (site maps, pad/deferral hints, run
 //! counters), giving `xt-fleet` its CRDT-style shard state.
+//!
+//! **Why two classifiers.** The grid is faster per observation but costs
+//! `steps + 1` doubles per site where the list costs a few bytes per
+//! observation: after `tests/modes.rs`'s twenty Mozilla runs (145
+//! site-families) a grid-backed isolator would hold ~600 KB against the
+//! lists' ~12 KB, breaking §3.4's per-execution budget that one user's
+//! state file exists to keep. So lists stay where state is small and
+//! persisted, grids where it must merge. Both decide through the one
+//! rule, `Verdict::decide`.
 
 use std::collections::BTreeMap;
 
@@ -45,6 +55,7 @@ use crate::cumulative::{CumulativeConfig, RunSummary, Verdict};
 /// # Example
 ///
 /// ```
+/// use xt_alloc::SiteHash;
 /// use xt_isolate::evidence::SiteEvidence;
 ///
 /// // Fifteen failures, always canaried at p = 1/2 — the espresso
@@ -60,7 +71,10 @@ use crate::cumulative::{CumulativeConfig, RunSummary, Verdict};
 ///     if i % 2 == 0 { a.observe(0.5, true) } else { b.observe(0.5, true) }
 /// }
 /// a.merge(&b);
-/// assert!((a.ratio() - e.ratio()).abs() < 1e-9 * e.ratio());
+/// let site = SiteHash::from_raw(0xBAD);
+/// let (merged, whole) = (a.verdict(site, 250, 4.0), e.verdict(site, 250, 4.0));
+/// assert!((merged.ratio - whole.ratio).abs() < 1e-9 * whole.ratio);
+/// assert!(merged.flagged && whole.flagged);
 /// assert_eq!(a.observations(), 15);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -152,20 +166,6 @@ impl SiteEvidence {
         sum * h / 3.0
     }
 
-    /// `L1 / L0` (∞ if `L0` underflows to zero while `L1 > 0`, 1 if both
-    /// vanish) — the statistic compared against the `cN − 1` threshold.
-    #[must_use]
-    pub fn ratio(&self) -> f64 {
-        let (l0, l1) = (self.l0(), self.l1());
-        if l0 > 0.0 {
-            l1 / l0
-        } else if l1 > 0.0 {
-            f64::INFINITY
-        } else {
-            1.0
-        }
-    }
-
     /// The raw running-product state: `(observations, L0, grid)`. The
     /// floats are the state — a durability layer that snapshots these
     /// exact bit patterns and restores them with
@@ -195,19 +195,11 @@ impl SiteEvidence {
     }
 
     /// The §5.1 decision for this site under prior constant `prior_c` and
-    /// site population `n_sites`.
+    /// site population `n_sites` — the rule
+    /// [`classify`](crate::cumulative::classify) applies to a list.
     #[must_use]
     pub fn verdict(&self, site: SiteHash, n_sites: usize, prior_c: f64) -> Verdict {
-        let threshold = (prior_c * n_sites.max(1) as f64 - 1.0).max(1.0);
-        let ratio = self.ratio();
-        Verdict {
-            site,
-            l0: self.l0(),
-            l1: self.l1(),
-            ratio,
-            flagged: ratio > threshold,
-            observations: self.obs,
-        }
+        Verdict::decide(site, (self.l0(), self.l1()), self.obs, n_sites, prior_c)
     }
 }
 

@@ -1,17 +1,64 @@
-//! Property tests for the isolation algorithms: classifier sanity and
+//! Property tests for the isolation algorithms: classifier sanity, the
+//! isolator's stored likelihoods against the batch classifier, and
 //! robustness of iterative isolation against false positives.
 
 use proptest::prelude::*;
 
+use std::collections::BTreeMap;
 use xt_alloc::{Heap, Rng, SiteHash};
 use xt_diefast::{DieFastConfig, DieFastHeap};
 use xt_image::HeapImage;
-use xt_isolate::cumulative::{classify, likelihood_h0, likelihood_h1, CumulativeConfig};
+
+use xt_isolate::cumulative::{
+    classify, likelihood_h0, likelihood_h1, summarize_heap, summarize_run, CumulativeConfig,
+    CumulativeIsolator, RunSummary, SiteObservation, Verdict,
+};
 use xt_isolate::iterative::isolate;
 use xt_isolate::theory;
 
 fn observations() -> impl Strategy<Value = Vec<(f64, bool)>> {
     proptest::collection::vec((0.0f64..=1.0, any::<bool>()), 1..40)
+}
+
+/// A site's observation lists, as the batch classifier sees them.
+type Lists = BTreeMap<SiteHash, Vec<(f64, bool)>>;
+
+/// One verdict with its floats as bits.
+fn bits(v: &Verdict) -> (u32, u64, u64, u64, bool, usize) {
+    (
+        v.site.raw(),
+        v.l0.to_bits(),
+        v.l1.to_bits(),
+        v.ratio.to_bits(),
+        v.flagged,
+        v.observations,
+    )
+}
+
+/// `classify` over every list, under site population `n_sites`.
+fn batch(lists: &Lists, n_sites: usize, config: &CumulativeConfig) -> Vec<Verdict> {
+    lists
+        .iter()
+        .map(|(&site, obs)| classify(site, obs, n_sites, config))
+        .collect()
+}
+
+/// The isolator's verdicts, bit for bit, are the batch classifier's over
+/// the lists it was fed.
+fn assert_matches_batch(
+    iso: &CumulativeIsolator,
+    overflow: &Lists,
+    dangling: &Lists,
+    n_sites: usize,
+) -> Result<(), TestCaseError> {
+    let config = iso.config();
+    let stored: Vec<_> = iso.overflow_verdicts().iter().map(bits).collect();
+    let want: Vec<_> = batch(overflow, n_sites, config).iter().map(bits).collect();
+    prop_assert_eq!(stored, want);
+    let stored: Vec<_> = iso.dangling_verdicts().iter().map(bits).collect();
+    let want: Vec<_> = batch(dangling, n_sites, config).iter().map(bits).collect();
+    prop_assert_eq!(stored, want);
+    Ok(())
 }
 
 proptest! {
@@ -109,5 +156,100 @@ proptest! {
         }
         let report = isolate(&images).unwrap();
         prop_assert!(report.is_empty(), "false positive: {report}");
+    }
+
+    /// Classifying only what changed changes nothing: after every
+    /// `record_run` of a random summary stream — sites observed in some
+    /// runs and not others, repeated within a run, `X` at the extremes,
+    /// a growing site population — and after a `to_text`/`from_text`
+    /// round trip, every verdict's `l0`/`l1`/`ratio` bits equal
+    /// `classify` over the full observation list.
+    #[test]
+    fn stored_likelihoods_equal_the_batch_classifier(
+        seed in any::<u64>(),
+        runs in 1usize..30,
+        steps in 2usize..600,
+        prior_c in 0.5f64..8.0,
+    ) {
+        let config = CumulativeConfig { prior_c, integration_steps: steps, fill_probability: 0.5 };
+        let mut iso = CumulativeIsolator::new(config);
+        let (mut overflow, mut dangling) = (Lists::new(), Lists::new());
+        let mut n_sites = 1;
+        let mut rng = Rng::new(seed);
+        let draw = |rng: &mut Rng| {
+            let x = match rng.below(8) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.unit_f64(),
+            };
+            SiteObservation { site: SiteHash::from_raw(rng.below(6) as u32), x, y: rng.chance(0.5) }
+        };
+        for _ in 0..runs {
+            let mut summary = RunSummary {
+                failed: rng.chance(0.5),
+                n_sites: rng.below_usize(300),
+                ..RunSummary::default()
+            };
+            for _ in 0..rng.below(4) {
+                summary.overflow_obs.push(draw(&mut rng));
+            }
+            for _ in 0..rng.below(4) {
+                summary.dangling_obs.push(draw(&mut rng));
+            }
+            for o in &summary.overflow_obs {
+                overflow.entry(o.site).or_default().push((o.x, o.y));
+            }
+            for o in &summary.dangling_obs {
+                dangling.entry(o.site).or_default().push((o.x, o.y));
+            }
+            n_sites = n_sites.max(summary.n_sites);
+            iso.record_run(&summary);
+            assert_matches_batch(&iso, &overflow, &dangling, n_sites)?;
+        }
+        let restored = CumulativeIsolator::from_text(&iso.to_text()).unwrap();
+        assert_matches_batch(&restored, &overflow, &dangling, n_sites)?;
+    }
+
+    /// Summarising the standing heap is summarising its image: over
+    /// churned history-tracking heaps with seeded bytes overwritten
+    /// anywhere in their slots, `summarize_heap` equals `summarize_run` of
+    /// the captured image, failed or not.
+    #[test]
+    fn live_summary_equals_image_summary(
+        seed in 0u64..5000,
+        steps in 10usize..200,
+        writes in 0usize..6,
+        failed in any::<bool>(),
+    ) {
+        let mut heap = DieFastHeap::new(DieFastConfig::cumulative_with_seed(seed));
+        let mut rng = Rng::new(seed ^ 0x5A5A);
+        let mut live = Vec::new();
+        for i in 0..steps {
+            if !live.is_empty() && rng.chance(0.4) {
+                let victim = live.swap_remove(rng.below_usize(live.len()));
+                heap.free(victim, SiteHash::from_raw(0xF0 + i as u32 % 3));
+            } else {
+                let size = 8 + rng.below_usize(120);
+                live.push(heap.malloc(size, SiteHash::from_raw(i as u32 % 11)).unwrap());
+            }
+        }
+        let slots: Vec<_> = {
+            let image = HeapImage::try_capture(&heap).unwrap();
+            image
+                .slots()
+                .map(|(r, _)| (image.slot_addr(r), image.miniheap_of(r).object_size))
+                .collect()
+        };
+        for _ in 0..writes {
+            let (base, size) = slots[rng.below_usize(slots.len())];
+            let at = base + rng.below(u64::from(size));
+            heap.arena_mut().write_bytes(at, &[0xEE; 3]).ok();
+        }
+        let image = HeapImage::try_capture(&heap).unwrap();
+        let log = heap.inner().history().unwrap();
+        prop_assert_eq!(
+            summarize_heap(&heap, log, failed, 0.5).unwrap(),
+            summarize_run(&image, log, failed, 0.5)
+        );
     }
 }

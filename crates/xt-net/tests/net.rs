@@ -28,7 +28,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use exterminator::pool::{PoolConfig, ReplicaPool, Straggler};
-use exterminator::summarized_run;
+use exterminator::runner::ReusableStack;
+use exterminator::summarized_run_reusable;
 use xt_alloc::AllocTime;
 use xt_faults::{FaultKind, FaultSpec};
 use xt_fleet::frame::{Frame, FRAME_MAGIC};
@@ -530,6 +531,7 @@ fn remote_reports_heal_the_server() {
     let mut next_seq = 0u32;
     let mut failures_reported = 0u32;
     let mut healed = false;
+    let mut stack = ReusableStack::new();
     for _round in 0..40 {
         // Adopt the newest epoch before serving, like a deployed client:
         // an ack said the fleet is ahead, so park until that push lands.
@@ -550,7 +552,7 @@ fn remote_reports_heal_the_server() {
             // Local cumulative probes, shipped as ordinary wire reports —
             // the §5 "few kilobytes per execution" path, remote edition.
             for _probe in 0..8 {
-                let run = summarized_run(
+                let run = summarized_run_reusable(
                     &workload,
                     &input,
                     Some(fault),
@@ -558,6 +560,7 @@ fn remote_reports_heal_the_server() {
                     0xF1EE7 ^ (u64::from(next_seq) << 8),
                     fill,
                     2.0,
+                    &mut stack,
                 );
                 let report = RunReport::from_summary(77, next_seq, &run.summary);
                 next_seq += 1;

@@ -20,7 +20,8 @@
 //! emerges from the pooled evidence, and one published epoch corrects both
 //! bugs for everyone.
 
-use exterminator::summarized_run;
+use exterminator::runner::ReusableStack;
+use exterminator::summarized_run_reusable;
 use xt_fleet::simulator::{demo_faults, verified_corrected};
 use xt_fleet::{FleetConfig, FleetService, RunReport};
 use xt_workloads::{EspressoLike, WorkloadInput};
@@ -54,12 +55,15 @@ fn main() {
 
     let mut runs = 0u64;
     let mut last_verified = 0u64;
+    // The simulation's one allocator stack: every user's run resets it
+    // rather than building a fresh address space.
+    let mut stack = ReusableStack::new();
     'fleet: for round in 0..ROUNDS {
         for user in 0..USERS {
             // Pull: adopt the newest published epoch before running.
             let epoch = service.latest();
             let fault = if user % 2 == 0 { overflow } else { dangling };
-            let run = summarized_run(
+            let run = summarized_run_reusable(
                 &workload,
                 &input,
                 Some(fault),
@@ -67,6 +71,7 @@ fn main() {
                 0x5EED ^ (user * 7919 + u64::from(round) * 104_729),
                 service.config().isolator.fill_probability,
                 2.0,
+                &mut stack,
             );
             runs += 1;
             // Submit: a few hundred bytes over the wire, not a heap image.

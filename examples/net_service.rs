@@ -32,7 +32,8 @@ use std::time::Duration;
 
 use exterminator::frontend::FrontendConfig;
 use exterminator::pool::PoolConfig;
-use exterminator::summarized_run;
+use exterminator::runner::ReusableStack;
+use exterminator::summarized_run_reusable;
 use xt_alloc::AllocTime;
 use xt_faults::{FaultKind, FaultSpec};
 use xt_fleet::{FleetConfig, RunReport};
@@ -90,6 +91,8 @@ fn main() {
     let mut patches = PatchTable::new();
     let mut next_seq = 0u32;
     let mut healed = false;
+    // One allocator stack for every local probe, reset between runs.
+    let mut stack = ReusableStack::new();
     for round in 0..40 {
         // An ack said the fleet is ahead: park until that push lands.
         if acked_epoch > epoch {
@@ -116,7 +119,7 @@ fn main() {
                 outcome.dissenting.len()
             );
             for _ in 0..8 {
-                let run = summarized_run(
+                let run = summarized_run_reusable(
                     &workload,
                     &input,
                     Some(fault),
@@ -124,6 +127,7 @@ fn main() {
                     0xF1EE7 ^ (u64::from(next_seq) << 8),
                     fill,
                     2.0,
+                    &mut stack,
                 );
                 let report = RunReport::from_summary(1, next_seq, &run.summary);
                 next_seq += 1;
