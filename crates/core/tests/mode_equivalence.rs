@@ -22,8 +22,8 @@
 //! [`exterminator::runner::find_manifesting_fault`]: give it the cell's
 //! workload, input, and fault kind, and sweep candidate trigger ordinals
 //! (and overflow deltas) until it returns a spec whose run raises the
-//! expected signal — `crates/bench/src/bin/exp_injected_overflows.rs`
-//! drives the same helper as a harness and is the template to crib.
+//! expected signal — `distinct_faults` in `crates/bench/src/lib.rs` drives
+//! the same helper over selector ranges and is the template to crib.
 //! Paste the ordinal it finds back into the matrix below.
 
 use std::collections::BTreeSet;

@@ -1,8 +1,8 @@
 //! The analytical bounds of paper §4 (Theorems 1–3).
 //!
-//! These functions exist so tests and the `exp_theorems` experiment can
-//! check the implementation's *measured* false-positive/false-negative
-//! rates against the paper's *proved* bounds.
+//! These functions exist so tests and `bench`'s theorem rows can check
+//! the implementation's *measured* false-positive/false-negative rates
+//! against the paper's *proved* bounds.
 
 /// Theorem 1: upper bound on the probability that a buffer overflow
 /// overwrites the same `s` objects identically in all `k` heap images of a

@@ -39,7 +39,7 @@ fn main() {
 
     // Two community bugs, screened to be §5-isolatable (not every
     // manifesting fault develops the canary/failure correlation the
-    // Bayesian test needs — see `exp_injected_dangling`).
+    // Bayesian test needs — see `bench`'s `injected_dangling_cumulative`).
     let (overflow, dangling) =
         demo_faults(&workload, &input).expect("no isolatable demonstration faults found");
     println!("bug A (overflow): {overflow:?}");

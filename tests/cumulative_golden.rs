@@ -22,7 +22,7 @@ use xt_patch::PatchTable;
 use xt_workloads::{attack_browsing_session, EspressoLike, MozillaLike, Workload, WorkloadInput};
 
 /// The fleet demonstrations' input (`collaborative_patching`,
-/// `exp_fleet`, the `fleet_reports` workload).
+/// `bench`'s `fleet` row, the `fleet_reports` workload).
 fn demo_input() -> WorkloadInput {
     WorkloadInput::with_seed(21).intensity(3)
 }

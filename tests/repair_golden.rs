@@ -19,14 +19,14 @@ use xt_fleet::simulator::verified_corrected;
 use xt_patch::PatchTable;
 use xt_workloads::{EspressoLike, WorkloadInput};
 
-/// The §7.2 experiments' program input (`exp_injected_overflows`, the
-/// benchmark's `repair` workload).
+/// The §7.2 overflow experiments' program input (`bench`'s
+/// `injected_overflows` row, the benchmark's `repair` workload).
 fn repair_input() -> WorkloadInput {
     WorkloadInput::with_seed(6).intensity(3)
 }
 
 /// The fleet demonstrations' input (`collaborative_patching`,
-/// `exp_fleet`, the `fleet_reports` workload).
+/// `bench`'s `fleet` row, the `fleet_reports` workload).
 fn demo_input() -> WorkloadInput {
     WorkloadInput::with_seed(21).intensity(3)
 }
