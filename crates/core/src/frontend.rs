@@ -13,17 +13,27 @@
 //!   scope. Submissions are spread round-robin in global submission
 //!   order.
 //! * **Bounded queues, real backpressure.** Each pool sits behind a
-//!   bounded [`std::sync::mpsc::sync_channel`] — the same std channel
-//!   mechanism the pool's broadcast and `xt-net`'s worker hand-off end
-//!   on. [`PoolFrontend::submit`] blocks while the target queue is full,
-//!   so a burst of clients cannot grow the in-flight set without bound —
-//!   the service degrades to waiting, never to OOM.
+//!   bounded [`std::sync::mpsc::sync_channel`], the same std channel
+//!   mechanism the pool's broadcast ends on. [`PoolFrontend::submit`]
+//!   blocks while the target queue is full, so a burst of clients cannot
+//!   grow the in-flight set without bound — the service degrades to
+//!   waiting, never to OOM. [`PoolFrontend::try_submit`] is the
+//!   non-blocking twin for an event loop: on a full queue it hands the
+//!   admitted job back ([`Refused::Full`]) with its sequence number, and
+//!   [`PoolFrontend::deliver`] does the blocking send on another thread.
+//!   Both run one admission step, so a refused job burns no sequence
+//!   number.
 //! * **Tickets instead of a caller loop.** `submit` returns a
 //!   [`JobTicket`]; the submitting thread overlaps its own work with the
 //!   replicas' and picks the outcome up via [`JobTicket::try_poll`] /
 //!   [`JobTicket::wait`], or grabs the streaming quorum verdict early via
 //!   [`JobTicket::wait_verdict`] — the §3.1 moment, surfaced per job to
 //!   whichever thread submitted it.
+//! * **One posting path.** The driver hands every job's verdict, outcome
+//!   and release to the [`JobSink`] the job carries. A ticket's condvar
+//!   cell is the in-process sink; `xt-net` passes one that encodes the
+//!   reply frames on the driver thread and posts them straight to the
+//!   connection.
 //! * **One epoch, K pools.** [`PoolFrontend::load_epoch`] advances a
 //!   single front-end-wide epoch version; every pool picks the table up
 //!   before its next submission, so no job dispatched after `load_epoch`
@@ -44,11 +54,12 @@
 //! patches become visible to later jobs, exactly as for a single pool.
 //!
 //! The same pin extends across the wire: `xt-net`'s `NetFrontend` wraps a
-//! `PoolFrontend` and hands each remote submission to [`PoolFrontend::
-//! submit`], so the global sequence number — not the connection, not the
-//! read interleaving — decides every outcome byte, and remote results are
-//! compared by [`PoolOutcome::deterministic_digest`](crate::pool::
-//! PoolOutcome::deterministic_digest) instead of shipping whole outcomes.
+//! `PoolFrontend` and admits each remote submission through
+//! [`PoolFrontend::try_submit`], so the global sequence number — not the
+//! connection, not the read interleaving — decides every outcome byte,
+//! and remote results are compared by
+//! [`PoolOutcome::deterministic_digest`](crate::pool::PoolOutcome::deterministic_digest)
+//! instead of shipping whole outcomes.
 
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
@@ -107,39 +118,83 @@ impl Default for FrontendConfig {
 /// [`PoolFrontend::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrontendStats {
-    /// Jobs accepted by `submit`.
+    /// Jobs admitted by `submit` or `try_submit`.
     pub submitted: u64,
-    /// Jobs fully finalized (outcome posted to its ticket).
+    /// Jobs fully finalized (outcome posted to its sink).
     pub completed: u64,
     /// Finalized jobs whose outcome observed an error (failure or
     /// divergence).
     pub failures: u64,
-    /// Times a submitter blocked on a full queue.
+    /// Blocking sends into a full queue (`submit` falling back to one,
+    /// or `deliver`).
     pub backpressure_waits: u64,
 }
 
-/// One submission, from `submit` until its outcome is posted. The input
-/// is shared, not copied: the only real copy is made once at
-/// [`PoolFrontend::submit`], and the pool broadcast downstream is
-/// reference bumps all the way.
+/// Where a driver delivers one job's results. The driver calls
+/// `verdict` at most once, then `outcome` at most once, then `release`
+/// exactly once, all from the driver thread that owns the job.
+pub trait JobSink: Send {
+    /// The streaming quorum verdict for global job `job`: `Some` for a
+    /// quorum (possibly with stragglers still running), `None` when the
+    /// job completed with every replica mutually diverged.
+    fn verdict(&mut self, job: u64, verdict: Option<EarlyVerdict>);
+    /// The finalized outcome; `outcome.job` is the global sequence number.
+    fn outcome(&mut self, outcome: PoolOutcome);
+    /// Nothing further will be posted for `job`. Called last, after the
+    /// outcome — or without one when the driver died serving the job, or
+    /// the job never reached a live driver.
+    fn release(&mut self, job: u64);
+}
+
+/// One submission, from admission until its driver lets go of it. The
+/// input is shared, not copied: admission takes it by value, and the
+/// pool broadcast downstream is reference bumps all the way.
 struct Job {
     seq: u64,
     input: Arc<WorkloadInput>,
     fault: Option<FaultSpec>,
-    slot: Arc<TicketSlot>,
-    /// When `submit` enqueued the job — start of the queue-wait stage
+    sink: Box<dyn JobSink>,
+    /// When the job was admitted — start of the queue-wait stage
     /// (observability only; timing never reaches any outcome byte).
     enqueued: Instant,
 }
 
 /// Wherever a job is when its driver lets go of it — still queued behind
 /// a dropped receiver, in flight in an unwinding driver, or finalized —
-/// its ticket learns that nothing further will be posted, so a waiter
-/// that did not get its result fails fast instead of hanging.
+/// its sink learns that nothing further will be posted, so a waiter that
+/// did not get its result fails fast instead of hanging.
 impl Drop for Job {
     fn drop(&mut self) {
-        self.slot.release();
+        self.sink.release(self.seq);
     }
+}
+
+/// A job [`PoolFrontend::try_submit`] admitted, with its sequence number,
+/// but could not enqueue because its pool's queue was full. Hand it to
+/// [`PoolFrontend::deliver`]; dropping it releases the job's sink
+/// without an outcome.
+pub struct PendingJob {
+    job: Job,
+    /// Index of the pool queue admission routed the job to.
+    queue: usize,
+}
+
+impl PendingJob {
+    /// The global sequence number admission assigned.
+    #[must_use]
+    pub fn job(&self) -> u64 {
+        self.job.seq
+    }
+}
+
+/// Why [`PoolFrontend::try_submit`] did not enqueue a job.
+pub enum Refused {
+    /// The target pool's queue is full. The job keeps its sequence
+    /// number; [`PoolFrontend::deliver`] blocks until the queue takes it.
+    Full(PendingJob),
+    /// The target pool's driver died. The job was dropped, so its sink's
+    /// `release` already ran without an outcome.
+    DriverDied,
 }
 
 /// What the ticket holder eventually receives.
@@ -182,16 +237,19 @@ impl TicketSlot {
             self.ready.notify_all();
         }
     }
+}
 
-    fn post_verdict(&self, verdict: Option<EarlyVerdict>) {
+/// The in-process sink: the driver's posts land in the ticket's cell.
+impl JobSink for Arc<TicketSlot> {
+    fn verdict(&mut self, _job: u64, verdict: Option<EarlyVerdict>) {
         self.post(|cell| cell.verdict = Some(verdict));
     }
 
-    fn post_outcome(&self, outcome: PoolOutcome) {
+    fn outcome(&mut self, outcome: PoolOutcome) {
         self.post(|cell| cell.outcome = Some(outcome));
     }
 
-    fn release(&self) {
+    fn release(&mut self, _job: u64) {
         self.post(|cell| cell.released = true);
     }
 }
@@ -526,34 +584,67 @@ impl<'scope> PoolFrontend<'scope> {
     /// Panics if the target pool's driver died (its worker panic
     /// propagates from [`PoolFrontend::shutdown`]).
     pub fn submit(&self, input: &WorkloadInput, fault: Option<FaultSpec>) -> JobTicket {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let queue = &self.queues[(seq % self.queues.len() as u64) as usize];
         let slot = Arc::new(TicketSlot::new());
+        let delivered = match self.try_submit(input.clone(), fault, Box::new(Arc::clone(&slot))) {
+            Ok(seq) => Some(seq),
+            Err(Refused::Full(pending)) => {
+                let seq = pending.job();
+                self.deliver(pending).then_some(seq)
+            }
+            Err(Refused::DriverDied) => None,
+        };
+        let seq = delivered.expect("pool front-end driver died; submission rejected");
+        JobTicket { job: seq, slot }
+    }
+
+    /// Admits one input without blocking: assigns its global sequence
+    /// number, routes it round-robin, and enqueues it if the target
+    /// pool's queue has room. The driver posts the job's results to
+    /// `sink`. Returns the sequence number; on a full queue the admitted
+    /// job comes back as [`Refused::Full`], keeping that number.
+    ///
+    /// # Errors
+    ///
+    /// [`Refused::Full`] or [`Refused::DriverDied`]; never panics.
+    pub fn try_submit(
+        &self,
+        input: WorkloadInput,
+        fault: Option<FaultSpec>,
+        sink: Box<dyn JobSink>,
+    ) -> Result<u64, Refused> {
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let queue = (seq % self.queues.len() as u64) as usize;
         // Counted before the job becomes visible to a driver, so readers
         // of the aggregate stats never observe completed > submitted.
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         let job = Job {
             seq,
-            input: Arc::new(input.clone()),
+            input: Arc::new(input),
             fault,
-            slot: Arc::clone(&slot),
+            sink,
             enqueued: Instant::now(),
         };
-        // A dead driver has dropped its receiver, so both sends fail fast
-        // instead of blocking on a queue nobody drains.
-        let delivered = match queue.try_send(job) {
-            Ok(()) => true,
-            Err(TrySendError::Full(job)) => {
-                // Counted once per blocked push, however long it blocks.
-                self.shared
-                    .backpressure_waits
-                    .fetch_add(1, Ordering::Relaxed);
-                queue.send(job).is_ok()
-            }
-            Err(TrySendError::Disconnected(_)) => false,
-        };
-        assert!(delivered, "pool front-end driver died; submission rejected");
-        JobTicket { job: seq, slot }
+        // A dead driver has dropped its receiver, so the send fails fast
+        // (dropping the job releases its sink).
+        match self.queues[queue].try_send(job) {
+            Ok(()) => Ok(seq),
+            Err(TrySendError::Full(job)) => Err(Refused::Full(PendingJob { job, queue })),
+            Err(TrySendError::Disconnected(_)) => Err(Refused::DriverDied),
+        }
+    }
+
+    /// Blocks until a job [`PoolFrontend::try_submit`] handed back enters
+    /// its pool's queue (backpressure). Returns `false` if that pool's
+    /// driver died, in which case the job's sink was released without an
+    /// outcome. A later admission may enter the queue first, exactly as
+    /// with concurrent submitters: outcome bytes follow the sequence
+    /// number, not queue order.
+    pub fn deliver(&self, pending: PendingJob) -> bool {
+        // Counted once per blocked push, however long it blocks.
+        self.shared
+            .backpressure_waits
+            .fetch_add(1, Ordering::Relaxed);
+        self.queues[pending.queue].send(pending.job).is_ok()
     }
 
     /// Submits a whole batch and blocks for all outcomes, returned in
@@ -641,9 +732,11 @@ fn drive<W: Workload + Sync + ?Sized>(
         // job still queued and makes later submitters fail fast, and
         // `inflight`'s drop releases every job in the pool — everyone
         // waiting on this driver learns it died, then the panic
-        // propagates to the front-end's join.
-        let queue = queue;
+        // propagates to the front-end's join. The receiver goes first
+        // (locals drop in reverse order), so a waiter that learns its
+        // job died can never get a later submission accepted.
         let mut inflight: VecDeque<Inflight> = VecDeque::new();
+        let queue = queue;
         loop {
             // Top the pool's pipeline up from the queue, blocking only
             // when the pool has nothing to do at all.
@@ -675,7 +768,8 @@ fn drive<W: Workload + Sync + ?Sized>(
             };
             let (pool_job, dispatched) = (front.pool_job, front.dispatched);
             if !front.verdict_posted {
-                front.job.slot.post_verdict(pool.wait_verdict(pool_job));
+                let verdict = pool.wait_verdict(pool_job);
+                front.job.sink.verdict(front.job.seq, verdict);
                 shared.verdict_hist.record_duration(dispatched.elapsed());
                 front.verdict_posted = true;
             }
@@ -688,8 +782,8 @@ fn drive<W: Workload + Sync + ?Sized>(
             post_ready_verdicts(&pool, shared, &mut inflight);
             let mut outcome = pool.next_outcome().expect("front job in flight");
             debug_assert_eq!(outcome.job, pool_job, "pool finalized out of order");
-            let front = inflight.pop_front().expect("front job in flight");
-            // Tickets speak the front-end's global sequence, not the
+            let mut front = inflight.pop_front().expect("front job in flight");
+            // Sinks speak the front-end's global sequence, not the
             // pool-local job counter.
             outcome.job = front.job.seq;
             if outcome.outcome.error_observed() {
@@ -702,7 +796,7 @@ fn drive<W: Workload + Sync + ?Sized>(
             }
             shared.completed.fetch_add(1, Ordering::Relaxed);
             shared.exec_hist.record_duration(dispatched.elapsed());
-            front.job.slot.post_outcome(outcome);
+            front.job.sink.outcome(outcome);
             post_ready_verdicts(&pool, shared, &mut inflight);
         }
         pool.shutdown();
@@ -725,7 +819,7 @@ struct Inflight {
 fn post_ready_verdicts(pool: &ReplicaPool<'_>, shared: &Shared, inflight: &mut VecDeque<Inflight>) {
     for entry in inflight.iter_mut().filter(|e| !e.verdict_posted) {
         if let Some(verdict) = pool.poll_verdict(entry.pool_job) {
-            entry.job.slot.post_verdict(Some(verdict));
+            entry.job.sink.verdict(entry.job.seq, Some(verdict));
             shared
                 .verdict_hist
                 .record_duration(entry.dispatched.elapsed());
@@ -768,8 +862,9 @@ mod tests {
         assert!(slot.cell.lock().is_err(), "lock should be poisoned");
         // Posts and polls must still work: the front-end recovers the
         // cell state instead of cascading the panic to submitters.
-        slot.post_verdict(None);
-        slot.post_outcome(PoolOutcome {
+        let mut sink = Arc::clone(&slot);
+        sink.verdict(7, None);
+        sink.outcome(PoolOutcome {
             job: 7,
             outcome: ReplicatedOutcome {
                 vote: VoteResult {
@@ -1049,6 +1144,77 @@ mod tests {
                 }
             });
             assert_eq!(frontend.stats().backpressure_waits, 1);
+            frontend.shutdown();
+        });
+    }
+
+    /// The non-blocking admission: a full queue hands the admitted job
+    /// back with its sequence number, the blocking send delivers that
+    /// same job, and no sequence number is burnt on the way.
+    #[test]
+    fn full_queue_hands_the_job_back_and_deliver_sends_it() {
+        let workload = Gated::new(false);
+        std::thread::scope(|scope| {
+            let frontend = PoolFrontend::scoped(
+                scope,
+                &workload,
+                FrontendConfig {
+                    pools: 1,
+                    max_inflight: 1,
+                    queue_capacity: 1,
+                    ..FrontendConfig::default()
+                },
+                PatchTable::new(),
+            );
+            let slot = || Arc::new(TicketSlot::new());
+            let ticket = |job, slot| JobTicket { job, slot };
+            let first = frontend.submit(&WorkloadInput::with_seed(0), None);
+            workload.arrived.wait(); // job 0 is in flight: the queue is empty
+            let queued = slot();
+            let seq = frontend
+                .try_submit(
+                    WorkloadInput::with_seed(1),
+                    None,
+                    Box::new(Arc::clone(&queued)),
+                )
+                .unwrap_or_else(|_| panic!("the queue had room"));
+            assert_eq!(seq, 1);
+            let handed_back = slot();
+            let Err(Refused::Full(pending)) = frontend.try_submit(
+                WorkloadInput::with_seed(2),
+                None,
+                Box::new(Arc::clone(&handed_back)),
+            ) else {
+                panic!("a full queue took the job");
+            };
+            assert_eq!(pending.job(), 2, "the refused job lost its number");
+            assert_eq!(frontend.stats().submitted, 3);
+            assert_eq!(frontend.stats().backpressure_waits, 0);
+            std::thread::scope(|senders| {
+                let sender = senders.spawn(|| frontend.deliver(pending));
+                workload.proceed.wait(); // job 0 finishes; the queue moves
+                for _ in 1..3 {
+                    workload.arrived.wait();
+                    workload.proceed.wait();
+                }
+                assert!(sender.join().expect("blocked sender"), "delivery failed");
+            });
+            assert_eq!(frontend.stats().backpressure_waits, 1);
+            let outcomes: Vec<u64> = [first, ticket(1, queued), ticket(2, handed_back)]
+                .into_iter()
+                .map(|t| {
+                    let out = t.wait();
+                    assert!(out.outcome.vote.unanimous());
+                    out.job
+                })
+                .collect();
+            assert_eq!(outcomes, [0, 1, 2]);
+            // The next admission continues the sequence: nothing was burnt.
+            let next = frontend.submit(&WorkloadInput::with_seed(3), None);
+            assert_eq!(next.job(), 3);
+            workload.arrived.wait();
+            workload.proceed.wait();
+            assert_eq!(next.wait().job, 3);
             frontend.shutdown();
         });
     }

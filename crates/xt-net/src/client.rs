@@ -559,7 +559,9 @@ impl NetTicket {
     ///
     /// # Errors
     ///
-    /// Transport or decode failure, or an out-of-protocol frame.
+    /// Transport or decode failure, an out-of-protocol frame, or the
+    /// server's `Error` (a job on this connection died with its pool's
+    /// driver; the server closes the connection after it).
     pub fn wait_verdict(&self) -> Result<Option<WireVerdict>, NetError> {
         let mut conn = lock_conn(self.conn());
         loop {
@@ -568,9 +570,7 @@ impl NetTicket {
             }
             let msg = conn.read_msg()?;
             if let Some(reply) = conn.buffer_or_return(msg) {
-                return Err(NetError::Protocol(format!(
-                    "unexpected reply while waiting for a verdict: {reply:?}"
-                )));
+                return Err(unexpected(reply, "a verdict"));
             }
         }
     }
@@ -579,7 +579,7 @@ impl NetTicket {
     ///
     /// # Errors
     ///
-    /// Transport or decode failure, or an out-of-protocol frame.
+    /// As for [`NetTicket::wait_verdict`].
     pub fn wait(mut self) -> Result<WireOutcome, NetError> {
         let arc = self.conn.take().expect("ticket not yet consumed");
         let mut conn = lock_conn(&arc);
@@ -592,11 +592,20 @@ impl NetTicket {
             }
             let msg = conn.read_msg()?;
             if let Some(reply) = conn.buffer_or_return(msg) {
-                return Err(NetError::Protocol(format!(
-                    "unexpected reply while waiting for an outcome: {reply:?}"
-                )));
+                return Err(unexpected(reply, "an outcome"));
             }
         }
+    }
+}
+
+/// A request reply read by a ticket wait: the server's `Error` is remote
+/// failure, anything else a protocol violation.
+fn unexpected(reply: Msg, waiting_for: &str) -> NetError {
+    match reply {
+        Msg::Error { message } => NetError::Remote(message),
+        other => NetError::Protocol(format!(
+            "unexpected reply while waiting for {waiting_for}: {other:?}"
+        )),
     }
 }
 

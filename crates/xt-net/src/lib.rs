@@ -48,13 +48,18 @@
 //! non-blocking; reads accumulate into a per-connection buffer and
 //! [`Frame::parse_prefix`](xt_fleet::frame::Frame::parse_prefix) cuts
 //! complete frames out of it, so a frame arriving one byte at a time
-//! costs buffered patience, not a blocked thread. Complete requests are
-//! handed to a fixed worker pool; replies and pushes are *posted* to
+//! costs buffered patience, not a blocked thread. The poller admits each
+//! job submission itself, without blocking, and acknowledges it in the
+//! same pass; the pool driver that runs the job encodes its verdict and
+//! outcome frames and posts them to the poller. Only work that can block
+//! — report ingest, and the send of a job whose pool queue is full —
+//! goes to a fixed worker pool. Replies and pushes are *posted* to
 //! bounded per-connection write queues that the poller drains when the
 //! socket reports writable. Per connection the cost is one fd plus
 //! those buffers (the 1k soak in `tests/soak.rs` pins zero threads and
-//! under 128 KiB per connection, and reads ~4.6 KB); per server it is
-//! O(workers) threads, fixed at bind time.
+//! under 128 KiB per connection, and reads ~4.6 KB); per server it is a
+//! thread set fixed at bind time (poller, workers, pool drivers and their
+//! replicas).
 //!
 //! Everything on the wire rides the shared length-prefixed frame layer
 //! ([`xt_fleet::frame`]) and validates **with byte offsets**: these
@@ -66,8 +71,10 @@
 //! hostile frame cannot buy gigabytes with four bytes.
 //!
 //! Backpressure follows the PR 4 queue discipline end to end: accepts
-//! stop past the connection budget, submissions block on the
-//! front-end's bounded queues, write queues are bounded per connection
+//! stop past the connection budget, a submission that finds its pool
+//! queue full waits on a worker (never on the poller), reads stop past a
+//! per-connection cap of outstanding requests, write queues are bounded
+//! per connection
 //! (a slow reader drops pushes for itself — counted in
 //! `net/pushes_dropped`, and made good with the newest epoch when it
 //! drains — rather than growing the server), and nothing grows without

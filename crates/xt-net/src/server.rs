@@ -20,29 +20,36 @@
 //!   accept path stops pulling from the kernel backlog at
 //!   `max_connections` (the listener is deregistered until a slot
 //!   frees — the event-loop analogue of the old blocking accept
-//!   budget). Per connection, at most `MAX_CONN_INFLIGHT` worker
-//!   jobs run concurrently and at most `WRITE_QUEUE_SOFT` reply
-//!   bytes may be queued before the server simply *stops reading* that
-//!   connection — TCP backpressure does the rest, exactly the
+//!   budget). Per connection, at most `MAX_CONN_INFLIGHT` admitted
+//!   jobs and reports are outstanding and at most `WRITE_QUEUE_SOFT`
+//!   reply bytes may be queued before the server simply *stops reading*
+//!   that connection — TCP backpressure does the rest, exactly the
 //!   burst-degrades-to-waiting discipline of the front-end's bounded
 //!   queues. An epoch push to a client more than `WRITE_QUEUE_HARD`
 //!   behind is dropped (counted in `net/pushes_dropped`) and *owed*:
 //!   once that client's queue drains it is sent the newest epoch —
 //!   one flag, not a backlog, because only the newest epoch matters.
-//! * **A worker pool, so the poller never blocks.** Frame parsing and
-//!   cheap pulls (health/metrics) are answered on the poller
-//!   thread; [`Msg::Submit`] and [`Msg::Report`] — which block on
-//!   bounded pool queues, replica execution, and WAL appends — are
-//!   dispatched to a fixed pool of `workers` threads. A worker carries
-//!   a submission end-to-end (accept → streamed verdict → finalized
-//!   outcome), so each job's frames stay in order; completions return
-//!   to the poller through a notify queue.
+//! * **The poller admits, the pool driver replies.** Frame parsing,
+//!   job admission and cheap pulls (health/metrics) run on the poller
+//!   thread. A [`Msg::Submit`] is admitted with
+//!   [`PoolFrontend::try_submit`], which never blocks, and answered
+//!   `Accepted` in the same poll iteration. The job carries a sink that
+//!   encodes its `Verdict` and `Outcome` frames on the pool driver's
+//!   thread and posts them to the poller's mailbox. The mailbox is
+//!   drained only at the top of the next iteration, so a job's
+//!   `Accepted` always leaves first and its frames stay in order. What
+//!   can block goes to a fixed pool of `workers` threads: [`Msg::Report`]
+//!   ingests (WAL appends) and the send of a job whose pool queue was
+//!   full ([`PoolFrontend::deliver`]). A job released without an
+//!   outcome (its pool's driver died) sends an `Error` frame and closes
+//!   its connection: an `Error` names no job, so every waiter on the
+//!   connection must fail rather than one of them hang.
 //! * **Determinism survives the wire.** Every submission goes through
-//!   [`PoolFrontend::submit`], which assigns the global sequence number
-//!   that seeds the replicas — so *which connection* carried an input,
-//!   and how readiness events interleaved, decides only arrival order
-//!   (nondeterminism a local concurrent submitter has too), never an
-//!   outcome byte. `xt-net/tests/net.rs` pins remote outcomes
+//!   the front-end's admission step, which assigns the global sequence
+//!   number that seeds the replicas — so *which connection* carried an
+//!   input, and how readiness events interleaved, decides only arrival
+//!   order (nondeterminism a local concurrent submitter has too), never
+//!   an outcome byte. `xt-net/tests/net.rs` pins remote outcomes
 //!   byte-identical to in-process serial runs.
 //! * **Epochs are pushed — the only path, and a complete one.** An
 //!   epoch watcher thread parks in [`FleetService::wait_epoch_newer`];
@@ -69,7 +76,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use exterminator::frontend::{FrontendConfig, PoolFrontend};
+use exterminator::frontend::{FrontendConfig, JobSink, PendingJob, PoolFrontend, Refused};
+use exterminator::pool::{EarlyVerdict, PoolOutcome};
 use xt_fleet::frame::Frame;
 use xt_fleet::{
     bridge, DurabilityConfig, DurabilityError, DurableFleet, FleetConfig, FleetMetrics,
@@ -80,7 +88,7 @@ use xt_patch::PatchTable;
 use xt_poll::{Interest, Poller};
 use xt_workloads::Workload;
 
-use crate::proto::{Msg, SubmitJob, WireHealth, WireOutcome, WireReceipt, WireVerdict};
+use crate::proto::{Msg, WireHealth, WireOutcome, WireReceipt, WireVerdict};
 
 /// Upper bound on the poller's sleep: shutdown latency and the epoch
 /// watcher's stop-flag recheck cadence are bounded by this.
@@ -88,12 +96,13 @@ const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
 /// The poll token reserved for the listener; connections get tokens
 /// from a monotone counter starting at 1 (never reused, so a late
-/// worker completion can never reach a *different* connection).
+/// completion can never reach a *different* connection).
 const LISTENER_TOKEN: usize = 0;
 
-/// Worker jobs in flight per connection before the poller stops
-/// reading it (the event-loop analogue of the old one-reader-thread
-/// natural limit; a pipelining client beyond this waits in TCP).
+/// Admitted jobs and reports outstanding per connection before the
+/// poller stops reading it (the event-loop analogue of the old
+/// one-reader-thread natural limit; a pipelining client beyond this
+/// waits in TCP).
 const MAX_CONN_INFLIGHT: usize = 64;
 
 /// Queued write bytes per connection above which the poller stops
@@ -142,10 +151,11 @@ pub struct NetConfig {
     /// listener is parked (backpressure into the kernel backlog), it
     /// does not spawn or grow anything.
     pub max_connections: usize,
-    /// Blocking-work threads: submissions and report ingests run here
-    /// so the poller thread never blocks on pool queues, replica
-    /// execution, or WAL appends. Fixed size — the thread count does
-    /// not scale with connections.
+    /// Blocking-work threads: report ingests (WAL appends) and the
+    /// send of a job whose pool queue was full run here, so the poller
+    /// thread never blocks. Jobs are not carried by a worker: the
+    /// poller admits them and the pool drivers post their replies.
+    /// Fixed size — the thread count does not scale with connections.
     pub workers: usize,
     /// Initial patch table the pools start from.
     pub patches: PatchTable,
@@ -256,7 +266,7 @@ struct NetObs {
     /// Bytes sitting in per-connection write queues, summed
     /// (`net/write_queue_bytes`).
     write_queue: Arc<Gauge>,
-    /// Worker jobs dispatched and not yet completed
+    /// Jobs and reports admitted and not yet answered in full
     /// (`net/inflight_jobs`).
     inflight: Arc<Gauge>,
     started: Instant,
@@ -282,11 +292,9 @@ impl NetObs {
 
 /// Blocking work dispatched off the poller thread.
 enum Work {
-    Submit {
-        conn: usize,
-        job: Box<SubmitJob>,
-        at: Instant,
-    },
+    /// A job admitted while its pool queue was full: its `Accepted` is
+    /// already queued; the worker blocks in the queue's send.
+    Deliver(PendingJob),
     Report {
         conn: usize,
         bytes: Vec<u8>,
@@ -294,20 +302,23 @@ enum Work {
     },
 }
 
-/// What flows back from workers (and the epoch watcher) to the poller.
+/// What flows back from pool drivers, workers and the epoch watcher to
+/// the poller.
 enum Notice {
-    /// Encoded frames for one connection. `done` marks the completion
-    /// of one dispatched [`Work`] item (releases its inflight slot).
-    Frames {
+    /// One encoded frame for one connection. `done` marks the last frame
+    /// of one admitted job or report (releases its inflight slot);
+    /// `close` flushes the connection and closes it after this frame.
+    Frame {
         conn: usize,
-        frames: Vec<Vec<u8>>,
+        bytes: Vec<u8>,
         done: bool,
+        close: bool,
     },
     /// One encoded frame for *every* live connection (epoch push).
     Broadcast { bytes: Vec<u8>, published: Instant },
 }
 
-/// The worker↔poller mailbox plus the poller handle that wakes it.
+/// The poller's mailbox plus the poller handle that wakes it.
 struct Mailbox {
     notices: Mutex<Vec<Notice>>,
     poller: Arc<Poller>,
@@ -315,7 +326,7 @@ struct Mailbox {
 
 impl Mailbox {
     fn locked(&self) -> MutexGuard<'_, Vec<Notice>> {
-        // Poison recovery: a panicking worker mid-push leaves at worst
+        // Poison recovery: a thread panicking mid-push leaves at worst
         // a missing notice (its work item is lost with it); the vec
         // itself is push-only and structurally sound.
         self.notices.lock().unwrap_or_else(PoisonError::into_inner)
@@ -326,8 +337,60 @@ impl Mailbox {
         let _ = self.poller.notify();
     }
 
-    fn post_frames(&self, conn: usize, frames: Vec<Vec<u8>>, done: bool) {
-        self.post(Notice::Frames { conn, frames, done });
+    fn post_frame(&self, conn: usize, msg: &Msg, done: bool) {
+        self.post(Notice::Frame {
+            conn,
+            bytes: msg.to_frame().encode(),
+            done,
+            close: false,
+        });
+    }
+}
+
+/// Where a remote job's results go: its connection. Called on the pool
+/// driver's thread, which encodes each frame and posts it to the
+/// poller; the outcome is the job's last frame.
+struct WireSink {
+    conn: usize,
+    mailbox: Arc<Mailbox>,
+    /// The outcome went out, so release has nothing left to say.
+    answered: bool,
+}
+
+impl JobSink for WireSink {
+    fn verdict(&mut self, job: u64, verdict: Option<EarlyVerdict>) {
+        let verdict = verdict.as_ref().map(WireVerdict::from_early);
+        self.mailbox
+            .post_frame(self.conn, &Msg::Verdict { job, verdict }, false);
+    }
+
+    fn outcome(&mut self, outcome: PoolOutcome) {
+        self.answered = true;
+        self.mailbox.post_frame(
+            self.conn,
+            &Msg::Outcome(WireOutcome::from_pool(&outcome)),
+            true,
+        );
+    }
+
+    fn release(&mut self, job: u64) {
+        if self.answered {
+            return;
+        }
+        // The job's pool driver died. An `Error` frame names no job, so
+        // say why and close: every waiter on the connection fails
+        // instead of one of them hanging on a frame that never comes.
+        let bytes = Msg::Error {
+            message: format!("pool front-end driver died serving job {job}"),
+        }
+        .to_frame()
+        .encode();
+        self.mailbox.post(Notice::Frame {
+            conn: self.conn,
+            bytes,
+            done: true,
+            close: true,
+        });
     }
 }
 
@@ -561,10 +624,12 @@ fn serve<W: Workload + Sync>(
     stop: &AtomicBool,
     poller: Arc<Poller>,
 ) {
-    let mailbox = Mailbox {
+    // Shared, not borrowed: every admitted job's sink holds a handle,
+    // and jobs live on the pool drivers' threads.
+    let mailbox = Arc::new(Mailbox {
         notices: Mutex::new(Vec::new()),
         poller,
-    };
+    });
     // The highest epoch number already loaded into the front-end's
     // pools; lets the report path skip the old per-report epoch poll.
     let synced_epoch = AtomicU64::new(0);
@@ -610,8 +675,8 @@ fn serve<W: Workload + Sync>(
     }
 }
 
-/// A worker: pulls blocking work items and runs each end-to-end,
-/// posting reply frames back to the poller as they become available.
+/// A worker: pulls blocking work items and runs each, posting report
+/// replies back to the poller. It carries no job past its pool queue.
 fn worker_loop(
     work_rx: &Mutex<mpsc::Receiver<Work>>,
     frontend: &PoolFrontend<'_>,
@@ -631,40 +696,10 @@ fn worker_loop(
             return; // channel closed: the poll loop exited
         };
         match work {
-            Work::Submit { conn, job, at } => {
-                let ticket = frontend.submit(&job.input, job.fault);
-                counters.jobs.fetch_add(1, Ordering::Relaxed);
-                let seq = ticket.job();
-                // Record before posting: once the reply is visible to
-                // the poller the client may already be pulling metrics,
-                // and the sample must be in the histogram it reads.
-                obs.wire_rtt.record_duration(at.elapsed());
-                mailbox.post_frames(
-                    conn,
-                    vec![Msg::Accepted { job: seq }.to_frame().encode()],
-                    false,
-                );
-                // Streamed verdict: pushed the moment the voter
-                // declares, while stragglers still run.
-                let verdict = ticket.wait_verdict();
-                mailbox.post_frames(
-                    conn,
-                    vec![Msg::Verdict {
-                        job: seq,
-                        verdict: verdict.as_ref().map(WireVerdict::from_early),
-                    }
-                    .to_frame()
-                    .encode()],
-                    false,
-                );
-                let result = ticket.wait();
-                mailbox.post_frames(
-                    conn,
-                    vec![Msg::Outcome(WireOutcome::from_pool(&result))
-                        .to_frame()
-                        .encode()],
-                    true,
-                );
+            Work::Deliver(pending) => {
+                // `false` means the pool's driver died: dropping the job
+                // released its sink, which told the connection.
+                frontend.deliver(pending);
             }
             Work::Report { conn, bytes, at } => {
                 // The durable backend WAL-logs before folding.
@@ -698,9 +733,11 @@ fn worker_loop(
                         }
                     }
                 };
-                // Same record-before-post discipline as the submit arm.
+                // Record before posting: once the reply is visible to
+                // the poller the client may already be pulling metrics,
+                // and the sample must be in the histogram it reads.
                 obs.wire_rtt.record_duration(at.elapsed());
-                mailbox.post_frames(conn, vec![reply.to_frame().encode()], true);
+                mailbox.post_frame(conn, &reply, true);
             }
         }
     }
@@ -746,6 +783,7 @@ struct Ctx<'a, 'scope> {
     counters: &'a Counters,
     obs: &'a NetObs,
     frontend: &'a PoolFrontend<'scope>,
+    mailbox: &'a Arc<Mailbox>,
     work_tx: &'a mpsc::Sender<Work>,
 }
 
@@ -759,7 +797,7 @@ fn poll_loop(
     counters: &Counters,
     obs: &NetObs,
     stop: &AtomicBool,
-    mailbox: &Mailbox,
+    mailbox: &Arc<Mailbox>,
     frontend: &PoolFrontend<'_>,
     work_tx: mpsc::Sender<Work>,
 ) {
@@ -776,6 +814,7 @@ fn poll_loop(
         counters,
         obs,
         frontend,
+        mailbox,
         work_tx: &work_tx,
     };
     let mut conns: BTreeMap<usize, Conn> = BTreeMap::new();
@@ -797,12 +836,19 @@ fn poll_loop(
             break;
         }
 
-        // Worker completions and epoch broadcasts first: they free
-        // inflight slots, which can re-open read gates below.
+        // Posted replies and epoch broadcasts first: they free inflight
+        // slots, which can re-open read gates below. Only here, so a
+        // reply the poller queues inline while reading below always
+        // precedes whatever the drivers post for the same request.
         let notices = std::mem::take(&mut *mailbox.locked());
         for notice in notices {
             match notice {
-                Notice::Frames { conn, frames, done } => {
+                Notice::Frame {
+                    conn,
+                    bytes,
+                    done,
+                    close,
+                } => {
                     if done {
                         obs.inflight.add(-1);
                     }
@@ -810,9 +856,10 @@ fn poll_loop(
                         if done {
                             c.inflight = c.inflight.saturating_sub(1);
                         }
-                        for bytes in frames {
-                            enqueue(c, bytes, obs);
-                        }
+                        // Up before the drain, so the drain that empties
+                        // the queue is the one that closes.
+                        c.closing |= close;
+                        enqueue(c, bytes, obs);
                         drain_writes(c, obs);
                         touched.push(conn);
                     }
@@ -1020,9 +1067,9 @@ fn parse_ready(c: &mut Conn, token: usize, ctx: &Ctx<'_, '_>) {
     }
 }
 
-/// One decoded frame: cheap pulls answered inline, blocking work handed
-/// to the worker pool, protocol violations answered and flushed before
-/// the connection closes.
+/// One decoded frame: jobs admitted and cheap pulls answered inline,
+/// blocking work handed to the worker pool, protocol violations answered
+/// and flushed before the connection closes.
 fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) {
     ctx.obs.frames_in.incr();
     // Server-side round trip: frame decoded → reply handed off.
@@ -1031,11 +1078,26 @@ fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) 
         Ok(Msg::Submit(job)) => {
             c.inflight += 1;
             ctx.obs.inflight.add(1);
-            let _ = ctx.work_tx.send(Work::Submit {
+            let sink = Box::new(WireSink {
                 conn: token,
-                job: Box::new(job),
-                at,
+                mailbox: Arc::clone(ctx.mailbox),
+                answered: false,
             });
+            let seq = match ctx.frontend.try_submit(job.input, job.fault, sink) {
+                Ok(seq) => seq,
+                Err(Refused::Full(pending)) => {
+                    let seq = pending.job();
+                    let _ = ctx.work_tx.send(Work::Deliver(pending));
+                    seq
+                }
+                // The dropped job's sink posted the `Error` reply.
+                Err(Refused::DriverDied) => return,
+            };
+            ctx.counters.jobs.fetch_add(1, Ordering::Relaxed);
+            // Queued ahead of every frame the driver posts for the job:
+            // the poller reads those only at its next mailbox drain.
+            reply(c, &Msg::Accepted { job: seq }, ctx.obs);
+            ctx.obs.wire_rtt.record_duration(at.elapsed());
         }
         Ok(Msg::Report(bytes)) => {
             c.inflight += 1;
@@ -1200,14 +1262,15 @@ mod tests {
         })
         .join();
         assert!(mailbox.notices.lock().is_err(), "lock should be poisoned");
-        mailbox.post_frames(3, vec![vec![1, 2, 3]], true);
+        mailbox.post_frame(3, &Msg::HealthPull, true);
         let drained = std::mem::take(&mut *mailbox.locked());
         assert_eq!(drained.len(), 1);
         assert!(matches!(
             drained[0],
-            Notice::Frames {
+            Notice::Frame {
                 conn: 3,
                 done: true,
+                close: false,
                 ..
             }
         ));

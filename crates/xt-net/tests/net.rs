@@ -21,6 +21,11 @@
 //!    histograms with nonzero counts from every layer — and a flooding
 //!    client is rate-limited at ingest admission while a well-behaved
 //!    client on the same server is unaffected.
+//! 6. **Two threads, one frame order.** The poller acknowledges each
+//!    submission and the pool driver posts its verdict and outcome, yet
+//!    every job's frames arrive in order, full pool queues keep the
+//!    serial digests, and a dead pool driver fails its clients instead
+//!    of hanging them.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -34,7 +39,10 @@ use xt_alloc::AllocTime;
 use xt_faults::{FaultKind, FaultSpec};
 use xt_fleet::frame::{Frame, FRAME_MAGIC};
 use xt_fleet::{wal, DurabilityConfig, FleetConfig, MemStorage, RunReport};
-use xt_net::{NetClient, NetConfig, NetDurability, NetError, NetFrontend, RetryPolicy};
+use xt_net::proto::kind;
+use xt_net::{
+    Msg, NetClient, NetConfig, NetDurability, NetError, NetFrontend, RetryPolicy, SubmitJob,
+};
 use xt_obs::TokenBucketConfig;
 use xt_patch::PatchTable;
 use xt_workloads::{multi_client_sessions, EspressoLike, SquidLike, Workload, WorkloadInput};
@@ -51,12 +59,15 @@ fn pool_config() -> PoolConfig {
     }
 }
 
+/// Pool queues deep enough never to fill in these tests, so each pool
+/// takes jobs in sequence order and one pool finalizes a connection's
+/// jobs in the order it submitted them. Full queues have their own test
+/// (`full_pool_queues_keep_remote_digests_serial`).
 fn net_config(pools: usize) -> NetConfig {
     NetConfig {
         frontend: exterminator::frontend::FrontendConfig {
             pools,
             pool: pool_config(),
-            queue_capacity: 3,
             share_isolated: false,
             ..exterminator::frontend::FrontendConfig::default()
         },
@@ -140,6 +151,187 @@ fn concurrent_net_clients_match_in_process_serial_digests() {
             "job {seq} diverged from its in-process serial replay"
         );
     }
+}
+
+/// Backpressure through the poller's admission: with one-slot pool
+/// queues and a pipeline of one, two pipelining connections overrun the
+/// queue, so admissions come back full and workers finish the sends.
+/// Every job keeps the sequence number it was admitted (and acknowledged)
+/// with, and the digests still pin to the serial replay.
+#[test]
+fn full_pool_queues_keep_remote_digests_serial() {
+    let workload = SquidLike::new();
+    let sessions = multi_client_sessions(2, 8, 4, None);
+    let mut config = net_config(1);
+    config.frontend.queue_capacity = 1;
+    config.frontend.max_inflight = 1;
+    let server =
+        NetFrontend::bind(SquidLike::new(), "127.0.0.1:0", config).expect("bind localhost");
+    let addr = server.local_addr();
+
+    let collected: Mutex<Vec<(u64, WorkloadInput, u128)>> = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for session in &sessions {
+            let collected = &collected;
+            scope.spawn(move || {
+                let client = NetClient::connect(addr).expect("connect");
+                let tickets: Vec<_> = session
+                    .iter()
+                    .map(|input| (client.submit(input, None).expect("submit"), input))
+                    .collect();
+                for (ticket, input) in tickets {
+                    let seq = ticket.job();
+                    let outcome = ticket.wait().expect("outcome");
+                    assert_eq!(outcome.job, seq, "ticket/outcome sequence mismatch");
+                    let entry = (seq, input.clone(), outcome.digest);
+                    collected.lock().expect("collection lock").push(entry);
+                }
+            });
+        }
+    });
+    assert_eq!(server.stats().jobs, 16);
+    server.shutdown();
+
+    let mut collected = collected.into_inner().expect("collection lock");
+    collected.sort_by_key(|(seq, _, _)| *seq);
+    let seqs: Vec<u64> = collected.iter().map(|(seq, _, _)| *seq).collect();
+    assert_eq!(
+        seqs,
+        (0..16).collect::<Vec<_>>(),
+        "a sequence number was burnt"
+    );
+    let inputs: Vec<WorkloadInput> = collected.iter().map(|(_, i, _)| i.clone()).collect();
+    let reference = serial_digests(&workload, &inputs, None);
+    for ((seq, _, digest), expected) in collected.iter().zip(&reference) {
+        assert_eq!(
+            digest, expected,
+            "job {seq} diverged from its serial replay"
+        );
+    }
+}
+
+/// Per-job frame order on the wire, read raw: the poller queues each
+/// `Accepted` and the pool driver posts `Verdict` and `Outcome`, yet
+/// every job's frames arrive in that order, and one pool's outcomes
+/// arrive in sequence order.
+#[test]
+fn frames_per_job_arrive_in_order_on_the_wire() {
+    const JOBS: u64 = 32;
+    let server = NetFrontend::bind(EspressoLike::new(), "127.0.0.1:0", net_config(1))
+        .expect("bind localhost");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+    let mut pipelined = Vec::new();
+    for seed in 0..JOBS {
+        let submit = Msg::Submit(SubmitJob {
+            input: WorkloadInput::with_seed(seed),
+            fault: None,
+        });
+        pipelined.extend(submit.to_frame().encode());
+    }
+    raw.write_all(&pipelined).expect("write the pipeline");
+
+    let mut reader = std::io::BufReader::new(raw.try_clone().expect("clone"));
+    // (kind, job) per frame, in arrival order.
+    let mut arrivals: Vec<(u8, u64)> = Vec::new();
+    while arrivals.iter().filter(|(k, _)| *k == kind::OUTCOME).count() < JOBS as usize {
+        let frame = Frame::read_from(&mut reader)
+            .expect("read a frame")
+            .expect("the server closed early");
+        let job = match Msg::from_frame(&frame).expect("decode") {
+            Msg::Accepted { job } | Msg::Verdict { job, .. } => job,
+            Msg::Outcome(outcome) => outcome.job,
+            other => panic!("unexpected frame {other:?}"),
+        };
+        arrivals.push((frame.kind, job));
+    }
+    assert_eq!(arrivals.len(), 3 * JOBS as usize, "frames per job");
+    let position = |kind: u8, job: u64| {
+        arrivals
+            .iter()
+            .position(|&a| a == (kind, job))
+            .unwrap_or_else(|| panic!("job {job} never got frame kind {kind}"))
+    };
+    for job in 0..JOBS {
+        let accepted = position(kind::ACCEPTED, job);
+        let verdict = position(kind::VERDICT, job);
+        let outcome = position(kind::OUTCOME, job);
+        assert!(
+            accepted < verdict && verdict < outcome,
+            "job {job}: Accepted at {accepted}, Verdict at {verdict}, Outcome at {outcome}"
+        );
+    }
+    let in_arrival_order = |kind: u8| -> Vec<u64> {
+        arrivals
+            .iter()
+            .filter(|(k, _)| *k == kind)
+            .map(|(_, job)| *job)
+            .collect()
+    };
+    let sequence: Vec<u64> = (0..JOBS).collect();
+    assert_eq!(in_arrival_order(kind::ACCEPTED), sequence);
+    assert_eq!(
+        in_arrival_order(kind::OUTCOME),
+        sequence,
+        "one pool finalized out of order"
+    );
+    drop(reader);
+    drop(raw);
+    server.shutdown();
+}
+
+/// A dead pool driver fails its remote clients fast. The replicas panic
+/// on the first job, the driver dies serving it, and its release reaches
+/// the connection: the ticket's wait returns the server's error, that
+/// connection closes, and a submission on a fresh connection gets an
+/// `Error` reply. The driver's panic surfaces at shutdown.
+#[test]
+fn dead_pool_driver_fails_remote_clients_instead_of_hanging() {
+    struct Panicker;
+    impl Workload for Panicker {
+        fn name(&self) -> &'static str {
+            "panicker"
+        }
+        fn run(
+            &self,
+            _heap: &mut dyn xt_alloc::Heap,
+            _input: &WorkloadInput,
+        ) -> xt_workloads::RunResult {
+            panic!("simulated replica crash outside the heap sandbox")
+        }
+    }
+    let server = NetFrontend::bind(Panicker, "127.0.0.1:0", net_config(1)).expect("bind localhost");
+    let addr = server.local_addr();
+    let (done, results) = std::sync::mpsc::channel();
+    // On its own thread, so a hang fails the test instead of wedging it.
+    std::thread::spawn(move || {
+        let client = NetClient::connect(addr).expect("connect");
+        let ticket = client
+            .submit(&WorkloadInput::with_seed(1), None)
+            .expect("admitted while the pool was alive");
+        let waited = ticket.wait().map(|outcome| outcome.job);
+        let resubmitted = client
+            .submit(&WorkloadInput::with_seed(2), None)
+            .map(|t| t.job());
+        let fresh = NetClient::connect(addr)
+            .expect("connect a fresh client")
+            .submit(&WorkloadInput::with_seed(3), None)
+            .map(|t| t.job());
+        let _ = done.send((waited, resubmitted, fresh));
+    });
+    let (waited, resubmitted, fresh) = results
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a remote client hung on the dead pool driver");
+    assert!(
+        matches!(&waited, Err(NetError::Remote(m)) if m.contains("driver died")),
+        "wait on the dead job: {waited:?}"
+    );
+    assert!(resubmitted.is_err(), "the closed connection admitted a job");
+    assert!(
+        matches!(&fresh, Err(NetError::Remote(m)) if m.contains("driver died")),
+        "submit to the dead pool: {fresh:?}"
+    );
+    let shutdown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.shutdown()));
+    assert!(shutdown.is_err(), "the driver's panic was swallowed");
 }
 
 /// Fault-bearing traffic through the wire: voting, isolation, and patch
@@ -246,27 +438,12 @@ fn shutdown_returns_while_a_client_stays_connected() {
     drop(client);
 }
 
-/// Drains until the client's push buffers empty, bounded by a deadline;
-/// returns the final `buffered()` count. Jobs from one connection run
-/// on independent server workers, so an abandoned job's final frame may
-/// still be crossing the wire when a *later* job's outcome returns —
-/// each health round trip here reads (and discards) whatever landed
-/// ahead of its reply.
-fn drained_buffers(client: &NetClient) -> usize {
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let parked = client.buffered();
-        if parked == 0 || std::time::Instant::now() >= deadline {
-            return parked;
-        }
-        client.pull_health().expect("health round trip");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 /// Buffer hygiene on a long-lived connection: dropped tickets' pushed
 /// frames are discarded on arrival, never parked forever, so abandoning
-/// outcomes cannot grow client memory without bound.
+/// outcomes cannot grow client memory without bound. One pool finalizes
+/// the connection's jobs in FIFO order into one mailbox, so every
+/// abandoned job's frames have arrived by the time a later job's
+/// outcome does.
 #[test]
 fn dropped_tickets_do_not_leak_push_buffers() {
     let server = NetFrontend::bind(EspressoLike::new(), "127.0.0.1:0", net_config(1))
@@ -290,7 +467,7 @@ fn dropped_tickets_do_not_leak_push_buffers() {
         .expect("outcome");
     assert!(outcome.unanimous);
     assert_eq!(
-        drained_buffers(&client),
+        client.buffered(),
         0,
         "abandoned jobs left state parked in the client connection"
     );
@@ -478,6 +655,7 @@ fn epoch_pushes_and_dropped_tickets_leave_no_buffered_state() {
         .wait()
         .expect("outcome");
     assert!(outcome.unanimous);
+    assert_eq!(client.buffered(), 0, "abandoned jobs left state parked");
 
     // Park until the *newest* epoch lands: every pushed epoch for this
     // connection has then traversed the client and collapsed into the
@@ -487,11 +665,7 @@ fn epoch_pushes_and_dropped_tickets_leave_no_buffered_state() {
         .expect("wait for newest push")
         .expect("newest epoch never arrived");
     assert!(newest.number >= latest);
-    assert_eq!(
-        drained_buffers(&client),
-        0,
-        "pushed epochs or abandoned jobs left state parked in the client"
-    );
+    assert_eq!(client.buffered(), 0, "pushed epochs left state parked");
     drop(client);
     server.shutdown();
 }
