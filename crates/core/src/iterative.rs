@@ -13,7 +13,7 @@
 //! isolates one error) up to a configured bound.
 //!
 //! **Who dumps a heap image.** The paper dumps on error, and so does this
-//! loop, over one [`ReusableStack`] kept for the whole call. A *discovery*
+//! loop, over [`ReusableStack`]s kept for the whole call. A *discovery*
 //! run is asked [`ActiveRun::failed`](crate::runner::ActiveRun::failed)
 //! first and captured only when it did fail — its image is the round's
 //! first piece of evidence and its clock the malloc breakpoint. The clean
@@ -25,6 +25,25 @@
 //! before it"), and isolation needs all `k` of them. Seeds are drawn in
 //! the same order whichever way a run ends, so outcomes are identical to
 //! capturing every run (`tests/repair_golden.rs` pins them).
+//!
+//! **Two lanes.** Each run is a pure function of its [`RunConfig`], so
+//! the loop runs its independent runs two at a time: one on the calling
+//! thread, one on a scoped helper thread with its own stack, spawned once
+//! per [`IterativeMode::repair`] call. Seeds are drawn in the order a
+//! single lane would draw them, the first of a pair on the caller.
+//! Discovery attempts go in pairs (an odd last attempt alone) and the
+//! lowest failing attempt wins: when the caller's failed, the helper's run
+//! is discarded and the seed drawn early for it is given back, so the next
+//! run draws what the serial loop would have. Replays go in pairs while a
+//! round needs two or more images, pushed in seed order, the caller's
+//! first; a single missing image runs alone. Isolation, the round logic
+//! and the verification probe stay on the calling thread. A panic on
+//! either lane propagates out of `repair`: the request sender lives inside
+//! the thread scope, so a caller-lane panic drops it and ends the helper,
+//! and a helper-lane panic fails the caller's wait for its reply.
+
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread;
 
 use xt_alloc::AllocTime;
 use xt_diefast::DieFastConfig;
@@ -35,7 +54,7 @@ use xt_isolate::IsolationReport;
 use xt_patch::PatchTable;
 use xt_workloads::{CrashKind, RunOutcome, Workload, WorkloadInput};
 
-use crate::runner::{execute_reusable, probe_failed, ReusableStack, RunConfig};
+use crate::runner::{probe_failed, ReusableStack, RunConfig, RunRecord};
 
 /// Configuration for iterative repair.
 #[derive(Clone, Debug)]
@@ -155,13 +174,44 @@ impl IterativeMode {
     }
 
     /// Runs the full discover–isolate–patch–verify loop.
+    ///
+    /// `workload` is `Sync` because the loop's independent runs go two at
+    /// a time, one on the calling thread and one on a scoped helper
+    /// thread (see "Two lanes" in the module docs). The outcome is the
+    /// one a single lane would produce.
     pub fn repair(
         &mut self,
-        workload: &dyn Workload,
+        workload: &(dyn Workload + Sync),
         input: &WorkloadInput,
         fault: Option<FaultSpec>,
     ) -> IterativeOutcome {
-        let mut stack = ReusableStack::new();
+        thread::scope(|scope| {
+            // The request sender lives in this body, so a panic on the
+            // calling lane drops it and ends the helper's `recv`; held
+            // outside, `scope` would wait on the helper forever.
+            let (requests, helper_requests) = mpsc::channel();
+            let (helper_replies, replies) = mpsc::channel();
+            scope.spawn(move || {
+                let mut stack = ReusableStack::new();
+                for (config, keep) in helper_requests {
+                    let record = run_lane(workload, input, config, keep, &mut stack);
+                    if helper_replies.send(record).is_err() {
+                        break;
+                    }
+                }
+            });
+            let mut lanes = Lanes {
+                workload,
+                input,
+                stack: ReusableStack::new(),
+                requests,
+                replies,
+            };
+            self.repair_on(&mut lanes, fault)
+        })
+    }
+
+    fn repair_on(&mut self, lanes: &mut Lanes<'_>, fault: Option<FaultSpec>) -> IterativeOutcome {
         let mut patches = PatchTable::new();
         let mut rounds = Vec::new();
         let mut images_used = 0;
@@ -172,17 +222,24 @@ impl IterativeMode {
             // detected; several clean attempts mean the program is (now)
             // clean with high probability (Theorem 2). Only a failing run
             // is dumped.
+            let attempts = self.config.discovery_attempts.max(1);
             let mut detected = None;
-            for _ in 0..self.config.discovery_attempts.max(1) {
-                let mut discover = self.run_config(patches.clone(), fault);
-                discover.halt_on_signal = true;
-                let mut run = stack.start(discover);
-                run.run(workload, input);
-                if run.failed() {
-                    detected = Some(run.finish());
-                    break;
-                }
-                run.abandon();
+            let mut attempt = 0;
+            while detected.is_none() && attempt < attempts {
+                let first = self.discovery_config(&patches, fault);
+                let second =
+                    (attempt + 1 < attempts).then(|| self.discovery_config(&patches, fault));
+                let paired = second.is_some();
+                attempt += 1 + usize::from(paired);
+                detected = match lanes.run(first, second, Keep::IfFailed) {
+                    (Some(rec), _) => {
+                        // The serial loop stops here, before drawing the
+                        // second attempt's seed: give it back.
+                        self.seed_counter -= u64::from(paired);
+                        Some(rec)
+                    }
+                    (None, second) => second,
+                };
             }
             let Some(rec) = detected else {
                 // Clean under current patches: repaired.
@@ -210,11 +267,14 @@ impl IterativeMode {
             let mut target = self.config.images.max(2);
             let (report, new_patches) = loop {
                 while images.len() < target {
-                    let mut replay = self.run_config(patches.clone(), fault);
-                    replay.breakpoint = Some(breakpoint);
-                    let rec = execute_reusable(workload, input, replay, &mut stack);
-                    images_used += 1;
-                    images.push(rec.image);
+                    let first = self.replay_config(&patches, fault, breakpoint);
+                    let second = (target - images.len() >= 2)
+                        .then(|| self.replay_config(&patches, fault, breakpoint));
+                    let (first, second) = lanes.run(first, second, Keep::Always);
+                    for rec in [first, second].into_iter().flatten() {
+                        images_used += 1;
+                        images.push(rec.image);
+                    }
                 }
                 let report = isolate_with(&images, self.config.options).unwrap_or_default();
                 let new_patches = report.to_patches();
@@ -257,20 +317,109 @@ impl IterativeMode {
         // Final verification: only the verdict is read.
         let verify = self.run_config(patches.clone(), fault);
         IterativeOutcome {
-            fixed: !probe_failed(workload, input, verify, &mut stack),
+            fixed: !probe_failed(lanes.workload, lanes.input, verify, &mut lanes.stack),
             patches,
             rounds,
             images_used,
         }
+    }
+
+    fn discovery_config(&mut self, patches: &PatchTable, fault: Option<FaultSpec>) -> RunConfig {
+        RunConfig {
+            halt_on_signal: true,
+            ..self.run_config(patches.clone(), fault)
+        }
+    }
+
+    fn replay_config(
+        &mut self,
+        patches: &PatchTable,
+        fault: Option<FaultSpec>,
+        breakpoint: AllocTime,
+    ) -> RunConfig {
+        RunConfig {
+            breakpoint: Some(breakpoint),
+            ..self.run_config(patches.clone(), fault)
+        }
+    }
+}
+
+/// Which runs a lane dumps a heap image for.
+#[derive(Clone, Copy, Debug)]
+enum Keep {
+    /// A discovery attempt: captured only if it failed.
+    IfFailed,
+    /// A replay: its image is the point, so it is always captured.
+    Always,
+}
+
+/// One run on one lane's stack: the record when `keep` asks for it,
+/// `None` for a clean discovery attempt (abandoned, never dumped).
+fn run_lane(
+    workload: &dyn Workload,
+    input: &WorkloadInput,
+    config: RunConfig,
+    keep: Keep,
+    stack: &mut ReusableStack,
+) -> Option<RunRecord> {
+    let mut run = stack.start(config);
+    run.run(workload, input);
+    if matches!(keep, Keep::Always) || run.failed() {
+        Some(run.finish())
+    } else {
+        run.abandon();
+        None
+    }
+}
+
+/// The calling thread's lane, and the channels to the helper's.
+struct Lanes<'a> {
+    workload: &'a (dyn Workload + Sync),
+    input: &'a WorkloadInput,
+    stack: ReusableStack,
+    requests: Sender<(RunConfig, Keep)>,
+    replies: Receiver<Option<RunRecord>>,
+}
+
+impl Lanes<'_> {
+    /// Runs `first` here and, when there is one, `second` on the helper
+    /// at the same time. Results come back in argument order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the helper lane panicked.
+    fn run(
+        &mut self,
+        first: RunConfig,
+        second: Option<RunConfig>,
+        keep: Keep,
+    ) -> (Option<RunRecord>, Option<RunRecord>) {
+        let paired = second.is_some();
+        if let Some(second) = second {
+            self.requests
+                .send((second, keep))
+                .expect("the helper lane panicked");
+        }
+        let first = run_lane(self.workload, self.input, first, keep, &mut self.stack);
+        let second = if paired {
+            self.replies.recv().expect("the helper lane panicked")
+        } else {
+            None
+        };
+        (first, second)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
     use xt_alloc::SitePair;
     use xt_faults::{FaultKind, INJECTED_FREE_SITE};
-    use xt_workloads::EspressoLike;
+    use xt_workloads::{EspressoLike, RunResult};
 
     /// Selects an overflow fault that actually manifests on this input —
     /// the paper's own methodology (§7.2): injector seeds whose fault is
@@ -369,6 +518,155 @@ mod tests {
             repaired,
             "no dangling fault was isolated across 25 triggers"
         );
+    }
+
+    /// Name of the thread a panic test calls `repair` on: every run on
+    /// it is the calling lane's, every other run the helper's.
+    const CALLER_LANE: &str = "caller-lane";
+
+    /// How the two attempts of the pair with the panicking one are
+    /// ordered.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Order {
+        /// The lanes race.
+        Race,
+        /// The helper's attempt finishes only after the caller panicked:
+        /// the caller dies with a request out.
+        HelperLast,
+        /// The caller panics only after the helper has finished its
+        /// attempt and gone back to wait for the next request.
+        HelperFirst,
+    }
+
+    /// Espresso, except that discovery attempt `attempt` panics. A clean
+    /// repair pairs its six attempts, so attempt *k* is run *k* / 2 of
+    /// lane *k* % 2 (even: the calling lane, odd: the helper).
+    struct PanicsOnAttempt {
+        attempt: usize,
+        order: Order,
+        runs: [AtomicUsize; 2],
+        panicked: AtomicBool,
+        helper_done: AtomicBool,
+        /// Whether the `order` wait saw what it waited for.
+        ordered: AtomicBool,
+    }
+
+    impl PanicsOnAttempt {
+        fn new(attempt: usize, order: Order) -> Self {
+            PanicsOnAttempt {
+                attempt,
+                order,
+                runs: [AtomicUsize::new(0), AtomicUsize::new(0)],
+                panicked: AtomicBool::new(false),
+                helper_done: AtomicBool::new(false),
+                ordered: AtomicBool::new(false),
+            }
+        }
+    }
+
+    /// Waits up to 5 s for `flag`; returns whether it was set.
+    fn wait_for(flag: &AtomicBool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        flag.load(Ordering::SeqCst)
+    }
+
+    impl Workload for PanicsOnAttempt {
+        fn name(&self) -> &'static str {
+            "panics-on-attempt"
+        }
+
+        fn run(&self, heap: &mut dyn xt_alloc::Heap, input: &WorkloadInput) -> RunResult {
+            let lane = usize::from(thread::current().name() != Some(CALLER_LANE));
+            let run = self.runs[lane].fetch_add(1, Ordering::SeqCst);
+            let helper_in_pair = (lane, run) == (1, self.attempt / 2);
+            if (lane, run) == (self.attempt % 2, self.attempt / 2) {
+                if self.order == Order::HelperFirst {
+                    self.ordered
+                        .store(wait_for(&self.helper_done), Ordering::SeqCst);
+                    // Time for its reply to go out.
+                    thread::sleep(Duration::from_millis(20));
+                }
+                self.panicked.store(true, Ordering::SeqCst);
+                panic!("attempt {} panicked", self.attempt);
+            }
+            if helper_in_pair && self.order == Order::HelperLast {
+                self.ordered
+                    .store(wait_for(&self.panicked), Ordering::SeqCst);
+            }
+            let result = EspressoLike::new().run(heap, input);
+            if helper_in_pair {
+                self.helper_done.store(true, Ordering::SeqCst);
+            }
+            result
+        }
+    }
+
+    /// Repairs the clean program with `workload` on a fresh thread and
+    /// returns the message `repair` panicked with; fails if it returns
+    /// instead, or if nothing comes back within 10 s (a lane waits on one
+    /// that is gone).
+    fn repair_panic_message(workload: &Arc<PanicsOnAttempt>) -> String {
+        let (done, outcome) = mpsc::channel();
+        let workload = Arc::clone(workload);
+        thread::Builder::new()
+            .name(CALLER_LANE.to_string())
+            .spawn(move || {
+                let repair = panic::catch_unwind(AssertUnwindSafe(|| {
+                    IterativeMode::new(IterativeConfig::default()).repair(
+                        &*workload,
+                        &WorkloadInput::with_seed(5),
+                        None,
+                    )
+                }));
+                let message = repair.err().map(|payload| {
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string))
+                        .unwrap_or_default()
+                });
+                let _ = done.send(message);
+            })
+            .expect("spawn the calling lane");
+        outcome
+            .recv_timeout(Duration::from_secs(10))
+            .expect("repair hung after a lane panicked")
+            .expect("repair returned although a run panicked")
+    }
+
+    /// A panic on either lane comes out of `repair` and never hangs it.
+    /// `HelperFirst` leaves the helper waiting for a request when the
+    /// caller dies, which hangs unless the caller's unwinding drops the
+    /// request sender; `HelperLast` makes the helper's reply fail.
+    #[test]
+    fn a_panic_on_either_lane_propagates() {
+        for (attempt, order) in [
+            (0, Order::Race),
+            (4, Order::Race),
+            (2, Order::HelperLast),
+            (2, Order::HelperFirst),
+            (1, Order::Race),
+            (3, Order::Race),
+        ] {
+            let workload = Arc::new(PanicsOnAttempt::new(attempt, order));
+            let message = repair_panic_message(&workload);
+            let want = if attempt % 2 == 0 {
+                format!("attempt {attempt} panicked")
+            } else {
+                "the helper lane panicked".to_string()
+            };
+            assert!(
+                message.starts_with(&want),
+                "attempt {attempt} {order:?}: {message}"
+            );
+            assert!(
+                order == Order::Race || workload.ordered.load(Ordering::SeqCst),
+                "attempt {attempt} {order:?}: the lanes ran out of order, the case lost its teeth"
+            );
+        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!
 //! Who captures: [`execute`]/[`execute_reusable`] (every caller that reads
 //! the record), iterative mode's *failed* discovery runs and all of its
-//! replays, and the [`pool`](crate::pool)'s detection-aligned replays of a
-//! failed job. Who walks away: every other pool run (the vote, the replica
+//! replays (on whichever of its two lanes ran them), and the
+//! [`pool`](crate::pool)'s detection-aligned replays of a failed job.
+//! Who walks away: every other pool run (the vote, the replica
 //! summaries and the replay's breakpoint need the verdict, not the heap),
 //! iterative mode's clean discovery and verification runs,
 //! [`find_manifesting_fault`], the fleet simulator's `verified_corrected`,
@@ -325,7 +326,8 @@ pub fn probe_failed(
 /// that manifests (signal or crash) in some probe run is returned.
 /// Injected faults that stay benign — e.g. an overflow absorbed by size-class
 /// rounding — are discarded, exactly as the paper discards injector seeds
-/// that trigger no error.
+/// that trigger no error. An empty range (`trigger_hi <= trigger_lo`) has
+/// no candidate, so it finds nothing.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn find_manifesting_fault(
@@ -338,6 +340,9 @@ pub fn find_manifesting_fault(
     probe_runs: usize,
     selection_seed: u64,
 ) -> Option<FaultSpec> {
+    if trigger_hi <= trigger_lo {
+        return None;
+    }
     let mut rng = xt_arena::Rng::new(selection_seed ^ 0xF1AD_5EED);
     let mut stack = ReusableStack::new();
     for attempt in 0..attempts {
@@ -424,6 +429,23 @@ mod tests {
             }
         }
         assert!(failures >= 3, "only {failures}/8 runs observed the fault");
+    }
+
+    #[test]
+    fn empty_trigger_range_finds_no_fault() {
+        let input = WorkloadInput::with_seed(3).intensity(3);
+        let kind = FaultKind::BufferOverflow {
+            delta: 20,
+            fill: 0xEE,
+        };
+        let find =
+            |lo, hi| find_manifesting_fault(&EspressoLike::new(), &input, kind, lo, hi, 20, 4, 99);
+        // The one-trigger range next door finds a fault, so only an empty
+        // range can make the ones below come back empty.
+        assert!(find(204, 205).is_some(), "the control found nothing");
+        for (lo, hi) in [(204, 204), (205, 204), (300, 100)] {
+            assert_eq!(find(lo, hi), None, "[{lo}, {hi})");
+        }
     }
 
     /// The no-leak pin for pooled reuse: a run over a recycled arena (with

@@ -10,6 +10,8 @@
 //! the allocator transcripts in `tests/allocator_stack.rs`. A mismatch
 //! means a probe and a captured run disagreed about failure, or the seed
 //! order moved — a finding to stop on, not a constant to re-capture.
+//! Since the loop runs in pairs on two threads, (e) pins its branch
+//! points against the serial parent the same way.
 
 use exterminator::iterative::{IterativeConfig, IterativeMode, IterativeOutcome};
 use exterminator::runner::find_manifesting_fault;
@@ -299,4 +301,126 @@ fn verification_probes_match_the_parents() {
         "dangling~12@102 under repaired [defer 5b2779c3 fa17feed 77] seed=0xc0de: true",
     ];
     assert_golden("verification probes", &got, &golden);
+}
+
+/// (e) The branch points of running a repair's independent runs two at a
+/// time (the helper lane takes the second run of each pair), each cell
+/// labelled with its config: first failing discovery attempts at odd
+/// indices (attempt 1 for `overflow+20@174`, attempt 3 for
+/// `overflow+20@385`: the helper's run wins) and at an even index with a
+/// discarded partner (attempt 4 for `dangling~12@185`, whose seed is given
+/// back); rounds that escalate (`target += 2`) to the default
+/// `max_images` (12: the last replay runs alone) and to 9 (all pairs); an
+/// odd replay batch (`images: 4`: a pair and a single); odd and single
+/// `discovery_attempts` (the last attempt runs alone). The attempt indices
+/// were read off the serial loop on the parent; the constants were printed
+/// there (71e8ba1) and pinned.
+#[test]
+fn paired_branch_points_match_the_parent() {
+    let default = IterativeConfig::default;
+    let mut impossible = IterativeConfig {
+        max_images: 7,
+        max_rounds: 2,
+        ..default()
+    };
+    impossible.options.min_confirmations = usize::MAX;
+    let cases: Vec<(Option<FaultSpec>, &str, IterativeConfig)> = vec![
+        (Some(at(overflow(20), 174)), "default", default()),
+        (Some(at(overflow(20), 385)), "default", default()),
+        (Some(at(overflow(4), 315)), "default", default()),
+        (
+            Some(at(overflow(4), 315)),
+            "max_images=9",
+            IterativeConfig {
+                max_images: 9,
+                ..default()
+            },
+        ),
+        (
+            Some(at(overflow(36), 102)),
+            "images=4",
+            IterativeConfig {
+                images: 4,
+                ..default()
+            },
+        ),
+        (
+            Some(at(overflow(20), 124)),
+            "images=4",
+            IterativeConfig {
+                images: 4,
+                ..default()
+            },
+        ),
+        (
+            Some(at(DANGLING, 185)),
+            "images=4",
+            IterativeConfig {
+                images: 4,
+                ..default()
+            },
+        ),
+        (
+            None,
+            "discovery_attempts=5",
+            IterativeConfig {
+                discovery_attempts: 5,
+                ..default()
+            },
+        ),
+        (
+            Some(at(overflow(20), 385)),
+            "discovery_attempts=5",
+            IterativeConfig {
+                discovery_attempts: 5,
+                ..default()
+            },
+        ),
+        (
+            Some(at(overflow(36), 209)),
+            "discovery_attempts=5",
+            IterativeConfig {
+                discovery_attempts: 5,
+                ..default()
+            },
+        ),
+        (
+            Some(at(overflow(20), 385)),
+            "discovery_attempts=1",
+            IterativeConfig {
+                discovery_attempts: 1,
+                ..default()
+            },
+        ),
+        (
+            Some(at(DANGLING, 100)),
+            "max_images=7 max_rounds=2 unisolatable",
+            impossible,
+        ),
+    ];
+    let got: Vec<String> = cases
+        .into_iter()
+        .map(|(fault, label, config)| {
+            format!(
+                "{} {label} -> {}",
+                name(fault),
+                render(&repair(fault, config))
+            )
+        })
+        .collect();
+    let golden = [
+        "overflow+20@174 default -> fixed=true images_used=3 patches=[pad 5127e522 20] rounds=[bp=338 SelfAbort images=3 new=[pad 5127e522 20]]",
+        "overflow+20@385 default -> fixed=true images_used=3 patches=[pad 51298a45 20] rounds=[bp=387 SelfAbort images=3 new=[pad 51298a45 20]]",
+        "overflow+4@315 default -> fixed=true images_used=12 patches=[] rounds=[bp=343 SelfAbort images=12 new=[]]",
+        "overflow+4@315 max_images=9 -> fixed=true images_used=9 patches=[] rounds=[bp=343 SelfAbort images=9 new=[]]",
+        "overflow+36@102 images=4 -> fixed=true images_used=4 patches=[pad 5b25d4a0 36] rounds=[bp=133 Signal images=4 new=[pad 5b25d4a0 36]]",
+        "overflow+20@124 images=4 -> fixed=false images_used=32 patches=[pad 1e48c907 16] rounds=[bp=124 Signal images=4 new=[pad 1e48c907 16] | bp=124 SelfAbort images=4 new=[pad 1e48c907 4] | bp=124 SelfAbort images=4 new=[pad 1e48c907 4] | bp=124 Signal images=4 new=[pad 1e48c907 4] | bp=124 Signal images=4 new=[pad 1e48c907 4] | bp=124 Signal images=4 new=[pad 1e48c907 4] | bp=124 Signal images=4 new=[pad 1e48c907 4] | bp=124 SelfAbort images=4 new=[pad 1e48c907 4]]",
+        "dangling~12@185 images=4 -> fixed=true images_used=24 patches=[pad 5b292ba9 664; defer 5b25e163 fa17feed 202] rounds=[bp=342 Signal images=12 new=[] | bp=264 Signal images=4 new=[defer 5b25e163 fa17feed 135] | bp=427 Signal images=4 new=[pad 5b292ba9 664] | bp=364 Signal images=4 new=[defer 5b25e163 fa17feed 67]]",
+        "clean discovery_attempts=5 -> fixed=true images_used=0 patches=[] rounds=[]",
+        "overflow+20@385 discovery_attempts=5 -> fixed=true images_used=3 patches=[pad 51298a45 20] rounds=[bp=387 SelfAbort images=3 new=[pad 51298a45 20]]",
+        "overflow+36@209 discovery_attempts=5 -> fixed=true images_used=16 patches=[pad 1e7d6d67 36; pad 5b24b79d 920] rounds=[bp=350 SelfAbort images=11 new=[pad 5b24b79d 920] | bp=209 Signal images=5 new=[pad 1e7d6d67 36]]",
+        "overflow+20@385 discovery_attempts=1 -> fixed=true images_used=0 patches=[] rounds=[]",
+        "dangling~12@100 max_images=7 max_rounds=2 unisolatable -> fixed=false images_used=14 patches=[] rounds=[bp=113 SegFault images=7 new=[] | bp=113 SegFault images=7 new=[]]",
+    ];
+    assert_golden("paired branch points", &got, &golden);
 }
