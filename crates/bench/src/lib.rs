@@ -29,7 +29,7 @@ use xt_correct::CorrectingHeap;
 use xt_diefast::{DieFastConfig, DieFastHeap};
 use xt_diehard::{DieHardConfig, SlotState};
 use xt_faults::{FaultKind, FaultSpec, FaultyHeap, INJECTED_FREE_SITE};
-use xt_fleet::simulator::{demo_faults, FleetSimulator, SimConfig};
+use xt_fleet::simulator::{demo_faults, simulate, SimConfig};
 use xt_fleet::FleetConfig;
 use xt_image::HeapImage;
 use xt_isolate::theory;
@@ -448,11 +448,12 @@ pub fn collaborative() -> Row {
     }
 }
 
-/// §6.4 at population scale: 600 simulated clients pool their reports
-/// until a published epoch corrects both demonstration bugs. How many
-/// reports that took depends on thread scheduling and is not pinned; the
-/// benchmark's `fleet_reports` workload measures the deterministic count
-/// (`cost_ratio`).
+/// §6.4 at population scale: 600 simulated clients take turns reporting,
+/// and the service publishes after every report, until a published epoch
+/// corrects both demonstration bugs. The fleet is serial and seeded, so
+/// each bug's correcting epoch and reports-to-correct are exact counts;
+/// the row holds if both bugs are corrected before any client has had to
+/// run twice.
 pub fn fleet() -> Row {
     let input = espresso_input(21);
     let workload = EspressoLike::new();
@@ -463,21 +464,30 @@ pub fn fleet() -> Row {
         max_rounds: 6,
         fleet: FleetConfig {
             shards: 16,
-            publish_every: 64,
+            publish_every: 1,
             ..FleetConfig::default()
         },
         ..SimConfig::default()
     };
-    let outcome = FleetSimulator::new(&workload, input, vec![overflow, dangling], sim).run();
+    let outcome = simulate(&workload, &input, &[overflow, dangling], sim);
     Row {
         section: "§6.4",
         claim: "fleet: 600 clients pool evidence until a published epoch corrects both bugs",
         paper: "one user needs 22–34 runs per bug; a community shares them".into(),
-        ours: join(&outcome.per_fault, ", ", |f| {
-            let (kind, trigger, corrected) = (f.fault.kind, f.fault.trigger, f.corrected);
-            format!("{kind:?} @ {trigger}: corrected={corrected}")
-        }),
-        status: Status::judge(outcome.converged, "the fleet no longer corrects both bugs"),
+        ours: format!(
+            "{}; {} runs across {} clients",
+            join(&outcome.per_fault, ", ", |f| {
+                let (kind, trigger, epoch, reports) =
+                    (f.fault.kind, f.fault.trigger, f.epoch, f.reports);
+                format!("{kind:?} @ {trigger}: epoch {epoch} after {reports} reports")
+            }),
+            outcome.total_runs,
+            sim.clients,
+        ),
+        status: Status::judge(
+            outcome.converged && outcome.total_runs <= sim.clients as u64,
+            "the fleet no longer corrects both bugs within one run per client",
+        ),
     }
 }
 

@@ -105,8 +105,9 @@ fn collaborative() {
 fn fleet() {
     let status = pinned(
         bench::fleet(),
-        "BufferOverflow { delta: 20, fill: 238 } @ t239: corrected=true, \
-         DanglingFree { lag: 12 } @ t364: corrected=true",
+        "BufferOverflow { delta: 20, fill: 238 } @ t239: epoch 1 after 53 reports, \
+         DanglingFree { lag: 12 } @ t364: epoch 2 after 68 reports; \
+         68 runs across 600 clients",
     );
     assert_eq!(status, Status::Holds);
 }

@@ -12,10 +12,11 @@
 //!
 //! # The deterministic surface
 //!
-//! A function is on the surface when its name or enclosing module
-//! matches the seed vocabulary in [`surface::SURFACE_SEEDS`]
-//! (`digest`, `fold`, `encode`, `to_text`, `publish`, `snapshot`,
-//! `outcome`, `canonical`) — unless the name is observation-exempt
+//! A function is on the surface when its name or an enclosing module
+//! (inline, or the file itself) matches the seed vocabulary in
+//! [`surface::SURFACE_SEEDS`] (`digest`, `fold`, `encode`, `to_text`,
+//! `publish`, `snapshot`, `outcome`, `canonical`, `parse_prefix`,
+//! `simulator`) — unless the name is observation-exempt
 //! ([`surface::OBSERVATION_EXEMPT`]: `metrics`, `counters`, `health`,
 //! `stats`, `observability`) — plus everything transitively callable
 //! from a seeded function. To extend the surface when a new byte-pinned

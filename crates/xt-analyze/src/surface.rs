@@ -1,10 +1,10 @@
 //! Deterministic-surface computation: which functions must stay free of
 //! nondeterminism.
 //!
-//! A function is **seeded** onto the surface when its name (or its
-//! enclosing module's name) contains one of [`SURFACE_SEEDS`] — the
-//! digest/outcome/snapshot/encode vocabulary the workspace uses for
-//! byte-pinned output. Names matching [`OBSERVATION_EXEMPT`] are
+//! A function is **seeded** onto the surface when its name (or the name
+//! of an enclosing module, inline or the file itself) contains one of
+//! [`SURFACE_SEEDS`] — the digest/outcome/snapshot/encode vocabulary the
+//! workspace uses for byte-pinned output. Names matching [`OBSERVATION_EXEMPT`] are
 //! excluded: `metrics_snapshot` and friends are observation surfaces by
 //! design and may read clocks. The full surface is the seed set plus
 //! every workspace function transitively callable from it, resolved by
@@ -35,6 +35,10 @@ pub const SURFACE_SEEDS: &[&str] = &[
     // parser sits on the deterministic surface with the whole-buffer
     // decoders it mirrors.
     "parse_prefix",
+    // The fleet simulator: its outcome (per-fault correcting epoch and
+    // reports-to-correct, runs, final epoch) is a function of its config,
+    // pinned by the scorecard's `fleet` row.
+    "simulator",
 ];
 
 /// Name substrings that mark an *observation* surface: these may match a
@@ -45,8 +49,9 @@ pub const OBSERVATION_EXEMPT: &[&str] =
     &["metrics", "counters", "health", "stats", "observability"];
 
 /// Method/function names never treated as workspace-call edges: they are
-/// ubiquitous (std prelude, iterator adapters, channel/thread APIs) and
-/// resolving them by bare name would glue every function to every other.
+/// ubiquitous (std prelude, iterator adapters, channel/thread APIs) or
+/// shared by unrelated items, and resolving them by bare name would glue
+/// every function to every other.
 pub(crate) const CALL_STOPLIST: &[&str] = &[
     "new",
     "default",
@@ -181,6 +186,13 @@ pub(crate) const CALL_STOPLIST: &[&str] = &[
     "path",
     "exists",
     "create",
+    // Names unrelated workspace items share, so a bare-name edge lands in
+    // the wrong one: a workload's call frame (`Ctx::scoped`) would pull in
+    // the pool's and the front-end's thread scopes, and the fleet
+    // service's in-process `ingest_report` the durable fleet's WAL flush
+    // and the network client's reply decoder.
+    "scoped",
+    "ingest_report",
 ];
 
 /// A function key: (file index in the scan, function index in the file).
@@ -236,9 +248,8 @@ pub fn compute(files: &[SourceFile]) -> Surface {
             if f.is_test || is_exempt_name(&f.name) {
                 continue;
             }
-            let module_seeded = f
-                .module
-                .split("::")
+            let module_seeded = std::iter::once(file_module(&file.path))
+                .chain(f.module.split("::"))
                 .any(|m| is_seed_name(m) && !is_exempt_name(m));
             if (is_seed_name(&f.name) || module_seeded) && members.insert((fi, gi)) {
                 queue.push((fi, gi));
@@ -264,6 +275,18 @@ pub fn compute(files: &[SourceFile]) -> Surface {
     }
 
     Surface { members }
+}
+
+/// The module a source file is: `crates/x/src/wal.rs` is `wal`,
+/// `src/net/mod.rs` is `net`, and a crate root (`lib.rs`, `main.rs`) is
+/// none.
+fn file_module(path: &str) -> &str {
+    let mut parts = path.rsplit('/');
+    match parts.next().unwrap_or("").trim_end_matches(".rs") {
+        "lib" | "main" => "",
+        "mod" => parts.next().unwrap_or(""),
+        stem => stem,
+    }
 }
 
 /// Called names inside a token range: an identifier immediately followed
@@ -327,6 +350,16 @@ mod tests {
         assert!(names.contains(&"mix".to_string()), "callee closure");
         assert!(names.contains(&"restore".to_string()), "module seeding");
         assert!(!names.contains(&"unrelated".to_string()));
+    }
+
+    #[test]
+    fn file_modules_seed_like_inline_ones() {
+        let file = |path| parse_file(path, "pub fn step() {}");
+        let seeded = |path| !surface_names(&[file(path)]).is_empty();
+        assert!(seeded("crates/demo/src/simulator.rs"));
+        assert!(seeded("crates/demo/src/simulator/mod.rs"));
+        assert!(!seeded("crates/demo/src/lib.rs"));
+        assert!(!seeded("crates/demo/src/service.rs"));
     }
 
     #[test]

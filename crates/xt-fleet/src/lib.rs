@@ -10,9 +10,9 @@
 //!
 //! 1. **Clients** run their workload under the correcting allocator,
 //!    reduce the run to a [`RunSummary`](xt_isolate::cumulative::RunSummary)
-//!    (via [`exterminator::summarized_run_reusable`], over one stack per
-//!    client), and submit it as a compact binary [`RunReport`] (module
-//!    [`wire`]).
+//!    (via [`exterminator::summarized_run_reusable`], over a reusable
+//!    allocator stack), and submit it as a compact binary [`RunReport`]
+//!    (module [`wire`]).
 //! 2. **The service** ([`FleetService`], module [`service`]) folds reports
 //!    into `N` evidence shards keyed by allocation-site hash. Each shard
 //!    is an [`EvidenceTable`](xt_isolate::evidence::EvidenceTable) — the
@@ -27,12 +27,14 @@
 //!    max-merge guarantees epoch `n + 1` covers epoch `n` — so clients
 //!    polling [`FleetService::latest`] (a lock-free-for-writers `Arc`
 //!    snapshot) can adopt any newer epoch without coordination.
-//! 4. **The simulator** (module [`simulator`]) closes the loop: hundreds
-//!    to thousands of scoped-thread clients each run
-//!    workload-with-injected-fault → submit → poll → rerun, reproducing
-//!    the paper's cumulative-mode convergence (Fig. 6's runs-to-isolation
-//!    curves) at population scale — the fleet corrects an overflow and a
-//!    dangling bug for everyone after enough reports arrive from anyone.
+//! 4. **The simulator** ([`simulate`], module [`simulator`]) closes the
+//!    loop: hundreds of seeded clients take turns, round-robin on one
+//!    thread, at poll → run workload-with-injected-fault → report, and
+//!    each newly published epoch is verified before the next report
+//!    folds. That reproduces the paper's cumulative-mode convergence
+//!    (Fig. 6's runs-to-isolation curves) at population scale — the fleet
+//!    corrects an overflow and a dangling bug for everyone after enough
+//!    reports arrive from anyone — as exact, seed-determined counts.
 //! 5. **The bridge** (module [`bridge`]) closes the same loop *inside one
 //!    process*: failures a replicated
 //!    [`PoolFrontend`](exterminator::frontend::PoolFrontend) observes are
@@ -102,7 +104,7 @@ pub use frame::{Frame, FrameError, Reader};
 pub use service::{
     DurabilityStats, FleetConfig, FleetMetrics, FleetService, IngestReceipt, RestoreError,
 };
-pub use simulator::{FaultConvergence, FleetOutcome, FleetSimulator, SimConfig};
+pub use simulator::{simulate, FaultConvergence, FleetOutcome, SimConfig};
 pub use storage::{DirStorage, FaultMode, FaultyStorage, MemStorage, Storage};
 pub use wal::{DurabilityConfig, DurabilityError, DurableFleet};
 pub use wire::{EvidenceRecord, FleetSnapshot, RunReport, WireError};

@@ -4,37 +4,33 @@
 //! accumulating evidence across their own runs (22–34 runs for the
 //! injected dangling faults of §7.2). The deployment §6.4 argues for is a
 //! *fleet*: every user contributes every run's summary, the service pools
-//! them, and the whole population converges in wall-clock terms as fast as
-//! reports arrive — nobody has to crash 30 times themselves.
+//! them, and the whole population converges as fast as reports arrive —
+//! nobody has to crash 30 times themselves.
 //!
-//! [`FleetSimulator`] reproduces that loop. It spawns one scoped thread
-//! per simulated client; each client is a *persistent executor* — it owns
-//! one [`ReusableStack`] whose
-//! simulated address space is reset (not rebuilt) between rounds, exactly
-//! like the replica workers of [`exterminator::pool`] — and repeatedly
+//! [`simulate`] reproduces that loop on the calling thread, round-robin
+//! over its clients: in round `r`, client `c` takes its turn, which
 //!
-//! 1. polls [`FleetService::latest`] for the current patch epoch (the
+//! 1. reads [`FleetService::latest`] for the current patch epoch (the
 //!    same hot-reload a long-lived [`ReplicaPool`] applies via
 //!    `load_epoch`),
 //! 2. executes the workload under those patches with its injected fault
-//!    and a fresh DieHard heap seed
-//!    ([`exterminator::summarized_run_reusable`]),
-//! 3. encodes the run's [`RunSummary`](xt_isolate::cumulative::RunSummary)
-//!    as a wire [`RunReport`] and submits it.
+//!    and the heap seed derived from `(base_seed, c, r)`
+//!    ([`exterminator::summarized_run_reusable`], over one
+//!    [`ReusableStack`] the whole fleet shares — the core determinism
+//!    tests pin that a reset stack behaves like a fresh one),
+//! 3. hands the run's [`RunSummary`](xt_isolate::cumulative::RunSummary)
+//!    to the service as a [`RunReport`] ([`FleetService::ingest_report`]).
 //!
 //! [`ReplicaPool`]: exterminator::pool::ReplicaPool
 //!
-//! A monitor watches each newly published epoch and probes whether the
-//! epoch's patch table actually corrects each injected fault (independent
-//! verification runs, the §6.3 discipline); once every fault verifies, the
-//! fleet is told to stop and the per-fault convergence points (epoch,
-//! reports ingested, fleet-wide runs) are reported in [`FleetOutcome`].
-//! Whether the fleet converges is the result; the counts depend on how
-//! the client threads were scheduled (see [`FaultConvergence::reports`]).
+//! When a report publishes a new epoch, that epoch is verified against
+//! every still-uncorrected fault (independent verification runs, the §6.3
+//! discipline) before the next report folds; once every fault verifies,
+//! the fleet stops. The outcome — per-fault correcting epoch and reports
+//! ingested, fleet-wide runs, the final epoch — is a function of the
+//! workload, input, faults and [`SimConfig`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use exterminator::cumulative::{CumulativeMode, CumulativeModeConfig};
 use exterminator::runner::{
@@ -44,26 +40,28 @@ use exterminator::summarized_run_reusable;
 use xt_alloc::ObjectId;
 use xt_diefast::DieFastConfig;
 use xt_faults::{FaultKind, FaultSpec};
-use xt_obs::RegistrySnapshot;
 use xt_patch::{PatchEpoch, PatchTable};
 use xt_workloads::{Workload, WorkloadInput};
 
 use crate::service::{FleetConfig, FleetMetrics, FleetService};
 use crate::wire::RunReport;
 
+/// Heap multiplier `M` for client runs (the paper's default).
+const MULTIPLIER: f64 = 2.0;
+
+/// Independent verification runs per fault per published epoch — the
+/// count [`isolatable`] screens with.
+const VERIFY_PROBES: usize = 4;
+
 /// Simulator parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
-    /// Simulated clients (one scoped thread each).
+    /// Simulated clients, each taking one turn per round.
     pub clients: usize,
-    /// Runs each client performs before giving up.
+    /// Rounds before the fleet gives up.
     pub max_rounds: usize,
     /// Seed from which every client/run heap seed derives.
     pub base_seed: u64,
-    /// Heap multiplier `M` for client runs (paper default 2).
-    pub multiplier: f64,
-    /// Independent verification runs per fault per epoch check.
-    pub verify_probes: usize,
     /// The aggregation service's configuration.
     pub fleet: FleetConfig,
 }
@@ -74,8 +72,6 @@ impl Default for SimConfig {
             clients: 64,
             max_rounds: 8,
             base_seed: 0xF1EE7,
-            multiplier: 2.0,
-            verify_probes: 4,
             fleet: FleetConfig::default(),
         }
     }
@@ -90,15 +86,8 @@ pub struct FaultConvergence {
     pub corrected: bool,
     /// First epoch whose patches verified (0 if never).
     pub epoch: u64,
-    /// Reports the service had ingested when that epoch was published.
-    /// This depends on thread scheduling: which clients' reports land
-    /// before the first publish, and how long verification runs while
-    /// clients keep reporting. Back-to-back runs of one 600-client
-    /// configuration have read anywhere from 64 to 1,703, and the
-    /// correcting [`epoch`](Self::epoch) moves with it. It shows *that* the
-    /// fleet converged, not how many reports convergence needs; the
-    /// deterministic reports-to-correct count is the benchmark's
-    /// `cost_ratio` on its `fleet_reports` workload.
+    /// Reports the service had ingested when that epoch was published:
+    /// the fleet's reports-to-correct for this fault.
     pub reports: u64,
 }
 
@@ -116,181 +105,99 @@ pub struct FleetOutcome {
     pub per_fault: Vec<FaultConvergence>,
     /// The epoch current when the fleet stopped.
     pub final_epoch: Arc<PatchEpoch>,
-    /// The service's merged observability snapshot at shutdown: the
-    /// `fleet/...` counters plus per-stage latency histograms
-    /// (ingest/fold/publish), render with
-    /// [`RegistrySnapshot::render_text`].
-    pub observability: RegistrySnapshot,
 }
 
-/// Drives a population of simulated clients against one [`FleetService`].
-pub struct FleetSimulator<'a, W> {
-    workload: &'a W,
-    input: WorkloadInput,
-    faults: Vec<FaultSpec>,
+/// Runs a fleet of `config.clients` simulated clients against one
+/// [`FleetService`] until a published epoch verifiably corrects every
+/// fault, or `config.max_rounds` rounds run out. Client `i` injects
+/// `faults[i % faults.len()]`; an empty fault list simulates a healthy
+/// fleet, which runs every round.
+#[must_use]
+pub fn simulate(
+    workload: &dyn Workload,
+    input: &WorkloadInput,
+    faults: &[FaultSpec],
     config: SimConfig,
-}
-
-impl<'a, W: Workload + Sync> FleetSimulator<'a, W> {
-    /// Creates a simulator. Client `i` injects `faults[i % faults.len()]`;
-    /// an empty fault list simulates a healthy fleet.
-    #[must_use]
-    pub fn new(
-        workload: &'a W,
-        input: WorkloadInput,
-        faults: Vec<FaultSpec>,
-        config: SimConfig,
-    ) -> Self {
-        FleetSimulator {
-            workload,
-            input,
-            faults,
-            config,
-        }
-    }
-
-    /// The fault client `client` injects.
-    fn fault_for(&self, client: usize) -> Option<FaultSpec> {
-        if self.faults.is_empty() {
-            None
-        } else {
-            Some(self.faults[client % self.faults.len()])
-        }
-    }
-
-    /// SplitMix-style derivation of one client run's heap seed.
-    fn heap_seed(&self, client: usize, round: usize) -> u64 {
-        xt_arena::splitmix_finalize(
-            self.config
-                .base_seed
-                .wrapping_add((client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add((round as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)),
-        )
-    }
-
-    /// Independent verification runs: does `patches` correct `fault`?
-    fn fault_corrected(&self, fault: FaultSpec, patches: &PatchTable) -> bool {
-        verified_corrected(
-            self.workload,
-            &self.input,
+) -> FleetOutcome {
+    let service = FleetService::new(config.fleet);
+    let fill = config.fleet.isolator.fill_probability;
+    let mut per_fault: Vec<FaultConvergence> = faults
+        .iter()
+        .map(|&fault| FaultConvergence {
             fault,
-            patches,
-            self.config.verify_probes,
-            self.config.base_seed,
-        )
-    }
-
-    /// Runs the fleet to convergence or exhaustion.
-    pub fn run(&self) -> FleetOutcome {
-        let service = FleetService::new(self.config.fleet);
-        let stop = AtomicBool::new(false);
-        let total_runs = AtomicU64::new(0);
-        let finished = AtomicU64::new(0);
-        let fill = self.config.fleet.isolator.fill_probability;
-        let mut per_fault: Vec<FaultConvergence> = self
-            .faults
-            .iter()
-            .map(|&fault| FaultConvergence {
-                fault,
-                corrected: false,
-                epoch: 0,
-                reports: 0,
-            })
-            .collect();
-
-        std::thread::scope(|scope| {
-            for client in 0..self.config.clients {
-                let fault = self.fault_for(client);
-                let (service, stop, total_runs, finished) =
-                    (&service, &stop, &total_runs, &finished);
-                scope.spawn(move || {
-                    // One reusable allocator stack for this client's whole
-                    // lifetime: rounds reset the address space instead of
-                    // rebuilding it (behaviour is identical either way —
-                    // the core determinism tests pin that).
-                    let mut stack = ReusableStack::new();
-                    for round in 0..self.config.max_rounds {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let epoch = service.latest();
-                        let run = summarized_run_reusable(
-                            self.workload,
-                            &self.input,
-                            fault,
-                            epoch.patches.clone(),
-                            self.heap_seed(client, round),
-                            fill,
-                            self.config.multiplier,
-                            &mut stack,
-                        );
-                        total_runs.fetch_add(1, Ordering::Relaxed);
-                        let report =
-                            RunReport::from_summary(client as u64, round as u32, &run.summary);
-                        service
-                            .ingest(&report.encode())
-                            .expect("self-encoded report is well-formed");
-                    }
-                    finished.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-
-            // Monitor: verify each newly published epoch against the
-            // injected faults; stop the fleet once all verify.
-            let mut last_checked = 0u64;
-            while (finished.load(Ordering::Relaxed) as usize) < self.config.clients {
-                let (epoch, published_at) = service.latest_with_reports();
-                if epoch.number > last_checked && !epoch.patches.is_empty() {
-                    last_checked = epoch.number;
-                    self.check_epoch(&epoch, published_at, &mut per_fault);
-                    if per_fault.iter().all(|f| f.corrected) {
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-
-        // Whatever evidence is still unpublished gets one final epoch, and
-        // stragglers one final verification.
-        service.publish();
-        let (final_epoch, published_at) = service.latest_with_reports();
-        if per_fault.iter().any(|f| !f.corrected) && !final_epoch.patches.is_empty() {
-            self.check_epoch(&final_epoch, published_at, &mut per_fault);
-        }
-        let mut observability = service.observability().snapshot();
-        observability.merge(service.metrics().counters_snapshot());
-        FleetOutcome {
-            converged: per_fault.iter().all(|f| f.corrected),
-            total_runs: total_runs.load(Ordering::Relaxed),
-            metrics: service.metrics(),
-            per_fault,
-            final_epoch: service.latest(),
-            observability,
-        }
-    }
-
-    /// Records convergence points for faults `epoch` newly corrects.
-    /// `published_at` is the report count captured when this epoch was
-    /// *published* (read atomically with the snapshot), not when this
-    /// (possibly CPU-starved) verification finishes — clients keep
-    /// running while probes execute.
-    fn check_epoch(
-        &self,
-        epoch: &PatchEpoch,
-        published_at: u64,
-        per_fault: &mut [FaultConvergence],
-    ) {
+            corrected: false,
+            epoch: 0,
+            reports: 0,
+        })
+        .collect();
+    // Records convergence points for the faults `epoch` newly corrects;
+    // `published_at` is the report count when `epoch` was published.
+    let check = |epoch: &PatchEpoch, published_at: u64, per_fault: &mut [FaultConvergence]| {
         for fc in per_fault.iter_mut().filter(|f| !f.corrected) {
-            if self.fault_corrected(fc.fault, &epoch.patches) {
+            let (patches, seed) = (&epoch.patches, config.base_seed);
+            if verified_corrected(workload, input, fc.fault, patches, VERIFY_PROBES, seed) {
                 fc.corrected = true;
                 fc.epoch = epoch.number;
                 fc.reports = published_at;
             }
         }
+    };
+    let mut stack = ReusableStack::new();
+    let mut total_runs = 0u64;
+    let mut last_checked = 0u64;
+    'fleet: for round in 0..config.max_rounds {
+        for client in 0..config.clients {
+            let fault = (!faults.is_empty()).then(|| faults[client % faults.len()]);
+            let run = summarized_run_reusable(
+                workload,
+                input,
+                fault,
+                service.latest().patches.clone(),
+                heap_seed(config.base_seed, client, round),
+                fill,
+                MULTIPLIER,
+                &mut stack,
+            );
+            total_runs += 1;
+            service.ingest_report(&RunReport::from_summary(
+                client as u64,
+                round as u32,
+                &run.summary,
+            ));
+            let (epoch, published_at) = service.latest_with_reports();
+            if epoch.number > last_checked && !epoch.patches.is_empty() {
+                last_checked = epoch.number;
+                check(&epoch, published_at, &mut per_fault);
+                if per_fault.iter().all(|f| f.corrected) {
+                    break 'fleet;
+                }
+            }
+        }
     }
+
+    // Whatever evidence is still unpublished gets one final epoch, and
+    // stragglers one final verification.
+    service.publish();
+    let (final_epoch, published_at) = service.latest_with_reports();
+    if final_epoch.number > last_checked && !final_epoch.patches.is_empty() {
+        check(&final_epoch, published_at, &mut per_fault);
+    }
+    FleetOutcome {
+        converged: per_fault.iter().all(|f| f.corrected),
+        total_runs,
+        metrics: service.metrics(),
+        per_fault,
+        final_epoch,
+    }
+}
+
+/// SplitMix-style derivation of one client run's heap seed.
+fn heap_seed(base_seed: u64, client: usize, round: usize) -> u64 {
+    xt_arena::splitmix_finalize(
+        base_seed
+            .wrapping_add((client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add((round as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)),
+    )
 }
 
 /// Independent verification runs (§6.3): `patches` corrects `fault` if
@@ -408,29 +315,61 @@ fn find_cold_overflow(workload: &dyn Workload, input: &WorkloadInput) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xt_alloc::AllocTime;
     use xt_workloads::EspressoLike;
+
+    /// The §6.4 input `bench`'s `fleet` row and the benchmark's
+    /// `fleet_reports` workload use.
+    fn fleet_input() -> WorkloadInput {
+        WorkloadInput::with_seed(21).intensity(3)
+    }
+
+    /// The dangling half of [`demo_faults`] for [`fleet_input`]: the first
+    /// dangling fault that passes the `isolatable` screen (sel = 7 in the
+    /// scan) — hardcoded so the tests do not pay the screening search. A
+    /// single §5 user needs ~34 runs on it.
+    const DANGLING: FaultSpec = FaultSpec {
+        kind: FaultKind::DanglingFree { lag: 12 },
+        trigger: AllocTime::from_raw(364),
+    };
+
+    /// 16 clients x up to 12 rounds: up to 192 pooled runs, comfortably
+    /// beyond the 22–34 a single §7.2 user needed.
+    fn small_dangling_fleet() -> FleetOutcome {
+        let config = SimConfig {
+            clients: 16,
+            max_rounds: 12,
+            fleet: FleetConfig {
+                shards: 4,
+                publish_every: 16,
+                ..FleetConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        simulate(&EspressoLike::new(), &fleet_input(), &[DANGLING], config)
+    }
 
     #[test]
     fn healthy_fleet_publishes_no_patches() {
-        let workload = EspressoLike::new();
-        let sim = FleetSimulator::new(
-            &workload,
-            WorkloadInput::with_seed(4),
-            Vec::new(),
-            SimConfig {
-                clients: 6,
-                max_rounds: 2,
-                fleet: FleetConfig {
-                    shards: 4,
-                    publish_every: 4,
-                    ..FleetConfig::default()
-                },
-                ..SimConfig::default()
+        let config = SimConfig {
+            clients: 6,
+            max_rounds: 2,
+            fleet: FleetConfig {
+                shards: 4,
+                publish_every: 4,
+                ..FleetConfig::default()
             },
+            ..SimConfig::default()
+        };
+        let outcome = simulate(
+            &EspressoLike::new(),
+            &WorkloadInput::with_seed(4),
+            &[],
+            config,
         );
-        let outcome = sim.run();
         assert!(outcome.converged, "no faults: trivially converged");
         assert!(outcome.final_epoch.patches.is_empty(), "false positives");
+        assert_eq!(outcome.final_epoch.number, 0);
         assert_eq!(outcome.metrics.reports, 12, "6 clients x 2 rounds");
         assert_eq!(outcome.total_runs, 12);
         assert_eq!(outcome.metrics.failed_reports, 0);
@@ -438,49 +377,102 @@ mod tests {
 
     #[test]
     fn small_fleet_converges_on_a_dangling_fault() {
-        let input = WorkloadInput::with_seed(21).intensity(3);
-        let workload = EspressoLike::new();
-        // The first dangling fault that passes the `isolatable` screen for
-        // this input (sel = 7 in the `demo_faults` scan) — hardcoded so the
-        // test does not pay the screening search. A single §5 user needs
-        // ~34 runs on it; the fleet below can pool up to 192.
-        let fault = FaultSpec {
-            kind: FaultKind::DanglingFree { lag: 12 },
-            trigger: xt_alloc::AllocTime::from_raw(364),
-        };
         assert!(
-            !verified_corrected(&workload, &input, fault, &PatchTable::new(), 4, 0xF1EE7),
+            !verified_corrected(
+                &EspressoLike::new(),
+                &fleet_input(),
+                DANGLING,
+                &PatchTable::new(),
+                4,
+                0xF1EE7
+            ),
             "fault must manifest under empty patches for the test to mean anything"
         );
-        // 16 clients x up to 12 rounds ≈ 190 pooled runs — comfortably
-        // beyond the 22–34 a single §7.2 user needed.
-        let sim = FleetSimulator::new(
-            &workload,
-            input,
-            vec![fault],
-            SimConfig {
-                clients: 16,
-                max_rounds: 12,
-                fleet: FleetConfig {
-                    shards: 4,
-                    publish_every: 16,
-                    ..FleetConfig::default()
-                },
-                ..SimConfig::default()
-            },
-        );
-        let outcome = sim.run();
+        let outcome = small_dangling_fleet();
         assert!(
             outcome.converged,
             "fleet never corrected the dangling fault: {:?} (epoch {:?})",
             outcome.per_fault, outcome.final_epoch.number
         );
         let fc = outcome.per_fault[0];
-        assert!(fc.epoch >= 1);
-        assert!(fc.reports > 0);
+        // The second 16-report publish is the first epoch, and it corrects:
+        // two rounds of the fleet, where one user needs ~34 runs.
+        assert_eq!((fc.epoch, fc.reports), (1, 32));
+        assert_eq!(outcome.total_runs, 32);
+        assert_eq!(outcome.metrics.reports, 32);
         assert!(
             outcome.final_epoch.patches.deferrals().count() > 0,
             "dangling correction must be a deferral"
         );
+    }
+
+    #[test]
+    fn simulate_twice_is_identical() {
+        let (a, b) = (small_dangling_fleet(), small_dangling_fleet());
+        let points = |o: &FleetOutcome| -> Vec<(bool, u64, u64)> {
+            o.per_fault
+                .iter()
+                .map(|f| (f.corrected, f.epoch, f.reports))
+                .collect()
+        };
+        assert_eq!(points(&a), points(&b));
+        assert_eq!(a.total_runs, b.total_runs);
+        assert_eq!(a.metrics.reports, b.metrics.reports);
+        assert_eq!(a.final_epoch.to_text(), b.final_epoch.to_text());
+    }
+
+    /// The epoch the benchmark's `fleet_reports` workload publishes first
+    /// on seeds 7, 2913, 2914 and 2915: an overflow pad and a deferral for
+    /// [`DANGLING`].
+    const FIRST_FLEET_REPORTS_EPOCH: &str = "pad 512ddc49 20\ndefer 5b25e163 fa17feed 46\n";
+
+    /// Whether one verification-style probe (the body of
+    /// [`verified_corrected`]) of `fault` under `patches` fails on `heap_seed`.
+    fn probe_fails(
+        fault: FaultSpec,
+        patches: &PatchTable,
+        heap_seed: u64,
+        stack: &mut ReusableStack,
+    ) -> bool {
+        let mut config = RunConfig::with_seed(heap_seed);
+        config.fault = Some(fault);
+        config.patches = patches.clone();
+        config.halt_on_signal = true;
+        probe_failed(&EspressoLike::new(), &fleet_input(), config, stack)
+    }
+
+    /// `fleet_reports --seed 2914` never corrects, and the cause is an
+    /// undersized deferral — not a false positive, a wrong site, or an
+    /// unlucky probe on a correct patch. Its first epoch is the same
+    /// table neighbouring seeds verify; the dangling fault still fails on
+    /// a few heap seeds under it, and probe 0 of seed 2914 is one of them.
+    #[test]
+    fn seed_2914_fails_verification_on_an_undersized_deferral() {
+        let table = PatchTable::from_text(FIRST_FLEET_REPORTS_EPOCH).expect("literal table parses");
+        let (workload, input) = (EspressoLike::new(), fleet_input());
+        assert!(!verified_corrected(
+            &workload, &input, DANGLING, &table, 4, 2914
+        ));
+        assert!(verified_corrected(
+            &workload, &input, DANGLING, &table, 4, 2913
+        ));
+
+        // Probe 0's heap seed, as `verified_corrected` derives it.
+        let seed = 2914 ^ 0xC0DE;
+        assert_eq!(seed, 52156);
+        let mut stack = ReusableStack::new();
+        assert!(probe_fails(DANGLING, &table, seed, &mut stack));
+        let (pair, ticks) = table.deferrals().next().expect("one deferral");
+        assert_eq!(ticks, 46);
+        let mut doubled = table.clone();
+        doubled.add_deferral(pair, 92);
+        assert!(!probe_fails(DANGLING, &doubled, seed, &mut stack));
+
+        // The residual: 6 of the first 1 000 heap seeds still fail under
+        // the 46-tick deferral.
+        let failing: Vec<u64> = (0..1000)
+            .filter(|&s| probe_fails(DANGLING, &table, s, &mut stack))
+            .collect();
+        assert_eq!(failing, [136, 249, 550, 663, 714, 793]);
     }
 }
