@@ -16,7 +16,7 @@
 //! (inline, or the file itself) matches the seed vocabulary in
 //! [`surface::SURFACE_SEEDS`] (`digest`, `fold`, `encode`, `to_text`,
 //! `publish`, `snapshot`, `outcome`, `canonical`, `parse_prefix`,
-//! `simulator`) — unless the name is observation-exempt
+//! `simulator`, `evidence`) — unless the name is observation-exempt
 //! ([`surface::OBSERVATION_EXEMPT`]: `metrics`, `counters`, `health`,
 //! `stats`, `observability`) — plus everything transitively callable
 //! from a seeded function. To extend the surface when a new byte-pinned

@@ -39,6 +39,9 @@ pub const SURFACE_SEEDS: &[&str] = &[
     // reports-to-correct, runs, final epoch) is a function of its config,
     // pinned by the scorecard's `fleet` row.
     "simulator",
+    // The §5 evidence fold and its Simpson node table: every grid bit
+    // reaches `FleetSnapshot::digest`, WAL replay and published epochs.
+    "evidence",
 ];
 
 /// Name substrings that mark an *observation* surface: these may match a
@@ -358,6 +361,7 @@ mod tests {
         let seeded = |path| !surface_names(&[file(path)]).is_empty();
         assert!(seeded("crates/demo/src/simulator.rs"));
         assert!(seeded("crates/demo/src/simulator/mod.rs"));
+        assert!(seeded("crates/demo/src/evidence.rs"));
         assert!(!seeded("crates/demo/src/lib.rs"));
         assert!(!seeded("crates/demo/src/service.rs"));
     }

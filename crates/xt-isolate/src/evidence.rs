@@ -24,6 +24,30 @@
 //! multiply per node — O(steps) per observation, O(steps) per
 //! classification, and **no observation list at all**.
 //!
+//! **The node table.** The abscissae depend only on the grid size, so
+//! they are computed once per grid, not once per observation: an
+//! [`EvidenceTable`] builds one table of `θ_j` and `1 − θ_j` from its
+//! `integration_steps` and shares it (an `Arc`) with every site it
+//! creates; a standalone [`SiteEvidence::new`] or
+//! [`SiteEvidence::from_raw_parts`] builds its own. Folding an observation
+//! is then a multiply and an add for each node's factor and one multiply
+//! into the grid — no division — with the `Y` branch taken once per
+//! observation rather than once per node. The table holds exactly the
+//! values the per-node expressions `j as f64 / n as f64` and `1.0 − θ_j`
+//! produce, and each factor is still `(1 − θ)·X + θ` (or `1 −` that),
+//! evaluated in the same order with no fused multiply-add (Rust never
+//! contracts one on its own), so every grid bit — and with it every
+//! snapshot, WAL replay and published epoch of `xt-fleet` — is what the
+//! per-node division produced.
+//!
+//! **Known defect: the products underflow.** Every factor is at most 1,
+//! so a long-observed site's `L0` and nodes sink through the subnormal
+//! range to exactly zero; once `L0 = L1 = 0`, `Verdict::decide` reads
+//! ratio 1.0 and no later evidence moves it
+//! (`tests/evidence_fold.rs` pins when a clean stream gets there). The
+//! fix, a renormalised grid with a binary exponent per record, changes
+//! the snapshot format.
+//!
 //! Because every stored quantity is a product of per-observation factors,
 //! two evidence states over disjoint observation sets combine by pointwise
 //! multiplication: [`SiteEvidence::merge`] is commutative and associative,
@@ -43,6 +67,7 @@
 //! rule, `Verdict::decide`.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use xt_alloc::{SiteHash, SitePair};
 use xt_patch::PatchTable;
@@ -85,6 +110,35 @@ pub struct SiteEvidence {
     l0: f64,
     /// Running integrand products at the `steps + 1` Simpson nodes.
     grid: Vec<f64>,
+    /// The grid's abscissae, shared with every site of one table.
+    nodes: Arc<Nodes>,
+}
+
+/// The abscissae of one Simpson grid, `θ_j = j / steps` and `1 − θ_j`,
+/// computed once so the fold never divides. Two arrays rather than one of
+/// pairs: the fold's loop vectorises better over them.
+#[derive(Debug, PartialEq)]
+struct Nodes {
+    /// `1 − θ_j`.
+    rest: Box<[f64]>,
+    /// `θ_j`.
+    theta: Box<[f64]>,
+}
+
+impl Nodes {
+    /// The table for `steps` intervals (already even, `>= 2`), from the
+    /// very expressions the per-node fold evaluated.
+    fn for_steps(steps: usize) -> Arc<Nodes> {
+        let theta: Box<[f64]> = (0..=steps).map(|j| j as f64 / steps as f64).collect();
+        let rest = theta.iter().map(|t| 1.0 - t).collect();
+        Arc::new(Nodes { rest, theta })
+    }
+}
+
+/// `steps` forced even, minimum 2 — the convention of
+/// [`likelihood_h1`](crate::cumulative::likelihood_h1).
+fn even_steps(steps: usize) -> usize {
+    steps.max(2) & !1
 }
 
 impl SiteEvidence {
@@ -93,11 +147,16 @@ impl SiteEvidence {
     /// [`likelihood_h1`](crate::cumulative::likelihood_h1)).
     #[must_use]
     pub fn new(steps: usize) -> Self {
-        let n = steps.max(2) & !1;
+        SiteEvidence::on(Nodes::for_steps(even_steps(steps)))
+    }
+
+    /// Empty evidence over an existing node table.
+    fn on(nodes: Arc<Nodes>) -> Self {
         SiteEvidence {
             obs: 0,
             l0: 1.0,
-            grid: vec![1.0; n + 1],
+            grid: vec![1.0; nodes.theta.len()],
+            nodes,
         }
     }
 
@@ -113,16 +172,25 @@ impl SiteEvidence {
         self.obs
     }
 
-    /// Folds one `(X, Y)` observation in: one multiply for `L0` plus one
-    /// per Simpson node.
+    /// Folds one `(X, Y)` observation in: one multiply for `L0`, then per
+    /// Simpson node a multiply and an add for the factor
+    /// `q = (1 − θ)·X + θ` (or `1 − q` when `Y` is false) and one multiply
+    /// into the grid. `1 − θ` and `θ` come from the shared node table (see
+    /// the module docs for why the bits equal the per-node division's).
     pub fn observe(&mut self, x: f64, y: bool) {
         self.obs += 1;
-        self.l0 *= if y { x } else { 1.0 - x };
-        let n = self.grid.len() - 1;
-        for (j, g) in self.grid.iter_mut().enumerate() {
-            let theta = j as f64 / n as f64;
-            let q = (1.0 - theta) * x + theta;
-            *g *= if y { q } else { 1.0 - q };
+        let nodes = self.nodes.rest.iter().zip(self.nodes.theta.iter());
+        let factors = self.grid.iter_mut().zip(nodes);
+        if y {
+            self.l0 *= x;
+            for (g, (&rest, &theta)) in factors {
+                *g *= rest * x + theta;
+            }
+        } else {
+            self.l0 *= 1.0 - x;
+            for (g, (&rest, &theta)) in factors {
+                *g *= 1.0 - (rest * x + theta);
+            }
         }
     }
 
@@ -191,7 +259,13 @@ impl SiteEvidence {
             "grid of {} nodes is not steps + 1 for an even steps >= 2",
             grid.len()
         );
-        SiteEvidence { obs, l0, grid }
+        let nodes = Nodes::for_steps(grid.len() - 1);
+        SiteEvidence {
+            obs,
+            l0,
+            grid,
+            nodes,
+        }
     }
 
     /// The §5.1 decision for this site under prior constant `prior_c` and
@@ -211,6 +285,8 @@ impl SiteEvidence {
 #[derive(Clone, Debug, PartialEq)]
 pub struct EvidenceTable {
     config: CumulativeConfig,
+    /// The node table of `config.integration_steps`, shared by every site.
+    nodes: Arc<Nodes>,
     overflow: BTreeMap<SiteHash, SiteEvidence>,
     dangling: BTreeMap<SiteHash, SiteEvidence>,
     pad_hints: BTreeMap<SiteHash, u32>,
@@ -226,6 +302,7 @@ impl EvidenceTable {
     pub fn new(config: CumulativeConfig) -> Self {
         EvidenceTable {
             config,
+            nodes: Nodes::for_steps(even_steps(config.integration_steps)),
             overflow: BTreeMap::new(),
             dangling: BTreeMap::new(),
             pad_hints: BTreeMap::new(),
@@ -281,19 +358,17 @@ impl EvidenceTable {
 
     /// Folds one overflow-criteria observation in.
     pub fn observe_overflow(&mut self, site: SiteHash, x: f64, y: bool) {
-        let steps = self.config.integration_steps;
         self.overflow
             .entry(site)
-            .or_insert_with(|| SiteEvidence::new(steps))
+            .or_insert_with(|| SiteEvidence::on(Arc::clone(&self.nodes)))
             .observe(x, y);
     }
 
     /// Folds one dangling-canary observation in.
     pub fn observe_dangling(&mut self, site: SiteHash, x: f64, y: bool) {
-        let steps = self.config.integration_steps;
         self.dangling
             .entry(site)
-            .or_insert_with(|| SiteEvidence::new(steps))
+            .or_insert_with(|| SiteEvidence::on(Arc::clone(&self.nodes)))
             .observe(x, y);
     }
 
@@ -388,7 +463,8 @@ impl EvidenceTable {
 
     /// Installs restored overflow evidence for `site`, merging if evidence
     /// for the site already exists (so restore-into-fresh is exact and
-    /// restore-into-existing keeps CRDT semantics).
+    /// restore-into-existing keeps CRDT semantics). A newly installed site
+    /// folds over this table's shared node table.
     ///
     /// # Panics
     ///
@@ -397,12 +473,15 @@ impl EvidenceTable {
     pub fn insert_overflow_evidence(&mut self, site: SiteHash, evidence: SiteEvidence) {
         assert_eq!(
             evidence.steps(),
-            self.config.integration_steps.max(2) & !1,
+            even_steps(self.config.integration_steps),
             "restored evidence grid does not match the table configuration"
         );
         match self.overflow.entry(site) {
             std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(evidence);
+                v.insert(SiteEvidence {
+                    nodes: Arc::clone(&self.nodes),
+                    ..evidence
+                });
             }
             std::collections::btree_map::Entry::Occupied(mut o) => o.get_mut().merge(&evidence),
         }
@@ -418,12 +497,15 @@ impl EvidenceTable {
     pub fn insert_dangling_evidence(&mut self, site: SiteHash, evidence: SiteEvidence) {
         assert_eq!(
             evidence.steps(),
-            self.config.integration_steps.max(2) & !1,
+            even_steps(self.config.integration_steps),
             "restored evidence grid does not match the table configuration"
         );
         match self.dangling.entry(site) {
             std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(evidence);
+                v.insert(SiteEvidence {
+                    nodes: Arc::clone(&self.nodes),
+                    ..evidence
+                });
             }
             std::collections::btree_map::Entry::Occupied(mut o) => o.get_mut().merge(&evidence),
         }
@@ -495,7 +577,8 @@ impl EvidenceTable {
     }
 
     /// Resident bytes of the evidence state — per site this is one grid of
-    /// `steps + 1` doubles instead of an unbounded observation list.
+    /// `steps + 1` doubles instead of an unbounded observation list. The
+    /// shared node table is configuration, not state, and is not counted.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
         let per_site = std::mem::size_of::<SiteEvidence>()
