@@ -13,21 +13,26 @@
 //! * **Per-connection state machines.** Every socket is non-blocking.
 //!   Incoming bytes accumulate in a per-connection read buffer and are
 //!   cut into frames by [`Frame::parse_prefix`] (the incremental
-//!   sibling of the blocking codec); outgoing frames queue in a
-//!   per-connection write queue that drains on writability. Partial
-//!   reads and partial writes are ordinary states, not errors.
+//!   sibling of the blocking codec), one cursor pass per read. Outgoing
+//!   frames are appended, back to back, to one per-connection byte
+//!   buffer: inline replies, frames posted by drivers and workers, and
+//!   epoch pushes alike. Nothing is written while a cycle collects
+//!   them; the settle pass at the end of the poll iteration flushes each
+//!   touched connection with one write, and a writable event drains a
+//!   backlog at once. Partial reads and partial writes are ordinary
+//!   states, not errors.
 //! * **Bounded everything (backpressure discipline preserved).** The
 //!   accept path stops pulling from the kernel backlog at
 //!   `max_connections` (the listener is deregistered until a slot
 //!   frees — the event-loop analogue of the old blocking accept
 //!   budget). Per connection, at most `MAX_CONN_INFLIGHT` admitted
 //!   jobs and reports are outstanding and at most `WRITE_QUEUE_SOFT`
-//!   reply bytes may be queued before the server simply *stops reading*
-//!   that connection — TCP backpressure does the rest, exactly the
-//!   burst-degrades-to-waiting discipline of the front-end's bounded
-//!   queues. An epoch push to a client more than `WRITE_QUEUE_HARD`
+//!   reply bytes may sit unwritten before the server simply *stops
+//!   reading* that connection — TCP backpressure does the rest,
+//!   exactly the burst-degrades-to-waiting discipline of the
+//!   front-end's bounded queues. An epoch push to a client more than `WRITE_QUEUE_HARD`
 //!   behind is dropped (counted in `net/pushes_dropped`) and *owed*:
-//!   once that client's queue drains it is sent the newest epoch —
+//!   once that client's buffer drains it is sent the newest epoch —
 //!   one flag, not a backlog, because only the newest epoch matters.
 //! * **The poller admits, the pool driver replies.** Frame parsing,
 //!   job admission and cheap pulls (health/metrics) run on the poller
@@ -36,11 +41,12 @@
 //!   `Accepted` in the same poll iteration. The job carries a sink that
 //!   encodes its `Verdict` and `Outcome` frames on the pool driver's
 //!   thread and posts them to the poller's mailbox. The mailbox is
-//!   drained only at the top of the next iteration, so a job's
-//!   `Accepted` always leaves first and its frames stay in order. What
-//!   can block goes to a fixed pool of `workers` threads: [`Msg::Report`]
-//!   ingests (WAL appends) and the send of a job whose pool queue was
-//!   full ([`PoolFrontend::deliver`]). A job released without an
+//!   drained only at the top of an iteration, before any reads, so a
+//!   job's `Accepted` (appended while this iteration reads) always sits
+//!   in the write buffer ahead of its `Verdict` and `Outcome`, and its
+//!   frames stay in order. What can block goes to a fixed pool of
+//!   `workers` threads: [`Msg::Report`] ingests (WAL appends) and the
+//!   send of a job whose pool queue was full ([`PoolFrontend::deliver`]). A job released without an
 //!   outcome (its pool's driver died) sends an `Error` frame and closes
 //!   its connection: an `Error` names no job, so every waiter on the
 //!   connection must fail rather than one of them hang.
@@ -66,7 +72,7 @@
 //!   receipt proves the epoch number advanced, and the receipt's
 //!   `epoch` tells the reporter which push to wait for.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -105,11 +111,11 @@ const LISTENER_TOKEN: usize = 0;
 /// waits in TCP).
 const MAX_CONN_INFLIGHT: usize = 64;
 
-/// Queued write bytes per connection above which the poller stops
+/// Unwritten bytes per connection above which the poller stops
 /// reading that connection (replies outstanding ≈ requests admitted).
 const WRITE_QUEUE_SOFT: usize = 1 << 20;
 
-/// Queued write bytes per connection above which unsolicited pushes
+/// Unwritten bytes per connection above which unsolicited pushes
 /// (epoch broadcasts) are dropped rather than queued — and owed, see
 /// [`Conn::push_owed`]. Replies are never dropped — the soft cap stops
 /// producing them first.
@@ -117,6 +123,11 @@ const WRITE_QUEUE_HARD: usize = 4 << 20;
 
 /// Bytes per non-blocking read pass.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Write-buffer capacity a connection keeps beyond twice its unwritten
+/// bytes; a full drain gives back everything above it, so one burst
+/// does not pin megabytes on an idle connection.
+const WRITE_BUF_KEEP: usize = 16 * 1024;
 
 /// Durable-mode configuration for a [`NetFrontend`]: where the fleet's
 /// evidence WAL and snapshots live, and how often they compact.
@@ -247,10 +258,12 @@ struct Counters {
 struct NetObs {
     registry: Arc<Registry>,
     /// Server-side request→reply latency (`net/wire_rtt`), recorded
-    /// per dispatched request frame (at reply hand-off).
+    /// per dispatched request frame when its reply is appended to the
+    /// connection's write buffer, not when the end-of-cycle flush writes
+    /// it.
     wire_rtt: Arc<Histogram>,
-    /// Epoch publication → push frame handed to a connection's socket
-    /// layer (`net/epoch_push`), recorded once per live connection per
+    /// Epoch publication → push frame appended to a connection's write
+    /// buffer (`net/epoch_push`), recorded once per live connection per
     /// published epoch.
     epoch_push: Arc<Histogram>,
     /// Frames decoded off connections (`net/frames_in`).
@@ -258,12 +271,15 @@ struct NetObs {
     /// Frames queued toward connections (`net/frames_out`), replies
     /// and pushes alike.
     frames_out: Arc<Counter>,
+    /// `write` calls that moved bytes (`net/writes`); `frames_out ÷
+    /// writes` is how many frames one syscall carries.
+    writes: Arc<Counter>,
     /// Epoch pushes dropped at a connection over its hard write cap
     /// (`net/pushes_dropped`).
     pushes_dropped: Arc<Counter>,
     /// Live connections (`net/connections`).
     connections: Arc<Gauge>,
-    /// Bytes sitting in per-connection write queues, summed
+    /// Unwritten bytes in per-connection write buffers, summed
     /// (`net/write_queue_bytes`).
     write_queue: Arc<Gauge>,
     /// Jobs and reports admitted and not yet answered in full
@@ -280,6 +296,7 @@ impl NetObs {
             epoch_push: registry.histogram("net/epoch_push"),
             frames_in: registry.counter("net/frames_in"),
             frames_out: registry.counter("net/frames_out"),
+            writes: registry.counter("net/writes"),
             pushes_dropped: registry.counter("net/pushes_dropped"),
             connections: registry.gauge("net/connections"),
             write_queue: registry.gauge("net/write_queue_bytes"),
@@ -400,22 +417,21 @@ struct Conn {
     /// Accumulated unparsed inbound bytes (at most one partial frame
     /// plus one read chunk, since complete frames are cut out eagerly).
     read_buf: Vec<u8>,
-    /// Encoded frames awaiting the socket; the front frame may be
-    /// partially written (`write_pos` bytes already gone).
-    queue: VecDeque<Vec<u8>>,
-    write_pos: usize,
-    queued_bytes: usize,
+    /// Encoded frames awaiting the socket, back to back; the first
+    /// `written` bytes are already gone.
+    out: Vec<u8>,
+    written: usize,
     /// Worker jobs dispatched for this connection, not yet completed.
     inflight: usize,
     /// The interest set currently registered with the poller.
     interest: Interest,
     /// The newest epoch push has not been queued to this connection: it
-    /// joined after the publish, or its queue was over
+    /// joined after the publish, or its buffer was over
     /// [`WRITE_QUEUE_HARD`] at the broadcast. Settled with the newest
-    /// bytes as soon as the queue has room — newest-wins, so one flag
+    /// bytes as soon as the buffer has room — newest-wins, so one flag
     /// stands in for any number of missed pushes.
     push_owed: bool,
-    /// Flush the queue, then close (protocol-error goodbyes).
+    /// Flush the buffer, then close (protocol-error goodbyes).
     closing: bool,
     /// Close now; reaped at the end of the poll iteration.
     dead: bool,
@@ -426,9 +442,8 @@ impl Conn {
         Conn {
             stream,
             read_buf: Vec::new(),
-            queue: VecDeque::new(),
-            write_pos: 0,
-            queued_bytes: 0,
+            out: Vec::new(),
+            written: 0,
             inflight: 0,
             interest: Interest::READABLE,
             push_owed,
@@ -437,15 +452,20 @@ impl Conn {
         }
     }
 
+    /// Bytes queued toward the socket and not yet written.
+    fn unwritten(&self) -> usize {
+        self.out.len() - self.written
+    }
+
     /// The interest this connection's state wants: readable unless it
     /// is saying goodbye or over an inflight/write cap (read-gating is
-    /// the backpressure), writable only while the queue is non-empty.
+    /// the backpressure), writable only while bytes are unwritten.
     fn desired_interest(&self) -> Interest {
         Interest {
             readable: !self.closing
                 && self.inflight < MAX_CONN_INFLIGHT
-                && self.queued_bytes < WRITE_QUEUE_SOFT,
-            writable: !self.queue.is_empty(),
+                && self.unwritten() < WRITE_QUEUE_SOFT,
+            writable: self.unwritten() > 0,
         }
     }
 }
@@ -838,7 +858,7 @@ fn poll_loop(
 
         // Posted replies and epoch broadcasts first: they free inflight
         // slots, which can re-open read gates below. Only here, so a
-        // reply the poller queues inline while reading below always
+        // reply the poller appends inline while reading below always
         // precedes whatever the drivers post for the same request.
         let notices = std::mem::take(&mut *mailbox.locked());
         for notice in notices {
@@ -856,11 +876,10 @@ fn poll_loop(
                         if done {
                             c.inflight = c.inflight.saturating_sub(1);
                         }
-                        // Up before the drain, so the drain that empties
-                        // the queue is the one that closes.
+                        // The settle pass's flush that empties the
+                        // buffer is the one that closes.
                         c.closing |= close;
-                        enqueue(c, bytes, obs);
-                        drain_writes(c, obs);
+                        enqueue(c, &bytes, obs);
                         touched.push(conn);
                     }
                 }
@@ -897,19 +916,21 @@ fn poll_loop(
                 if ev.readable && !c.dead {
                     read_ready(c, ev.token, &ctx);
                 }
-                if ev.error && c.queue.is_empty() {
+                if ev.error && c.unwritten() == 0 {
                     c.dead = true;
                 }
                 touched.push(ev.token);
             }
         }
 
-        // Settle owed pushes, reap the dead, update interests, re-arm
-        // the listener — over the touched set only. Every path that
-        // marks a connection dead, shifts its interest, or makes room in
-        // its queue (accepts, reads, writes, worker completions,
-        // broadcasts) runs above and records the token, so nothing
-        // outside `touched` can need attention.
+        // Settle owed pushes, flush, reap the dead, update interests,
+        // re-arm the listener — over the touched set only. Every path
+        // that appends to a connection's buffer, marks it dead, shifts
+        // its interest, or makes room in its buffer (accepts, reads,
+        // writes, worker completions, broadcasts) runs above and records
+        // the token, so nothing outside `touched` can need attention.
+        // The flush here is the cycle's one write per connection: every
+        // frame the cycle collected for it leaves together.
         touched.sort_unstable();
         touched.dedup();
         for token in touched.drain(..) {
@@ -921,14 +942,15 @@ fn poll_loop(
                     push_epoch(c, bytes, obs);
                 }
             }
+            // A connection that died reading (EOF, framing garbage)
+            // still gets the replies its earlier frames earned.
+            drain_writes(c, obs);
             if c.dead {
                 let c = conns.remove(&token).expect("present above");
-                let _ = poller.deregister(c.stream.as_raw_fd());
-                obs.connections.add(-1);
-                obs.write_queue.add(-(c.queued_bytes as i64));
                 // The socket closes on drop; inflight work for this
                 // token finishes server-side and its notices fall on
                 // the floor.
+                close_conn(&c, poller, obs);
                 continue;
             }
             let desired = c.desired_interest();
@@ -948,10 +970,8 @@ fn poll_loop(
     }
     // Teardown: every socket closes (clients observe a disconnect);
     // in-flight jobs complete against the still-running pools.
-    for (_, c) in conns {
-        let _ = poller.deregister(c.stream.as_raw_fd());
-        obs.connections.add(-1);
-        obs.write_queue.add(-(c.queued_bytes as i64));
+    for c in conns.values() {
+        close_conn(c, poller, obs);
     }
     let _ = poller.deregister(listener.as_raw_fd());
 }
@@ -1030,7 +1050,7 @@ fn read_ready(c: &mut Conn, token: usize, ctx: &Ctx<'_, '_>) {
                 }
                 // Gate: over an inflight or write cap, leave the rest
                 // in the kernel buffer (interest update parks reads).
-                if c.inflight >= MAX_CONN_INFLIGHT || c.queued_bytes >= WRITE_QUEUE_SOFT {
+                if c.inflight >= MAX_CONN_INFLIGHT || c.unwritten() >= WRITE_QUEUE_SOFT {
                     return;
                 }
                 if n < chunk.len() {
@@ -1047,24 +1067,28 @@ fn read_ready(c: &mut Conn, token: usize, ctx: &Ctx<'_, '_>) {
     }
 }
 
-/// Cuts every complete frame out of the read buffer and dispatches it.
+/// Cuts every complete frame out of the read buffer and dispatches it,
+/// advancing a cursor and dropping the consumed prefix once per pass (a
+/// drain per frame would memmove the rest of the chunk each time).
 fn parse_ready(c: &mut Conn, token: usize, ctx: &Ctx<'_, '_>) {
+    let mut at = 0;
     while !c.dead && !c.closing {
-        match Frame::parse_prefix(&c.read_buf) {
+        match Frame::parse_prefix(&c.read_buf[at..]) {
             Ok(Some((frame, used))) => {
-                c.read_buf.drain(..used);
+                at += used;
                 dispatch_frame(c, token, &frame, ctx);
             }
-            Ok(None) => return,
+            Ok(None) => break,
             Err(_) => {
                 // Framing garbage (bad magic, oversized claim): the
                 // stream is unsynchronizable — close quietly, exactly
                 // like the blocking reader's torn-frame path.
                 c.dead = true;
-                return;
+                break;
             }
         }
     }
+    c.read_buf.drain(..at);
 }
 
 /// One decoded frame: jobs admitted and cheap pulls answered inline,
@@ -1137,9 +1161,8 @@ fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) 
         }
         Ok(other) => {
             // A server-to-client message arriving at the server is a
-            // protocol violation; name it, flush, and close (`closing`
-            // goes up first, so the drain that empties the queue is the
-            // one that closes).
+            // protocol violation; name it, flush, and close (the flush
+            // that empties the buffer is the one that closes).
             ctx.counters.rejected.fetch_add(1, Ordering::Relaxed);
             c.closing = true;
             reply(
@@ -1164,16 +1187,15 @@ fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) 
     }
 }
 
-/// Queues an inline reply and drains what the socket will take now.
+/// Appends an inline reply; the end-of-cycle flush writes it.
 fn reply(c: &mut Conn, msg: &Msg, obs: &NetObs) {
-    enqueue(c, msg.to_frame().encode(), obs);
-    drain_writes(c, obs);
+    enqueue(c, &msg.to_frame().encode(), obs);
 }
 
 /// Publish-time fan-out of one encoded [`Msg::EpochPush`] frame to every
 /// live connection. A connection too far behind is skipped and counted
 /// in `net/pushes_dropped` — owed, not lost: the settle pass sends it
-/// the newest bytes once its queue drains.
+/// the newest bytes once its buffer drains.
 fn broadcast_epoch(
     conns: &mut BTreeMap<usize, Conn>,
     bytes: &[u8],
@@ -1198,36 +1220,32 @@ fn broadcast_epoch(
 /// past [`WRITE_QUEUE_HARD`]; either way `push_owed` records whether the
 /// connection still lacks it. Returns whether the push was queued.
 fn push_epoch(c: &mut Conn, bytes: &[u8], obs: &NetObs) -> bool {
-    c.push_owed = c.queued_bytes + bytes.len() > WRITE_QUEUE_HARD;
+    c.push_owed = c.unwritten() + bytes.len() > WRITE_QUEUE_HARD;
     if !c.push_owed {
-        enqueue(c, bytes.to_vec(), obs);
-        drain_writes(c, obs);
+        enqueue(c, bytes, obs);
     }
     !c.push_owed
 }
 
-/// Appends one encoded frame to the connection's write queue.
-fn enqueue(c: &mut Conn, bytes: Vec<u8>, obs: &NetObs) {
+/// Appends one encoded frame to the connection's write buffer.
+fn enqueue(c: &mut Conn, bytes: &[u8], obs: &NetObs) {
     obs.frames_out.incr();
     obs.write_queue.add(bytes.len() as i64);
-    c.queued_bytes += bytes.len();
-    c.queue.push_back(bytes);
+    c.out.extend_from_slice(bytes);
 }
 
-/// Writes queued frames until the socket would block or the queue is
-/// empty; a closing connection whose queue drains dies here.
+/// Writes the buffer until the socket would block or nothing is left; a
+/// closing connection whose buffer empties dies here. Memory stays
+/// O(unwritten bytes): the written prefix is dropped once it is more
+/// than half the buffer, and capacity beyond twice the unwritten bytes
+/// plus [`WRITE_BUF_KEEP`] is given back.
 fn drain_writes(c: &mut Conn, obs: &NetObs) {
-    while let Some(front) = c.queue.front() {
-        match c.stream.write(&front[c.write_pos..]) {
+    while c.unwritten() > 0 {
+        match c.stream.write(&c.out[c.written..]) {
             Ok(n) => {
-                c.write_pos += n;
-                if c.write_pos == front.len() {
-                    let len = front.len();
-                    c.queue.pop_front();
-                    c.write_pos = 0;
-                    c.queued_bytes -= len;
-                    obs.write_queue.add(-(len as i64));
-                }
+                c.written += n;
+                obs.writes.incr();
+                obs.write_queue.add(-(n as i64));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1237,9 +1255,24 @@ fn drain_writes(c: &mut Conn, obs: &NetObs) {
             }
         }
     }
-    if c.closing && c.queue.is_empty() {
+    let unwritten = c.unwritten();
+    let keep = 2 * unwritten + WRITE_BUF_KEEP;
+    if c.written > unwritten || c.out.capacity() > keep {
+        c.out.drain(..c.written);
+        c.written = 0;
+        c.out.shrink_to(keep);
+    }
+    if c.closing && unwritten == 0 {
         c.dead = true;
     }
+}
+
+/// Forgets a closed connection: deregisters its socket and takes it and
+/// its unwritten bytes out of the gauges.
+fn close_conn(c: &Conn, poller: &Poller, obs: &NetObs) {
+    let _ = poller.deregister(c.stream.as_raw_fd());
+    obs.connections.add(-1);
+    obs.write_queue.add(-(c.unwritten() as i64));
 }
 
 #[cfg(test)]
@@ -1297,7 +1330,7 @@ mod tests {
         };
 
         // The peer reads nothing: replies back up until more than the
-        // hard cap sits in the queue (the kernel's socket buffers absorb
+        // hard cap sits unwritten (the kernel's socket buffers absorb
         // the first few megabytes).
         let filler = Msg::Error {
             message: "x".repeat(512 << 10),
@@ -1306,8 +1339,8 @@ mod tests {
         .encode();
         let c = conns.get_mut(&1).unwrap();
         let mut fillers = 0;
-        while c.queued_bytes <= WRITE_QUEUE_HARD {
-            enqueue(c, filler.clone(), &obs);
+        while c.unwritten() <= WRITE_QUEUE_HARD {
+            enqueue(c, &filler, &obs);
             drain_writes(c, &obs);
             fillers += 1;
         }
@@ -1329,11 +1362,13 @@ mod tests {
         // Still over the cap: the settle attempt changes nothing.
         assert!(!push_epoch(c, &push(2), &obs));
 
-        // The peer starts reading; the queue drains into the socket.
+        // The peer starts reading; the buffer drains into the socket,
+        // starting with the settle pass's flush.
         let mut received = Vec::new();
         let mut chunk = vec![0u8; 1 << 20];
         let mut drain_to_peer = |c: &mut Conn| {
-            while !c.queue.is_empty() {
+            drain_writes(c, &obs);
+            while c.unwritten() > 0 {
                 let n = peer.read(&mut chunk).unwrap();
                 received.extend_from_slice(&chunk[..n]);
                 drain_writes(c, &obs);
@@ -1378,13 +1413,127 @@ mod tests {
         c.inflight = MAX_CONN_INFLIGHT;
         assert!(!c.desired_interest().readable, "inflight cap gates reads");
         c.inflight = 0;
-        c.queued_bytes = WRITE_QUEUE_SOFT;
-        c.queue.push_back(vec![0]);
+        c.out.resize(WRITE_QUEUE_SOFT, 0);
         let want = c.desired_interest();
         assert!(!want.readable, "write backlog gates reads");
         assert!(want.writable, "queued frames want writability");
-        c.queued_bytes = 0;
-        c.queue.clear();
+        c.written = c.out.len();
         assert!(c.desired_interest().readable, "gates re-open when drained");
+    }
+
+    /// The write side is one byte stream. A cycle's inline reply, posted
+    /// notices and epoch push leave in one write, in order; a backlog
+    /// behind a stalled peer arrives intact once it reads again, in a
+    /// buffer whose memory follows its unwritten bytes; and the
+    /// write-queue gauge returns to zero after a drain and after a
+    /// connection dies with bytes still queued.
+    #[test]
+    fn a_cycle_leaves_in_one_write_and_a_backlog_drains_intact() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let obs = NetObs::new();
+        let mut c = Conn::new(stream, false);
+
+        // One cycle: an inline reply, a driver's and a worker's posted
+        // frames (the notice loop appends them as-is), an epoch push,
+        // then the settle pass's flush.
+        let cycle = [
+            Msg::Accepted { job: 7 },
+            Msg::Verdict {
+                job: 7,
+                verdict: None,
+            },
+            Msg::ReportAck(WireReceipt {
+                duplicate: false,
+                shards_touched: 1,
+                observations: 2,
+                epoch: 3,
+            }),
+            Msg::EpochPush {
+                epoch: "epoch 3".into(),
+            },
+        ];
+        reply(&mut c, &cycle[0], &obs);
+        for msg in &cycle[1..3] {
+            enqueue(&mut c, &msg.to_frame().encode(), &obs);
+        }
+        assert!(push_epoch(&mut c, &cycle[3].to_frame().encode(), &obs));
+        assert_eq!(obs.writes.get(), 0, "a frame left before the flush");
+        drain_writes(&mut c, &obs);
+        assert_eq!(obs.frames_out.get(), 4);
+        assert_eq!(obs.writes.get(), 1, "one cycle took more than one write");
+        assert_eq!(obs.write_queue.get(), 0);
+        let sent: Vec<u8> = cycle.iter().flat_map(|m| m.to_frame().encode()).collect();
+        let mut received = vec![0u8; sent.len()];
+        peer.read_exact(&mut received).unwrap();
+        let mut msgs = Vec::new();
+        let mut at = 0;
+        while let Some((frame, used)) = Frame::parse_prefix(&received[at..]).unwrap() {
+            msgs.push(Msg::from_frame(&frame).unwrap());
+            at += used;
+        }
+        assert_eq!(at, received.len(), "trailing partial frame");
+        assert_eq!(msgs, cycle);
+
+        // The peer stops reading: frames back up until writes go
+        // partial and megabytes sit unwritten.
+        let filler = Msg::Error {
+            message: "x".repeat(256 << 10),
+        }
+        .to_frame()
+        .encode();
+        let memory_follows_unwritten = |c: &Conn| {
+            assert!(
+                c.out.capacity() <= 2 * c.unwritten() + WRITE_BUF_KEEP,
+                "capacity {} for {} unwritten bytes",
+                c.out.capacity(),
+                c.unwritten()
+            );
+        };
+        let mut sent = Vec::new();
+        while c.unwritten() <= WRITE_QUEUE_HARD {
+            enqueue(&mut c, &filler, &obs);
+            sent.extend_from_slice(&filler);
+            drain_writes(&mut c, &obs);
+            memory_follows_unwritten(&c);
+        }
+        let partial_writes = obs.writes.get();
+        assert_eq!(obs.write_queue.get(), c.unwritten() as i64);
+
+        // It reads again; every writable moment drains what fits.
+        let mut received = Vec::new();
+        let mut chunk = vec![0u8; 256 << 10];
+        while c.unwritten() > 0 {
+            let n = peer.read(&mut chunk).unwrap();
+            received.extend_from_slice(&chunk[..n]);
+            drain_writes(&mut c, &obs);
+            memory_follows_unwritten(&c);
+        }
+        assert!(obs.writes.get() > partial_writes, "the backlog never moved");
+        assert!(
+            c.out.capacity() <= WRITE_BUF_KEEP,
+            "a drained burst kept its memory"
+        );
+        assert_eq!(obs.write_queue.get(), 0);
+        let rest = sent.len() - received.len();
+        let mut tail = vec![0u8; rest];
+        peer.read_exact(&mut tail).unwrap();
+        received.extend_from_slice(&tail);
+        assert!(received == sent, "the backlog arrived altered");
+
+        // Stalled again, then the connection dies with bytes queued.
+        while c.unwritten() == 0 {
+            enqueue(&mut c, &filler, &obs);
+            drain_writes(&mut c, &obs);
+        }
+        assert!(obs.write_queue.get() > 0);
+        close_conn(&c, &Poller::new_fallback(), &obs);
+        assert_eq!(
+            obs.write_queue.get(),
+            0,
+            "a dead connection's bytes stayed counted"
+        );
     }
 }

@@ -1053,6 +1053,57 @@ fn health_and_metrics_pull_over_live_tcp() {
     server.shutdown();
 }
 
+/// A pipelining client's frames are cut from one read and answered in
+/// order: 1000 `HealthPull`s sent in a single write get exactly 1000
+/// `Health` replies, then the reply to the next request. The server's
+/// `net/writes` counter saw at least one write and no more writes than
+/// frames.
+#[test]
+fn a_thousand_pipelined_pulls_get_a_thousand_replies_in_order() {
+    const PULLS: usize = 1000;
+    let server = NetFrontend::bind(EspressoLike::new(), "127.0.0.1:0", net_config(1))
+        .expect("bind localhost");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+    raw.write_all(&Msg::HealthPull.to_frame().encode().repeat(PULLS))
+        .expect("write the pipeline");
+
+    let mut reader = std::io::BufReader::new(raw.try_clone().expect("clone"));
+    let mut read_msg = || {
+        let frame = Frame::read_from(&mut reader)
+            .expect("read a frame")
+            .expect("the server closed early");
+        Msg::from_frame(&frame).expect("decode")
+    };
+    let mut uptime = 0;
+    for i in 0..PULLS {
+        match read_msg() {
+            Msg::Health(health) => {
+                assert!(health.uptime_ms >= uptime, "reply {i} went back in time");
+                uptime = health.uptime_ms;
+            }
+            other => panic!("reply {i}: unexpected {other:?}"),
+        }
+    }
+    Msg::MetricsPull
+        .to_frame()
+        .write_to(&mut raw)
+        .expect("pull metrics");
+    let Msg::Metrics(snap) = read_msg() else {
+        panic!("the metrics reply did not follow the health replies");
+    };
+    assert_eq!(snap.counter("net/frames_in"), Some(PULLS as u64 + 1));
+    let frames_out = snap.counter("net/frames_out").expect("net/frames_out");
+    let writes = snap.counter("net/writes").expect("net/writes");
+    assert_eq!(frames_out, PULLS as u64);
+    assert!(
+        0 < writes && writes <= frames_out,
+        "{writes} writes for {frames_out} frames"
+    );
+    drop(reader);
+    drop(raw);
+    server.shutdown();
+}
+
 /// Health over a durable backend: after a restart-with-recovery the
 /// probe reports durable mode and the recovery count.
 #[test]
