@@ -463,7 +463,6 @@ pub fn fleet() -> Row {
         clients: 600,
         max_rounds: 6,
         fleet: FleetConfig {
-            shards: 16,
             publish_every: 1,
             ..FleetConfig::default()
         },

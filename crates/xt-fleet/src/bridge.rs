@@ -2,7 +2,7 @@
 //! fleet service accumulates, published epochs fan back out to the pools.
 //!
 //! §6.4's collaborative correction has two halves. The *fleet* half —
-//! shards, evidence, epochs — is [`FleetService`]. The *runtime* half is a
+//! evidence, epochs — is [`FleetService`]. The *runtime* half is a
 //! replicated executor that notices something went wrong long before any
 //! classifier could: a vote divergence or replica failure on a single
 //! input ([`PoolFrontend`]). This
@@ -52,7 +52,7 @@ fn probe_seed(base: u64, seq: u32) -> u64 {
 ///
 /// The fill probability comes from the service's own classifier
 /// configuration, so the probes produce evidence in exactly the shape the
-/// shards expect.
+/// evidence table expects.
 #[allow(clippy::too_many_arguments)]
 pub fn report_failure(
     service: &FleetService,

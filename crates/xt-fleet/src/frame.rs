@@ -66,8 +66,8 @@ pub enum WireError {
     },
     /// The claimed distinct-site population is implausible: zero alongside
     /// non-empty observation or hint arrays, or above the entry cap. A
-    /// hostile value here would skew the §5 Bayesian prior `N` for a
-    /// whole shard.
+    /// hostile value here would skew the §5 Bayesian prior `N` for
+    /// every site.
     BadSiteCount {
         /// Byte offset of the `n_sites` field.
         at: usize,

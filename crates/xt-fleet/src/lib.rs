@@ -14,14 +14,14 @@
 //!    allocator stack), and submit it as a compact binary [`RunReport`]
 //!    (module [`wire`]).
 //! 2. **The service** ([`FleetService`], module [`service`]) folds reports
-//!    into `N` evidence shards keyed by allocation-site hash. Each shard
-//!    is an [`EvidenceTable`](xt_isolate::evidence::EvidenceTable) — the
-//!    §5 Bayesian hypothesis test in running-product form — behind its own
-//!    lock, so ingestion scales with cores. Because evidence merge and the
-//!    patch-lattice join of `xt-patch` are commutative, associative, and
-//!    (with delivery dedup) idempotent, any interleaving of the fleet's
-//!    reports converges to the same state.
-//! 3. **Publication**: the service periodically classifies every shard and
+//!    into one [`EvidenceTable`](xt_isolate::evidence::EvidenceTable) —
+//!    the §5 Bayesian hypothesis test in running-product form — behind
+//!    one lock. Folds are serialized upstream anyway: the durable server
+//!    folds in WAL order under its write gate. Because the running-product
+//!    fold and the patch-lattice join of `xt-patch` are commutative,
+//!    associative, and (with delivery dedup) idempotent, any interleaving
+//!    of the fleet's reports converges to the same state.
+//! 3. **Publication**: the service periodically classifies the table and
 //!    joins newly flagged patches into a versioned
 //!    [`PatchEpoch`](xt_patch::PatchEpoch). Epochs are monotone — §6.4's
 //!    max-merge guarantees epoch `n + 1` covers epoch `n` — so clients
@@ -70,7 +70,7 @@
 //! The service carries an [`xt_obs::Registry`]
 //! ([`FleetService::observability`]) with per-stage latency histograms
 //! — `fleet/ingest` (decode + admit + fold, wire path), `fleet/fold`
-//! (the shard-fold loop alone), `fleet/publish` (classification +
+//! (the evidence fold alone), `fleet/publish` (classification +
 //! epoch mint), and `fleet/wal_append` (storage appends, populated by
 //! [`DurableFleet`]). Buckets are powers of two in nanoseconds
 //! ([`xt_obs::HISTOGRAM_BUCKETS`]); snapshots merge bucket-wise and

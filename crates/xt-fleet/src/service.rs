@@ -1,27 +1,28 @@
-//! The sharded collaborative-correction service.
+//! The collaborative-correction service.
 //!
 //! Architecture (the Windows-Error-Reporting-scale loop of §5/§6.4):
 //!
-//! * **Ingestion** — a decoded [`RunReport`] is split by allocation site
-//!   and folded into `N` shards, each a
-//!   [`EvidenceTable`] behind its own
-//!   mutex. Sites are assigned to shards by Fibonacci hash, so two
-//!   concurrent reports contend only when they carry evidence for sites
-//!   that map to the same shard — ingestion throughput scales with cores
-//!   until the shard count is exhausted. Run-level metadata (report and
-//!   failure counts, the site-population maximum `N` for the prior) lives
-//!   in shared atomics.
-//! * **Classification** — the Bayesian test runs *incrementally*: each
-//!   shard's evidence is running-product state, so folding a report costs
+//! * **Ingestion** — a decoded [`RunReport`]'s observations and hints
+//!   fold, in report order, into one [`EvidenceTable`] behind one mutex.
+//!   One table suffices because folds are serialized upstream anyway:
+//!   the durable server ([`DurableFleet`](crate::wal::DurableFleet))
+//!   folds every record in LSN order under its one write gate, and the
+//!   simulator, the scorecard and the benchmark ingest on one thread.
+//!   Run-level metadata (report and failure counts, the site-population
+//!   maximum `N` for the prior) lives in shared atomics, and dedup runs
+//!   before the fold under its own lock.
+//! * **Classification** — the Bayesian test runs *incrementally*: the
+//!   evidence is running-product state, so folding a report costs
 //!   O(observations × grid) and classification at publish time costs
 //!   O(sites × grid), independent of how many reports ever arrived.
-//! * **Publication** — [`FleetService::publish`] classifies every shard
+//! * **Publication** — [`FleetService::publish`] classifies the table
 //!   under the global prior, joins the flagged patches into the previous
 //!   epoch's table (the patch lattice of `xt-patch` makes this a
 //!   convergent, monotone state), and installs a new
-//!   [`PatchEpoch`] snapshot. Clients poll
+//!   [`PatchEpoch`] snapshot, all under the table lock, so publishers and
+//!   snapshot exports serialize on it. Clients poll
 //!   [`FleetService::latest`], which hands out the current `Arc` snapshot
-//!   without touching any shard lock — readers never block ingestion.
+//!   without touching the table lock — readers never block ingestion.
 //! * **Delivery dedup** — reports are identified by `(client, seq)`;
 //!   redelivery (at-least-once transports, client retries) is dropped, so
 //!   ingestion is idempotent at the service level. Dedup state is a
@@ -31,17 +32,17 @@
 //!   `tests/properties.rs` verify order-insensitivity and idempotence
 //!   against a sequential reference.
 //! * **Long-haul survival** — a panicking ingest thread used to poison a
-//!   shard mutex and turn every later ingest into a panic, killing the
-//!   service forever. Locks are now recovered: every shard mutation is a
+//!   lock and turn every later ingest into a panic, killing the service
+//!   forever. Locks are now recovered: every table mutation is a
 //!   sequence of self-contained `observe_*`/`hint_*` calls that each
-//!   leave the evidence table consistent (the splitting work happens
-//!   outside the lock), so `PoisonError::into_inner` is sound — at worst
-//!   the interrupted report's remaining observations are lost (its seq
-//!   was recorded by dedup on the way in, so a redelivery is dropped,
-//!   not re-folded). A bounded loss of one report's evidence is exactly
-//!   what cumulative mode is built to absorb — §5 classifies over report
-//!   *populations* — whereas the drop direction preserves idempotence.
-//!   Each recovery is counted in [`FleetMetrics::lock_recoveries`].
+//!   leave the evidence table consistent, so `PoisonError::into_inner`
+//!   is sound — at worst the interrupted report's remaining observations
+//!   are lost (its seq was recorded by dedup on the way in, so a
+//!   redelivery is dropped, not re-folded). A bounded loss of one
+//!   report's evidence is exactly what cumulative mode is built to
+//!   absorb — §5 classifies over report *populations* — whereas the
+//!   drop direction preserves idempotence. Each recovery is counted in
+//!   [`FleetMetrics::lock_recoveries`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -52,7 +53,7 @@ use xt_alloc::{SiteHash, SitePair};
 use xt_isolate::cumulative::CumulativeConfig;
 use xt_isolate::evidence::{EvidenceTable, SiteEvidence};
 use xt_obs::{Histogram, Registry, RegistrySnapshot, TokenBucket, TokenBucketConfig};
-use xt_patch::{PatchEpoch, PatchParseError, PatchTable};
+use xt_patch::{PatchEpoch, PatchParseError};
 
 use crate::delivery::ReplayWindow;
 use crate::wire::{EvidenceRecord, FleetSnapshot, RunReport, WireError};
@@ -60,9 +61,7 @@ use crate::wire::{EvidenceRecord, FleetSnapshot, RunReport, WireError};
 /// Service configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct FleetConfig {
-    /// Number of evidence shards (ingestion parallelism).
-    pub shards: usize,
-    /// Classifier parameters shared by all shards.
+    /// Classifier parameters of the evidence table.
     pub isolator: CumulativeConfig,
     /// Auto-publish a new epoch after this many ingested reports
     /// (0 = publish only when [`FleetService::publish`] is called).
@@ -82,7 +81,6 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            shards: 16,
             isolator: CumulativeConfig::default(),
             publish_every: 256,
             dedup_delivery: true,
@@ -96,8 +94,6 @@ impl Default for FleetConfig {
 pub struct IngestReceipt {
     /// The report was a redelivery and was dropped.
     pub duplicate: bool,
-    /// Shards whose evidence the report touched.
-    pub shards_touched: usize,
     /// Per-site observations folded in.
     pub observations: usize,
     /// Latest published epoch number — the client's cue to poll when it
@@ -116,7 +112,7 @@ pub struct FleetMetrics {
     pub duplicates: u64,
     /// Malformed wire reports rejected by decode validation before any
     /// evidence was touched (bad framing, hostile counts, implausible
-    /// site populations). A rejected report never reaches the shards or
+    /// site populations). A rejected report never reaches the evidence or
     /// the prior — it is counted, not folded.
     pub rejected_reports: u64,
     /// Well-formed wire reports refused by per-client admission control
@@ -131,12 +127,10 @@ pub struct FleetMetrics {
     /// published (0 for the genesis epoch) — the fleet's
     /// "reports-to-isolation" analogue of the paper's per-user run counts.
     pub epoch_reports: u64,
-    /// Distinct sites with evidence, summed over shards.
+    /// Distinct sites with evidence.
     pub sites_tracked: usize,
     /// The global site-population maximum (prior `N`).
     pub n_sites: usize,
-    /// Configured shard count.
-    pub shards: usize,
     /// Clients with live delivery-dedup state — the dedup memory bound is
     /// O(this), independent of how many reports each client ever sent.
     pub dedup_clients: usize,
@@ -180,7 +174,6 @@ impl FleetMetrics {
             ("fleet/recoveries".to_string(), self.recoveries),
             ("fleet/rejected_reports".to_string(), self.rejected_reports),
             ("fleet/reports".to_string(), self.reports),
-            ("fleet/shards".to_string(), self.shards as u64),
             ("fleet/sites_tracked".to_string(), self.sites_tracked as u64),
             (
                 "fleet/snapshots_written".to_string(),
@@ -220,18 +213,17 @@ pub struct DurabilityStats {
     pub torn_tail_truncated: u64,
 }
 
-/// The sharded collaborative-correction service. All methods take `&self`;
+/// The collaborative-correction service. All methods take `&self`;
 /// share one instance across ingestion threads.
 #[derive(Debug)]
 pub struct FleetService {
     config: FleetConfig,
-    /// Per-shard evidence, each behind an independent lock.
-    shards: Vec<Mutex<EvidenceTable>>,
-    /// Delivery-dedup state, sharded by client hash (a different axis
-    /// than the evidence shards: one report checks exactly one dedup
-    /// shard). One bounded [`ReplayWindow`] per client — O(clients)
-    /// memory for the life of the service.
-    seen: Vec<Mutex<HashMap<u64, ReplayWindow>>>,
+    /// The fleet's evidence. Every fold, publish and snapshot export
+    /// holds this lock, so no epoch is minted mid-export.
+    evidence: Mutex<EvidenceTable>,
+    /// Delivery-dedup state: one bounded [`ReplayWindow`] per client —
+    /// O(clients) memory for the life of the service.
+    seen: Mutex<HashMap<u64, ReplayWindow>>,
     /// Global site-population maximum (`N` of the `cN − 1` threshold).
     n_sites: AtomicUsize,
     reports: AtomicU64,
@@ -239,10 +231,9 @@ pub struct FleetService {
     duplicates: AtomicU64,
     rejected: AtomicU64,
     rate_limited: AtomicU64,
-    /// Per-client admission buckets for the wire ingest path, sharded
-    /// by client hash like `seen`. Empty maps unless
-    /// [`FleetConfig::rate_limit`] is set.
-    limiters: Vec<Mutex<HashMap<u64, TokenBucket>>>,
+    /// Per-client admission buckets for the wire ingest path. Empty
+    /// unless [`FleetConfig::rate_limit`] is set.
+    limiters: Mutex<HashMap<u64, TokenBucket>>,
     /// Reports since the last publish (drives auto-publish).
     pending: AtomicU64,
     /// Poisoned locks recovered (panicking ingest/publish threads).
@@ -252,8 +243,6 @@ pub struct FleetService {
     ingest_hist: Arc<Histogram>,
     fold_hist: Arc<Histogram>,
     publish_hist: Arc<Histogram>,
-    /// Serializes publishers; ingestion never takes it.
-    publish_lock: Mutex<()>,
     /// The current epoch snapshot, paired with the report count at its
     /// publication (one lock, so readers always see a consistent pair).
     /// Readers clone the `Arc` and go.
@@ -268,13 +257,8 @@ pub struct FleetService {
 
 impl FleetService {
     /// Creates a service with empty evidence and the genesis epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.shards` is zero.
     #[must_use]
     pub fn new(config: FleetConfig) -> Self {
-        assert!(config.shards > 0, "need at least one shard");
         let registry = Registry::new();
         let (ingest_hist, fold_hist, publish_hist) = (
             registry.histogram("fleet/ingest"),
@@ -282,24 +266,17 @@ impl FleetService {
             registry.histogram("fleet/publish"),
         );
         FleetService {
-            shards: (0..config.shards)
-                .map(|_| Mutex::new(EvidenceTable::new(config.isolator)))
-                .collect(),
-            seen: (0..config.shards.max(4))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            evidence: Mutex::new(EvidenceTable::new(config.isolator)),
+            seen: Mutex::new(HashMap::new()),
             n_sites: AtomicUsize::new(1),
             reports: AtomicU64::new(0),
             failed_reports: AtomicU64::new(0),
             duplicates: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             rate_limited: AtomicU64::new(0),
-            limiters: (0..config.shards.max(4))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            limiters: Mutex::new(HashMap::new()),
             pending: AtomicU64::new(0),
             lock_recoveries: AtomicU64::new(0),
-            publish_lock: Mutex::new(()),
             epoch: RwLock::new((Arc::new(PatchEpoch::genesis()), 0)),
             epoch_signal: Mutex::new(0),
             epoch_wake: Condvar::new(),
@@ -324,13 +301,6 @@ impl FleetService {
     #[must_use]
     pub fn config(&self) -> &FleetConfig {
         &self.config
-    }
-
-    /// Which shard owns `site` (Fibonacci hash of the site hash).
-    #[must_use]
-    pub fn shard_of(&self, site: SiteHash) -> usize {
-        let h = u64::from(site.raw().wrapping_mul(0x9E37_79B9));
-        ((h * self.shards.len() as u64) >> 32) as usize
     }
 
     /// Locks `mutex`, recovering (and counting) a poisoning left behind by
@@ -385,13 +355,8 @@ impl FleetService {
         let Some(rate) = self.config.rate_limit else {
             return Ok(());
         };
-        let shard = (client as usize) % self.limiters.len();
         let admitted = self
-            .lock_recovering(
-                self.limiters
-                    .get(shard)
-                    .expect("limiter shard index in range"),
-            )
+            .lock_recovering(&self.limiters)
             .entry(client)
             .or_insert_with(|| TokenBucket::new(rate, client))
             .try_admit();
@@ -414,13 +379,8 @@ impl FleetService {
     /// Ingests one decoded report.
     pub fn ingest_report(&self, report: &RunReport) -> IngestReceipt {
         if self.config.dedup_delivery {
-            let dedup_shard = (report.client as usize) % self.seen.len();
             let delivery = self
-                .lock_recovering(
-                    self.seen
-                        .get(dedup_shard)
-                        .expect("dedup shard index in range"),
-                )
+                .lock_recovering(&self.seen)
                 .entry(report.client)
                 .or_default()
                 .observe(report.seq);
@@ -428,7 +388,6 @@ impl FleetService {
                 self.duplicates.fetch_add(1, Ordering::Relaxed);
                 return IngestReceipt {
                     duplicate: true,
-                    shards_touched: 0,
                     observations: 0,
                     epoch: self.latest().number,
                 };
@@ -441,46 +400,20 @@ impl FleetService {
         self.n_sites
             .fetch_max(report.n_sites as usize, Ordering::Relaxed);
 
-        // Split the report by owning shard, then take each touched shard's
-        // lock exactly once.
-        let mut batches: Vec<(usize, ShardBatch)> = Vec::new();
-        for &(site, x, y) in &report.overflow_obs {
-            batch_for(&mut batches, self.shard_of(SiteHash::from_raw(site)))
-                .overflow
-                .push((site, x, y));
-        }
-        for &(site, x, y) in &report.dangling_obs {
-            batch_for(&mut batches, self.shard_of(SiteHash::from_raw(site)))
-                .dangling
-                .push((site, x, y));
-        }
-        for &(site, pad) in &report.pad_hints {
-            batch_for(&mut batches, self.shard_of(SiteHash::from_raw(site)))
-                .pads
-                .push((site, pad));
-        }
-        for &(alloc, free, ticks) in &report.defer_hints {
-            batch_for(&mut batches, self.shard_of(SiteHash::from_raw(alloc)))
-                .defers
-                .push((alloc, free, ticks));
-        }
-
-        let shards_touched = batches.len();
         let fold_started = Instant::now();
-        for (idx, batch) in batches {
-            let mut shard =
-                self.lock_recovering(self.shards.get(idx).expect("shard index in range"));
-            for (site, x, y) in batch.overflow {
-                shard.observe_overflow(SiteHash::from_raw(site), x, y);
+        {
+            let mut evidence = self.lock_recovering(&self.evidence);
+            for &(site, x, y) in &report.overflow_obs {
+                evidence.observe_overflow(SiteHash::from_raw(site), x, y);
             }
-            for (site, x, y) in batch.dangling {
-                shard.observe_dangling(SiteHash::from_raw(site), x, y);
+            for &(site, x, y) in &report.dangling_obs {
+                evidence.observe_dangling(SiteHash::from_raw(site), x, y);
             }
-            for (site, pad) in batch.pads {
-                shard.hint_pad(SiteHash::from_raw(site), pad);
+            for &(site, pad) in &report.pad_hints {
+                evidence.hint_pad(SiteHash::from_raw(site), pad);
             }
-            for (alloc, free, ticks) in batch.defers {
-                shard.hint_deferral(
+            for &(alloc, free, ticks) in &report.defer_hints {
+                evidence.hint_deferral(
                     SitePair::new(SiteHash::from_raw(alloc), SiteHash::from_raw(free)),
                     ticks,
                 );
@@ -498,7 +431,6 @@ impl FleetService {
         }
         IngestReceipt {
             duplicate: false,
-            shards_touched,
             observations: report.observations(),
             epoch: self.latest().number,
         }
@@ -521,22 +453,17 @@ impl FleetService {
         (guard.0.clone(), guard.1)
     }
 
-    /// Classifies all shards under the global prior and, if any new
+    /// Classifies the evidence under the global prior and, if any new
     /// patches were isolated, installs the successor epoch. Returns the
-    /// epoch current after the call (new or unchanged).
+    /// epoch current after the call (new or unchanged). Holds the table
+    /// lock throughout, so publishers serialize with each other and with
+    /// snapshot exports.
     pub fn publish(&self) -> Arc<PatchEpoch> {
         // xt-analyze: allow(time-source) -- publish latency observation; feeds the histogram only, never the epoch bytes
         let started = Instant::now();
-        let _publisher = self.lock_recovering(&self.publish_lock);
+        let evidence = self.lock_recovering(&self.evidence);
         self.pending.store(0, Ordering::Relaxed);
-        let n_sites = self.n_sites.load(Ordering::Relaxed);
-        let mut isolated = PatchTable::new();
-        for shard in &self.shards {
-            // One shard lock at a time: ingestion keeps flowing on the
-            // other shards while this one classifies.
-            let contribution = self.lock_recovering(shard).generate_patches_with(n_sites);
-            isolated.merge(&contribution);
-        }
+        let isolated = evidence.generate_patches_with(self.n_sites.load(Ordering::Relaxed));
         let current = self.latest();
         if current.covers(&isolated) {
             // xt-analyze: allow(obs-in-det) -- records how long publish took; the returned epoch is already decided
@@ -600,18 +527,9 @@ impl FleetService {
             rate_limited: self.rate_limited.load(Ordering::Relaxed),
             epoch: epoch.number,
             epoch_reports,
-            sites_tracked: self
-                .shards
-                .iter()
-                .map(|s| self.lock_recovering(s).sites_tracked())
-                .sum(),
+            sites_tracked: self.lock_recovering(&self.evidence).sites_tracked(),
             n_sites: self.n_sites.load(Ordering::Relaxed),
-            shards: self.shards.len(),
-            dedup_clients: self
-                .seen
-                .iter()
-                .map(|s| self.lock_recovering(s).len())
-                .sum(),
+            dedup_clients: self.lock_recovering(&self.seen).len(),
             lock_recoveries: self.lock_recoveries.load(Ordering::Relaxed),
             wal_appends: durability.wal_appends,
             wal_batches: durability.wal_batches,
@@ -623,25 +541,21 @@ impl FleetService {
 
     /// Exports the service's durable state as a compacted
     /// [`FleetSnapshot`] with canonically sorted collections (evidence
-    /// and hints by site, windows by client), so the encoding — and
-    /// therefore [`FleetService::state_digest`] — is independent of the
-    /// shard layout.
+    /// and hints by site — the table's own order — windows by client),
+    /// so the encoding, and therefore [`FleetService::state_digest`], is
+    /// a function of the folded state alone.
     ///
-    /// Takes the publish lock (no epoch can be minted mid-export) and
-    /// each shard lock in turn. Concurrent *ingestion* is not blocked —
-    /// a caller that needs a point-in-time image (the durability layer)
-    /// must quiesce ingest itself, which
-    /// [`DurableFleet`](crate::wal::DurableFleet) does by serializing
-    /// snapshots and ingest under one lock.
+    /// Holds the table lock throughout (no epoch can be minted
+    /// mid-export, and no fold lands half in). Dedup and the counters
+    /// are updated outside that lock, so a caller that needs a
+    /// point-in-time image (the durability layer) must quiesce ingest
+    /// itself, which [`DurableFleet`](crate::wal::DurableFleet) does by
+    /// serializing snapshots and ingest under one lock.
     #[must_use]
     pub fn export_snapshot(&self) -> FleetSnapshot {
-        let _publisher = self.lock_recovering(&self.publish_lock);
+        let evidence = self.lock_recovering(&self.evidence);
         let (epoch, epoch_reports) = self.latest_with_reports();
-        let mut overflow = Vec::new();
-        let mut dangling = Vec::new();
-        let mut pad_hints = Vec::new();
-        let mut defer_hints = Vec::new();
-        let record = |site: SiteHash, e: &SiteEvidence| {
+        let record = |(site, e): (SiteHash, &SiteEvidence)| {
             let (obs, l0, grid) = e.raw_parts();
             EvidenceRecord {
                 site: site.raw(),
@@ -650,31 +564,12 @@ impl FleetService {
                 grid: grid.to_vec(),
             }
         };
-        for shard in &self.shards {
-            let shard = self.lock_recovering(shard);
-            overflow.extend(shard.overflow_evidence().map(|(s, e)| record(s, e)));
-            dangling.extend(shard.dangling_evidence().map(|(s, e)| record(s, e)));
-            pad_hints.extend(shard.pad_hint_entries().map(|(s, p)| (s.raw(), p)));
-            defer_hints.extend(
-                shard
-                    .defer_hint_entries()
-                    .map(|(pair, t)| (pair.alloc.raw(), pair.free.raw(), t)),
-            );
-        }
-        // Each site (and each hint key) lives in exactly one shard, so
-        // sorting yields a canonical, duplicate-free order.
-        overflow.sort_unstable_by_key(|r| r.site);
-        dangling.sort_unstable_by_key(|r| r.site);
-        pad_hints.sort_unstable();
-        defer_hints.sort_unstable();
         let mut windows = Vec::new();
-        for seen in &self.seen {
-            // xt-analyze: allow(hash-iter) -- windows are sorted by client below, erasing per-shard map order before encoding
-            windows.extend(self.lock_recovering(seen).iter().map(|(&client, w)| {
-                let (bits, high) = w.to_parts();
-                (client, bits, high)
-            }));
-        }
+        // xt-analyze: allow(hash-iter) -- windows are sorted by client below, erasing the map's order before encoding
+        windows.extend(self.lock_recovering(&self.seen).iter().map(|(&client, w)| {
+            let (bits, high) = w.to_parts();
+            (client, bits, high)
+        }));
         windows.sort_unstable_by_key(|&(client, _, _)| client);
         FleetSnapshot {
             reports: self.reports.load(Ordering::Relaxed),
@@ -688,19 +583,24 @@ impl FleetService {
                 .unwrap_or(u32::MAX),
             epoch_text: epoch.to_text(),
             windows,
-            overflow,
-            dangling,
-            pad_hints,
-            defer_hints,
+            overflow: evidence.overflow_evidence().map(record).collect(),
+            dangling: evidence.dangling_evidence().map(record).collect(),
+            pad_hints: evidence
+                .pad_hint_entries()
+                .map(|(s, p)| (s.raw(), p))
+                .collect(),
+            defer_hints: evidence
+                .defer_hint_entries()
+                .map(|(pair, t)| (pair.alloc.raw(), pair.free.raw(), t))
+                .collect(),
         }
     }
 
-    /// Rebuilds a service from a snapshot: counters, epoch, evidence
-    /// (re-sharded under `config.shards`, which may differ from the
-    /// exporting service's), and per-client replay windows. The restored
-    /// windows are what make replaying an overlapping WAL tail after
-    /// recovery idempotent — already-accepted `(client, seq)` pairs are
-    /// classified as duplicates and dropped, not re-folded.
+    /// Rebuilds a service from a snapshot: counters, epoch, evidence and
+    /// per-client replay windows. The restored windows are what make
+    /// replaying an overlapping WAL tail after recovery idempotent —
+    /// already-accepted `(client, seq)` pairs are classified as
+    /// duplicates and dropped, not re-folded.
     ///
     /// # Errors
     ///
@@ -737,47 +637,42 @@ impl FleetService {
             usize::try_from(snap.n_sites).unwrap_or(usize::MAX).max(1),
             Ordering::Relaxed,
         );
-        for rec in &snap.overflow {
-            let site = SiteHash::from_raw(rec.site);
+        let restore = |rec: &EvidenceRecord| {
             let evidence = SiteEvidence::from_raw_parts(rec.obs as usize, rec.l0, rec.grid.clone());
-            service
-                .lock_recovering(&service.shards[service.shard_of(site)])
-                .insert_overflow_evidence(site, evidence);
+            (SiteHash::from_raw(rec.site), evidence)
+        };
+        {
+            let mut evidence = service.lock_recovering(&service.evidence);
+            for (site, e) in snap.overflow.iter().map(restore) {
+                evidence.insert_overflow_evidence(site, e);
+            }
+            for (site, e) in snap.dangling.iter().map(restore) {
+                evidence.insert_dangling_evidence(site, e);
+            }
+            for &(site, pad) in &snap.pad_hints {
+                evidence.hint_pad(SiteHash::from_raw(site), pad);
+            }
+            for &(alloc, free, ticks) in &snap.defer_hints {
+                evidence.hint_deferral(
+                    SitePair::new(SiteHash::from_raw(alloc), SiteHash::from_raw(free)),
+                    ticks,
+                );
+            }
         }
-        for rec in &snap.dangling {
-            let site = SiteHash::from_raw(rec.site);
-            let evidence = SiteEvidence::from_raw_parts(rec.obs as usize, rec.l0, rec.grid.clone());
-            service
-                .lock_recovering(&service.shards[service.shard_of(site)])
-                .insert_dangling_evidence(site, evidence);
-        }
-        for &(site, pad) in &snap.pad_hints {
-            let site = SiteHash::from_raw(site);
-            service
-                .lock_recovering(&service.shards[service.shard_of(site)])
-                .hint_pad(site, pad);
-        }
-        for &(alloc, free, ticks) in &snap.defer_hints {
-            let alloc = SiteHash::from_raw(alloc);
-            service
-                .lock_recovering(&service.shards[service.shard_of(alloc)])
-                .hint_deferral(SitePair::new(alloc, SiteHash::from_raw(free)), ticks);
-        }
-        for &(client, bits, high) in &snap.windows {
-            let shard = (client as usize) % service.seen.len();
-            service
-                .lock_recovering(&service.seen[shard])
-                .insert(client, ReplayWindow::from_parts(bits, high));
-        }
+        service.lock_recovering(&service.seen).extend(
+            snap.windows
+                .iter()
+                .map(|&(client, bits, high)| (client, ReplayWindow::from_parts(bits, high))),
+        );
         Ok(service)
     }
 
     /// FNV-1a 128 digest of the canonical snapshot encoding
     /// ([`FleetSnapshot::digest`]): two services with byte-identical
     /// durable state — evidence bit patterns, epoch, windows, counters —
-    /// produce the same value regardless of shard layout. This is the
-    /// equality the crash-injection property test asserts between a
-    /// recovered service and one that never crashed.
+    /// produce the same value. This is the equality the crash-injection
+    /// property test asserts between a recovered service and one that
+    /// never crashed.
     #[must_use]
     pub fn state_digest(&self) -> u128 {
         self.export_snapshot().digest()
@@ -814,28 +709,6 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// A report's evidence, grouped by destination shard.
-#[derive(Default)]
-struct ShardBatch {
-    overflow: Vec<(u32, f64, bool)>,
-    dangling: Vec<(u32, f64, bool)>,
-    pads: Vec<(u32, u32)>,
-    defers: Vec<(u32, u32, u64)>,
-}
-
-/// The batch for shard `idx`, creating it on first touch. Linear scan: a
-/// report touches at most a handful of shards.
-fn batch_for(batches: &mut Vec<(usize, ShardBatch)>, idx: usize) -> &mut ShardBatch {
-    let pos = match batches.iter().position(|(i, _)| *i == idx) {
-        Some(pos) => pos,
-        None => {
-            batches.push((idx, ShardBatch::default()));
-            batches.len() - 1
-        }
-    };
-    &mut batches[pos].1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -857,7 +730,6 @@ mod tests {
     #[test]
     fn evidence_accumulates_into_a_published_patch() {
         let service = FleetService::new(FleetConfig {
-            shards: 4,
             publish_every: 0,
             ..FleetConfig::default()
         });
@@ -883,7 +755,6 @@ mod tests {
     #[test]
     fn redelivery_is_dropped() {
         let service = FleetService::new(FleetConfig {
-            shards: 2,
             publish_every: 0,
             ..FleetConfig::default()
         });
@@ -898,7 +769,6 @@ mod tests {
     #[test]
     fn auto_publish_fires_on_the_configured_cadence() {
         let service = FleetService::new(FleetConfig {
-            shards: 2,
             publish_every: 10,
             ..FleetConfig::default()
         });
@@ -917,7 +787,6 @@ mod tests {
     #[test]
     fn dedup_memory_is_bounded_per_client() {
         let service = FleetService::new(FleetConfig {
-            shards: 2,
             publish_every: 0,
             ..FleetConfig::default()
         });
@@ -969,34 +838,29 @@ mod tests {
         assert_eq!(service.metrics().dedup_clients, 2);
     }
 
-    /// The poison bugfix: a thread that panics while holding a shard lock
-    /// must not turn every later ingest into a panic. The service recovers
-    /// the lock, keeps serving, and counts the event.
+    /// The poison bugfix: a thread that panics while holding the table
+    /// lock must not turn every later ingest into a panic. The service
+    /// recovers the lock, keeps serving, and counts the event.
     #[test]
     fn poisoned_locks_recover_and_ingestion_continues() {
         let service = FleetService::new(FleetConfig {
-            shards: 2,
             publish_every: 0,
             ..FleetConfig::default()
         });
         service.ingest_report(&dangling_report(1, 0, 0xBAD));
-        // Poison every evidence shard and every dedup shard, the way a
+        // Poison the evidence lock and the dedup lock, the way a
         // panicking ingest thread would (hook silenced: these panics are
         // the test fixture, not noise worth printing).
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        for shard in &service.shards {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = shard.lock().expect("not yet poisoned");
-                panic!("simulated ingest panic while holding the shard lock");
-            }));
-        }
-        for seen in &service.seen {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = seen.lock().expect("not yet poisoned");
-                panic!("simulated ingest panic while holding the dedup lock");
-            }));
-        }
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = service.evidence.lock().expect("not yet poisoned");
+            panic!("simulated ingest panic while holding the evidence lock");
+        }));
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = service.seen.lock().expect("not yet poisoned");
+            panic!("simulated ingest panic while holding the dedup lock");
+        }));
         std::panic::set_hook(hook);
         // Ingestion, dedup, publication, and metrics all keep working —
         // enough further clients report that the §5 classifier crosses
@@ -1042,11 +906,10 @@ mod tests {
     /// The hostile-prior hardening end to end: a remote report claiming an
     /// absurd site population is rejected at decode, counted in the
     /// metrics, and leaves the Bayesian prior `N` exactly where honest
-    /// reports put it — instead of silently out-maxing the whole shard.
+    /// reports put it — instead of silently out-maxing every site's prior.
     #[test]
     fn hostile_site_population_is_rejected_and_counted_not_folded() {
         let service = FleetService::new(FleetConfig {
-            shards: 2,
             publish_every: 0,
             ..FleetConfig::default()
         });
@@ -1091,7 +954,6 @@ mod tests {
     #[test]
     fn wire_ingest_rate_limits_flooding_clients_only() {
         let service = FleetService::new(FleetConfig {
-            shards: 2,
             publish_every: 0,
             rate_limit: Some(TokenBucketConfig {
                 burst: 4,
@@ -1143,7 +1005,6 @@ mod tests {
     #[test]
     fn latency_histograms_populate_on_the_service_paths() {
         let service = FleetService::new(FleetConfig {
-            shards: 2,
             publish_every: 0,
             ..FleetConfig::default()
         });
@@ -1160,23 +1021,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_routing_covers_all_shards() {
-        let service = FleetService::new(FleetConfig {
-            shards: 8,
-            ..FleetConfig::default()
-        });
-        let mut hit = vec![false; 8];
-        for raw in 0..512u32 {
-            let idx = service.shard_of(SiteHash::from_raw(raw.wrapping_mul(2654435761)));
-            hit[idx] = true;
-        }
-        assert!(hit.iter().all(|&h| h), "unused shard: {hit:?}");
-    }
-
-    #[test]
     fn concurrent_ingestion_matches_sequential_totals() {
         let config = FleetConfig {
-            shards: 4,
             publish_every: 0,
             ..FleetConfig::default()
         };

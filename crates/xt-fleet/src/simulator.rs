@@ -340,7 +340,6 @@ mod tests {
             clients: 16,
             max_rounds: 12,
             fleet: FleetConfig {
-                shards: 4,
                 publish_every: 16,
                 ..FleetConfig::default()
             },
@@ -355,7 +354,6 @@ mod tests {
             clients: 6,
             max_rounds: 2,
             fleet: FleetConfig {
-                shards: 4,
                 publish_every: 4,
                 ..FleetConfig::default()
             },

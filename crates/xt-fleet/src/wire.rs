@@ -284,14 +284,14 @@ pub struct EvidenceRecord {
 
 /// A compacted image of a [`FleetService`](crate::FleetService)'s entire
 /// durable state: counters, the published epoch, per-client delivery
-/// windows, and every shard's evidence and hints. This is what the
+/// windows, and all of its evidence and hints. This is what the
 /// durability layer writes on its snapshot cadence and reloads on
 /// recovery before replaying the WAL tail.
 ///
 /// The encoding is canonical when the collections are sorted (evidence
 /// and hints by site/key, windows by client) — the export path emits them
-/// sorted, so the encoded bytes are independent of shard layout and a
-/// digest over them compares services with different shard counts.
+/// sorted, so the encoded bytes are a function of the durable state and a
+/// digest over them compares two services' states.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetSnapshot {
     /// Unique reports ingested.
@@ -386,7 +386,7 @@ impl FleetSnapshot {
     /// Parses the binary snapshot format. Like the report decoder, every
     /// field validates with offsets and every length prefix is capped
     /// before allocation; running-product floats must be finite
-    /// probabilities in `[0, 1]` (one smuggled NaN would poison a shard's
+    /// probabilities in `[0, 1]` (one smuggled NaN would poison a site's
     /// evidence permanently), and every grid must match the snapshot's
     /// declared integration grid (mismatched grids cannot be merged).
     ///
@@ -659,7 +659,7 @@ mod tests {
 
     /// The §5-prior hardening: `n_sites` feeds the global `N` via a
     /// `fetch_max`, so one hostile report claiming an absurd population
-    /// would skew classification for a whole shard. The field sits after
+    /// would skew classification for every site. The field sits after
     /// magic(4)+flag(1)+client(8)+seq(4)+clock(8) = offset 25.
     #[test]
     fn rejects_absurd_site_populations() {

@@ -107,7 +107,6 @@ fn script() -> Vec<Action> {
 
 fn fleet_config() -> FleetConfig {
     FleetConfig {
-        shards: 4,
         publish_every: 10,
         ..FleetConfig::default()
     }
@@ -337,7 +336,6 @@ fn batch_ingest_is_one_append_and_replays_identically() {
 #[test]
 fn crash_mid_batch_recovers_and_batch_retry_is_idempotent() {
     let config = || FleetConfig {
-        shards: 4,
         publish_every: 0,
         ..FleetConfig::default()
     };

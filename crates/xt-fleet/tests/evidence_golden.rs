@@ -4,8 +4,10 @@
 //! A seeded synthetic report stream — no program runs — of 3072 reports
 //! from 24 clients, about 40 observations each over 100 sites, with one
 //! buggy overflow site and one buggy dangling site, folds through
-//! `FleetService::ingest_report` at the default configuration (16 shards,
-//! a 512-interval grid, an epoch every 256 reports). The state digest
+//! `FleetService::ingest_report` at the default configuration (a
+//! 512-interval grid, an epoch every 256 reports; the constants were
+//! captured when that configuration split the evidence over 16 shards,
+//! and hold for the one table that replaced them). The state digest
 //! after each third of the stream and the final epoch text must be the
 //! captured ones: the digest covers every grid bit of every site, so any
 //! change to a factor's bits shows here. The stream is long enough that

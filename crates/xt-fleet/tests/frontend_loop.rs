@@ -35,7 +35,6 @@ fn frontend_failures_become_epochs_that_heal_the_frontend() {
         trigger: AllocTime::from_raw(239),
     };
     let service = FleetService::new(FleetConfig {
-        shards: 4,
         publish_every: 8,
         ..FleetConfig::default()
     });

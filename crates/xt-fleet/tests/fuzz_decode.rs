@@ -96,23 +96,18 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
 /// exported — so the fuzzed bytes carry genuine running-product floats,
 /// epoch text, and replay windows, not synthetic approximations.
 fn snapshot_strategy() -> impl Strategy<Value = FleetSnapshot> {
-    (
-        proptest::collection::vec(report_strategy(), 1..10),
-        1usize..5,
-    )
-        .prop_map(|(mut reports, shards)| {
-            let service = FleetService::new(FleetConfig {
-                shards,
-                publish_every: 0,
-                ..FleetConfig::default()
-            });
-            for (i, r) in reports.iter_mut().enumerate() {
-                r.seq = i as u32;
-                service.ingest_report(r);
-            }
-            service.publish();
-            service.export_snapshot()
-        })
+    proptest::collection::vec(report_strategy(), 1..10).prop_map(|mut reports| {
+        let service = FleetService::new(FleetConfig {
+            publish_every: 0,
+            ..FleetConfig::default()
+        });
+        for (i, r) in reports.iter_mut().enumerate() {
+            r.seq = i as u32;
+            service.ingest_report(r);
+        }
+        service.publish();
+        service.export_snapshot()
+    })
 }
 
 /// Truncation points to try: exhaustive for small buffers, seeded

@@ -1,4 +1,4 @@
-//! Service-level convergence laws: sharded, interleaved, at-least-once
+//! Service-level convergence laws: interleaved, at-least-once
 //! ingestion is observably equivalent to a sequential fold of the same
 //! reports — the property that lets §6.4's collaborative correction run
 //! behind any delivery topology. Extends the patch-lattice laws in
@@ -6,9 +6,9 @@
 
 use proptest::prelude::*;
 
-use xt_fleet::{FleetConfig, FleetService, RunReport};
+use xt_fleet::{EvidenceRecord, FleetConfig, FleetService, RunReport};
 use xt_isolate::cumulative::CumulativeConfig;
-use xt_isolate::evidence::EvidenceTable;
+use xt_isolate::evidence::{EvidenceTable, SiteEvidence};
 use xt_patch::PatchTable;
 
 /// Observation probabilities drawn from the values cumulative mode
@@ -58,22 +58,48 @@ fn reports_strategy() -> impl Strategy<Value = Vec<RunReport>> {
     })
 }
 
-fn service(shards: usize) -> FleetService {
+fn service() -> FleetService {
     FleetService::new(FleetConfig {
-        shards,
         publish_every: 0,
         ..FleetConfig::default()
     })
 }
 
 /// The sequential reference: fold every summary into one evidence table
-/// and publish once — no shards, no locks, no interleaving.
-fn sequential_patches(reports: &[RunReport]) -> PatchTable {
+/// — no service, no locks, no interleaving.
+fn sequential_table(reports: &[RunReport]) -> EvidenceTable {
     let mut table = EvidenceTable::new(CumulativeConfig::default());
     for report in reports {
         table.record_run(&report.to_summary());
     }
-    table.generate_patches()
+    table
+}
+
+/// [`sequential_table`], published once.
+fn sequential_patches(reports: &[RunReport]) -> PatchTable {
+    sequential_table(reports).generate_patches()
+}
+
+/// Whether a snapshot's evidence records are the table's sites, in the
+/// same order, with the same `raw_parts` bits.
+fn same_bits<'a>(
+    records: &[EvidenceRecord],
+    table: impl Iterator<Item = (xt_alloc::SiteHash, &'a SiteEvidence)>,
+) -> bool {
+    let table: Vec<_> = table.collect();
+    records.len() == table.len()
+        && records.iter().zip(table).all(|(rec, (site, e))| {
+            let (obs, l0, grid) = e.raw_parts();
+            rec.site == site.raw()
+                && rec.obs == obs as u64
+                && rec.l0.to_bits() == l0.to_bits()
+                && rec.grid.len() == grid.len()
+                && rec
+                    .grid
+                    .iter()
+                    .zip(grid)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        })
 }
 
 /// Deterministic Fisher–Yates driven by a generated seed.
@@ -102,29 +128,31 @@ fn ingest_all(service: &FleetService, reports: &[RunReport]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded ingestion publishes exactly what a sequential fold of the
-    /// same reports would, for any shard count.
+    /// Service ingestion publishes exactly what a sequential fold of the
+    /// same reports would, and holds the same evidence, bit for bit.
     #[test]
-    fn sharded_matches_sequential(reports in reports_strategy(), shards in 1usize..9) {
-        let svc = service(shards);
+    fn service_matches_sequential(reports in reports_strategy()) {
+        let svc = service();
         ingest_all(&svc, &reports);
+        let table = sequential_table(&reports);
+        let snapshot = svc.export_snapshot();
+        prop_assert!(same_bits(&snapshot.overflow, table.overflow_evidence()));
+        prop_assert!(same_bits(&snapshot.dangling, table.dangling_evidence()));
         let epoch = svc.publish();
-        prop_assert_eq!(&epoch.patches, &sequential_patches(&reports));
+        prop_assert_eq!(&epoch.patches, &table.generate_patches());
         prop_assert_eq!(svc.metrics().reports, reports.len() as u64);
     }
 
-    /// Any two interleavings over any two shard layouts agree: ingestion
-    /// is commutative at the service level.
+    /// Any two interleavings agree: ingestion is commutative at the
+    /// service level.
     #[test]
     fn ingestion_is_order_insensitive(
         reports in reports_strategy(),
         seed in 0u64..u64::MAX,
-        shards_a in 1usize..9,
-        shards_b in 1usize..9,
     ) {
-        let a = service(shards_a);
+        let a = service();
         ingest_all(&a, &reports);
-        let b = service(shards_b);
+        let b = service();
         ingest_all(&b, &shuffled(&reports, seed));
         prop_assert_eq!(a.publish().patches, b.publish().patches);
     }
@@ -137,10 +165,10 @@ proptest! {
         dup_prefix in 1usize..14,
         copies in 1usize..4,
     ) {
-        let once = service(4);
+        let once = service();
         ingest_all(&once, &reports);
 
-        let redelivered = service(4);
+        let redelivered = service();
         ingest_all(&redelivered, &reports);
         let prefix = dup_prefix.min(reports.len());
         for _ in 0..copies {
@@ -157,7 +185,7 @@ proptest! {
     /// table still matches the sequential fold of everything.
     #[test]
     fn epochs_are_monotone(reports in reports_strategy(), split in 0usize..14) {
-        let svc = service(4);
+        let svc = service();
         let split = split.min(reports.len());
         ingest_all(&svc, &reports[..split]);
         let early = svc.publish();

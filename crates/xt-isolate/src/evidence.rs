@@ -49,22 +49,28 @@
 //! the snapshot format.
 //!
 //! Because every stored quantity is a product of per-observation factors,
-//! two evidence states over disjoint observation sets combine by pointwise
-//! multiplication: [`SiteEvidence::merge`] is commutative and associative,
-//! which is exactly what a sharded aggregation service needs — any
-//! partition of the fleet's reports, folded in any order, converges to the
-//! same state (up to float rounding). [`EvidenceTable`] lifts the same
-//! property to whole run summaries (site maps, pad/deferral hints, run
-//! counters), giving `xt-fleet` its CRDT-style shard state.
+//! the fold is order-insensitive: the fleet's reports, folded in any
+//! order, reach the same state (up to float rounding), and two states
+//! over disjoint observation sets combine by pointwise multiplication
+//! ([`SiteEvidence::merge`], commutative and associative). An
+//! [`EvidenceTable`] holds one [`SiteEvidence`] per site of each error
+//! family plus the pad/deferral hints: the whole §5 state of `xt-fleet`'s
+//! service, which folds every report into one table. It merges a site
+//! only when a restored snapshot names it twice.
 //!
 //! **Why two classifiers.** The grid is faster per observation but costs
 //! `steps + 1` doubles per site where the list costs a few bytes per
 //! observation: after `tests/modes.rs`'s twenty Mozilla runs (145
-//! site-families) a grid-backed isolator would hold ~600 KB against the
-//! lists' ~12 KB, breaking §3.4's per-execution budget that one user's
-//! state file exists to keep. So lists stay where state is small and
-//! persisted, grids where it must merge. Both decide through the one
-//! rule, `Verdict::decide`.
+//! site-families, 398 observations) a table fed the same summaries holds
+//! 604,504 bytes against the isolator's 11,608, breaking §3.4's
+//! per-execution budget that one user's state file exists to keep. The
+//! two also keep deferral hints differently. The isolator keeps one
+//! `(free site, ticks)` per alloc site, the largest, and patches that
+//! pair; the table keys hints by `(alloc, free)` pair and patches every
+//! hinted pair of a flagged site, so the same runs can yield more
+//! deferrals from the table. So lists stay where state is small and
+//! persisted, grids where reports from a fleet fold. Both decide through
+//! the one rule, `Verdict::decide`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -195,8 +201,8 @@ impl SiteEvidence {
     }
 
     /// Combines evidence accumulated over a *disjoint* set of observations
-    /// (pointwise product). Commutative and associative, so shards and
-    /// aggregators can fold states in any order.
+    /// (pointwise product). Commutative and associative, so states can be
+    /// combined in any order.
     ///
     /// # Panics
     ///
@@ -277,11 +283,11 @@ impl SiteEvidence {
     }
 }
 
-/// A mergeable aggregate of cumulative-mode evidence: per-site
-/// [`SiteEvidence`] for both error families, pad/deferral hints, and run
-/// counters. The order-insensitive equivalent of
+/// An aggregate of cumulative-mode evidence: per-site [`SiteEvidence`]
+/// for both error families, pad/deferral hints, and run counters. The
+/// order-insensitive equivalent of
 /// [`CumulativeIsolator`](crate::cumulative::CumulativeIsolator), and the
-/// state each `xt-fleet` shard keeps.
+/// state the `xt-fleet` service keeps.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EvidenceTable {
     config: CumulativeConfig,
@@ -346,16 +352,6 @@ impl EvidenceTable {
         sites.len()
     }
 
-    /// Notes one run's metadata without observations (used when a run's
-    /// observations are routed elsewhere, e.g. to other shards).
-    pub fn note_run(&mut self, failed: bool, n_sites: usize) {
-        self.runs += 1;
-        if failed {
-            self.failures += 1;
-        }
-        self.n_sites = self.n_sites.max(n_sites);
-    }
-
     /// Folds one overflow-criteria observation in.
     pub fn observe_overflow(&mut self, site: SiteHash, x: f64, y: bool) {
         self.overflow
@@ -386,7 +382,11 @@ impl EvidenceTable {
 
     /// Folds one whole [`RunSummary`] in.
     pub fn record_run(&mut self, summary: &RunSummary) {
-        self.note_run(summary.failed, summary.n_sites);
+        self.runs += 1;
+        if summary.failed {
+            self.failures += 1;
+        }
+        self.n_sites = self.n_sites.max(summary.n_sites);
         for obs in &summary.overflow_obs {
             self.observe_overflow(obs.site, obs.x, obs.y);
         }
@@ -398,46 +398,6 @@ impl EvidenceTable {
         }
         for &(alloc, free, ticks) in &summary.defer_hints {
             self.hint_deferral(SitePair::new(alloc, free), ticks);
-        }
-    }
-
-    /// Combines another table accumulated over a disjoint set of runs.
-    /// Commutative, associative; any gossip/shard topology converges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two tables were accumulated under different
-    /// configurations — evidence is only combinable when every site was
-    /// observed under the same grid, prior, and canary probability.
-    pub fn merge(&mut self, other: &EvidenceTable) {
-        assert_eq!(
-            self.config, other.config,
-            "cannot merge evidence accumulated under different configurations"
-        );
-        self.runs += other.runs;
-        self.failures += other.failures;
-        self.n_sites = self.n_sites.max(other.n_sites);
-        for (site, evidence) in &other.overflow {
-            match self.overflow.entry(*site) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(evidence.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => o.get_mut().merge(evidence),
-            }
-        }
-        for (site, evidence) in &other.dangling {
-            match self.dangling.entry(*site) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(evidence.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => o.get_mut().merge(evidence),
-            }
-        }
-        for (&site, &pad) in &other.pad_hints {
-            self.hint_pad(site, pad);
-        }
-        for (&pair, &ticks) in &other.defer_hints {
-            self.hint_deferral(pair, ticks);
         }
     }
 
@@ -512,10 +472,8 @@ impl EvidenceTable {
     }
 
     /// Verdicts for all sites with overflow evidence, using `n_sites` as
-    /// the population (callers aggregating across shards pass the global
-    /// maximum).
-    #[must_use]
-    pub fn overflow_verdicts_with(&self, n_sites: usize) -> Vec<Verdict> {
+    /// the population.
+    fn overflow_verdicts_with(&self, n_sites: usize) -> Vec<Verdict> {
         self.overflow
             .iter()
             .map(|(&site, e)| e.verdict(site, n_sites, self.config.prior_c))
@@ -523,8 +481,7 @@ impl EvidenceTable {
     }
 
     /// Verdicts for all sites with dangling evidence.
-    #[must_use]
-    pub fn dangling_verdicts_with(&self, n_sites: usize) -> Vec<Verdict> {
+    fn dangling_verdicts_with(&self, n_sites: usize) -> Vec<Verdict> {
         self.dangling
             .iter()
             .map(|(&site, e)| e.verdict(site, n_sites, self.config.prior_c))
@@ -577,12 +534,13 @@ impl EvidenceTable {
     }
 
     /// Resident bytes of the evidence state — per site this is one grid of
-    /// `steps + 1` doubles instead of an unbounded observation list. The
-    /// shared node table is configuration, not state, and is not counted.
+    /// one double per Simpson node instead of an unbounded observation
+    /// list. The shared node table is configuration, not state, and is
+    /// not counted; its length is the grid's.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
         let per_site = std::mem::size_of::<SiteEvidence>()
-            + (self.config.integration_steps + 1) * std::mem::size_of::<f64>();
+            + self.nodes.theta.len() * std::mem::size_of::<f64>();
         (self.overflow.len() + self.dangling.len()) * per_site
             + self.pad_hints.len() * 16
             + self.defer_hints.len() * 24
@@ -652,25 +610,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different configurations")]
-    fn table_merge_rejects_mismatched_configs() {
-        // Even with no common site, mixing configurations must fail at
-        // the merge, not at some later collision.
-        let mut a = EvidenceTable::new(CumulativeConfig {
-            integration_steps: 64,
-            ..CumulativeConfig::default()
-        });
-        let b = EvidenceTable::new(CumulativeConfig {
-            integration_steps: 512,
-            ..CumulativeConfig::default()
-        });
-        a.merge(&b);
-    }
-
-    #[test]
     fn table_matches_batch_isolator_end_to_end() {
         // Feed identical run streams to the batch isolator and the
-        // mergeable table; verdicts and generated patches must agree.
+        // running-product table; verdicts and generated patches must agree.
         let config = CumulativeConfig::default();
         let mut batch = CumulativeIsolator::new(config);
         let mut table = EvidenceTable::new(config);
@@ -709,52 +651,6 @@ mod tests {
         }
         assert_eq!(table.generate_patches(), batch.generate_patches());
         assert_eq!(table.generate_patches().pad_for(BUGGY), 24);
-    }
-
-    #[test]
-    fn sharded_tables_merge_to_the_sequential_state() {
-        // Partition a run stream across three tables (as shards would),
-        // merge, and compare against sequential accumulation.
-        let config = CumulativeConfig {
-            integration_steps: 64,
-            ..CumulativeConfig::default()
-        };
-        let mut sequential = EvidenceTable::new(config);
-        let mut shards = [
-            EvidenceTable::new(config),
-            EvidenceTable::new(config),
-            EvidenceTable::new(config),
-        ];
-        for run in 0..30u32 {
-            let mut summary = RunSummary {
-                failed: run % 2 == 0,
-                n_sites: 50 + (run as usize % 7),
-                ..RunSummary::default()
-            };
-            summary.overflow_obs.push(SiteObservation {
-                site: SiteHash::from_raw(run % 5),
-                x: 0.2 + f64::from(run % 3) * 0.1,
-                y: run % 2 == 0,
-            });
-            summary.pad_hints.push((SiteHash::from_raw(run % 5), run));
-            sequential.record_run(&summary);
-            shards[(run as usize) % 3].record_run(&summary);
-        }
-        let mut merged = shards[1].clone();
-        merged.merge(&shards[2]);
-        merged.merge(&shards[0]);
-        assert_eq!(merged.runs(), sequential.runs());
-        assert_eq!(merged.failures(), sequential.failures());
-        assert_eq!(merged.n_sites(), sequential.n_sites());
-        assert_eq!(merged.generate_patches(), sequential.generate_patches());
-        let a = merged.overflow_verdicts();
-        let b = sequential.overflow_verdicts();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.site, y.site);
-            assert_eq!(x.flagged, y.flagged);
-            assert!(close(x.ratio, y.ratio));
-        }
     }
 
     /// The durability contract: raw-parts round trips are *bit*-exact, so
@@ -863,5 +759,21 @@ mod tests {
         assert_eq!(table.runs(), 1000);
         assert!(table.state_bytes() < 8 * (64 + 2) * 8 + 1024);
         assert_eq!(table.sites_tracked(), 8);
+    }
+
+    /// A site's grid has one double per Simpson node, and an odd step
+    /// count is forced even: 63 steps integrate over 62 intervals, 63
+    /// nodes.
+    #[test]
+    fn state_bytes_counts_the_grid_a_site_holds() {
+        let mut table = EvidenceTable::new(CumulativeConfig {
+            integration_steps: 63,
+            ..CumulativeConfig::default()
+        });
+        table.observe_dangling(BUGGY, 0.5, true);
+        assert_eq!(
+            table.state_bytes(),
+            std::mem::size_of::<SiteEvidence>() + 63 * std::mem::size_of::<f64>()
+        );
     }
 }

@@ -16,9 +16,9 @@
 //!   sites whose objects sit "behind" observed corruption (overflows) or
 //!   whose canarying correlates with failure (dangling pointers) more
 //!   often than chance predicts. [`evidence`] holds the same test in
-//!   incremental, *mergeable* running-product form — the shape a
+//!   incremental, order-insensitive running-product form — the shape a
 //!   fleet-scale aggregation service (`xt-fleet`) needs, where evidence
-//!   from thousands of clients is folded into sharded state in arbitrary
+//!   from thousands of clients is folded into one table in arbitrary
 //!   order.
 //!
 //! Both families produce an [`IsolationReport`] which converts into the

@@ -218,13 +218,16 @@ impl WireOutcome {
     }
 }
 
-/// The wire form of an [`IngestReceipt`](xt_fleet::IngestReceipt).
+/// The wire form of an [`IngestReceipt`](xt_fleet::IngestReceipt): the
+/// `ReportAck` payload is `duplicate (u8) ∥ observations (u32 LE) ∥
+/// epoch (u64 LE)`, 13 bytes. It carried a 4-byte shard count after
+/// `duplicate` until the fleet service folded into one evidence table;
+/// client and server ship together, so neither side reads the old
+/// layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireReceipt {
     /// The report was a redelivery and was dropped.
     pub duplicate: bool,
-    /// Shards the report touched.
-    pub shards_touched: u32,
     /// Observations folded in.
     pub observations: u32,
     /// Latest published epoch number at the server.
@@ -505,7 +508,6 @@ impl Msg {
             }
             Msg::ReportAck(a) => {
                 out.push(u8::from(a.duplicate));
-                out.extend_from_slice(&a.shards_touched.to_le_bytes());
                 out.extend_from_slice(&a.observations.to_le_bytes());
                 out.extend_from_slice(&a.epoch.to_le_bytes());
                 kind::REPORT_ACK
@@ -624,7 +626,6 @@ impl Msg {
             kind::REPORT => Msg::Report(read_blob(&mut r)?),
             kind::REPORT_ACK => Msg::ReportAck(WireReceipt {
                 duplicate: r.bool()?,
-                shards_touched: r.u32()?,
                 observations: r.u32()?,
                 epoch: r.u64()?,
             }),
@@ -718,7 +719,6 @@ mod tests {
             Msg::Report(vec![1, 2, 3]),
             Msg::ReportAck(WireReceipt {
                 duplicate: false,
-                shards_touched: 2,
                 observations: 5,
                 epoch: 3,
             }),

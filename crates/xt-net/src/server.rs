@@ -737,7 +737,6 @@ fn worker_loop(
                         }
                         Msg::ReportAck(WireReceipt {
                             duplicate: receipt.duplicate,
-                            shards_touched: receipt.shards_touched as u32,
                             observations: receipt.observations as u32,
                             epoch: receipt.epoch,
                         })
@@ -1447,7 +1446,6 @@ mod tests {
             },
             Msg::ReportAck(WireReceipt {
                 duplicate: false,
-                shards_touched: 1,
                 observations: 2,
                 epoch: 3,
             }),

@@ -501,7 +501,6 @@ fn site_report(client: u64, seq: u32, site: u32) -> RunReport {
 fn connected_client_observes_pushed_epochs_without_polling() {
     let mut config = net_config(1);
     config.fleet = FleetConfig {
-        shards: 4,
         publish_every: 8,
         ..FleetConfig::default()
     };
@@ -559,7 +558,6 @@ fn connected_client_observes_pushed_epochs_without_polling() {
 fn late_joiner_is_pushed_the_newest_epoch_on_accept() {
     let mut config = net_config(1);
     config.fleet = FleetConfig {
-        shards: 4,
         publish_every: 8,
         ..FleetConfig::default()
     };
@@ -618,7 +616,6 @@ fn late_joiner_is_pushed_the_newest_epoch_on_accept() {
 fn epoch_pushes_and_dropped_tickets_leave_no_buffered_state() {
     let mut config = net_config(1);
     config.fleet = FleetConfig {
-        shards: 4,
         publish_every: 8,
         ..FleetConfig::default()
     };
@@ -689,7 +686,6 @@ fn remote_reports_heal_the_server() {
     };
     let mut config = net_config(2);
     config.fleet = FleetConfig {
-        shards: 4,
         publish_every: 8,
         ..FleetConfig::default()
     };
@@ -823,7 +819,6 @@ fn durable_server_state_survives_restart() {
     let disk = MemStorage::new();
     let mut config = net_config(1);
     config.fleet = FleetConfig {
-        shards: 4,
         publish_every: 8,
         ..FleetConfig::default()
     };

@@ -68,7 +68,6 @@ fn net_config(max_connections: usize) -> NetConfig {
         // publish_every 0: the test publishes explicitly, once every
         // connection is held.
         fleet: FleetConfig {
-            shards: 4,
             publish_every: 0,
             ..FleetConfig::default()
         },

@@ -14,7 +14,7 @@
 //! one runs the real loop the paper sketches (and `xt-fleet` implements):
 //! a community of users, half hitting a cold-site buffer overflow and half
 //! a dangling free, each **submits** its runs' compact summaries to the
-//! sharded aggregation service, the service **aggregates** evidence and
+//! aggregation service, the service **aggregates** evidence and
 //! publishes versioned patch epochs, and every user **pulls** the latest
 //! epoch before its next run. Nobody computes a patch locally — isolation
 //! emerges from the pooled evidence, and one published epoch corrects both
@@ -45,10 +45,8 @@ fn main() {
     println!("bug A (overflow): {overflow:?}");
     println!("bug B (dangling): {dangling:?}");
 
-    // The aggregation service: 8 evidence shards, a fresh epoch every 16
-    // reports.
+    // The aggregation service: a fresh epoch every 16 reports.
     let service = FleetService::new(FleetConfig {
-        shards: 8,
         publish_every: 16,
         ..FleetConfig::default()
     });
@@ -100,8 +98,8 @@ fn main() {
     let m = service.metrics();
     println!(
         "\nfleet: {} reports ({} failed) from {USERS} users in {runs} runs; \
-         {} sites tracked across {} shards; epoch {} published",
-        m.reports, m.failed_reports, m.sites_tracked, m.shards, epoch.number
+         {} sites tracked; epoch {} published",
+        m.reports, m.failed_reports, m.sites_tracked, epoch.number
     );
     println!(
         "published patch file ({} entries, {} bytes):\n{}",

@@ -17,7 +17,7 @@
 //!    bound yet.
 //! 2. **The server binds late, durable.** Its [`NetConfig`] carries a
 //!    [`NetDurability`] over [`DirStorage`]: every remote `XTR1` report
-//!    is WAL-appended *before* it folds into the evidence shards, and
+//!    is WAL-appended *before* it folds into the evidence table, and
 //!    snapshots compact the log on a cadence.
 //! 3. **Evidence accumulates to an epoch**, then the server shuts down
 //!    gracefully (final compacted snapshot, empty WAL).
@@ -53,7 +53,6 @@ fn report(seq: u32) -> RunReport {
 fn durable_config(dir: &std::path::Path) -> NetConfig {
     NetConfig {
         fleet: FleetConfig {
-            shards: 4,
             publish_every: 8,
             ..FleetConfig::default()
         },

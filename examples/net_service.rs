@@ -65,7 +65,6 @@ fn main() {
             ..FrontendConfig::default()
         },
         fleet: FleetConfig {
-            shards: 4,
             publish_every: 8,
             ..FleetConfig::default()
         },
