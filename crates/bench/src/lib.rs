@@ -32,6 +32,7 @@ use xt_faults::{FaultKind, FaultSpec, FaultyHeap, INJECTED_FREE_SITE};
 use xt_fleet::simulator::{demo_faults, simulate, SimConfig};
 use xt_fleet::FleetConfig;
 use xt_image::HeapImage;
+use xt_isolate::cumulative::CumulativeConfig;
 use xt_isolate::theory;
 use xt_patch::PatchTable;
 use xt_workloads::{
@@ -703,8 +704,11 @@ pub fn ablation_p() -> Row {
         let (mut isolated, mut runs, mut rate) = (0, 0, 0.0);
         for trial in 0..3u64 {
             let mut mode = CumulativeMode::new(CumulativeModeConfig {
-                fill_probability: p,
                 base_seed: 0xAB1A + (p * 1000.0) as u64 + trial * 7919,
+                isolator: CumulativeConfig {
+                    fill_probability: p,
+                    ..CumulativeConfig::default()
+                },
                 ..CumulativeModeConfig::default()
             });
             let outcome = mode.run_until_isolated(&EspressoLike::new(), &input, Some(fault), 160);

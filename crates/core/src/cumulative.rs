@@ -11,9 +11,9 @@
 //! Neither half does more than that sentence says. A run is summarised
 //! from the heap while it still stands, then abandoned: no image is ever
 //! captured ([`summarized_run_reusable`]). The classifier keeps each
-//! site's likelihoods next to its observations and re-integrates only the
-//! sites a run observed, so asking for patches or verdicts between runs
-//! costs a threshold test per site, not an integral.
+//! site's likelihood ratio next to its observations and re-evaluates only
+//! the sites a run observed, so asking for patches or verdicts between
+//! runs costs a threshold test per site, not an integral.
 
 use xt_diefast::DieFastConfig;
 use xt_faults::FaultSpec;
@@ -28,9 +28,9 @@ use crate::runner::{ReusableStack, RunConfig};
 pub struct CumulativeModeConfig {
     /// Base seed; every run gets a fresh heap seed derived from it.
     pub base_seed: u64,
-    /// Canary fill probability `p` (§5.2 default: 1/2).
-    pub fill_probability: f64,
-    /// Classifier parameters (prior constant `c`, integration steps).
+    /// Classifier parameters: prior constant `c`, integration steps, and
+    /// DieFast's canary fill probability `p` (§5.2 default: 1/2), which
+    /// the runs' heaps use too.
     pub isolator: CumulativeConfig,
     /// Give each run a different workload seed, modelling the
     /// nondeterministic inputs of deployed use (the Mozilla scenario).
@@ -41,11 +41,9 @@ pub struct CumulativeModeConfig {
 
 impl Default for CumulativeModeConfig {
     fn default() -> Self {
-        let isolator = CumulativeConfig::default();
         CumulativeModeConfig {
             base_seed: 0xC0_5EED,
-            fill_probability: isolator.fill_probability,
-            isolator,
+            isolator: CumulativeConfig::default(),
             vary_input_seed: false,
             multiplier: 2.0,
         }
@@ -119,15 +117,6 @@ pub fn summarized_run_reusable(
     }
 }
 
-/// The classifier configuration a driver runs: `config.isolator` with the
-/// heaps' own fill probability.
-fn isolator_config(config: &CumulativeModeConfig) -> CumulativeConfig {
-    CumulativeConfig {
-        fill_probability: config.fill_probability,
-        ..config.isolator
-    }
-}
-
 /// What one deployed run contributed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunDigest {
@@ -169,7 +158,7 @@ impl CumulativeMode {
     #[must_use]
     pub fn new(config: CumulativeModeConfig) -> Self {
         CumulativeMode {
-            isolator: CumulativeIsolator::new(isolator_config(&config)),
+            isolator: CumulativeIsolator::new(config.isolator),
             config,
             run_counter: 0,
             stack: ReusableStack::new(),
@@ -222,7 +211,7 @@ impl CumulativeMode {
             fault,
             self.patches(),
             heap_seed,
-            self.config.fill_probability,
+            self.config.isolator.fill_probability,
             self.config.multiplier,
             &mut self.stack,
         );
@@ -261,7 +250,7 @@ impl CumulativeMode {
         let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         let text = std::fs::read_to_string(path)?;
         let isolator = CumulativeIsolator::from_text(&text).map_err(invalid)?;
-        let expected = isolator_config(&config);
+        let expected = config.isolator;
         if *isolator.config() != expected {
             return Err(invalid(format!(
                 "cumulative state was accumulated under {:?}, this driver runs {expected:?}",
@@ -358,7 +347,10 @@ mod tests {
         assert!(load(CumulativeModeConfig::default()).is_ok());
         let foreign = [
             CumulativeModeConfig {
-                fill_probability: 0.25,
+                isolator: CumulativeConfig {
+                    fill_probability: 0.25,
+                    ..CumulativeConfig::default()
+                },
                 ..CumulativeModeConfig::default()
             },
             CumulativeModeConfig {
@@ -381,6 +373,22 @@ mod tests {
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{config:?}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The isolator's `p` is the driver's one knob for DieFast's fill
+    /// probability: what the caller sets is what the classifier and the
+    /// heaps run.
+    #[test]
+    fn the_isolator_fill_probability_is_the_one_knob() {
+        let config = CumulativeModeConfig {
+            isolator: CumulativeConfig {
+                fill_probability: 0.25,
+                ..CumulativeConfig::default()
+            },
+            ..CumulativeModeConfig::default()
+        };
+        let mode = CumulativeMode::new(config);
+        assert_eq!(mode.isolator().config().fill_probability, 0.25);
     }
 
     #[test]

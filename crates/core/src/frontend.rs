@@ -544,13 +544,6 @@ impl<'scope> PoolFrontend<'scope> {
             .clone()
     }
 
-    /// Joins `table` into the shared live table. Every pool picks it up
-    /// before its next dispatch; jobs submitted after this returns run
-    /// under it on whichever pool they land.
-    pub fn load_patches(&self, table: &PatchTable) {
-        self.shared.fold_patches(table);
-    }
-
     /// Loads a fleet [`PatchEpoch`] if it is newer than the last one
     /// loaded — atomically for the whole front-end: one epoch version
     /// guards all K pools, so no torn state where some pools run epoch

@@ -156,7 +156,7 @@ impl StreamingVoter {
     ///
     /// Panics if `replicas` is zero.
     #[must_use]
-    pub fn with_quorum(replicas: usize, quorum: usize) -> Self {
+    fn with_quorum(replicas: usize, quorum: usize) -> Self {
         assert!(replicas > 0, "voting requires at least one replica");
         StreamingVoter {
             quorum: quorum.clamp(replicas / 2 + 1, replicas),
@@ -226,12 +226,6 @@ impl StreamingVoter {
     #[must_use]
     pub fn digest_of(&self, replica: usize) -> Option<u128> {
         self.finished[replica]
-    }
-
-    /// Count of finished replicas.
-    #[must_use]
-    pub fn finished_count(&self) -> usize {
-        self.finished.iter().filter(|d| d.is_some()).count()
     }
 
     /// The full plurality partition over digests, with [`vote`]'s exact

@@ -61,7 +61,6 @@ pub mod report;
 pub mod rules;
 pub mod surface;
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -226,11 +225,6 @@ fn analyze_files(files: Vec<SourceFile>) -> Analysis {
     analysis.pragmas = supp.into_inventory();
     analysis.finalize();
     analysis
-}
-
-/// Convenience for tests: the distinct rules present in a finding list.
-pub fn rules_hit(findings: &[Finding]) -> BTreeSet<Rule> {
-    findings.iter().map(|f| f.rule).collect()
 }
 
 #[cfg(test)]

@@ -676,13 +676,6 @@ impl Arena {
         Some((base, data.len()))
     }
 
-    /// Returns `true` if every byte of `[addr, addr + len)` is mapped.
-    #[must_use]
-    #[inline]
-    pub fn is_mapped(&self, addr: Addr, len: usize) -> bool {
-        self.locate(addr, len.max(1)).is_ok()
-    }
-
     /// Iterates over `(base, len)` for every mapped region, in address order.
     pub fn regions(&self) -> impl Iterator<Item = (Addr, usize)> + '_ {
         self.by_base
@@ -846,15 +839,6 @@ mod tests {
         assert_eq!(arena.regions().count(), 2);
         let bases: Vec<u64> = arena.regions().map(|(a, _)| a.get()).collect();
         assert!(bases.windows(2).all(|w| w[0] < w[1]), "regions not sorted");
-    }
-
-    #[test]
-    fn is_mapped_checks_whole_range() {
-        let (arena, base) = arena_with_region(4096);
-        assert!(arena.is_mapped(base, 4096));
-        assert!(!arena.is_mapped(base, 4097));
-        assert!(!arena.is_mapped(base + 4095, 2));
-        assert!(arena.is_mapped(base + 4095, 1));
     }
 
     #[test]

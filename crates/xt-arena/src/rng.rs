@@ -148,14 +148,6 @@ impl Rng {
     pub fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below_usize(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -263,16 +255,5 @@ mod tests {
         let mut a = Rng::new(42);
         let mut b = a.fork();
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Rng::new(8);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "shuffle left the slice in order");
     }
 }

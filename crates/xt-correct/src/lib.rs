@@ -166,12 +166,6 @@ impl<H: Heap> CorrectingHeap<H> {
             self.inner.free(entry.ptr, entry.site);
         }
     }
-
-    /// Immediately releases all deferred frees regardless of due time
-    /// (used at orderly shutdown; not part of the paper's algorithm).
-    pub fn flush_deferred(&mut self) {
-        self.drain_due(AllocTime::from_raw(u64::MAX));
-    }
 }
 
 impl<H: Heap> Heap for CorrectingHeap<H> {
@@ -354,21 +348,6 @@ mod tests {
         h.reload_patches(patches);
         let after = h.malloc(16, ALLOC_SITE).unwrap();
         assert_eq!(h.usable_size(after), Some(64), "patched on the fly");
-    }
-
-    #[test]
-    fn flush_releases_everything() {
-        let mut patches = PatchTable::new();
-        patches.add_deferral(SitePair::new(ALLOC_SITE, FREE_SITE), 1_000_000);
-        let mut h = heap_with(patches);
-        for _ in 0..10 {
-            let p = h.malloc(16, ALLOC_SITE).unwrap();
-            h.free(p, FREE_SITE);
-        }
-        assert_eq!(h.deferred_len(), 10);
-        h.flush_deferred();
-        assert_eq!(h.deferred_len(), 0);
-        assert_eq!(h.inner().live_objects(), 0);
     }
 
     #[test]

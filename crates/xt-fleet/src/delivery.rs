@@ -94,12 +94,6 @@ impl ReplayWindow {
         }
     }
 
-    /// The highest sequence number accepted so far, if any.
-    #[must_use]
-    pub fn high_water(&self) -> Option<u32> {
-        (self.bits != 0).then_some(self.high)
-    }
-
     /// The raw `(bits, high)` state for snapshot serialization. Together
     /// with [`ReplayWindow::from_parts`] this is the durability hook: a
     /// restored window classifies every future sequence number exactly as
@@ -135,7 +129,6 @@ mod tests {
         }
         // ...and ancient ones are dropped as stale, never reprocessed.
         assert_eq!(w.observe(10), Delivery::Stale);
-        assert_eq!(w.high_water(), Some(199));
     }
 
     #[test]
@@ -198,7 +191,6 @@ mod tests {
         // An empty window round trips to an empty window.
         let (bits, high) = ReplayWindow::new().to_parts();
         let mut fresh = ReplayWindow::from_parts(bits, high);
-        assert_eq!(fresh.high_water(), None);
         assert_eq!(fresh.observe(0), Delivery::Fresh);
     }
 

@@ -38,6 +38,14 @@ pub const MAX_FRAME_PAYLOAD: u32 = 1 << 24;
 pub enum WireError {
     /// The buffer does not start with the expected magic/version bytes.
     BadMagic([u8; 4]),
+    /// The buffer starts with this format's magic under a version this
+    /// build does not read (a snapshot written before a format change).
+    BadVersion {
+        /// The four leading bytes found.
+        found: [u8; 4],
+        /// The magic and version this build reads.
+        expected: [u8; 4],
+    },
     /// The buffer ends before a field at this offset is complete.
     Truncated {
         /// Byte offset where more data was needed.
@@ -78,13 +86,28 @@ pub enum WireError {
         observations: u64,
     },
     /// An evidence grid's node count disagrees with the snapshot's
-    /// declared integration grid — restoring it would corrupt every later
-    /// evidence merge (Simpson states only combine on one grid).
+    /// declared integration grid — a table folds every site on one grid.
     BadGrid {
         /// Byte offset of the node-count prefix.
         at: usize,
         /// The node count found.
         nodes: u32,
+    },
+    /// A snapshot evidence node that no ratio grid holds: node 0 other
+    /// than exactly 1.0, or any node negative or NaN.
+    BadNode {
+        /// Byte offset of the node.
+        at: usize,
+        /// The raw `f64` bits found.
+        bits: u64,
+    },
+    /// A snapshot evidence site that does not strictly follow the
+    /// family's previous site (families are written sorted and unique).
+    SiteOrder {
+        /// Byte offset of the site hash.
+        at: usize,
+        /// The site found.
+        site: u32,
     },
     /// A message kind byte no decoder recognizes.
     BadKind {
@@ -119,6 +142,12 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::BadMagic(m) => write!(f, "bad magic {m:02x?}"),
+            WireError::BadVersion { found, expected } => write!(
+                f,
+                "format version {} is not read by this build, which reads {}",
+                String::from_utf8_lossy(found),
+                String::from_utf8_lossy(expected)
+            ),
             WireError::Truncated { at } => write!(f, "buffer truncated at byte {at}"),
             WireError::BadBool { at, value } => {
                 write!(f, "bad boolean byte {value:#x} at offset {at}")
@@ -149,6 +178,21 @@ impl std::fmt::Display for WireError {
                     f,
                     "evidence grid of {nodes} nodes at offset {at} does not \
                      match the snapshot's integration grid"
+                )
+            }
+            WireError::BadNode { at, bits } => {
+                write!(
+                    f,
+                    "evidence node {} (bits {bits:#x}) at offset {at} is not a \
+                     ratio-grid value",
+                    f64::from_bits(*bits)
+                )
+            }
+            WireError::SiteOrder { at, site } => {
+                write!(
+                    f,
+                    "evidence site {site:#x} at offset {at} does not follow \
+                     its family's previous site"
                 )
             }
             WireError::BadKind { at, kind } => {

@@ -15,12 +15,13 @@
 //!    (module [`wire`]).
 //! 2. **The service** ([`FleetService`], module [`service`]) folds reports
 //!    into one [`EvidenceTable`](xt_isolate::evidence::EvidenceTable) —
-//!    the §5 Bayesian hypothesis test in running-product form — behind
-//!    one lock. Folds are serialized upstream anyway: the durable server
-//!    folds in WAL order under its write gate. Because the running-product
-//!    fold and the patch-lattice join of `xt-patch` are commutative,
-//!    associative, and (with delivery dedup) idempotent, any interleaving
-//!    of the fleet's reports converges to the same state.
+//!    the §5 Bayesian hypothesis test as a running grid of its
+//!    likelihood ratio — behind one lock. Folds are serialized upstream
+//!    anyway: the durable server folds in WAL order under its write gate.
+//!    Because the grid fold and the patch-lattice join of `xt-patch` are
+//!    commutative (up to float rounding), associative, and (with delivery
+//!    dedup, which is always on) idempotent, any interleaving of the
+//!    fleet's reports converges to the same state.
 //! 3. **Publication**: the service periodically classifies the table and
 //!    joins newly flagged patches into a versioned
 //!    [`PatchEpoch`](xt_patch::PatchEpoch). Epochs are monotone — §6.4's
@@ -54,7 +55,7 @@
 //!   publish. Every report is appended *before* it is folded.
 //! * **Snapshot cadence** — after `snapshot_every` fresh reports (or on
 //!   request) the full state is exported as a canonical [`FleetSnapshot`]
-//!   (`XTS1`), atomically replaced on storage, and the WAL reset. The
+//!   (`XTS2`), atomically replaced on storage, and the WAL reset. The
 //!   snapshot records the highest LSN it folded, so recovery skips any
 //!   WAL overlap a crash between the two steps leaves behind.
 //! * **Recovery invariant** — reopen = snapshot + truncate torn tail

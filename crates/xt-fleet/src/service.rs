@@ -12,9 +12,10 @@
 //!   maximum `N` for the prior) lives in shared atomics, and dedup runs
 //!   before the fold under its own lock.
 //! * **Classification** — the Bayesian test runs *incrementally*: the
-//!   evidence is running-product state, so folding a report costs
-//!   O(observations × grid) and classification at publish time costs
-//!   O(sites × grid), independent of how many reports ever arrived.
+//!   evidence is a running grid of each site's likelihood ratio, so
+//!   folding a report costs O(observations × grid) and classification at
+//!   publish time costs O(sites × grid), independent of how many reports
+//!   ever arrived.
 //! * **Publication** — [`FleetService::publish`] classifies the table
 //!   under the global prior, joins the flagged patches into the previous
 //!   epoch's table (the patch lattice of `xt-patch` makes this a
@@ -66,8 +67,6 @@ pub struct FleetConfig {
     /// Auto-publish a new epoch after this many ingested reports
     /// (0 = publish only when [`FleetService::publish`] is called).
     pub publish_every: u64,
-    /// Drop redelivered `(client, seq)` reports.
-    pub dedup_delivery: bool,
     /// Per-client admission control on the **wire ingest path**
     /// ([`FleetService::ingest`]): each client gets a deterministic
     /// [`TokenBucket`] seeded from its id. `None` (the default) admits
@@ -83,7 +82,6 @@ impl Default for FleetConfig {
         FleetConfig {
             isolator: CumulativeConfig::default(),
             publish_every: 256,
-            dedup_delivery: true,
             rate_limit: None,
         }
     }
@@ -378,20 +376,18 @@ impl FleetService {
 
     /// Ingests one decoded report.
     pub fn ingest_report(&self, report: &RunReport) -> IngestReceipt {
-        if self.config.dedup_delivery {
-            let delivery = self
-                .lock_recovering(&self.seen)
-                .entry(report.client)
-                .or_default()
-                .observe(report.seq);
-            if delivery.is_drop() {
-                self.duplicates.fetch_add(1, Ordering::Relaxed);
-                return IngestReceipt {
-                    duplicate: true,
-                    observations: 0,
-                    epoch: self.latest().number,
-                };
-            }
+        let delivery = self
+            .lock_recovering(&self.seen)
+            .entry(report.client)
+            .or_default()
+            .observe(report.seq);
+        if delivery.is_drop() {
+            self.duplicates.fetch_add(1, Ordering::Relaxed);
+            return IngestReceipt {
+                duplicate: true,
+                observations: 0,
+                epoch: self.latest().number,
+            };
         }
         self.reports.fetch_add(1, Ordering::Relaxed);
         if report.failed {
@@ -556,11 +552,10 @@ impl FleetService {
         let evidence = self.lock_recovering(&self.evidence);
         let (epoch, epoch_reports) = self.latest_with_reports();
         let record = |(site, e): (SiteHash, &SiteEvidence)| {
-            let (obs, l0, grid) = e.raw_parts();
+            let (obs, grid) = e.raw_parts();
             EvidenceRecord {
                 site: site.raw(),
                 obs: obs as u64,
-                l0,
                 grid: grid.to_vec(),
             }
         };
@@ -606,8 +601,8 @@ impl FleetService {
     ///
     /// [`RestoreError::GridMismatch`] if the snapshot's evidence grids
     /// were accumulated under a different `integration_steps` than
-    /// `config` uses (running-product states are only combinable on one
-    /// grid), [`RestoreError::BadEpoch`] if the epoch text does not
+    /// `config` uses (a table folds every site on one grid),
+    /// [`RestoreError::BadEpoch`] if the epoch text does not
     /// parse.
     pub fn from_snapshot(config: FleetConfig, snap: &FleetSnapshot) -> Result<Self, RestoreError> {
         let normalize = |steps: usize| steps.max(2) & !1;
@@ -638,7 +633,7 @@ impl FleetService {
             Ordering::Relaxed,
         );
         let restore = |rec: &EvidenceRecord| {
-            let evidence = SiteEvidence::from_raw_parts(rec.obs as usize, rec.l0, rec.grid.clone());
+            let evidence = SiteEvidence::from_raw_parts(rec.obs as usize, rec.grid.clone());
             (SiteHash::from_raw(rec.site), evidence)
         };
         {

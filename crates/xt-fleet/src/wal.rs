@@ -24,7 +24,7 @@
 //!   explicit request) the service's whole durable state — evidence bit
 //!   patterns, epoch, counters, per-client replay windows — is exported
 //!   as a [`FleetSnapshot`], atomically replaced on storage, and the WAL
-//!   is reset. The running-product evidence form is tiny, so a snapshot
+//!   is reset. The running-grid evidence form is tiny, so a snapshot
 //!   is O(sites), not O(reports ever ingested).
 //! * **Recovery** — load the snapshot (if any), truncate any torn WAL
 //!   tail (per-record checksum), replay the tail, and resume. Restored
@@ -320,21 +320,11 @@ impl<S: Storage> DurableFleet<S> {
     /// [`DurabilityError::Storage`] if storage fails,
     /// [`DurabilityError::Wire`] /[`DurabilityError::Restore`] if the
     /// persisted state is malformed or incompatible with `fleet`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fleet.dedup_delivery` is off — recovery's idempotence
-    /// (and therefore every durability guarantee) rests on replay
-    /// dedup.
     pub fn open(
         storage: S,
         fleet: FleetConfig,
         config: DurabilityConfig,
     ) -> Result<Self, DurabilityError> {
-        assert!(
-            fleet.dedup_delivery,
-            "durable mode requires dedup_delivery: idempotent recovery replays the WAL"
-        );
         let snapshot_bytes = storage.read(SNAPSHOT_OBJECT)?;
         let (service, snapshot_lsn) = match &snapshot_bytes {
             Some(bytes) => {
@@ -845,18 +835,5 @@ mod tests {
         assert_eq!(fleet.metrics().rejected_reports, 1);
         assert_eq!(fleet.metrics().wal_appends, 0);
         assert_eq!(disk.object_len(WAL_OBJECT), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dedup_delivery")]
-    fn durable_mode_requires_dedup() {
-        let _ = DurableFleet::open(
-            MemStorage::new(),
-            FleetConfig {
-                dedup_delivery: false,
-                ..FleetConfig::default()
-            },
-            DurabilityConfig::default(),
-        );
     }
 }

@@ -15,6 +15,15 @@
 //! version, boolean bytes, array bounds, the site-population claim, and
 //! trailing garbage all fail loudly with a [`WireError`] naming the
 //! offset.
+//!
+//! The durability snapshot, [`FleetSnapshot`], is the other format here
+//! (`XTS2`). Each evidence record is `site ∥ obs ∥ node count ∥ nodes`:
+//! the site's likelihood-ratio grid, whose node 0 is exactly 1.0 and
+//! whose nodes are non-negative (+∞ included), in strictly increasing
+//! site order per family. The decoder refuses anything else, and it
+//! refuses an `XTS1` snapshot, whose records carried a separate `L0`
+//! product, with [`WireError::BadVersion`] naming that version: there is
+//! no converter. WAL records carry `XTR1` reports and did not change.
 
 use exterminator::voter::{digest_chunk, empty_digest};
 use xt_alloc::{AllocTime, SiteHash};
@@ -27,7 +36,10 @@ pub use crate::frame::WireError;
 const MAGIC: [u8; 4] = *b"XTR1";
 
 /// First bytes of every durability snapshot: `XTS` plus the version.
-const SNAPSHOT_MAGIC: [u8; 4] = *b"XTS1";
+/// Version 2 stores each site's likelihood-ratio grid; a version-1
+/// snapshot (separate `L0` and `L1` products) is refused with
+/// [`WireError::BadVersion`], not converted.
+const SNAPSHOT_MAGIC: [u8; 4] = *b"XTS2";
 
 /// Cap on the epoch-text field of a snapshot. An epoch's text form is one
 /// line per patched site; even a million-site fleet stays far below this.
@@ -228,9 +240,9 @@ impl RunReport {
                     let site = r.u32()?;
                     let at = r.pos();
                     let x = f64::from_bits(r.u64()?);
-                    // A probability must be finite and in [0, 1]: one NaN
-                    // folded into a site's running products would poison
-                    // its evidence permanently (NaN ratios never flag).
+                    // A probability must be finite and in [0, 1]: the
+                    // fold's factor `1 + (1 − X)/X · θ` means nothing for
+                    // anything else.
                     if !x.is_finite() || !(0.0..=1.0).contains(&x) {
                         return Err(WireError::BadProbability {
                             at,
@@ -265,9 +277,9 @@ impl RunReport {
     }
 }
 
-/// One site's running-product evidence state, as carried in a snapshot.
-/// The floats are bit patterns, not approximations: a restored record
-/// reproduces classification byte-identically
+/// One site's evidence state, as carried in a snapshot: `site, obs,
+/// grid`. The floats are bit patterns, not approximations: a restored
+/// record reproduces classification byte-identically
 /// ([`SiteEvidence::raw_parts`](xt_isolate::evidence::SiteEvidence::raw_parts)).
 #[derive(Clone, Debug, PartialEq)]
 pub struct EvidenceRecord {
@@ -275,10 +287,8 @@ pub struct EvidenceRecord {
     pub site: u32,
     /// Observations folded in.
     pub obs: u64,
-    /// Running `L0` product.
-    pub l0: f64,
-    /// Running integrand products at the Simpson nodes
-    /// (`integration grid + 1` entries).
+    /// Running integrand products of the likelihood ratio at the Simpson
+    /// nodes (`integration grid + 1` entries, the first exactly 1).
     pub grid: Vec<f64>,
 }
 
@@ -291,7 +301,8 @@ pub struct EvidenceRecord {
 /// The encoding is canonical when the collections are sorted (evidence
 /// and hints by site/key, windows by client) — the export path emits them
 /// sorted, so the encoded bytes are a function of the durable state and a
-/// digest over them compares two services' states.
+/// digest over them compares two services' states. The decoder holds
+/// each evidence family to that order: its sites strictly increase.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetSnapshot {
     /// Unique reports ingested.
@@ -336,7 +347,7 @@ impl FleetSnapshot {
             128 + self.epoch_text.len()
                 + 28 * self.windows.len()
                 + (self.overflow.len() + self.dangling.len())
-                    * (24 + 8 * (self.integration_steps as usize + 1))
+                    * (16 + 8 * (self.integration_steps as usize + 1))
                 + 8 * self.pad_hints.len()
                 + 16 * self.defer_hints.len(),
         );
@@ -362,7 +373,6 @@ impl FleetSnapshot {
             for rec in family {
                 out.extend_from_slice(&rec.site.to_le_bytes());
                 out.extend_from_slice(&rec.obs.to_le_bytes());
-                out.extend_from_slice(&rec.l0.to_bits().to_le_bytes());
                 out.extend_from_slice(&(rec.grid.len() as u32).to_le_bytes());
                 for &g in &rec.grid {
                     out.extend_from_slice(&g.to_bits().to_le_bytes());
@@ -385,17 +395,27 @@ impl FleetSnapshot {
 
     /// Parses the binary snapshot format. Like the report decoder, every
     /// field validates with offsets and every length prefix is capped
-    /// before allocation; running-product floats must be finite
-    /// probabilities in `[0, 1]` (one smuggled NaN would poison a site's
-    /// evidence permanently), and every grid must match the snapshot's
-    /// declared integration grid (mismatched grids cannot be merged).
+    /// before allocation. Each evidence family's sites must strictly
+    /// increase, every grid must match the snapshot's declared
+    /// integration grid, and every grid must be a ratio grid: node 0
+    /// exactly 1.0, no node negative or NaN (+∞ is a legal node, the
+    /// mark of a site flagged for good; one smuggled NaN would poison a
+    /// site's evidence permanently).
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] describing the first malformed byte.
+    /// Returns a [`WireError`] describing the first malformed byte;
+    /// [`WireError::BadVersion`] for a snapshot of another format
+    /// version, such as `XTS1`.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
         let magic = r.array::<4>()?;
+        if magic[..3] == SNAPSHOT_MAGIC[..3] && magic != SNAPSHOT_MAGIC {
+            return Err(WireError::BadVersion {
+                found: magic,
+                expected: SNAPSHOT_MAGIC,
+            });
+        }
         if magic != SNAPSHOT_MAGIC {
             return Err(WireError::BadMagic(magic));
         }
@@ -431,22 +451,16 @@ impl FleetSnapshot {
             .collect::<Result<Vec<_>, WireError>>()?;
         let mut family = || -> Result<Vec<EvidenceRecord>, WireError> {
             let n = r.count(MAX_ENTRIES)?;
+            let mut last = None;
             (0..n)
                 .map(|_| {
+                    let site_at = r.pos();
                     let site = r.u32()?;
+                    if last.is_some_and(|prev| site <= prev) {
+                        return Err(WireError::SiteOrder { at: site_at, site });
+                    }
+                    last = Some(site);
                     let obs = r.u64()?;
-                    let probability = |r: &mut Reader| -> Result<f64, WireError> {
-                        let at = r.pos();
-                        let v = f64::from_bits(r.u64()?);
-                        if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-                            return Err(WireError::BadProbability {
-                                at,
-                                bits: v.to_bits(),
-                            });
-                        }
-                        Ok(v)
-                    };
-                    let l0 = probability(&mut r)?;
                     let nodes_at = r.pos();
                     let nodes = r.count(MAX_GRID_NODES)?;
                     if nodes != expected_nodes {
@@ -456,14 +470,20 @@ impl FleetSnapshot {
                         });
                     }
                     let grid = (0..nodes)
-                        .map(|_| probability(&mut r))
+                        .map(|j| {
+                            let at = r.pos();
+                            let v = f64::from_bits(r.u64()?);
+                            let legal = if j == 0 { v == 1.0 } else { v >= 0.0 };
+                            if !legal {
+                                return Err(WireError::BadNode {
+                                    at,
+                                    bits: v.to_bits(),
+                                });
+                            }
+                            Ok(v)
+                        })
                         .collect::<Result<Vec<_>, WireError>>()?;
-                    Ok(EvidenceRecord {
-                        site,
-                        obs,
-                        l0,
-                        grid,
-                    })
+                    Ok(EvidenceRecord { site, obs, grid })
                 })
                 .collect()
         };
@@ -518,12 +538,11 @@ impl FleetSnapshot {
 mod tests {
     use super::*;
 
-    /// One pinned snapshot digest: recovery compares states by this
-    /// value, so it must not move under a refactor of the fold or of the
-    /// canonical encoding. Volatile counters are excluded by design.
-    #[test]
-    fn snapshot_digest_is_pinned() {
-        let snap = FleetSnapshot {
+    /// A small snapshot with one record per family: a site whose
+    /// positives lifted its grid and one whose negative zeroed the
+    /// `θ = 1` node.
+    fn sample_snapshot() -> FleetSnapshot {
+        FleetSnapshot {
             reports: 16,
             failed_reports: 3,
             duplicates: 2,
@@ -537,20 +556,28 @@ mod tests {
             overflow: vec![EvidenceRecord {
                 site: 0xB06,
                 obs: 5,
-                l0: 0.25,
-                grid: vec![0.5, 0.25, 0.125],
+                grid: vec![1.0, 1.25, 1.5],
             }],
             dangling: vec![EvidenceRecord {
                 site: 0xD00D,
                 obs: 2,
-                l0: 1.0,
-                grid: vec![1.0, 0.5, 0.75],
+                grid: vec![1.0, 0.5, 0.0],
             }],
             pad_hints: vec![(0xB06, 36)],
             defer_hints: vec![(0xD00D, 0xF, 42)],
-        };
+        }
+    }
+
+    /// One pinned snapshot digest: recovery compares states by this
+    /// value, so it must not move under a refactor of the fold or of the
+    /// canonical encoding. Volatile counters are excluded by design. The
+    /// `XTS2` value was checked against FNV-1a-128 over the record layout
+    /// assembled by hand outside this encoder.
+    #[test]
+    fn snapshot_digest_is_pinned() {
+        let snap = sample_snapshot();
         assert_eq!(FleetSnapshot::decode(&snap.encode()).unwrap(), snap);
-        let pinned = 0xbb9a_2623_071a_d428_a943_d3cc_a987_861e;
+        let pinned = 0xaaa3_98d6_abba_8c4c_ccaf_fab9_2c1d_4b36;
         assert_eq!(snap.digest(), pinned);
         let volatile = FleetSnapshot {
             duplicates: 9,
@@ -558,6 +585,69 @@ mod tests {
             ..snap
         };
         assert_eq!(volatile.digest(), pinned);
+    }
+
+    /// A snapshot of the retired `XTS1` format, whose records carried a
+    /// separate `L0`, is refused by version, not read as garbage.
+    #[test]
+    fn a_version_one_snapshot_is_refused_by_version() {
+        let mut bytes = sample_snapshot().encode();
+        bytes[..4].copy_from_slice(b"XTS1");
+        assert_eq!(
+            FleetSnapshot::decode(&bytes),
+            Err(WireError::BadVersion {
+                found: *b"XTS1",
+                expected: *b"XTS2",
+            })
+        );
+        bytes[..4].copy_from_slice(b"NOPE");
+        assert_eq!(
+            FleetSnapshot::decode(&bytes),
+            Err(WireError::BadMagic(*b"NOPE"))
+        );
+    }
+
+    /// Every record's grid must be a ratio grid: node 0 exactly 1, no
+    /// node negative or NaN. +∞ is legal (a site flagged for good).
+    #[test]
+    fn snapshot_grids_must_be_ratio_grids() {
+        let with_grid = |grid: Vec<f64>| {
+            let mut snap = sample_snapshot();
+            snap.overflow[0].grid = grid;
+            FleetSnapshot::decode(&snap.encode())
+        };
+        for (grid, node) in [
+            (vec![0.5, 1.0, 1.0], 0usize),
+            (vec![-0.0, 1.0, 1.0], 0),
+            (vec![1.0, -0.5, 1.0], 1),
+            (vec![1.0, 1.0, f64::NAN], 2),
+        ] {
+            let bits = grid[node].to_bits();
+            let err = with_grid(grid).unwrap_err();
+            assert!(
+                matches!(err, WireError::BadNode { bits: b, .. } if b == bits),
+                "node {node}: {err:?}"
+            );
+        }
+        let infinite = with_grid(vec![1.0, f64::INFINITY, f64::INFINITY]).unwrap();
+        assert_eq!(infinite.overflow[0].grid[2], f64::INFINITY);
+    }
+
+    /// Each family's sites strictly increase: a repeated or out-of-order
+    /// site is refused where it stands.
+    #[test]
+    fn snapshot_sites_must_strictly_increase() {
+        for later in [0xB06, 0xB05] {
+            let mut snap = sample_snapshot();
+            let mut second = snap.overflow[0].clone();
+            second.site = later;
+            snap.overflow.push(second);
+            let err = FleetSnapshot::decode(&snap.encode()).unwrap_err();
+            assert!(
+                matches!(err, WireError::SiteOrder { site, .. } if site == later),
+                "{err:?}"
+            );
+        }
     }
 
     fn sample() -> RunReport {

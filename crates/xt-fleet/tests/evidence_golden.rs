@@ -1,19 +1,22 @@
-//! The fleet's evidence fold, pinned to constants captured when
-//! `SiteEvidence::observe` still divided `j / n` at every Simpson node.
+//! The fleet's evidence fold, pinned.
 //!
 //! A seeded synthetic report stream — no program runs — of 3072 reports
 //! from 24 clients, about 40 observations each over 100 sites, with one
 //! buggy overflow site and one buggy dangling site, folds through
 //! `FleetService::ingest_report` at the default configuration (a
-//! 512-interval grid, an epoch every 256 reports; the constants were
-//! captured when that configuration split the evidence over 16 shards,
-//! and hold for the one table that replaced them). The state digest
+//! 512-interval grid, an epoch every 256 reports). The state digest
 //! after each third of the stream and the final epoch text must be the
-//! captured ones: the digest covers every grid bit of every site, so any
-//! change to a factor's bits shows here. The stream is long enough that
-//! grids hold normal, subnormal and zero nodes at the end, and the test
-//! asserts so, because those are the regimes a faster fold must not
-//! change.
+//! pinned ones: the digest covers every grid bit of every site, so any
+//! change to a factor's bits shows here.
+//!
+//! The digests were re-captured when the grid became the integrand of
+//! the likelihood ratio instead of separate `L0` and `L1` products. The
+//! oracle for that capture: at each third of the stream, every site's
+//! new ratio was within 10⁻¹² relative of the previous fold's `l1/l0`
+//! (within 5.4 × 10⁻¹⁵ in fact) wherever that fold's `l0` was positive,
+//! and the flagged sets were identical. The final epoch text did not
+//! move. A mismatch now is a finding to stop on, not a constant to
+//! re-capture.
 
 use xt_arena::Rng;
 use xt_fleet::{FleetConfig, FleetService, RunReport};
@@ -26,9 +29,9 @@ const BUGGY_DANGLING: u32 = 42;
 
 /// `state_digest()` after 1024, 2048 and 3072 reports.
 const DIGESTS: [u128; 3] = [
-    0xdf7cae576b7a69a9f73421b97e4c7146,
-    0xebd878e6ae13e5c43feaef59eb8264f3,
-    0xbf05848455294a891aaac7a6b82955e5,
+    0x277f153c7badd8940a1c1a6da3900bde,
+    0x35cadf13f48b7a5a4ae1cef646a79eea,
+    0x9f98c2114f2860db3983efb3822f7fc3,
 ];
 
 /// The epoch published last: both buggy sites patched.
@@ -38,7 +41,7 @@ const FINAL_EPOCH: &str = "# epoch 2\n# exterminator runtime patches v1\n\
 
 /// A site drawn with density falling across `0..100`, so low sites take
 /// thousands of observations and high sites a few hundred: at the end
-/// the grids span every regime from normal to zero.
+/// the grids span every regime from +∞ to zero.
 fn site(rng: &mut Rng) -> u32 {
     let u = rng.unit_f64();
     (u * u * SITES) as u32
@@ -115,18 +118,22 @@ fn fleet_fold_matches_the_parent() {
     }
     let epoch = service.latest().to_text();
 
-    // The regimes the digest covers: some grid node is still normal and
-    // below one, some is subnormal, and some interior node is exactly 0.
+    // The regimes the digest covers: every grid's node 0 is exactly 1,
+    // some node is normal and below one, some is subnormal, some is
+    // exactly 0 and some has overflowed to +∞.
     let snap = service.export_snapshot();
-    let nodes: Vec<f64> = snap
-        .overflow
-        .iter()
-        .chain(&snap.dangling)
-        .flat_map(|rec| rec.grid[1..rec.grid.len() - 1].iter().copied())
-        .collect();
+    let grids = || {
+        snap.overflow
+            .iter()
+            .chain(&snap.dangling)
+            .map(|rec| &rec.grid)
+    };
+    assert!(grids().all(|grid| grid[0] == 1.0));
+    let nodes: Vec<f64> = grids().flat_map(|grid| grid[1..].iter().copied()).collect();
     assert!(nodes.iter().any(|g| g.is_normal() && *g < 1.0));
     assert!(nodes.iter().any(|g| g.is_subnormal()));
     assert!(nodes.contains(&0.0));
+    assert!(nodes.contains(&f64::INFINITY));
 
     assert_eq!(digests, DIGESTS);
     assert_eq!(epoch, FINAL_EPOCH);

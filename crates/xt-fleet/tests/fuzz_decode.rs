@@ -1,6 +1,6 @@
 //! Corruption fuzzing for every decoder on the trust boundary: `XTF1`
 //! frames (the network), `XTR1` reports (clients and the WAL), and
-//! `XTS1` snapshots (recovery). Valid encodings are generated, then
+//! `XTS2` snapshots (recovery). Valid encodings are generated, then
 //! truncated at every (or, for large buffers, many seeded) lengths and
 //! byte-mutated at seeded positions. The decoders must **never panic**
 //! — these bytes arrive from remote clients and crashed disks — and
@@ -15,13 +15,17 @@ use xt_fleet::{FleetConfig, FleetService, FleetSnapshot, Frame, RunReport, WireE
 /// The offset a `WireError` points at, if the variant carries one.
 fn error_offset(e: &WireError) -> Option<usize> {
     match e {
-        WireError::BadMagic(_) | WireError::RateLimited { .. } => None,
+        WireError::BadMagic(_) | WireError::BadVersion { .. } | WireError::RateLimited { .. } => {
+            None
+        }
         WireError::Truncated { at }
         | WireError::BadBool { at, .. }
         | WireError::BadProbability { at, .. }
         | WireError::Oversized { at, .. }
         | WireError::BadSiteCount { at, .. }
         | WireError::BadGrid { at, .. }
+        | WireError::BadNode { at, .. }
+        | WireError::SiteOrder { at, .. }
         | WireError::BadKind { at, .. }
         | WireError::BadUtf8 { at }
         | WireError::Trailing { at, .. } => Some(*at),
@@ -93,7 +97,7 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
 }
 
 /// A real snapshot: reports folded through a real service, published,
-/// exported — so the fuzzed bytes carry genuine running-product floats,
+/// exported — so the fuzzed bytes carry genuine ratio-grid floats,
 /// epoch text, and replay windows, not synthetic approximations.
 fn snapshot_strategy() -> impl Strategy<Value = FleetSnapshot> {
     proptest::collection::vec(report_strategy(), 1..10).prop_map(|mut reports| {
@@ -215,8 +219,10 @@ proptest! {
             let pos = (splitmix(&mut state) as usize) % corrupt.len();
             let delta = (splitmix(&mut state) % 255) as u8 + 1;
             corrupt[pos] ^= delta;
-            if let Err(err) = FleetSnapshot::decode(&corrupt) {
-                assert_diagnosable(&err, corrupt.len())?;
+            match FleetSnapshot::decode(&corrupt) {
+                Err(err) => assert_diagnosable(&err, corrupt.len())?,
+                // Whatever decodes restores or is refused, never panics.
+                Ok(snap) => drop(FleetService::from_snapshot(FleetConfig::default(), &snap)),
             }
         }
     }

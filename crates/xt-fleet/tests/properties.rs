@@ -89,10 +89,9 @@ fn same_bits<'a>(
     let table: Vec<_> = table.collect();
     records.len() == table.len()
         && records.iter().zip(table).all(|(rec, (site, e))| {
-            let (obs, l0, grid) = e.raw_parts();
+            let (obs, grid) = e.raw_parts();
             rec.site == site.raw()
                 && rec.obs == obs as u64
-                && rec.l0.to_bits() == l0.to_bits()
                 && rec.grid.len() == grid.len()
                 && rec
                     .grid

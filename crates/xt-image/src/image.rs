@@ -415,12 +415,6 @@ impl HeapImage {
         })
     }
 
-    /// Total number of object slots on the heap (`H` in the theorems).
-    #[must_use]
-    pub fn total_slots(&self) -> usize {
-        self.miniheaps.iter().map(|m| m.slots.len()).sum()
-    }
-
     /// Scans every canaried slot for bytes that differ from the canary
     /// pattern — the corruption evidence both isolation families start
     /// from. Bad slots are included: they were retired *because* their
@@ -946,13 +940,5 @@ mod tests {
             other => panic!("expected TruncatedRegion, got {other:?}"),
         }
         assert!(err.to_string().contains("bytes"));
-    }
-
-    #[test]
-    fn total_slots_counts_capacity() {
-        let h = heap_with_activity(11);
-        let img = capture(&h);
-        assert_eq!(img.total_slots(), h.inner().total_capacity());
-        assert!(img.total_slots() >= 80, "M=2 over-provisioning");
     }
 }

@@ -28,7 +28,9 @@
 //!
 //! **The classifier** compares `H0: θ_A = 0` against `H1: θ_A > 0` with a
 //! uniform prior on `θ_A` and prior odds `P(H1) = 1/(cN)`; a site is
-//! flagged when the likelihood ratio exceeds `cN − 1`.
+//! flagged when the likelihood ratio exceeds `cN − 1`. One integrator,
+//! [`SiteEvidence`], evaluates that ratio for both stores: this module's
+//! per-site observation lists and [`evidence`](crate::evidence)'s grids.
 
 use std::collections::BTreeMap;
 
@@ -37,6 +39,8 @@ use xt_diefast::DieFastHeap;
 use xt_diehard::{MiniHeapId, ObjectLog};
 use xt_image::{scan_live_canary_corruptions, CanaryCorruption, CaptureError, HeapImage};
 use xt_patch::PatchTable;
+
+use crate::evidence::SiteEvidence;
 
 /// Tuning parameters for cumulative isolation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -393,11 +397,8 @@ fn summarize_dangling(log: &ObjectLog, fail_clock: AllocTime, p: f64, summary: &
 pub struct Verdict {
     /// The allocation site under test.
     pub site: SiteHash,
-    /// Likelihood of the observations under `H0: θ = 0`.
-    pub l0: f64,
-    /// Likelihood under `H1: θ > 0` (uniform prior, integrated out).
-    pub l1: f64,
-    /// `l1 / l0` (∞ if `l0` underflows to zero while `l1 > 0`).
+    /// The likelihood ratio `L1/L0` of `H1: θ > 0` (uniform prior,
+    /// integrated out) against `H0: θ = 0`; never NaN, at least `h/3`.
     pub ratio: f64,
     /// Whether the ratio exceeds the decision threshold `cN − 1`.
     pub flagged: bool,
@@ -406,30 +407,20 @@ pub struct Verdict {
 }
 
 impl Verdict {
-    /// The §5.1 decision rule, once for every classifier: the likelihood
-    /// ratio `l1 / l0` (∞ if `l0` underflows to zero while `l1 > 0`, 1 if
-    /// both vanish) against the threshold `c·N − 1` (at least 1), for a
-    /// site whose `observations` integrate to `l0` and `l1`.
+    /// The §5.1 decision rule, once for every store: the likelihood
+    /// `ratio` against the threshold `c·N − 1` (at least 1), for a site
+    /// with `observations` behind it.
     #[must_use]
     pub(crate) fn decide(
         site: SiteHash,
-        (l0, l1): (f64, f64),
+        ratio: f64,
         observations: usize,
         n_sites: usize,
         prior_c: f64,
     ) -> Self {
         let threshold = (prior_c * n_sites.max(1) as f64 - 1.0).max(1.0);
-        let ratio = if l0 > 0.0 {
-            l1 / l0
-        } else if l1 > 0.0 {
-            f64::INFINITY
-        } else {
-            1.0
-        };
         Verdict {
             site,
-            l0,
-            l1,
             ratio,
             flagged: ratio > threshold,
             observations,
@@ -437,69 +428,24 @@ impl Verdict {
     }
 }
 
-/// `P(X̄, Ȳ | H0) = Π ((1−X)(1−Y) + X·Y)`.
-#[must_use]
-pub fn likelihood_h0(obs: &[(f64, bool)]) -> f64 {
-    obs.iter()
-        .map(|&(x, y)| if y { x } else { 1.0 - x })
-        .product()
-}
-
-/// `P(X̄, Ȳ | H1) = ∫₀¹ Π (q·Y + (1−q)·(1−Y)) dθ` with `q = (1−θ)X + θ`,
-/// evaluated with Simpson's rule.
-#[must_use]
-pub fn likelihood_h1(obs: &[(f64, bool)], steps: usize) -> f64 {
-    let n = steps.max(2) & !1; // even
-    let h = 1.0 / n as f64;
-    let f = |theta: f64| -> f64 {
-        obs.iter()
-            .map(|&(x, y)| {
-                let q = (1.0 - theta) * x + theta;
-                if y {
-                    q
-                } else {
-                    1.0 - q
-                }
-            })
-            .product()
-    };
-    let mut sum = f(0.0) + f(1.0);
-    for i in 1..n {
-        let w = if i % 2 == 1 { 4.0 } else { 2.0 };
-        sum += w * f(i as f64 * h);
-    }
-    sum * h / 3.0
-}
-
-/// Both likelihoods of one site's observation list.
-fn likelihoods(obs: &[(f64, bool)], steps: usize) -> (f64, f64) {
-    (likelihood_h0(obs), likelihood_h1(obs, steps))
-}
-
-/// Runs the §5.1 hypothesis test for one site's accumulated observations.
-#[must_use]
-pub fn classify(
-    site: SiteHash,
-    obs: &[(f64, bool)],
-    n_sites: usize,
-    config: &CumulativeConfig,
-) -> Verdict {
-    Verdict::decide(
-        site,
-        likelihoods(obs, config.integration_steps),
-        obs.len(),
-        n_sites,
-        config.prior_c,
-    )
-}
-
 /// One site's evidence in one family: its observation list (the state
-/// [`CumulativeIsolator::to_text`] persists) and that list's likelihoods
-/// `(l0, l1)`, re-integrated only when the list grows.
+/// [`CumulativeIsolator::to_text`] persists) and that list's likelihood
+/// ratio, re-evaluated only when the list grows.
 #[derive(Clone, Debug, Default)]
 struct SiteRecord {
     obs: Vec<(f64, bool)>,
-    likelihoods: (f64, f64),
+    ratio: f64,
+}
+
+impl SiteRecord {
+    /// Re-evaluates the ratio by folding the list into a copy of `blank`.
+    fn evaluate(&mut self, blank: &SiteEvidence) {
+        let mut evidence = blank.clone();
+        for &(x, y) in &self.obs {
+            evidence.observe(x, y);
+        }
+        self.ratio = evidence.ratio();
+    }
 }
 
 /// Per-site records of one error family, in site order.
@@ -507,11 +453,13 @@ type Family = BTreeMap<SiteHash, SiteRecord>;
 
 /// Accumulates run summaries and produces verdicts and patches.
 ///
-/// Each site keeps its observation list together with that list's two
-/// likelihoods. [`CumulativeIsolator::record_run`] re-integrates only the
-/// sites the run observed, so a verdict query is a threshold decision per
-/// site, not an integral: the likelihoods are exactly what [`classify`]
-/// computes over the stored list, bit for bit.
+/// Each site keeps its observation list together with that list's
+/// likelihood ratio. [`CumulativeIsolator::record_run`] re-evaluates only
+/// the sites the run observed, by folding each one's list into a
+/// [`SiteEvidence`], so a verdict query is a threshold decision per site,
+/// not an integral, and its ratio is the bits an
+/// [`EvidenceTable`](crate::evidence::EvidenceTable) fed the same
+/// observations holds.
 ///
 /// # Example
 ///
@@ -538,6 +486,9 @@ type Family = BTreeMap<SiteHash, SiteRecord>;
 #[derive(Clone, Debug)]
 pub struct CumulativeIsolator {
     config: CumulativeConfig,
+    /// Empty evidence on `config`'s grid: the integrator each touched
+    /// site's list is folded into.
+    blank: SiteEvidence,
     overflow: Family,
     dangling: Family,
     pad_hints: BTreeMap<SiteHash, u32>,
@@ -553,6 +504,7 @@ impl CumulativeIsolator {
     pub fn new(config: CumulativeConfig) -> Self {
         CumulativeIsolator {
             config,
+            blank: SiteEvidence::new(config.integration_steps),
             overflow: Family::new(),
             dangling: Family::new(),
             pad_hints: BTreeMap::new(),
@@ -581,17 +533,16 @@ impl CumulativeIsolator {
         self.failures
     }
 
-    /// Folds one run's summary into the accumulated state, re-integrating
-    /// the likelihoods of the sites it observed (and no others).
+    /// Folds one run's summary into the accumulated state, re-evaluating
+    /// the ratios of the sites it observed (and no others).
     pub fn record_run(&mut self, summary: &RunSummary) {
         self.runs += 1;
         if summary.failed {
             self.failures += 1;
         }
         self.n_sites = self.n_sites.max(summary.n_sites);
-        let steps = self.config.integration_steps;
-        fold(&mut self.overflow, &summary.overflow_obs, steps);
-        fold(&mut self.dangling, &summary.dangling_obs, steps);
+        fold(&mut self.overflow, &summary.overflow_obs, &self.blank);
+        fold(&mut self.dangling, &summary.dangling_obs, &self.blank);
         for &(site, pad) in &summary.pad_hints {
             let e = self.pad_hints.entry(site).or_insert(0);
             *e = (*e).max(pad);
@@ -612,7 +563,7 @@ impl CumulativeIsolator {
             .map(|(&site, record)| {
                 Verdict::decide(
                     site,
-                    record.likelihoods,
+                    record.ratio,
                     record.obs.len(),
                     self.n_sites,
                     self.config.prior_c,
@@ -660,8 +611,8 @@ impl CumulativeIsolator {
     /// Serializes the accumulated state to a text format, so it can be
     /// carried between executions alongside the patch file — §3.4:
     /// "Exterminator computes relevant statistics about each run and
-    /// stores them in its patch file." The likelihoods are not written:
-    /// they are a function of the lists.
+    /// stores them in its patch file." The ratios are not written: they
+    /// are a function of the lists.
     #[must_use]
     pub fn to_text(&self) -> String {
         let mut out = String::from("# exterminator cumulative state v1\n");
@@ -702,7 +653,7 @@ impl CumulativeIsolator {
     }
 
     /// Restores accumulated state written by [`CumulativeIsolator::to_text`]
-    /// and integrates every site once.
+    /// and evaluates every site once.
     ///
     /// The text is untrusted (it is a file on disk): an integration grid
     /// outside `2..=65_536` intervals, a prior constant that is not finite
@@ -771,21 +722,21 @@ impl CumulativeIsolator {
                 _ => return Err(fail("unrecognized directive")),
             }
         }
-        let steps = iso.config.integration_steps;
+        iso.blank = SiteEvidence::new(iso.config.integration_steps);
         for record in iso.overflow.values_mut().chain(iso.dangling.values_mut()) {
-            record.likelihoods = likelihoods(&record.obs, steps);
+            record.evaluate(&iso.blank);
         }
         Ok(iso)
     }
 
     /// Approximate retained-state size in bytes — the paper stresses this
     /// is "a few kilobytes per execution" instead of a heap image. Per
-    /// site and family: a key, the two stored likelihoods, and the
-    /// observation list.
+    /// site and family: a key, the stored ratio, and the observation
+    /// list.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
         let per_obs = std::mem::size_of::<(f64, bool)>();
-        let per_site = 8 + std::mem::size_of::<(f64, f64)>();
+        let per_site = 8 + std::mem::size_of::<f64>();
         (self.overflow.len() + self.dangling.len()) * per_site
             + self
                 .overflow
@@ -797,9 +748,9 @@ impl CumulativeIsolator {
     }
 }
 
-/// Appends one run's observations to `family`, then re-integrates each
+/// Appends one run's observations to `family`, then re-evaluates each
 /// site they touched — once, however many observations it received.
-fn fold(family: &mut Family, observations: &[SiteObservation], steps: usize) {
+fn fold(family: &mut Family, observations: &[SiteObservation], blank: &SiteEvidence) {
     let mut touched: Vec<SiteHash> = Vec::with_capacity(observations.len());
     for obs in observations {
         family.entry(obs.site).or_default().obs.push((obs.x, obs.y));
@@ -809,7 +760,7 @@ fn fold(family: &mut Family, observations: &[SiteObservation], steps: usize) {
     touched.dedup();
     for site in touched {
         if let Some(record) = family.get_mut(&site) {
-            record.likelihoods = likelihoods(&record.obs, steps);
+            record.evaluate(blank);
         }
     }
 }
@@ -829,24 +780,29 @@ mod tests {
     const BUGGY: SiteHash = SiteHash::from_raw(0xB06);
     const CLEAN: SiteHash = SiteHash::from_raw(0xC1EA);
 
-    #[test]
-    fn h0_likelihood_matches_formula() {
-        let obs = [(0.5, true), (0.25, false), (1.0, true)];
-        let expected = 0.5 * 0.75 * 1.0;
-        assert!((likelihood_h0(&obs) - expected).abs() < 1e-12);
+    /// The §5.1 verdict of one site's observation list, evaluated by the
+    /// integrator both stores use.
+    fn verdict_of(site: SiteHash, obs: &[(f64, bool)], n_sites: usize) -> Verdict {
+        let config = CumulativeConfig::default();
+        let mut evidence = SiteEvidence::new(config.integration_steps);
+        for &(x, y) in obs {
+            evidence.observe(x, y);
+        }
+        evidence.verdict(site, n_sites, config.prior_c)
     }
 
     #[test]
-    fn h1_integral_matches_closed_form() {
-        // All-heads with constant x: ∫ ((1−θ)x + θ)^m dθ has closed form
-        // (1 − x^{m+1}) / ((m+1)(1−x)).
+    fn ratio_integral_matches_closed_form() {
+        // All-heads with constant x: L1/L0 = ∫ (1 + rθ)^m dθ, r = (1−x)/x,
+        // has closed form ((1 + r)^{m+1} − 1) / ((m+1)·r).
         let m = 10;
         let x: f64 = 0.5;
+        let r = (1.0 - x) / x;
         let obs: Vec<(f64, bool)> = (0..m).map(|_| (x, true)).collect();
-        let closed = (1.0 - x.powi(m + 1)) / ((m as f64 + 1.0) * (1.0 - x));
-        let simpson = likelihood_h1(&obs, 512);
+        let closed = ((1.0 + r).powi(m + 1) - 1.0) / ((m as f64 + 1.0) * r);
+        let simpson = verdict_of(BUGGY, &obs, 250).ratio;
         assert!(
-            (simpson - closed).abs() < 1e-9,
+            (simpson - closed).abs() < 1e-9 * closed,
             "simpson {simpson} vs closed {closed}"
         );
     }
@@ -856,8 +812,7 @@ mod tests {
         // Fifteen failures, always canaried at p = 1/2 — the paper's
         // espresso scenario (§7.2).
         let obs: Vec<(f64, bool)> = (0..15).map(|_| (0.5, true)).collect();
-        let config = CumulativeConfig::default();
-        let v = classify(BUGGY, &obs, 250, &config);
+        let v = verdict_of(BUGGY, &obs, 250);
         assert!(
             v.flagged,
             "15 correlated failures must cross the cN−1 = 999 threshold, ratio {}",
@@ -865,14 +820,14 @@ mod tests {
         );
         // But too few observations must not be flagged at that N.
         let few: Vec<(f64, bool)> = (0..5).map(|_| (0.5, true)).collect();
-        assert!(!classify(BUGGY, &few, 250, &config).flagged);
+        assert!(!verdict_of(BUGGY, &few, 250).flagged);
     }
 
     #[test]
     fn classifier_spares_chance_level_sites() {
         // A site canaried about half the time, as chance predicts.
         let obs: Vec<(f64, bool)> = (0..40).map(|i| (0.5, i % 2 == 0)).collect();
-        let v = classify(CLEAN, &obs, 250, &CumulativeConfig::default());
+        let v = verdict_of(CLEAN, &obs, 250);
         assert!(!v.flagged, "chance-level site flagged, ratio {}", v.ratio);
         assert!(v.ratio < 10.0);
     }
@@ -882,7 +837,7 @@ mod tests {
         // A site that frees hundreds of objects: X ≈ 1 and Y = 1 — no
         // information, no flag.
         let obs: Vec<(f64, bool)> = (0..30).map(|_| (0.999, true)).collect();
-        let v = classify(CLEAN, &obs, 250, &CumulativeConfig::default());
+        let v = verdict_of(CLEAN, &obs, 250);
         assert!(!v.flagged, "uninformative site flagged, ratio {}", v.ratio);
     }
 

@@ -1,28 +1,46 @@
-//! Incremental, mergeable cumulative-mode evidence (§5, fleet-scale form).
+//! Incremental cumulative-mode evidence (§5): the likelihood ratio as a
+//! running grid.
 //!
-//! [`CumulativeIsolator`](crate::cumulative::CumulativeIsolator) keeps
-//! each site's `(X, Y)` observation list and that list's two likelihoods,
-//! re-integrating a site only when a run adds to its list. That is the
-//! right shape for one user's patch file: the lists are small (§3.4's "a
-//! few kilobytes per execution") and they are what gets persisted. Two
-//! isolators cannot be combined without replaying raw observations,
-//! though, which a service aggregating reports from thousands of clients
-//! needs to do constantly.
-//!
-//! This module keeps the same hypothesis test in *running-product* form.
-//! For one site, the two likelihoods of §5 are products over observations:
+//! The §5.1 classifier decides on one number, the Bayes factor `L1/L0`
+//! between `H1: θ > 0` (uniform prior on `θ`) and `H0: θ = 0`. For one
+//! site, the two likelihoods are products over its observations:
 //!
 //! ```text
 //! L0 = Π_i  (X_i if Y_i else 1 − X_i)
 //! L1 = ∫₀¹ Π_i (q_i if Y_i else 1 − q_i) dθ,   q_i = (1−θ)·X_i + θ
 //! ```
 //!
-//! `L0` is a scalar running product. For `L1`, the integrand evaluated at
-//! the fixed Simpson nodes `θ_j = j/steps` is *also* a per-node running
-//! product, so [`SiteEvidence`] maintains the integrand as a vector of
-//! `steps + 1` partial products and folds each new observation in with one
-//! multiply per node — O(steps) per observation, O(steps) per
-//! classification, and **no observation list at all**.
+//! `L0` does not depend on `θ`, so dividing each factor of `L1` by the
+//! matching factor of `L0` puts the ratio under one integral:
+//!
+//! ```text
+//! L1/L0 = ∫₀¹ Π_{Y=1} (1 + r_i·θ) · Π_{Y=0} (1 − θ) dθ,   r_i = (1 − X_i)/X_i
+//! ```
+//!
+//! A negative observation's `X` cancels. [`SiteEvidence`] keeps that
+//! integrand at the fixed Simpson nodes `θ_j = j/steps` as a vector of
+//! `steps + 1` running products and folds each new observation in with
+//! one multiply per node — O(steps) per observation, O(steps) per
+//! verdict, and **no observation list at all**. The verdict is the
+//! Simpson sum of the grid against `(c·N − 1).max(1)`.
+//!
+//! **No 0/0.** At `θ = 0` every factor is exactly 1, so node 0 is 1 for
+//! ever and the ratio is at least `h/3 = 1/(3·steps)`: a long-observed
+//! clean site's ratio falls towards zero but never reaches it, and later
+//! evidence still moves it (`tests/evidence_fold.rs` pins both).
+//!
+//! **Never a NaN.** The fold never multiplies an infinity by a zero:
+//!
+//! * node 0 is never touched;
+//! * a negative *assigns* 0 to the `θ = 1` node, whose factor `1 − θ` is 0;
+//! * a positive whose `r` is not finite (`X = 0`, or an `X` so small that
+//!   `(1 − X)/X` overflows) *assigns* +∞ to every node but `θ = 0`, the
+//!   limit of `1 + r·θ`. The ratio is then +∞, as an observation that is
+//!   impossible under `H0` demands.
+//!
+//! A node that overflows to +∞ stays there under every later factor,
+//! except the `θ = 1` node, which the next negative zeroes. So once an
+//! interior node is +∞, the ratio is +∞ and the site stays flagged.
 //!
 //! **The node table.** The abscissae depend only on the grid size, so
 //! they are computed once per grid, not once per observation: an
@@ -30,47 +48,37 @@
 //! `integration_steps` and shares it (an `Arc`) with every site it
 //! creates; a standalone [`SiteEvidence::new`] or
 //! [`SiteEvidence::from_raw_parts`] builds its own. Folding an observation
-//! is then a multiply and an add for each node's factor and one multiply
-//! into the grid — no division — with the `Y` branch taken once per
-//! observation rather than once per node. The table holds exactly the
-//! values the per-node expressions `j as f64 / n as f64` and `1.0 − θ_j`
-//! produce, and each factor is still `(1 − θ)·X + θ` (or `1 −` that),
-//! evaluated in the same order with no fused multiply-add (Rust never
-//! contracts one on its own), so every grid bit — and with it every
-//! snapshot, WAL replay and published epoch of `xt-fleet` — is what the
-//! per-node division produced.
+//! is then one division for `r`, and per node a multiply and an add for
+//! the factor `1 + r·θ` (or a lookup of `1 − θ`) and one multiply into the
+//! grid, with the `Y` branch taken once per observation rather than once
+//! per node. The table holds exactly the values the per-node expressions
+//! `j as f64 / n as f64` and `1.0 − θ_j` produce, and the factor is
+//! evaluated with no fused multiply-add (Rust never contracts one on its
+//! own), so every grid bit — and with it every snapshot, WAL replay and
+//! published epoch of `xt-fleet` — is what a per-node division produces.
 //!
-//! **Known defect: the products underflow.** Every factor is at most 1,
-//! so a long-observed site's `L0` and nodes sink through the subnormal
-//! range to exactly zero; once `L0 = L1 = 0`, `Verdict::decide` reads
-//! ratio 1.0 and no later evidence moves it
-//! (`tests/evidence_fold.rs` pins when a clean stream gets there). The
-//! fix, a renormalised grid with a binary exponent per record, changes
-//! the snapshot format.
+//! Because every node is a product of per-observation factors, the fold
+//! is order-insensitive up to float rounding. An [`EvidenceTable`] holds
+//! one [`SiteEvidence`] per site of each error family plus the
+//! pad/deferral hints: the whole §5 state of `xt-fleet`'s service, which
+//! folds every report into one table.
 //!
-//! Because every stored quantity is a product of per-observation factors,
-//! the fold is order-insensitive: the fleet's reports, folded in any
-//! order, reach the same state (up to float rounding), and two states
-//! over disjoint observation sets combine by pointwise multiplication
-//! ([`SiteEvidence::merge`], commutative and associative). An
-//! [`EvidenceTable`] holds one [`SiteEvidence`] per site of each error
-//! family plus the pad/deferral hints: the whole §5 state of `xt-fleet`'s
-//! service, which folds every report into one table. It merges a site
-//! only when a restored snapshot names it twice.
-//!
-//! **Why two classifiers.** The grid is faster per observation but costs
-//! `steps + 1` doubles per site where the list costs a few bytes per
+//! **One integrator over two stores.** The grid costs `steps + 1`
+//! doubles per site where an observation list costs a few bytes per
 //! observation: after `tests/modes.rs`'s twenty Mozilla runs (145
 //! site-families, 398 observations) a table fed the same summaries holds
-//! 604,504 bytes against the isolator's 11,608, breaking §3.4's
-//! per-execution budget that one user's state file exists to keep. The
-//! two also keep deferral hints differently. The isolator keeps one
-//! `(free site, ticks)` per alloc site, the largest, and patches that
-//! pair; the table keys hints by `(alloc, free)` pair and patches every
-//! hinted pair of a flagged site, so the same runs can yield more
-//! deferrals from the table. So lists stay where state is small and
-//! persisted, grids where reports from a fleet fold. Both decide through
-//! the one rule, `Verdict::decide`.
+//! 604,504 bytes against the isolator's list state of about 11 KB, and
+//! one user's state file exists to keep §3.4's per-execution budget. So
+//! [`CumulativeIsolator`](crate::cumulative::CumulativeIsolator) keeps
+//! each site's list, which it persists, and evaluates a site a run
+//! touched by folding that list into a [`SiteEvidence`]: both stores
+//! decide through the one integrator, and on the same observations in
+//! the same order they compute the same bits. The two still keep
+//! deferral hints differently. The isolator keeps one `(free site,
+//! ticks)` per alloc site, the largest, and patches that pair; the table
+//! keys hints by `(alloc, free)` pair and patches every hinted pair of a
+//! flagged site, so the same runs can yield more deferrals from the
+//! table.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -80,8 +88,8 @@ use xt_patch::PatchTable;
 
 use crate::cumulative::{CumulativeConfig, RunSummary, Verdict};
 
-/// Running-product evidence for one allocation site: the §5 hypothesis
-/// test in incremental form.
+/// Running-grid evidence for one allocation site: the integrand of the
+/// §5 likelihood ratio `L1/L0` at the Simpson nodes.
 ///
 /// # Example
 ///
@@ -95,34 +103,30 @@ use crate::cumulative::{CumulativeConfig, RunSummary, Verdict};
 /// for _ in 0..15 {
 ///     e.observe(0.5, true);
 /// }
-/// // The same evidence split across two aggregators and merged.
-/// let mut a = SiteEvidence::new(512);
-/// let mut b = SiteEvidence::new(512);
-/// for i in 0..15 {
-///     if i % 2 == 0 { a.observe(0.5, true) } else { b.observe(0.5, true) }
-/// }
-/// a.merge(&b);
 /// let site = SiteHash::from_raw(0xBAD);
-/// let (merged, whole) = (a.verdict(site, 250, 4.0), e.verdict(site, 250, 4.0));
-/// assert!((merged.ratio - whole.ratio).abs() < 1e-9 * whole.ratio);
-/// assert!(merged.flagged && whole.flagged);
-/// assert_eq!(a.observations(), 15);
+/// assert!(e.verdict(site, 250, 4.0).flagged);
+/// // A thousand chance-level observations leave a small, positive ratio.
+/// let mut clean = SiteEvidence::new(512);
+/// for i in 0..1000 {
+///     clean.observe(0.5, i % 2 == 0);
+/// }
+/// assert!(clean.ratio() > 0.0 && !clean.verdict(site, 250, 4.0).flagged);
+/// assert_eq!(e.observations(), 15);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct SiteEvidence {
     /// Observations folded in so far.
     obs: usize,
-    /// Running `L0` product.
-    l0: f64,
-    /// Running integrand products at the `steps + 1` Simpson nodes.
+    /// Running integrand products of `L1/L0` at the `steps + 1` Simpson
+    /// nodes; node 0 is exactly 1.
     grid: Vec<f64>,
     /// The grid's abscissae, shared with every site of one table.
     nodes: Arc<Nodes>,
 }
 
 /// The abscissae of one Simpson grid, `θ_j = j / steps` and `1 − θ_j`,
-/// computed once so the fold never divides. Two arrays rather than one of
-/// pairs: the fold's loop vectorises better over them.
+/// computed once so the fold never divides per node. Two arrays rather
+/// than one of pairs: each branch of the fold reads only one.
 #[derive(Debug, PartialEq)]
 struct Nodes {
     /// `1 − θ_j`.
@@ -133,7 +137,7 @@ struct Nodes {
 
 impl Nodes {
     /// The table for `steps` intervals (already even, `>= 2`), from the
-    /// very expressions the per-node fold evaluated.
+    /// very expressions a per-node fold evaluates.
     fn for_steps(steps: usize) -> Arc<Nodes> {
         let theta: Box<[f64]> = (0..=steps).map(|j| j as f64 / steps as f64).collect();
         let rest = theta.iter().map(|t| 1.0 - t).collect();
@@ -141,16 +145,14 @@ impl Nodes {
     }
 }
 
-/// `steps` forced even, minimum 2 — the convention of
-/// [`likelihood_h1`](crate::cumulative::likelihood_h1).
+/// `steps` forced even, minimum 2.
 fn even_steps(steps: usize) -> usize {
     steps.max(2) & !1
 }
 
 impl SiteEvidence {
     /// Creates empty evidence integrating over `steps` Simpson intervals
-    /// (forced even, minimum 2 — same convention as
-    /// [`likelihood_h1`](crate::cumulative::likelihood_h1)).
+    /// (forced even, minimum 2).
     #[must_use]
     pub fn new(steps: usize) -> Self {
         SiteEvidence::on(Nodes::for_steps(even_steps(steps)))
@@ -160,7 +162,6 @@ impl SiteEvidence {
     fn on(nodes: Arc<Nodes>) -> Self {
         SiteEvidence {
             obs: 0,
-            l0: 1.0,
             grid: vec![1.0; nodes.theta.len()],
             nodes,
         }
@@ -178,59 +179,35 @@ impl SiteEvidence {
         self.obs
     }
 
-    /// Folds one `(X, Y)` observation in: one multiply for `L0`, then per
-    /// Simpson node a multiply and an add for the factor
-    /// `q = (1 − θ)·X + θ` (or `1 − q` when `Y` is false) and one multiply
-    /// into the grid. `1 − θ` and `θ` come from the shared node table (see
-    /// the module docs for why the bits equal the per-node division's).
+    /// Folds one `(X, Y)` observation in, `X` a probability. A positive
+    /// multiplies node `j` by `1 + r·θ_j` with `r = (1 − X)/X` computed
+    /// once; a negative multiplies it by `1 − θ_j`. Node 0 is left at 1,
+    /// and the two products that would be ∞·0 are assigned instead (see
+    /// the module docs).
     pub fn observe(&mut self, x: f64, y: bool) {
         self.obs += 1;
-        let nodes = self.nodes.rest.iter().zip(self.nodes.theta.iter());
-        let factors = self.grid.iter_mut().zip(nodes);
+        let grid = &mut self.grid[1..];
         if y {
-            self.l0 *= x;
-            for (g, (&rest, &theta)) in factors {
-                *g *= rest * x + theta;
+            let r = (1.0 - x) / x;
+            if r.is_finite() {
+                for (g, &theta) in grid.iter_mut().zip(&self.nodes.theta[1..]) {
+                    *g *= 1.0 + r * theta;
+                }
+            } else {
+                grid.fill(f64::INFINITY);
             }
-        } else {
-            self.l0 *= 1.0 - x;
-            for (g, (&rest, &theta)) in factors {
-                *g *= 1.0 - (rest * x + theta);
+        } else if let Some((last, interior)) = grid.split_last_mut() {
+            for (g, &rest) in interior.iter_mut().zip(&self.nodes.rest[1..]) {
+                *g *= rest;
             }
+            *last = 0.0;
         }
     }
 
-    /// Combines evidence accumulated over a *disjoint* set of observations
-    /// (pointwise product). Commutative and associative, so states can be
-    /// combined in any order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sides integrate over different Simpson grids —
-    /// states are only combinable under one configuration.
-    pub fn merge(&mut self, other: &SiteEvidence) {
-        assert_eq!(
-            self.grid.len(),
-            other.grid.len(),
-            "cannot merge evidence with different integration grids"
-        );
-        self.obs += other.obs;
-        self.l0 *= other.l0;
-        for (g, o) in self.grid.iter_mut().zip(&other.grid) {
-            *g *= o;
-        }
-    }
-
-    /// Likelihood of the observations under `H0: θ = 0`.
+    /// The likelihood ratio `L1/L0`: the Simpson sum of the grid. At
+    /// least `h/3`, since node 0 is 1; +∞ once an interior node is.
     #[must_use]
-    pub fn l0(&self) -> f64 {
-        self.l0
-    }
-
-    /// Likelihood under `H1: θ > 0`: Simpson combination of the running
-    /// node products.
-    #[must_use]
-    pub fn l1(&self) -> f64 {
+    pub fn ratio(&self) -> f64 {
         let n = self.grid.len() - 1;
         let h = 1.0 / n as f64;
         let mut sum = self.grid[0] + self.grid[n];
@@ -240,14 +217,14 @@ impl SiteEvidence {
         sum * h / 3.0
     }
 
-    /// The raw running-product state: `(observations, L0, grid)`. The
-    /// floats are the state — a durability layer that snapshots these
-    /// exact bit patterns and restores them with
-    /// [`SiteEvidence::from_raw_parts`] reproduces classification
-    /// byte-identically, with no re-derivation and no rounding drift.
+    /// The raw running state: `(observations, grid)`. The floats are the
+    /// state — a durability layer that snapshots these exact bit patterns
+    /// and restores them with [`SiteEvidence::from_raw_parts`] reproduces
+    /// classification byte-identically, with no re-derivation and no
+    /// rounding drift.
     #[must_use]
-    pub fn raw_parts(&self) -> (usize, f64, &[f64]) {
-        (self.obs, self.l0, &self.grid)
+    pub fn raw_parts(&self) -> (usize, &[f64]) {
+        (self.obs, &self.grid)
     }
 
     /// Rebuilds evidence from state captured by
@@ -255,37 +232,32 @@ impl SiteEvidence {
     ///
     /// # Panics
     ///
-    /// Panics if `grid` is not a valid Simpson node vector (`steps + 1`
-    /// entries for an even `steps >= 2`) — restoring a malformed grid
-    /// would silently corrupt every later merge.
+    /// Panics if `grid` is not a ratio grid: `steps + 1` nodes for an
+    /// even `steps >= 2`, the first exactly 1.0. A restored grid whose
+    /// `θ = 0` node is not 1 would lose the ratio's floor.
     #[must_use]
-    pub fn from_raw_parts(obs: usize, l0: f64, grid: Vec<f64>) -> Self {
+    pub fn from_raw_parts(obs: usize, grid: Vec<f64>) -> Self {
         assert!(
             grid.len() >= 3 && grid.len() % 2 == 1,
             "grid of {} nodes is not steps + 1 for an even steps >= 2",
             grid.len()
         );
+        assert!(grid[0] == 1.0, "grid node 0 is {}, not 1", grid[0]);
         let nodes = Nodes::for_steps(grid.len() - 1);
-        SiteEvidence {
-            obs,
-            l0,
-            grid,
-            nodes,
-        }
+        SiteEvidence { obs, grid, nodes }
     }
 
     /// The §5.1 decision for this site under prior constant `prior_c` and
-    /// site population `n_sites` — the rule
-    /// [`classify`](crate::cumulative::classify) applies to a list.
+    /// site population `n_sites`.
     #[must_use]
     pub fn verdict(&self, site: SiteHash, n_sites: usize, prior_c: f64) -> Verdict {
-        Verdict::decide(site, (self.l0(), self.l1()), self.obs, n_sites, prior_c)
+        Verdict::decide(site, self.ratio(), self.obs, n_sites, prior_c)
     }
 }
 
 /// An aggregate of cumulative-mode evidence: per-site [`SiteEvidence`]
 /// for both error families, pad/deferral hints, and run counters. The
-/// order-insensitive equivalent of
+/// grid-store counterpart of
 /// [`CumulativeIsolator`](crate::cumulative::CumulativeIsolator), and the
 /// state the `xt-fleet` service keeps.
 #[derive(Clone, Debug, PartialEq)]
@@ -421,30 +393,17 @@ impl EvidenceTable {
         self.defer_hints.iter().map(|(&p, &t)| (p, t))
     }
 
-    /// Installs restored overflow evidence for `site`, merging if evidence
-    /// for the site already exists (so restore-into-fresh is exact and
-    /// restore-into-existing keeps CRDT semantics). A newly installed site
-    /// folds over this table's shared node table.
+    /// Installs restored overflow evidence for `site`, replacing any the
+    /// table holds. The site folds on over this table's shared node
+    /// table.
     ///
     /// # Panics
     ///
     /// Panics if `evidence` integrates over a different grid than this
     /// table's configuration.
     pub fn insert_overflow_evidence(&mut self, site: SiteHash, evidence: SiteEvidence) {
-        assert_eq!(
-            evidence.steps(),
-            even_steps(self.config.integration_steps),
-            "restored evidence grid does not match the table configuration"
-        );
-        match self.overflow.entry(site) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(SiteEvidence {
-                    nodes: Arc::clone(&self.nodes),
-                    ..evidence
-                });
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => o.get_mut().merge(&evidence),
-        }
+        let evidence = self.adopt(evidence);
+        self.overflow.insert(site, evidence);
     }
 
     /// Installs restored dangling evidence for `site` (see
@@ -455,19 +414,20 @@ impl EvidenceTable {
     /// Panics if `evidence` integrates over a different grid than this
     /// table's configuration.
     pub fn insert_dangling_evidence(&mut self, site: SiteHash, evidence: SiteEvidence) {
+        let evidence = self.adopt(evidence);
+        self.dangling.insert(site, evidence);
+    }
+
+    /// `evidence` over this table's node table.
+    fn adopt(&self, evidence: SiteEvidence) -> SiteEvidence {
         assert_eq!(
-            evidence.steps(),
-            even_steps(self.config.integration_steps),
+            evidence.grid.len(),
+            self.nodes.theta.len(),
             "restored evidence grid does not match the table configuration"
         );
-        match self.dangling.entry(site) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(SiteEvidence {
-                    nodes: Arc::clone(&self.nodes),
-                    ..evidence
-                });
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => o.get_mut().merge(&evidence),
+        SiteEvidence {
+            nodes: Arc::clone(&self.nodes),
+            ..evidence
         }
     }
 
@@ -550,69 +510,87 @@ impl EvidenceTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cumulative::{classify, CumulativeIsolator, SiteObservation};
+    use crate::cumulative::{CumulativeIsolator, SiteObservation};
 
     const BUGGY: SiteHash = SiteHash::from_raw(0xB06);
     const CLEAN: SiteHash = SiteHash::from_raw(0xC1EA);
 
     fn close(a: f64, b: f64) -> bool {
-        (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+        (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
+    }
+
+    /// The ratio as its definition reads: per Simpson node, the product
+    /// of each observation's `L1` factor over its `L0` factor, `q/X` or
+    /// `(1 − q)/(1 − X)`, then the Simpson sum. Interior `X` only.
+    fn list_ratio(obs: &[(f64, bool)], steps: usize) -> f64 {
+        let f = |theta: f64| -> f64 {
+            obs.iter()
+                .map(|&(x, y)| {
+                    let q = (1.0 - theta) * x + theta;
+                    if y {
+                        q / x
+                    } else {
+                        (1.0 - q) / (1.0 - x)
+                    }
+                })
+                .product()
+        };
+        let h = 1.0 / steps as f64;
+        let mut sum = f(0.0) + f(1.0);
+        for i in 1..steps {
+            let w = if i % 2 == 1 { 4.0 } else { 2.0 };
+            sum += w * f(i as f64 * h);
+        }
+        sum * h / 3.0
     }
 
     #[test]
-    fn incremental_matches_batch_classifier() {
-        // The same observation multiset, batch vs running-product.
+    fn grid_matches_the_likelihood_ratio_of_the_list() {
         let obs: Vec<(f64, bool)> = (0..25)
             .map(|i| (0.1 + 0.8 * (i as f64 / 25.0), i % 3 != 0))
             .collect();
         let config = CumulativeConfig::default();
-        let batch = classify(BUGGY, &obs, 250, &config);
         let mut e = SiteEvidence::new(config.integration_steps);
         for &(x, y) in &obs {
             e.observe(x, y);
         }
-        let inc = e.verdict(BUGGY, 250, config.prior_c);
-        assert!(close(batch.l0, inc.l0), "{} vs {}", batch.l0, inc.l0);
-        assert!(close(batch.l1, inc.l1), "{} vs {}", batch.l1, inc.l1);
-        assert_eq!(batch.flagged, inc.flagged);
-        assert_eq!(batch.observations, inc.observations);
+        let want = list_ratio(&obs, config.integration_steps);
+        let v = e.verdict(BUGGY, 250, config.prior_c);
+        assert!(close(v.ratio, want), "{} vs {want}", v.ratio);
+        assert_eq!(v.observations, 25);
     }
 
     #[test]
-    fn merge_is_commutative_and_order_insensitive() {
-        let obs: Vec<(f64, bool)> = (0..30).map(|i| (0.3, i % 4 == 0)).collect();
-        let mut whole = SiteEvidence::new(64);
+    fn fold_is_order_insensitive() {
+        let obs: Vec<(f64, bool)> = (0..30)
+            .map(|i| ([0.3, 0.05, 0.9][i % 3], i % 4 == 0))
+            .collect();
+        let (mut forward, mut backward) = (SiteEvidence::new(64), SiteEvidence::new(64));
         for &(x, y) in &obs {
-            whole.observe(x, y);
+            forward.observe(x, y);
         }
-        // Split 3 ways, merge in a different order.
-        let mut parts = [
-            SiteEvidence::new(64),
-            SiteEvidence::new(64),
-            SiteEvidence::new(64),
-        ];
-        for (i, &(x, y)) in obs.iter().enumerate() {
-            parts[i % 3].observe(x, y);
+        for &(x, y) in obs.iter().rev() {
+            backward.observe(x, y);
         }
-        let mut ba = parts[2].clone();
-        ba.merge(&parts[0]);
-        ba.merge(&parts[1]);
-        assert_eq!(ba.observations(), whole.observations());
-        assert!(close(ba.l0(), whole.l0()));
-        assert!(close(ba.l1(), whole.l1()));
+        assert_eq!(forward.observations(), backward.observations());
+        assert!(close(forward.ratio(), backward.ratio()));
     }
 
     #[test]
-    #[should_panic(expected = "different integration grids")]
-    fn merge_rejects_mismatched_grids() {
-        let mut a = SiteEvidence::new(64);
-        a.merge(&SiteEvidence::new(128));
+    #[should_panic(expected = "does not match the table configuration")]
+    fn insert_rejects_mismatched_grids() {
+        let mut table = EvidenceTable::new(CumulativeConfig {
+            integration_steps: 64,
+            ..CumulativeConfig::default()
+        });
+        table.insert_overflow_evidence(BUGGY, SiteEvidence::new(128));
     }
 
     #[test]
     fn table_matches_batch_isolator_end_to_end() {
-        // Feed identical run streams to the batch isolator and the
-        // running-product table; verdicts and generated patches must agree.
+        // Feed identical run streams to the list isolator and the grid
+        // table; verdicts and generated patches must agree, and the two
+        // stores' ratios are the one integrator's bits.
         let config = CumulativeConfig::default();
         let mut batch = CumulativeIsolator::new(config);
         let mut table = EvidenceTable::new(config);
@@ -641,13 +619,11 @@ mod tests {
         }
         assert_eq!(table.runs(), batch.runs());
         assert_eq!(table.failures(), batch.failures());
-        let bv = batch.overflow_verdicts();
-        let tv = table.overflow_verdicts();
-        assert_eq!(bv.len(), tv.len());
-        for (b, t) in bv.iter().zip(&tv) {
-            assert_eq!(b.site, t.site);
-            assert_eq!(b.flagged, t.flagged);
-            assert!(close(b.ratio, t.ratio), "{} vs {}", b.ratio, t.ratio);
+        for (bv, tv) in [
+            (batch.overflow_verdicts(), table.overflow_verdicts()),
+            (batch.dangling_verdicts(), table.dangling_verdicts()),
+        ] {
+            assert_eq!(bv, tv);
         }
         assert_eq!(table.generate_patches(), batch.generate_patches());
         assert_eq!(table.generate_patches().pad_for(BUGGY), 24);
@@ -661,11 +637,10 @@ mod tests {
         for i in 0..23 {
             e.observe([0.25, 0.5, 0.75][i % 3], i % 4 != 0);
         }
-        let (obs, l0, grid) = e.raw_parts();
-        let back = SiteEvidence::from_raw_parts(obs, l0, grid.to_vec());
+        let (obs, grid) = e.raw_parts();
+        let back = SiteEvidence::from_raw_parts(obs, grid.to_vec());
         assert_eq!(back, e);
-        assert_eq!(back.l0().to_bits(), e.l0().to_bits());
-        assert_eq!(back.l1().to_bits(), e.l1().to_bits());
+        assert_eq!(back.ratio().to_bits(), e.ratio().to_bits());
 
         // Table-level: export every entry, rebuild a fresh table, compare.
         let config = CumulativeConfig {
@@ -697,18 +672,14 @@ mod tests {
         }
         let mut restored = EvidenceTable::new(config);
         for (site, e) in table.overflow_evidence() {
-            let (obs, l0, grid) = e.raw_parts();
-            restored.insert_overflow_evidence(
-                site,
-                SiteEvidence::from_raw_parts(obs, l0, grid.to_vec()),
-            );
+            let (obs, grid) = e.raw_parts();
+            restored
+                .insert_overflow_evidence(site, SiteEvidence::from_raw_parts(obs, grid.to_vec()));
         }
         for (site, e) in table.dangling_evidence() {
-            let (obs, l0, grid) = e.raw_parts();
-            restored.insert_dangling_evidence(
-                site,
-                SiteEvidence::from_raw_parts(obs, l0, grid.to_vec()),
-            );
+            let (obs, grid) = e.raw_parts();
+            restored
+                .insert_dangling_evidence(site, SiteEvidence::from_raw_parts(obs, grid.to_vec()));
         }
         for (site, pad) in table.pad_hint_entries() {
             restored.hint_pad(site, pad);
@@ -732,7 +703,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "not steps + 1")]
     fn from_raw_parts_rejects_malformed_grids() {
-        let _ = SiteEvidence::from_raw_parts(1, 0.5, vec![1.0; 4]);
+        let _ = SiteEvidence::from_raw_parts(1, vec![1.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not 1")]
+    fn from_raw_parts_rejects_a_grid_without_its_floor() {
+        let _ = SiteEvidence::from_raw_parts(1, vec![0.5, 1.0, 1.0]);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //!   statistics (a few hundred bytes); a Bayesian hypothesis test flags
 //!   sites whose objects sit "behind" observed corruption (overflows) or
 //!   whose canarying correlates with failure (dangling pointers) more
-//!   often than chance predicts. [`evidence`] holds the same test in
-//!   incremental, order-insensitive running-product form — the shape a
-//!   fleet-scale aggregation service (`xt-fleet`) needs, where evidence
-//!   from thousands of clients is folded into one table in arbitrary
-//!   order.
+//!   often than chance predicts. [`evidence`] holds the one integrator
+//!   both stores use: the test's likelihood ratio as a running grid,
+//!   folded one observation at a time — the shape a fleet-scale
+//!   aggregation service (`xt-fleet`) needs, where evidence from
+//!   thousands of clients is folded into one table.
 //!
 //! Both families produce an [`IsolationReport`] which converts into the
 //! runtime [`PatchTable`](xt_patch::PatchTable) consumed by the correcting

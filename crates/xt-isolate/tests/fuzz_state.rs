@@ -58,18 +58,9 @@ fn real_state_text(seed: u64, runs: usize) -> String {
     iso.to_text()
 }
 
-/// Every verdict, with its floats as bits.
-fn verdict_bits(iso: &CumulativeIsolator) -> Vec<(u32, u64, u64, u64, bool, usize)> {
-    let bits = |v: Verdict| {
-        (
-            v.site.raw(),
-            v.l0.to_bits(),
-            v.l1.to_bits(),
-            v.ratio.to_bits(),
-            v.flagged,
-            v.observations,
-        )
-    };
+/// Every verdict, with its ratio as bits.
+fn verdict_bits(iso: &CumulativeIsolator) -> Vec<(u32, u64, bool, usize)> {
+    let bits = |v: Verdict| (v.site.raw(), v.ratio.to_bits(), v.flagged, v.observations);
     iso.overflow_verdicts()
         .into_iter()
         .chain(iso.dangling_verdicts())
@@ -92,8 +83,9 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// Regressions, both reproduced on the parent. A 2^62-step integration
-/// grid in `meta` used to spin in `likelihood_h1` on the first verdict
-/// query (and, now that loading integrates, would spin inside the load);
+/// grid in `meta` used to spin in the likelihood integral on the first
+/// verdict query (and, now that loading evaluates, would spin inside the
+/// load);
 /// a NaN prior constant turned `(c·N − 1).max(1)` into a threshold of 1,
 /// so a single chance observation was flagged and patched.
 #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the isolation algorithms: classifier sanity, the
-//! isolator's stored likelihoods against the batch classifier, and
-//! robustness of iterative isolation against false positives.
+//! isolator's stored ratios against the integrator both stores share,
+//! and robustness of iterative isolation against false positives.
 
 use proptest::prelude::*;
 
@@ -10,9 +10,10 @@ use xt_diefast::{DieFastConfig, DieFastHeap};
 use xt_image::HeapImage;
 
 use xt_isolate::cumulative::{
-    classify, likelihood_h0, likelihood_h1, summarize_heap, summarize_run, CumulativeConfig,
-    CumulativeIsolator, RunSummary, SiteObservation, Verdict,
+    summarize_heap, summarize_run, CumulativeConfig, CumulativeIsolator, RunSummary,
+    SiteObservation, Verdict,
 };
+use xt_isolate::evidence::SiteEvidence;
 use xt_isolate::iterative::isolate;
 use xt_isolate::theory;
 
@@ -20,31 +21,35 @@ fn observations() -> impl Strategy<Value = Vec<(f64, bool)>> {
     proptest::collection::vec((0.0f64..=1.0, any::<bool>()), 1..40)
 }
 
-/// A site's observation lists, as the batch classifier sees them.
+/// A site's observation lists, as the isolator stores them.
 type Lists = BTreeMap<SiteHash, Vec<(f64, bool)>>;
 
-/// One verdict with its floats as bits.
-fn bits(v: &Verdict) -> (u32, u64, u64, u64, bool, usize) {
-    (
-        v.site.raw(),
-        v.l0.to_bits(),
-        v.l1.to_bits(),
-        v.ratio.to_bits(),
-        v.flagged,
-        v.observations,
-    )
+/// `obs` folded, in order, into fresh evidence on a `steps` grid.
+fn folded(obs: &[(f64, bool)], steps: usize) -> SiteEvidence {
+    let mut e = SiteEvidence::new(steps);
+    for &(x, y) in obs {
+        e.observe(x, y);
+    }
+    e
 }
 
-/// `classify` over every list, under site population `n_sites`.
+/// One verdict with its ratio as bits.
+fn bits(v: &Verdict) -> (u32, u64, bool, usize) {
+    (v.site.raw(), v.ratio.to_bits(), v.flagged, v.observations)
+}
+
+/// The integrator over every list, under site population `n_sites`.
 fn batch(lists: &Lists, n_sites: usize, config: &CumulativeConfig) -> Vec<Verdict> {
     lists
         .iter()
-        .map(|(&site, obs)| classify(site, obs, n_sites, config))
+        .map(|(&site, obs)| {
+            folded(obs, config.integration_steps).verdict(site, n_sites, config.prior_c)
+        })
         .collect()
 }
 
-/// The isolator's verdicts, bit for bit, are the batch classifier's over
-/// the lists it was fed.
+/// The isolator's verdicts, bit for bit, are the integrator's over the
+/// lists it was fed.
 fn assert_matches_batch(
     iso: &CumulativeIsolator,
     overflow: &Lists,
@@ -62,22 +67,27 @@ fn assert_matches_batch(
 }
 
 proptest! {
-    /// Likelihoods are probabilities.
+    /// The ratio is never NaN and never below its floor `h/3`: node 0
+    /// stays exactly 1 whatever the observations, `X` at the endpoints
+    /// included.
     #[test]
-    fn likelihoods_are_probabilities(obs in observations()) {
-        let l0 = likelihood_h0(&obs);
-        let l1 = likelihood_h1(&obs, 256);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&l0));
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&l1));
+    fn ratios_keep_their_floor(obs in observations(), ends in proptest::collection::vec((any::<bool>(), any::<bool>()), 0..4)) {
+        let mut obs = obs;
+        obs.extend(ends.into_iter().map(|(one, y)| (if one { 1.0 } else { 0.0 }, y)));
+        let e = folded(&obs, 256);
+        let (_, grid) = e.raw_parts();
+        prop_assert_eq!(grid[0], 1.0);
+        prop_assert!(grid.iter().all(|g| *g >= 0.0), "negative or NaN node");
+        prop_assert!(e.ratio() >= 1.0 / (3.0 * 256.0), "ratio {}", e.ratio());
     }
 
-    /// The H1 integral is insensitive to the integration resolution
+    /// The ratio integral is insensitive to the integration resolution
     /// (Simpson convergence).
     #[test]
     fn integral_converges(obs in observations()) {
-        let coarse = likelihood_h1(&obs, 128);
-        let fine = likelihood_h1(&obs, 2048);
-        prop_assert!((coarse - fine).abs() < 1e-6, "coarse {coarse} fine {fine}");
+        let coarse = folded(&obs, 128).ratio();
+        let fine = folded(&obs, 2048).ratio();
+        prop_assert!((coarse - fine).abs() < 1e-6 * fine, "coarse {coarse} fine {fine}");
     }
 
     /// Chance-consistent sites (Y drawn at rate X) essentially never get
@@ -86,7 +96,7 @@ proptest! {
     fn classifier_rejects_chance(seed in 0u64..2000, x in 0.05f64..0.95, n in 5usize..40) {
         let mut rng = Rng::new(seed);
         let obs: Vec<(f64, bool)> = (0..n).map(|_| (x, rng.chance(x))).collect();
-        let v = classify(SiteHash::from_raw(1), &obs, 200, &CumulativeConfig::default());
+        let v = folded(&obs, 512).verdict(SiteHash::from_raw(1), 200, 4.0);
         prop_assert!(!v.flagged, "chance data flagged with ratio {}", v.ratio);
     }
 
@@ -99,7 +109,7 @@ proptest! {
         let mut flagged_at = None;
         for n in 1..=30usize {
             let obs: Vec<(f64, bool)> = (0..n).map(|_| (x, true)).collect();
-            let v = classify(SiteHash::from_raw(1), &obs, 100, &config);
+            let v = folded(&obs, config.integration_steps).verdict(SiteHash::from_raw(1), 100, config.prior_c);
             prop_assert!(v.ratio + 1e-9 >= last_ratio, "ratio not monotone");
             last_ratio = v.ratio;
             if v.flagged && flagged_at.is_none() {
@@ -158,14 +168,14 @@ proptest! {
         prop_assert!(report.is_empty(), "false positive: {report}");
     }
 
-    /// Classifying only what changed changes nothing: after every
+    /// Evaluating only what changed changes nothing: after every
     /// `record_run` of a random summary stream — sites observed in some
     /// runs and not others, repeated within a run, `X` at the extremes,
     /// a growing site population — and after a `to_text`/`from_text`
-    /// round trip, every verdict's `l0`/`l1`/`ratio` bits equal
-    /// `classify` over the full observation list.
+    /// round trip, every verdict's `ratio` bits equal the integrator's
+    /// over the full observation list.
     #[test]
-    fn stored_likelihoods_equal_the_batch_classifier(
+    fn stored_ratios_equal_the_integrator(
         seed in any::<u64>(),
         runs in 1usize..30,
         steps in 2usize..600,

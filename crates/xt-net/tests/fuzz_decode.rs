@@ -26,13 +26,17 @@ use xt_obs::{HistogramSnapshot, RegistrySnapshot, HISTOGRAM_BUCKETS};
 /// The offset a `WireError` points at, if the variant carries one.
 fn error_offset(e: &WireError) -> Option<usize> {
     match e {
-        WireError::BadMagic(_) | WireError::RateLimited { .. } => None,
+        WireError::BadMagic(_) | WireError::BadVersion { .. } | WireError::RateLimited { .. } => {
+            None
+        }
         WireError::Truncated { at }
         | WireError::BadBool { at, .. }
         | WireError::BadProbability { at, .. }
         | WireError::Oversized { at, .. }
         | WireError::BadSiteCount { at, .. }
         | WireError::BadGrid { at, .. }
+        | WireError::BadNode { at, .. }
+        | WireError::SiteOrder { at, .. }
         | WireError::BadKind { at, .. }
         | WireError::BadUtf8 { at }
         | WireError::Trailing { at, .. } => Some(*at),
