@@ -16,7 +16,9 @@
 //! 2. **The service** ([`FleetService`], module [`service`]) folds reports
 //!    into one [`EvidenceTable`](xt_isolate::evidence::EvidenceTable) —
 //!    the §5 Bayesian hypothesis test as a running grid of its
-//!    likelihood ratio — behind one lock. Folds are serialized upstream
+//!    likelihood ratio, and the only owner of the run counters — behind
+//!    the service's one state lock, with the dedup windows, rate
+//!    limiters and every other counter. Folds are serialized upstream
 //!    anyway: the durable server folds in WAL order under its write gate.
 //!    Because the grid fold and the patch-lattice join of `xt-patch` are
 //!    commutative (up to float rounding), associative, and (with delivery
@@ -78,8 +80,9 @@
 //! render deterministically. Counters come from [`FleetMetrics`],
 //! whose [`counters_snapshot`](FleetMetrics::counters_snapshot) puts
 //! them in the same registry-snapshot shape; every consumer (plain
-//! service, durable wrapper, network backend) obtains metrics through
-//! the single [`FleetService::metrics_with`] path.
+//! service, durable wrapper, network backend) reads them through
+//! [`FleetService::metrics`], one hold of the state lock that also
+//! covers the durability counters [`DurableFleet`] bumps.
 //!
 //! **Admission control**: [`FleetConfig::rate_limit`] arms per-client
 //! deterministic token buckets (attempt-driven refill, phase seeded
@@ -102,9 +105,7 @@ pub mod wire;
 
 pub use delivery::{Delivery, ReplayWindow};
 pub use frame::{Frame, FrameError, Reader};
-pub use service::{
-    DurabilityStats, FleetConfig, FleetMetrics, FleetService, IngestReceipt, RestoreError,
-};
+pub use service::{FleetConfig, FleetMetrics, FleetService, IngestReceipt, RestoreError};
 pub use simulator::{simulate, FaultConvergence, FleetOutcome, SimConfig};
 pub use storage::{DirStorage, FaultMode, FaultyStorage, MemStorage, Storage};
 pub use wal::{DurabilityConfig, DurabilityError, DurableFleet};

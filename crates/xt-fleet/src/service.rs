@@ -3,14 +3,15 @@
 //! Architecture (the Windows-Error-Reporting-scale loop of §5/§6.4):
 //!
 //! * **Ingestion** — a decoded [`RunReport`]'s observations and hints
-//!   fold, in report order, into one [`EvidenceTable`] behind one mutex.
-//!   One table suffices because folds are serialized upstream anyway:
-//!   the durable server ([`DurableFleet`](crate::wal::DurableFleet))
-//!   folds every record in LSN order under its one write gate, and the
-//!   simulator, the scorecard and the benchmark ingest on one thread.
-//!   Run-level metadata (report and failure counts, the site-population
-//!   maximum `N` for the prior) lives in shared atomics, and dedup runs
-//!   before the fold under its own lock.
+//!   fold, in report order, into one [`EvidenceTable`] (the only owner
+//!   of the run counters: reports, failures, the prior's `N`) behind
+//!   **one** mutex, with the dedup windows, rate limiters and every other
+//!   counter. An ingest takes it once for dedup, the fold and a cadence
+//!   publish. One lock costs nothing because folds are serialized
+//!   upstream anyway: the durable server
+//!   ([`DurableFleet`](crate::wal::DurableFleet)) folds every record in
+//!   LSN order under its one write gate, and the simulator, the
+//!   scorecard and the benchmark ingest on one thread.
 //! * **Classification** — the Bayesian test runs *incrementally*: the
 //!   evidence is a running grid of each site's likelihood ratio, so
 //!   folding a report costs O(observations × grid) and classification at
@@ -20,10 +21,12 @@
 //!   under the global prior, joins the flagged patches into the previous
 //!   epoch's table (the patch lattice of `xt-patch` makes this a
 //!   convergent, monotone state), and installs a new
-//!   [`PatchEpoch`] snapshot, all under the table lock, so publishers and
-//!   snapshot exports serialize on it. Clients poll
+//!   [`PatchEpoch`] snapshot, all under the state lock, so publishers,
+//!   ingests and snapshot exports serialize on it. A cadence publish
+//!   runs before its ingest releases the lock, so it covers exactly the
+//!   first `publish_every` reports. Clients poll
 //!   [`FleetService::latest`], which hands out the current `Arc` snapshot
-//!   without touching the table lock — readers never block ingestion.
+//!   from its own `RwLock` — readers never wait on a fold.
 //! * **Delivery dedup** — reports are identified by `(client, seq)`;
 //!   redelivery (at-least-once transports, client retries) is dropped, so
 //!   ingestion is idempotent at the service level. Dedup state is a
@@ -34,20 +37,23 @@
 //!   against a sequential reference.
 //! * **Long-haul survival** — a panicking ingest thread used to poison a
 //!   lock and turn every later ingest into a panic, killing the service
-//!   forever. Locks are now recovered: every table mutation is a
-//!   sequence of self-contained `observe_*`/`hint_*` calls that each
-//!   leave the evidence table consistent, so `PoisonError::into_inner`
-//!   is sound — at worst the interrupted report's remaining observations
-//!   are lost (its seq was recorded by dedup on the way in, so a
-//!   redelivery is dropped, not re-folded). A bounded loss of one
-//!   report's evidence is exactly what cumulative mode is built to
-//!   absorb — §5 classifies over report *populations* — whereas the
-//!   drop direction preserves idempotence. Each recovery is counted in
+//!   forever. Locks are now recovered: every state mutation is a
+//!   sequence of self-contained steps (a window update, a counter bump,
+//!   `observe_*`/`hint_*` calls) that each leave the state consistent,
+//!   so `PoisonError::into_inner` is sound — at worst the interrupted
+//!   report's remaining observations are lost (its seq was recorded by
+//!   dedup first, so a redelivery is dropped, not re-folded). A bounded
+//!   loss of one report's evidence is exactly what cumulative mode is
+//!   built to absorb — §5 classifies over report *populations* — whereas
+//!   the drop direction preserves idempotence. Each recovery (of the
+//!   state lock or the epoch lock) is counted in
 //!   [`FleetMetrics::lock_recoveries`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::time::{Duration, Instant};
 
 use xt_alloc::{SiteHash, SitePair};
@@ -136,9 +142,9 @@ pub struct FleetMetrics {
     /// docs); a nonzero value means the service survived a crash that
     /// would previously have been fatal forever.
     pub lock_recoveries: u64,
-    /// WAL records appended by the durability layer (0 for a plain
-    /// in-memory service — these durability counters are populated by
-    /// [`DurableFleet`](crate::wal::DurableFleet)).
+    /// WAL records appended. This and the four counters below are bumped
+    /// only by [`DurableFleet`](crate::wal::DurableFleet), in the service
+    /// state; a plain in-memory service reads 0.
     pub wal_appends: u64,
     /// Group-commit storage appends, each covering ≥ 1 WAL records;
     /// `wal_appends / wal_batches` is the realized batching factor.
@@ -191,24 +197,31 @@ impl FleetMetrics {
     }
 }
 
-/// The counters a durability layer overlays onto the base service
-/// metrics. [`FleetService::metrics_with`] is the **single snapshot
-/// path** every `FleetMetrics` consumer goes through: the plain
-/// service passes [`DurabilityStats::default`], the durable wrapper
-/// passes its live counters — neither hand-assembles the struct, so
-/// they cannot drift on which counters they report.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DurabilityStats {
-    /// WAL records appended.
-    pub wal_appends: u64,
-    /// Group-commit storage appends (each covering ≥ 1 records).
-    pub wal_batches: u64,
-    /// Compacted snapshots written.
-    pub snapshots_written: u64,
-    /// Times state was rebuilt from storage.
-    pub recoveries: u64,
-    /// Torn WAL tails truncated during recovery.
-    pub torn_tail_truncated: u64,
+/// Everything the service mutates, behind its one lock.
+#[derive(Debug)]
+struct State {
+    /// The fleet's evidence, and its only run counters.
+    evidence: EvidenceTable,
+    /// Delivery-dedup state: one bounded [`ReplayWindow`] per client —
+    /// O(clients) memory for the life of the service.
+    seen: HashMap<u64, ReplayWindow>,
+    /// Per-client admission buckets for the wire ingest path. Empty
+    /// unless [`FleetConfig::rate_limit`] is set.
+    limiters: HashMap<u64, TokenBucket>,
+    duplicates: u64,
+    rejected: u64,
+    rate_limited: u64,
+    /// Reports since the last publish (drives auto-publish).
+    pending: u64,
+    /// Number of the installed epoch (the condition behind
+    /// [`FleetService::wait_epoch_newer`]), set with the epoch lock.
+    newest_epoch: u64,
+    /// [`DurableFleet`](crate::wal::DurableFleet)'s counters.
+    wal_appends: u64,
+    wal_batches: u64,
+    snapshots_written: u64,
+    recoveries: u64,
+    torn_tail_truncated: u64,
 }
 
 /// The collaborative-correction service. All methods take `&self`;
@@ -216,25 +229,13 @@ pub struct DurabilityStats {
 #[derive(Debug)]
 pub struct FleetService {
     config: FleetConfig,
-    /// The fleet's evidence. Every fold, publish and snapshot export
-    /// holds this lock, so no epoch is minted mid-export.
-    evidence: Mutex<EvidenceTable>,
-    /// Delivery-dedup state: one bounded [`ReplayWindow`] per client —
-    /// O(clients) memory for the life of the service.
-    seen: Mutex<HashMap<u64, ReplayWindow>>,
-    /// Global site-population maximum (`N` of the `cN − 1` threshold).
-    n_sites: AtomicUsize,
-    reports: AtomicU64,
-    failed_reports: AtomicU64,
-    duplicates: AtomicU64,
-    rejected: AtomicU64,
-    rate_limited: AtomicU64,
-    /// Per-client admission buckets for the wire ingest path. Empty
-    /// unless [`FleetConfig::rate_limit`] is set.
-    limiters: Mutex<HashMap<u64, TokenBucket>>,
-    /// Reports since the last publish (drives auto-publish).
-    pending: AtomicU64,
-    /// Poisoned locks recovered (panicking ingest/publish threads).
+    /// Every fold, publish, snapshot export and metrics read holds this
+    /// lock, so each sees one point in the report order.
+    state: Mutex<State>,
+    /// Signalled, under `state`, when a publish installs an epoch.
+    epoch_wake: Condvar,
+    /// Poisoned locks recovered (panicking ingest/publish threads). The
+    /// one atomic: it is bumped while a lock is poisoned.
     lock_recoveries: AtomicU64,
     /// Latency instruments (observability only — never digested).
     registry: Arc<Registry>,
@@ -243,14 +244,8 @@ pub struct FleetService {
     publish_hist: Arc<Histogram>,
     /// The current epoch snapshot, paired with the report count at its
     /// publication (one lock, so readers always see a consistent pair).
-    /// Readers clone the `Arc` and go.
+    /// Readers clone the `Arc` and go. Written only under `state`.
     epoch: RwLock<(Arc<PatchEpoch>, u64)>,
-    /// Epoch-change signal for [`FleetService::wait_epoch_newer`]: the
-    /// number of the newest installed epoch, updated (and its condvar
-    /// notified) *after* the `epoch` write lock is released, so the
-    /// two locks are never nested in this direction.
-    epoch_signal: Mutex<u64>,
-    epoch_wake: Condvar,
 }
 
 impl FleetService {
@@ -264,20 +259,24 @@ impl FleetService {
             registry.histogram("fleet/publish"),
         );
         FleetService {
-            evidence: Mutex::new(EvidenceTable::new(config.isolator)),
-            seen: Mutex::new(HashMap::new()),
-            n_sites: AtomicUsize::new(1),
-            reports: AtomicU64::new(0),
-            failed_reports: AtomicU64::new(0),
-            duplicates: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            rate_limited: AtomicU64::new(0),
-            limiters: Mutex::new(HashMap::new()),
-            pending: AtomicU64::new(0),
+            state: Mutex::new(State {
+                evidence: EvidenceTable::new(config.isolator),
+                seen: HashMap::new(),
+                limiters: HashMap::new(),
+                duplicates: 0,
+                rejected: 0,
+                rate_limited: 0,
+                pending: 0,
+                newest_epoch: 0,
+                wal_appends: 0,
+                wal_batches: 0,
+                snapshots_written: 0,
+                recoveries: 0,
+                torn_tail_truncated: 0,
+            }),
+            epoch_wake: Condvar::new(),
             lock_recoveries: AtomicU64::new(0),
             epoch: RwLock::new((Arc::new(PatchEpoch::genesis()), 0)),
-            epoch_signal: Mutex::new(0),
-            epoch_wake: Condvar::new(),
             registry,
             ingest_hist,
             fold_hist,
@@ -301,30 +300,27 @@ impl FleetService {
         &self.config
     }
 
-    /// Locks `mutex`, recovering (and counting) a poisoning left behind by
-    /// a panicked thread instead of propagating it — the module docs argue
-    /// why `into_inner` is sound for every lock in this service.
-    fn lock_recovering<'a, T>(&self, mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        mutex.lock().unwrap_or_else(|poisoned| {
-            self.lock_recoveries.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner()
-        })
+    /// Counts one poisoned lock recovered.
+    fn recovered<G>(&self, poisoned: PoisonError<G>) -> G {
+        self.lock_recoveries.fetch_add(1, Ordering::Relaxed);
+        poisoned.into_inner()
     }
 
-    /// [`FleetService::lock_recovering`] for the epoch lock's read side.
+    /// Locks the state, recovering (and counting) a poisoning left
+    /// behind by a panicked thread instead of propagating it — the module
+    /// docs argue why `into_inner` is sound.
+    fn lock_state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|p| self.recovered(p))
+    }
+
+    /// [`FleetService::lock_state`] for the epoch lock's read side.
     fn epoch_read(&self) -> RwLockReadGuard<'_, (Arc<PatchEpoch>, u64)> {
-        self.epoch.read().unwrap_or_else(|poisoned| {
-            self.lock_recoveries.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner()
-        })
+        self.epoch.read().unwrap_or_else(|p| self.recovered(p))
     }
 
-    /// [`FleetService::lock_recovering`] for the epoch lock's write side.
+    /// [`FleetService::lock_state`] for the epoch lock's write side.
     fn epoch_write(&self) -> RwLockWriteGuard<'_, (Arc<PatchEpoch>, u64)> {
-        self.epoch.write().unwrap_or_else(|poisoned| {
-            self.lock_recoveries.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner()
-        })
+        self.epoch.write().unwrap_or_else(|p| self.recovered(p))
     }
 
     /// Decodes and ingests one wire report.
@@ -338,97 +334,86 @@ impl FleetService {
     /// Either way the evidence, prior, and dedup state are untouched.
     pub fn ingest(&self, bytes: &[u8]) -> Result<IngestReceipt, WireError> {
         let started = Instant::now();
-        let report = RunReport::decode(bytes).inspect_err(|_| self.note_rejected())?;
-        self.admit(report.client)?;
+        let report = self.admit(bytes)?;
         let receipt = self.ingest_report(&report);
         self.ingest_hist.record_duration(started.elapsed());
         Ok(receipt)
     }
 
-    /// Per-client admission control for the wire path. Buckets are
-    /// deterministic: refill is attempt-driven and the phase is seeded
-    /// from the client id, so the same request sequence always gets
-    /// the same admit/reject decisions.
-    pub(crate) fn admit(&self, client: u64) -> Result<(), WireError> {
+    /// The wire path's checks, run before anything folds or reaches the
+    /// durability layer's WAL: decode validation, then per-client
+    /// admission control. Buckets are deterministic: refill is
+    /// attempt-driven and the phase is seeded from the client id, so the
+    /// same request sequence always gets the same admit/reject decisions.
+    pub(crate) fn admit(&self, bytes: &[u8]) -> Result<RunReport, WireError> {
+        let report = RunReport::decode(bytes).inspect_err(|_| self.lock_state().rejected += 1)?;
         let Some(rate) = self.config.rate_limit else {
-            return Ok(());
+            return Ok(report);
         };
-        let admitted = self
-            .lock_recovering(&self.limiters)
+        let client = report.client;
+        let mut state = self.lock_state();
+        let bucket = state
+            .limiters
             .entry(client)
-            .or_insert_with(|| TokenBucket::new(rate, client))
-            .try_admit();
-        if admitted {
-            Ok(())
+            .or_insert_with(|| TokenBucket::new(rate, client));
+        if bucket.try_admit() {
+            Ok(report)
         } else {
-            self.rate_limited.fetch_add(1, Ordering::Relaxed);
+            state.rate_limited += 1;
             Err(WireError::RateLimited { client })
         }
     }
 
-    /// Counts a malformed report rejected before decode reached the
-    /// service — the durability layer validates bytes itself (a rejected
-    /// report must never touch the WAL) but the rejection still belongs
-    /// in these metrics.
-    pub(crate) fn note_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+    /// Counts `records` WAL records landed in `appends` group-commit
+    /// appends (a publish record is a record, not a group commit).
+    pub(crate) fn note_wal(&self, records: u64, appends: u64) {
+        let mut state = self.lock_state();
+        state.wal_appends += records;
+        state.wal_batches += appends;
     }
 
-    /// Ingests one decoded report.
+    /// Counts one compacted snapshot written.
+    pub(crate) fn note_snapshot_written(&self) {
+        self.lock_state().snapshots_written += 1;
+    }
+
+    /// Counts one rebuild from storage, and a torn WAL tail it truncated.
+    pub(crate) fn note_recovery(&self, torn_tail: bool) {
+        let mut state = self.lock_state();
+        state.recoveries += 1;
+        state.torn_tail_truncated += u64::from(torn_tail);
+    }
+
+    /// Ingests one decoded report: dedup, the fold and a cadence publish
+    /// under one hold of the state lock.
     pub fn ingest_report(&self, report: &RunReport) -> IngestReceipt {
-        let delivery = self
-            .lock_recovering(&self.seen)
+        // Converted before locking: the conversion allocates.
+        let summary = report.to_summary();
+        let mut state = self.lock_state();
+        let delivery = state
+            .seen
             .entry(report.client)
             .or_default()
             .observe(report.seq);
         if delivery.is_drop() {
-            self.duplicates.fetch_add(1, Ordering::Relaxed);
+            state.duplicates += 1;
             return IngestReceipt {
                 duplicate: true,
                 observations: 0,
-                epoch: self.latest().number,
+                epoch: state.newest_epoch,
             };
         }
-        self.reports.fetch_add(1, Ordering::Relaxed);
-        if report.failed {
-            self.failed_reports.fetch_add(1, Ordering::Relaxed);
-        }
-        self.n_sites
-            .fetch_max(report.n_sites as usize, Ordering::Relaxed);
-
         let fold_started = Instant::now();
-        {
-            let mut evidence = self.lock_recovering(&self.evidence);
-            for &(site, x, y) in &report.overflow_obs {
-                evidence.observe_overflow(SiteHash::from_raw(site), x, y);
-            }
-            for &(site, x, y) in &report.dangling_obs {
-                evidence.observe_dangling(SiteHash::from_raw(site), x, y);
-            }
-            for &(site, pad) in &report.pad_hints {
-                evidence.hint_pad(SiteHash::from_raw(site), pad);
-            }
-            for &(alloc, free, ticks) in &report.defer_hints {
-                evidence.hint_deferral(
-                    SitePair::new(SiteHash::from_raw(alloc), SiteHash::from_raw(free)),
-                    ticks,
-                );
-            }
-        }
+        state.evidence.record_run(&summary);
         self.fold_hist.record_duration(fold_started.elapsed());
-
-        // Exactly-one trigger: `fetch_add` hands out consecutive values,
-        // so precisely one ingesting thread observes the cadence boundary
-        // — a `>=` check here would send every thread that crossed it
-        // before the reset into a redundant full reclassification.
-        let pending = self.pending.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.config.publish_every > 0 && pending == self.config.publish_every {
-            self.publish();
+        state.pending += 1;
+        if self.config.publish_every > 0 && state.pending == self.config.publish_every {
+            self.publish_locked(&mut state);
         }
         IngestReceipt {
             duplicate: false,
             observations: report.observations(),
-            epoch: self.latest().number,
+            epoch: state.newest_epoch,
         }
     }
 
@@ -451,15 +436,19 @@ impl FleetService {
 
     /// Classifies the evidence under the global prior and, if any new
     /// patches were isolated, installs the successor epoch. Returns the
-    /// epoch current after the call (new or unchanged). Holds the table
-    /// lock throughout, so publishers serialize with each other and with
-    /// snapshot exports.
+    /// epoch current after the call (new or unchanged). Holds the state
+    /// lock throughout, so publishers serialize with each other, with
+    /// ingest and with snapshot exports.
     pub fn publish(&self) -> Arc<PatchEpoch> {
+        self.publish_locked(&mut self.lock_state())
+    }
+
+    /// [`FleetService::publish`] under the held state lock.
+    fn publish_locked(&self, state: &mut State) -> Arc<PatchEpoch> {
         // xt-analyze: allow(time-source) -- publish latency observation; feeds the histogram only, never the epoch bytes
         let started = Instant::now();
-        let evidence = self.lock_recovering(&self.evidence);
-        self.pending.store(0, Ordering::Relaxed);
-        let isolated = evidence.generate_patches_with(self.n_sites.load(Ordering::Relaxed));
+        state.pending = 0;
+        let isolated = state.evidence.generate_patches();
         let current = self.latest();
         if current.covers(&isolated) {
             // xt-analyze: allow(obs-in-det) -- records how long publish took; the returned epoch is already decided
@@ -467,9 +456,8 @@ impl FleetService {
             return current;
         }
         let next = Arc::new(current.succeed(&isolated));
-        let reports = self.reports.load(Ordering::Relaxed);
-        *self.epoch_write() = (next.clone(), reports);
-        *self.lock_recovering(&self.epoch_signal) = next.number;
+        *self.epoch_write() = (next.clone(), state.evidence.runs() as u64);
+        state.newest_epoch = next.number;
         self.epoch_wake.notify_all();
         // xt-analyze: allow(obs-in-det) -- records how long publish took; the installed epoch is already decided
         self.publish_hist.record_duration(started.elapsed());
@@ -484,54 +472,44 @@ impl FleetService {
     /// wakes the instant [`FleetService::publish`] installs a successor.
     pub fn wait_epoch_newer(&self, have: u64, timeout: Duration) -> Option<Arc<PatchEpoch>> {
         let deadline = Instant::now() + timeout;
-        let mut newest = self.lock_recovering(&self.epoch_signal);
-        while *newest <= have {
+        let mut state = self.lock_state();
+        while state.newest_epoch <= have {
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
-            let (guard, _) = self
+            state = self
                 .epoch_wake
-                .wait_timeout(newest, deadline - now)
-                .unwrap_or_else(|poisoned| {
-                    self.lock_recoveries.fetch_add(1, Ordering::Relaxed);
-                    poisoned.into_inner()
-                });
-            newest = guard;
+                .wait_timeout(state, deadline - now)
+                .unwrap_or_else(|p| self.recovered(p))
+                .0;
         }
-        drop(newest);
+        drop(state);
         Some(self.latest())
     }
 
-    /// Aggregate counters.
+    /// Aggregate counters, read at one point in the report order.
     #[must_use]
     pub fn metrics(&self) -> FleetMetrics {
-        self.metrics_with(DurabilityStats::default())
-    }
-
-    /// Aggregate counters with a durability layer's overlay — the one
-    /// snapshot path every `FleetMetrics` consumer (plain service,
-    /// durable wrapper, network backend) routes through.
-    #[must_use]
-    pub fn metrics_with(&self, durability: DurabilityStats) -> FleetMetrics {
+        let state = self.lock_state();
         let (epoch, epoch_reports) = self.latest_with_reports();
         FleetMetrics {
-            reports: self.reports.load(Ordering::Relaxed),
-            failed_reports: self.failed_reports.load(Ordering::Relaxed),
-            duplicates: self.duplicates.load(Ordering::Relaxed),
-            rejected_reports: self.rejected.load(Ordering::Relaxed),
-            rate_limited: self.rate_limited.load(Ordering::Relaxed),
+            reports: state.evidence.runs() as u64,
+            failed_reports: state.evidence.failures() as u64,
+            duplicates: state.duplicates,
+            rejected_reports: state.rejected,
+            rate_limited: state.rate_limited,
             epoch: epoch.number,
             epoch_reports,
-            sites_tracked: self.lock_recovering(&self.evidence).sites_tracked(),
-            n_sites: self.n_sites.load(Ordering::Relaxed),
-            dedup_clients: self.lock_recovering(&self.seen).len(),
+            sites_tracked: state.evidence.sites_tracked(),
+            n_sites: state.evidence.n_sites(),
+            dedup_clients: state.seen.len(),
             lock_recoveries: self.lock_recoveries.load(Ordering::Relaxed),
-            wal_appends: durability.wal_appends,
-            wal_batches: durability.wal_batches,
-            snapshots_written: durability.snapshots_written,
-            recoveries: durability.recoveries,
-            torn_tail_truncated: durability.torn_tail_truncated,
+            wal_appends: state.wal_appends,
+            wal_batches: state.wal_batches,
+            snapshots_written: state.snapshots_written,
+            recoveries: state.recoveries,
+            torn_tail_truncated: state.torn_tail_truncated,
         }
     }
 
@@ -541,16 +519,14 @@ impl FleetService {
     /// so the encoding, and therefore [`FleetService::state_digest`], is
     /// a function of the folded state alone.
     ///
-    /// Holds the table lock throughout (no epoch can be minted
-    /// mid-export, and no fold lands half in). Dedup and the counters
-    /// are updated outside that lock, so a caller that needs a
-    /// point-in-time image (the durability layer) must quiesce ingest
-    /// itself, which [`DurableFleet`](crate::wal::DurableFleet) does by
-    /// serializing snapshots and ingest under one lock.
+    /// The export is a point in time: it holds the state lock
+    /// throughout, so every report it counts is deduped and folded, and
+    /// no epoch is minted mid-export.
     #[must_use]
     pub fn export_snapshot(&self) -> FleetSnapshot {
-        let evidence = self.lock_recovering(&self.evidence);
+        let state = self.lock_state();
         let (epoch, epoch_reports) = self.latest_with_reports();
+        let evidence = &state.evidence;
         let record = |(site, e): (SiteHash, &SiteEvidence)| {
             let (obs, grid) = e.raw_parts();
             EvidenceRecord {
@@ -561,19 +537,19 @@ impl FleetService {
         };
         let mut windows = Vec::new();
         // xt-analyze: allow(hash-iter) -- windows are sorted by client below, erasing the map's order before encoding
-        windows.extend(self.lock_recovering(&self.seen).iter().map(|(&client, w)| {
+        windows.extend(state.seen.iter().map(|(&client, w)| {
             let (bits, high) = w.to_parts();
             (client, bits, high)
         }));
         windows.sort_unstable_by_key(|&(client, _, _)| client);
         FleetSnapshot {
-            reports: self.reports.load(Ordering::Relaxed),
-            failed_reports: self.failed_reports.load(Ordering::Relaxed),
-            duplicates: self.duplicates.load(Ordering::Relaxed),
-            rejected_reports: self.rejected.load(Ordering::Relaxed),
-            pending: self.pending.load(Ordering::Relaxed),
+            reports: evidence.runs() as u64,
+            failed_reports: evidence.failures() as u64,
+            duplicates: state.duplicates,
+            rejected_reports: state.rejected,
+            pending: state.pending,
             epoch_reports,
-            n_sites: self.n_sites.load(Ordering::Relaxed) as u64,
+            n_sites: evidence.n_sites() as u64,
             integration_steps: u32::try_from(self.config.isolator.integration_steps)
                 .unwrap_or(u32::MAX),
             epoch_text: epoch.to_text(),
@@ -616,49 +592,44 @@ impl FleetService {
         }
         let epoch = PatchEpoch::from_text(&snap.epoch_text).map_err(RestoreError::BadEpoch)?;
         let service = FleetService::new(config);
-        let epoch_number = epoch.number;
+        let mut state = service.lock_state();
+        state.newest_epoch = epoch.number;
         *service.epoch_write() = (Arc::new(epoch), snap.epoch_reports);
-        *service.lock_recovering(&service.epoch_signal) = epoch_number;
-        service.reports.store(snap.reports, Ordering::Relaxed);
-        service
-            .failed_reports
-            .store(snap.failed_reports, Ordering::Relaxed);
-        service.duplicates.store(snap.duplicates, Ordering::Relaxed);
-        service
-            .rejected
-            .store(snap.rejected_reports, Ordering::Relaxed);
-        service.pending.store(snap.pending, Ordering::Relaxed);
-        service.n_sites.store(
-            usize::try_from(snap.n_sites).unwrap_or(usize::MAX).max(1),
-            Ordering::Relaxed,
+        state.duplicates = snap.duplicates;
+        state.rejected = snap.rejected_reports;
+        state.pending = snap.pending;
+        let count = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+        let evidence = &mut state.evidence;
+        evidence.restore_run_counters(
+            count(snap.reports),
+            count(snap.failed_reports),
+            count(snap.n_sites),
         );
         let restore = |rec: &EvidenceRecord| {
             let evidence = SiteEvidence::from_raw_parts(rec.obs as usize, rec.grid.clone());
             (SiteHash::from_raw(rec.site), evidence)
         };
-        {
-            let mut evidence = service.lock_recovering(&service.evidence);
-            for (site, e) in snap.overflow.iter().map(restore) {
-                evidence.insert_overflow_evidence(site, e);
-            }
-            for (site, e) in snap.dangling.iter().map(restore) {
-                evidence.insert_dangling_evidence(site, e);
-            }
-            for &(site, pad) in &snap.pad_hints {
-                evidence.hint_pad(SiteHash::from_raw(site), pad);
-            }
-            for &(alloc, free, ticks) in &snap.defer_hints {
-                evidence.hint_deferral(
-                    SitePair::new(SiteHash::from_raw(alloc), SiteHash::from_raw(free)),
-                    ticks,
-                );
-            }
+        for (site, e) in snap.overflow.iter().map(restore) {
+            evidence.insert_overflow_evidence(site, e);
         }
-        service.lock_recovering(&service.seen).extend(
+        for (site, e) in snap.dangling.iter().map(restore) {
+            evidence.insert_dangling_evidence(site, e);
+        }
+        for &(site, pad) in &snap.pad_hints {
+            evidence.hint_pad(SiteHash::from_raw(site), pad);
+        }
+        for &(alloc, free, ticks) in &snap.defer_hints {
+            evidence.hint_deferral(
+                SitePair::new(SiteHash::from_raw(alloc), SiteHash::from_raw(free)),
+                ticks,
+            );
+        }
+        state.seen.extend(
             snap.windows
                 .iter()
                 .map(|&(client, bits, high)| (client, ReplayWindow::from_parts(bits, high))),
         );
+        drop(state);
         Ok(service)
     }
 
@@ -833,30 +804,39 @@ mod tests {
         assert_eq!(service.metrics().dedup_clients, 2);
     }
 
-    /// The poison bugfix: a thread that panics while holding the table
-    /// lock must not turn every later ingest into a panic. The service
-    /// recovers the lock, keeps serving, and counts the event.
+    /// The poison bugfix: a thread that panics while holding a lock must
+    /// not turn every later ingest, publish or epoch read into a panic.
+    /// The service recovers both locks — the state mutex and either side
+    /// of the epoch `RwLock` — keeps serving, and counts every recovery.
     #[test]
     fn poisoned_locks_recover_and_ingestion_continues() {
         let service = FleetService::new(FleetConfig {
             publish_every: 0,
             ..FleetConfig::default()
         });
+        let recoveries = || service.lock_recoveries.load(Ordering::Relaxed);
         service.ingest_report(&dangling_report(1, 0, 0xBAD));
-        // Poison the evidence lock and the dedup lock, the way a
-        // panicking ingest thread would (hook silenced: these panics are
-        // the test fixture, not noise worth printing).
+        // Poison the state lock, the way a panicking ingest thread would,
+        // and the epoch lock by panicking on its write side (hook
+        // silenced: these panics are the test fixture, not noise worth
+        // printing).
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = service.evidence.lock().expect("not yet poisoned");
-            panic!("simulated ingest panic while holding the evidence lock");
+            let _guard = service.state.lock().expect("not yet poisoned");
+            panic!("simulated ingest panic while holding the state lock");
         }));
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = service.seen.lock().expect("not yet poisoned");
-            panic!("simulated ingest panic while holding the dedup lock");
+            let _guard = service.epoch.write().expect("not yet poisoned");
+            panic!("simulated publish panic while holding the epoch lock");
         }));
         std::panic::set_hook(hook);
+        assert!(service.state.is_poisoned() && service.epoch.is_poisoned());
+        assert_eq!(recoveries(), 0, "nothing has recovered a lock yet");
+        // The epoch lock's read side: `latest` still answers, and its one
+        // read of the poisoned lock is one counted recovery.
+        assert_eq!(service.latest().number, 0);
+        assert_eq!(recoveries(), 1, "an epoch read recovered uncounted");
         // Ingestion, dedup, publication, and metrics all keep working —
         // enough further clients report that the §5 classifier crosses
         // its threshold post-poison, as in the clean-path test above.
@@ -866,6 +846,7 @@ mod tests {
             "post-poison ingest rejected a fresh report"
         );
         assert!(receipt.observations > 0);
+        assert_eq!(recoveries(), 2, "a state-lock recovery went uncounted");
         assert!(
             service
                 .ingest_report(&dangling_report(2, 0, 0xBAD))
@@ -875,10 +856,26 @@ mod tests {
         for client in 3..21 {
             service.ingest_report(&dangling_report(client, 0, 0xBAD));
         }
+        // A publish that installs an epoch recovers the state lock, the
+        // epoch read of the current epoch and the epoch write.
+        let before = recoveries();
         let epoch = service.publish();
         assert_eq!(epoch.number, 1, "post-poison publish failed");
+        assert_eq!(recoveries(), before + 3);
         let pair = SitePair::new(SiteHash::from_raw(0xBAD), SiteHash::from_raw(0xF));
         assert_eq!(epoch.patches.deferral_for(pair), 30);
+        assert_eq!(service.latest().number, 1, "the epoch write was lost");
+        // The push primitive: an installed epoch is found at once (state
+        // lock, then one epoch read); a wait for a newer one times out.
+        let before = recoveries();
+        let pushed = service.wait_epoch_newer(0, Duration::from_secs(10));
+        assert_eq!(pushed.map(|e| e.number), Some(1));
+        assert_eq!(recoveries(), before + 2);
+        let before = recoveries();
+        assert!(service
+            .wait_epoch_newer(1, Duration::from_millis(5))
+            .is_none());
+        assert!(recoveries() >= before + 2, "a poisoned wait went uncounted");
         let m = service.metrics();
         assert_eq!(m.reports, 20);
         assert!(

@@ -63,7 +63,6 @@
 //! byte-identical to a run that never crashed.
 
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -71,9 +70,7 @@ use xt_arena::{fnv1a_64, FNV1A_64_BASIS};
 use xt_obs::Histogram;
 use xt_patch::PatchEpoch;
 
-use crate::service::{
-    DurabilityStats, FleetConfig, FleetMetrics, FleetService, IngestReceipt, RestoreError,
-};
+use crate::service::{FleetConfig, FleetMetrics, FleetService, IngestReceipt, RestoreError};
 use crate::storage::Storage;
 use crate::wire::{FleetSnapshot, RunReport, WireError};
 
@@ -283,8 +280,12 @@ impl Slot {
 ///
 /// Reads ([`DurableFleet::latest`], [`DurableFleet::metrics`], epoch
 /// polling through [`DurableFleet::service`]) are exactly as concurrent
-/// as the underlying service; writes are serialized by one lock so the
-/// WAL totally orders them.
+/// as the underlying service; writes are serialized by one lock, the
+/// write gate, so the WAL totally orders them. This layer keeps no
+/// counters of its own: WAL appends, group-commit batches, snapshots
+/// and recoveries are counted in the service's state, bumped under the
+/// gate (or in [`DurableFleet::open`]), so the lock order is always
+/// gate → service state.
 pub struct DurableFleet<S> {
     storage: S,
     service: Arc<FleetService>,
@@ -294,13 +295,6 @@ pub struct DurableFleet<S> {
     /// staged; whole-state operations (publish, explicit snapshot) wait
     /// here so their WAL position never lands inside a report batch.
     quiesced: Condvar,
-    wal_appends: AtomicU64,
-    /// Group-commit appends (each covering ≥ 1 records). `wal_appends /
-    /// wal_batches` is the realized batching factor.
-    wal_batches: AtomicU64,
-    snapshots_written: AtomicU64,
-    recoveries: AtomicU64,
-    torn_tail_truncated: AtomicU64,
     /// Append latency, registered as `fleet/wal_append` in the wrapped
     /// service's observability registry.
     wal_append_hist: Arc<Histogram>,
@@ -341,12 +335,13 @@ impl<S: Storage> DurableFleet<S> {
         };
         let wal_bytes = storage.read(WAL_OBJECT)?.unwrap_or_default();
         let (records, valid_len) = scan_wal(&wal_bytes);
-        let mut torn = 0;
-        if valid_len < wal_bytes.len() {
+        let torn = valid_len < wal_bytes.len();
+        if torn {
             storage.truncate(WAL_OBJECT, valid_len as u64)?;
-            torn = 1;
         }
-        let recovered = snapshot_bytes.is_some() || !wal_bytes.is_empty();
+        if snapshot_bytes.is_some() || !wal_bytes.is_empty() {
+            service.note_recovery(torn);
+        }
         let mut fresh = 0;
         let mut next_lsn = snapshot_lsn + 1;
         for record in &records {
@@ -385,11 +380,6 @@ impl<S: Storage> DurableFleet<S> {
                 flushing: false,
             }),
             quiesced: Condvar::new(),
-            wal_appends: AtomicU64::new(0),
-            wal_batches: AtomicU64::new(0),
-            snapshots_written: AtomicU64::new(0),
-            recoveries: AtomicU64::new(u64::from(recovered)),
-            torn_tail_truncated: AtomicU64::new(torn),
             wal_append_hist,
             ingest_hist,
         };
@@ -438,10 +428,10 @@ impl<S: Storage> DurableFleet<S> {
     /// recovery converges to the correct state either way).
     pub fn ingest(&self, bytes: &[u8]) -> Result<IngestReceipt, DurabilityError> {
         let started = Instant::now();
-        let report = RunReport::decode(bytes).inspect_err(|_| self.service.note_rejected())?;
-        // Admission control before the WAL: a rate-limited report must
-        // never be appended, or replay would fold what ingest refused.
-        self.service.admit(report.client)?;
+        // Validation and admission control before the WAL: a rejected or
+        // rate-limited report must never be appended, or replay would
+        // fold what ingest refused.
+        let report = self.service.admit(bytes)?;
         let receipt = self.ingest_report(&report)?;
         self.ingest_hist.record_duration(started.elapsed());
         Ok(receipt)
@@ -546,9 +536,7 @@ impl<S: Storage> DurableFleet<S> {
             gate = self.gate();
             match appended {
                 Ok(()) => {
-                    self.wal_appends
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    self.wal_batches.fetch_add(1, Ordering::Relaxed);
+                    self.service.note_wal(batch.len() as u64, 1);
                     let mut results = Vec::with_capacity(batch.len());
                     for record in &batch {
                         let receipt = self.service.ingest_report(&record.report);
@@ -621,7 +609,7 @@ impl<S: Storage> DurableFleet<S> {
         self.wal_append_hist
             .record_duration(append_started.elapsed());
         gate.next_lsn = lsn + 1;
-        self.wal_appends.fetch_add(1, Ordering::Relaxed);
+        self.service.note_wal(1, 0);
         Ok(self.service.publish())
     }
 
@@ -649,24 +637,19 @@ impl<S: Storage> DurableFleet<S> {
         bytes.extend_from_slice(&snap.encode());
         self.storage.put(SNAPSHOT_OBJECT, &bytes)?;
         self.storage.truncate(WAL_OBJECT, 0)?;
-        self.snapshots_written.fetch_add(1, Ordering::Relaxed);
+        self.service.note_snapshot_written();
         gate.fresh = 0;
         Ok(())
     }
 
-    /// Service counters plus this layer's durability counters
-    /// ([`FleetMetrics::wal_appends`], [`FleetMetrics::snapshots_written`],
-    /// [`FleetMetrics::recoveries`], [`FleetMetrics::torn_tail_truncated`]
-    /// — the latter two describe this instance's `open`).
+    /// The service's counters ([`FleetService::metrics`]), this layer's
+    /// durability counters included ([`FleetMetrics::wal_appends`],
+    /// [`FleetMetrics::snapshots_written`], [`FleetMetrics::recoveries`],
+    /// [`FleetMetrics::torn_tail_truncated`] — the latter two describe
+    /// this instance's `open`).
     #[must_use]
     pub fn metrics(&self) -> FleetMetrics {
-        self.service.metrics_with(DurabilityStats {
-            wal_appends: self.wal_appends.load(Ordering::Relaxed),
-            wal_batches: self.wal_batches.load(Ordering::Relaxed),
-            snapshots_written: self.snapshots_written.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            torn_tail_truncated: self.torn_tail_truncated.load(Ordering::Relaxed),
-        })
+        self.service.metrics()
     }
 
     /// The service's canonical state digest

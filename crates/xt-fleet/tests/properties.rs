@@ -4,6 +4,8 @@
 //! behind any delivery topology. Extends the patch-lattice laws in
 //! `xt-patch/tests/properties.rs` one level up the stack.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 
 use xt_fleet::{EvidenceRecord, FleetConfig, FleetService, RunReport};
@@ -198,4 +200,53 @@ proptest! {
         expected.merge(&early.patches);
         prop_assert_eq!(&late.patches, &expected);
     }
+}
+
+/// An export is a point in the report order: dedup, the run counters and
+/// the evidence are read under one hold of the service's state lock, so
+/// no export sees a report deduped and counted but not yet folded. Four
+/// threads ingest one-observation reports from distinct clients while a
+/// fifth exports, up to 200 times; every export must hold one window and
+/// one observation per report.
+#[test]
+fn a_snapshot_is_a_point_in_time() {
+    let svc = service();
+    let start = std::sync::Barrier::new(5);
+    let done = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let (svc, start, done) = (&svc, &start, &done);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..1000u32 {
+                    svc.ingest_report(&RunReport {
+                        client: t << 32 | u64::from(i),
+                        seq: 0,
+                        failed: i % 3 == 0,
+                        clock: 1000,
+                        n_sites: 8,
+                        overflow_obs: Vec::new(),
+                        dangling_obs: vec![(i % 8, XS[i as usize % XS.len()], i % 2 == 0)],
+                        pad_hints: Vec::new(),
+                        defer_hints: Vec::new(),
+                    });
+                }
+                done.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        start.wait();
+        for _ in 0..200 {
+            if done.load(Ordering::Relaxed) == 4 {
+                break;
+            }
+            let snap = svc.export_snapshot();
+            let obs: u64 = snap.dangling.iter().map(|r| r.obs).sum();
+            assert_eq!(snap.reports, snap.windows.len() as u64);
+            assert_eq!(obs, snap.reports);
+            // The lock is not fair: without a pause, a looping exporter
+            // can hold off the ingesters for seconds.
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+    });
+    assert_eq!(svc.metrics().reports, 4000);
 }

@@ -259,7 +259,8 @@ impl SiteEvidence {
 /// for both error families, pad/deferral hints, and run counters. The
 /// grid-store counterpart of
 /// [`CumulativeIsolator`](crate::cumulative::CumulativeIsolator), and the
-/// state the `xt-fleet` service keeps.
+/// state the `xt-fleet` service keeps, whose report and failure counts
+/// and prior `N` are this table's run counters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EvidenceTable {
     config: CumulativeConfig,
@@ -315,13 +316,28 @@ impl EvidenceTable {
         self.n_sites
     }
 
-    /// Sites with evidence in either family.
+    /// Sites with evidence in either family: one merge pass over the two
+    /// maps' sorted keys, allocating nothing.
     #[must_use]
     pub fn sites_tracked(&self) -> usize {
-        let mut sites: std::collections::BTreeSet<SiteHash> =
-            self.overflow.keys().copied().collect();
-        sites.extend(self.dangling.keys().copied());
-        sites.len()
+        let mut overflow = self.overflow.keys().peekable();
+        let mut count = 0;
+        for site in self.dangling.keys() {
+            while overflow.next_if(|&o| o < site).is_some() {
+                count += 1;
+            }
+            overflow.next_if_eq(&site);
+            count += 1;
+        }
+        count + overflow.count()
+    }
+
+    /// Sets the run counters to a snapshot's (`n_sites` at least 1, as in
+    /// a fresh table).
+    pub fn restore_run_counters(&mut self, runs: usize, failures: usize, n_sites: usize) {
+        self.runs = runs;
+        self.failures = failures;
+        self.n_sites = n_sites.max(1);
     }
 
     /// Folds one overflow-criteria observation in.
@@ -431,42 +447,33 @@ impl EvidenceTable {
         }
     }
 
-    /// Verdicts for all sites with overflow evidence, using `n_sites` as
-    /// the population.
-    fn overflow_verdicts_with(&self, n_sites: usize) -> Vec<Verdict> {
-        self.overflow
-            .iter()
-            .map(|(&site, e)| e.verdict(site, n_sites, self.config.prior_c))
-            .collect()
-    }
-
-    /// Verdicts for all sites with dangling evidence.
-    fn dangling_verdicts_with(&self, n_sites: usize) -> Vec<Verdict> {
-        self.dangling
-            .iter()
-            .map(|(&site, e)| e.verdict(site, n_sites, self.config.prior_c))
-            .collect()
-    }
-
-    /// Verdicts under this table's own recorded site population.
+    /// Verdicts for all sites with overflow evidence, under this table's
+    /// recorded site population.
     #[must_use]
     pub fn overflow_verdicts(&self) -> Vec<Verdict> {
-        self.overflow_verdicts_with(self.n_sites)
+        self.overflow
+            .iter()
+            .map(|(&site, e)| e.verdict(site, self.n_sites, self.config.prior_c))
+            .collect()
     }
 
-    /// Verdicts under this table's own recorded site population.
+    /// Verdicts for all sites with dangling evidence, under this table's
+    /// recorded site population.
     #[must_use]
     pub fn dangling_verdicts(&self) -> Vec<Verdict> {
-        self.dangling_verdicts_with(self.n_sites)
+        self.dangling
+            .iter()
+            .map(|(&site, e)| e.verdict(site, self.n_sites, self.config.prior_c))
+            .collect()
     }
 
-    /// Patches for every flagged site with a matching hint, under site
-    /// population `n_sites`. Deferral patches are emitted for every hinted
-    /// `(alloc, free)` pair of a flagged alloc site.
+    /// Patches for every flagged site with a matching hint, under this
+    /// table's recorded site population. Deferral patches are emitted for
+    /// every hinted `(alloc, free)` pair of a flagged alloc site.
     #[must_use]
-    pub fn generate_patches_with(&self, n_sites: usize) -> PatchTable {
+    pub fn generate_patches(&self) -> PatchTable {
         let mut patches = PatchTable::new();
-        for v in self.overflow_verdicts_with(n_sites) {
+        for v in self.overflow_verdicts() {
             if !v.flagged {
                 continue;
             }
@@ -474,7 +481,7 @@ impl EvidenceTable {
                 patches.add_pad(v.site, pad);
             }
         }
-        for v in self.dangling_verdicts_with(n_sites) {
+        for v in self.dangling_verdicts() {
             if !v.flagged {
                 continue;
             }
@@ -485,12 +492,6 @@ impl EvidenceTable {
             }
         }
         patches
-    }
-
-    /// Patches under this table's own recorded site population.
-    #[must_use]
-    pub fn generate_patches(&self) -> PatchTable {
-        self.generate_patches_with(self.n_sites)
     }
 
     /// Resident bytes of the evidence state — per site this is one grid of
@@ -687,12 +688,14 @@ mod tests {
         for (pair, ticks) in table.defer_hint_entries() {
             restored.hint_deferral(pair, ticks);
         }
-        // Evidence, hints, and therefore verdicts and patches all match
-        // bit-for-bit (run counters are service-level state, not table
-        // state, in the fleet's usage).
+        restored.restore_run_counters(table.runs(), table.failures(), table.n_sites());
+        // Evidence, hints, run counters, and therefore verdicts and
+        // patches all match bit-for-bit: the run counters are table
+        // state, which the fleet's snapshots carry.
+        assert_eq!(restored, table);
         assert_eq!(restored.generate_patches(), table.generate_patches());
-        let a = restored.dangling_verdicts_with(64);
-        let b = table.dangling_verdicts_with(64);
+        let a = restored.dangling_verdicts();
+        let b = table.dangling_verdicts();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.site, y.site);
@@ -736,6 +739,26 @@ mod tests {
         assert_eq!(table.runs(), 1000);
         assert!(table.state_bytes() < 8 * (64 + 2) * 8 + 1024);
         assert_eq!(table.sites_tracked(), 8);
+    }
+
+    /// The merge count is the size of the union of the two families'
+    /// site sets: interleaved, shared, and one-sided keys alike.
+    #[test]
+    fn sites_tracked_counts_the_union_of_both_families() {
+        let mut table = EvidenceTable::new(CumulativeConfig::default());
+        let mut union = std::collections::BTreeSet::new();
+        assert_eq!(table.sites_tracked(), 0);
+        let sites = [5, 1, 1, 9, 3, 2, 20, 20, 40, 3, 41, 50, 60, 61];
+        for (i, site) in sites.map(SiteHash::from_raw).into_iter().enumerate() {
+            if i % 2 == 0 {
+                table.observe_overflow(site, 0.5, true);
+            } else {
+                table.observe_dangling(site, 0.5, true);
+            }
+            union.insert(site);
+            assert_eq!(table.sites_tracked(), union.len());
+        }
+        assert_eq!(union.len(), 11);
     }
 
     /// A site's grid has one double per Simpson node, and an odd step

@@ -86,8 +86,8 @@ use exterminator::frontend::{FrontendConfig, JobSink, PendingJob, PoolFrontend, 
 use exterminator::pool::{EarlyVerdict, PoolOutcome};
 use xt_fleet::frame::Frame;
 use xt_fleet::{
-    bridge, DurabilityConfig, DurabilityError, DurableFleet, FleetConfig, FleetMetrics,
-    FleetService, IngestReceipt, Storage,
+    bridge, DurabilityConfig, DurabilityError, DurableFleet, FleetConfig, FleetService,
+    IngestReceipt, Storage,
 };
 use xt_obs::{Counter, Gauge, Histogram, Registry, RegistrySnapshot};
 use xt_patch::PatchTable;
@@ -217,13 +217,6 @@ impl FleetBackend {
         match self {
             FleetBackend::Plain(service) => Ok(service.ingest(bytes)?),
             FleetBackend::Durable(fleet) => fleet.ingest(bytes),
-        }
-    }
-
-    fn metrics(&self) -> FleetMetrics {
-        match self {
-            FleetBackend::Plain(service) => service.metrics(),
-            FleetBackend::Durable(fleet) => fleet.metrics(),
         }
     }
 }
@@ -477,7 +470,6 @@ impl Conn {
 pub struct NetFrontend {
     addr: SocketAddr,
     service: Arc<FleetService>,
-    backend: Arc<FleetBackend>,
     counters: Arc<Counters>,
     obs: Arc<NetObs>,
     stop: Arc<AtomicBool>,
@@ -504,18 +496,17 @@ impl NetFrontend {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let poller = Arc::new(Poller::new()?);
-        let backend = Arc::new(match config.durability.clone() {
+        let backend = match config.durability.clone() {
             Some(d) => FleetBackend::Durable(
                 DurableFleet::open(d.storage, config.fleet, d.config).map_err(io::Error::other)?,
             ),
             None => FleetBackend::Plain(Arc::new(FleetService::new(config.fleet))),
-        });
+        };
         let service = backend.service_handle();
         let counters = Arc::new(Counters::default());
         let obs = Arc::new(NetObs::new());
         let stop = Arc::new(AtomicBool::new(false));
         let handle = {
-            let backend = Arc::clone(&backend);
             let counters = Arc::clone(&counters);
             let obs = Arc::clone(&obs);
             let stop = Arc::clone(&stop);
@@ -529,7 +520,6 @@ impl NetFrontend {
         Ok(NetFrontend {
             addr,
             service,
-            backend,
             counters,
             obs,
             stop,
@@ -544,18 +534,11 @@ impl NetFrontend {
         self.addr
     }
 
-    /// The co-located fleet service (epoch inspection, direct ingest).
+    /// The co-located fleet service (epoch inspection, direct ingest,
+    /// metrics — whose durability counters read 0 in plain mode).
     #[must_use]
     pub fn service(&self) -> &Arc<FleetService> {
         &self.service
-    }
-
-    /// Fleet-layer metrics. In durable mode the durability counters
-    /// (`wal_appends`, `snapshots_written`, `recoveries`,
-    /// `torn_tail_truncated`) are live; in plain mode they read 0.
-    #[must_use]
-    pub fn fleet_metrics(&self) -> FleetMetrics {
-        self.backend.metrics()
     }
 
     /// The wire layer's metrics registry (`net/wire_rtt`,
@@ -577,7 +560,7 @@ impl NetFrontend {
     #[must_use]
     pub fn metrics_snapshot(&self) -> RegistrySnapshot {
         let mut snap = self.service.observability().snapshot();
-        snap.merge(self.backend.metrics().counters_snapshot());
+        snap.merge(self.service.metrics().counters_snapshot());
         snap.merge(self.obs.registry.snapshot());
         snap
     }
@@ -1132,7 +1115,7 @@ fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) 
             });
         }
         Ok(Msg::HealthPull) => {
-            let m = ctx.backend.metrics();
+            let m = ctx.backend.service().metrics();
             reply(
                 c,
                 &Msg::Health(WireHealth {
@@ -1153,7 +1136,7 @@ fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) 
             // collides.
             let mut snap = ctx.frontend.observability().snapshot();
             snap.merge(ctx.backend.service().observability().snapshot());
-            snap.merge(ctx.backend.metrics().counters_snapshot());
+            snap.merge(ctx.backend.service().metrics().counters_snapshot());
             snap.merge(ctx.obs.registry.snapshot());
             reply(c, &Msg::Metrics(snap), ctx.obs);
             ctx.obs.wire_rtt.record_duration(at.elapsed());

@@ -839,7 +839,7 @@ fn durable_server_state_survives_restart() {
     let epoch_before = server.service().latest().number;
     assert!(epoch_before >= 1, "publish cadence never fired");
     let digest_before = server.service().state_digest();
-    let m = server.fleet_metrics();
+    let m = server.service().metrics();
     assert_eq!(m.wal_appends, 20);
     assert_eq!(m.recoveries, 0);
     drop(client);
@@ -857,7 +857,7 @@ fn durable_server_state_survives_restart() {
     // "Restart": a new server over the same storage.
     let server = NetFrontend::bind(EspressoLike::new(), "127.0.0.1:0", config)
         .expect("rebind durable server");
-    let m = server.fleet_metrics();
+    let m = server.service().metrics();
     assert_eq!(m.recoveries, 1, "rebind did not recover");
     assert_eq!(m.reports, 20, "recovered report count diverged");
     assert_eq!(server.service().latest().number, epoch_before);

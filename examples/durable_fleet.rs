@@ -109,7 +109,7 @@ fn main() {
     assert!(epoch >= 1, "evidence never crossed the publish threshold");
     let reports_before = u64::from(seq);
     let digest_before = server.service().state_digest();
-    let before = server.fleet_metrics();
+    let before = server.service().metrics();
     println!(
         "shipped {seq} reports -> epoch {epoch}; WAL appends {}, snapshots {}",
         before.wal_appends, before.snapshots_written
@@ -124,7 +124,7 @@ fn main() {
     // "Restart": a brand-new server process over the same directory.
     let server = NetFrontend::bind(EspressoLike::new(), "127.0.0.1:0", durable_config(&dir))
         .expect("rebind durable server");
-    let after = server.fleet_metrics();
+    let after = server.service().metrics();
     println!(
         "\nreopened: recoveries {}, reports {}, epoch {}, torn tails {}",
         after.recoveries, after.reports, after.epoch, after.torn_tail_truncated
