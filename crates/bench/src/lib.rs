@@ -550,8 +550,8 @@ fn spurious_culprits(k: u32) -> f64 {
             let (victim_addr, mh) = (image.slot_addr(victim), image.miniheap_of(victim));
             let set = mh.slots.iter().enumerate().filter_map(|(idx, slot)| {
                 let addr = mh.slot_addr(idx);
-                (addr < victim_addr && slot.ever_used)
-                    .then(|| (slot.object_id.raw(), victim_addr - addr))
+                (addr < victim_addr && slot.meta.state != SlotState::Unused)
+                    .then(|| (slot.meta.object_id.raw(), victim_addr - addr))
             });
             Some(set.collect::<HashSet<_>>())
         });
@@ -576,7 +576,7 @@ fn identical_overflow(k: u32) -> f64 {
             let culprit = image.find_object(ObjectId::from_raw(30))?;
             let hit = image.resolve_addr(image.slot_addr(culprit) + 16)?;
             // No live victim: never identical.
-            (image.slot(hit.slot).state == SlotState::Live).then_some(hit.object_id.raw())
+            (hit.state == SlotState::Live).then_some(hit.object_id.raw())
         });
         let first = victims.next().flatten();
         first.is_some() && victims.all(|v| v == first)

@@ -62,7 +62,5 @@ pub use frontend::{FrontendConfig, FrontendStats, JobTicket, PoolFrontend};
 pub use iterative::{FailureKind, IterativeConfig, IterativeMode, IterativeOutcome, RoundReport};
 pub use pool::{EarlyVerdict, PoolConfig, PoolOutcome, ReplicaPool, Straggler, VoteTiming};
 pub use replicated::{ReplicaSummary, ReplicatedOutcome};
-pub use runner::{
-    execute, execute_reusable, find_manifesting_fault, ReusableStack, RunConfig, RunRecord,
-};
+pub use runner::{execute, find_manifesting_fault, ReusableStack, RunConfig, RunRecord};
 pub use voter::{output_digest, vote, StreamVerdict, StreamingVoter, VoteResult};

@@ -11,9 +11,9 @@
 //! verdict alone ([`ActiveRun::abandon`] → [`RunVerdict`]: result, signals,
 //! clock). [`probe_failed`] is the walk-away path as one call.
 //!
-//! Who captures: [`execute`]/[`execute_reusable`] (every caller that reads
-//! the record), iterative mode's *failed* discovery runs and all of its
-//! replays (on whichever of its two lanes ran them), and the
+//! Who captures: [`execute`] (every caller that reads the record),
+//! iterative mode's *failed* discovery runs and all of its replays (on
+//! whichever of its two lanes ran them), and the
 //! [`pool`](crate::pool)'s detection-aligned replays of a failed job.
 //! Who walks away: every other pool run (the vote, the replica
 //! summaries and the replay's breakpoint need the verdict, not the heap),
@@ -146,11 +146,11 @@ impl RunVerdict {
 /// startup per request.
 ///
 /// One-shot callers use [`execute`]; repeated callers keep one
-/// `ReusableStack` and call [`execute_reusable`], or [`probe_failed`] when
-/// the verdict is all they read (or drive [`ReusableStack::start`] /
-/// [`ActiveRun::finish`] directly when they need to observe the run's
-/// output — or its [`ActiveRun::failed`] bit — before deciding whether
-/// the heap image is worth capturing).
+/// `ReusableStack` and drive [`ReusableStack::start`], [`ActiveRun::run`]
+/// and [`ActiveRun::finish`] themselves, or call [`probe_failed`] when the
+/// verdict is all they read (driving the steps also lets a caller observe
+/// the run's output — or its [`ActiveRun::failed`] bit — before deciding
+/// whether the heap image is worth capturing).
 #[derive(Debug, Default)]
 pub struct ReusableStack {
     arena: Option<xt_arena::Arena>,
@@ -279,29 +279,21 @@ impl ActiveRun<'_> {
 
 /// Executes one run of `workload` over a freshly built allocator stack:
 /// fault injector → correcting allocator → DieFast → DieHard → arena.
+/// A run driven through the same three steps over a recycled
+/// [`ReusableStack`] is byte-for-byte identical (the determinism tests pin
+/// this); only the allocation cost differs.
 #[must_use]
 pub fn execute(workload: &dyn Workload, input: &WorkloadInput, config: RunConfig) -> RunRecord {
-    execute_reusable(workload, input, config, &mut ReusableStack::new())
-}
-
-/// Executes one run over `stack`'s recycled address space. Behaviour is
-/// byte-for-byte identical to [`execute`] with the same `config` (the
-/// determinism tests pin this); only the allocation cost differs.
-#[must_use]
-pub fn execute_reusable(
-    workload: &dyn Workload,
-    input: &WorkloadInput,
-    config: RunConfig,
-    stack: &mut ReusableStack,
-) -> RunRecord {
+    let mut stack = ReusableStack::new();
     let mut active = stack.start(config);
     active.run(workload, input);
     active.finish()
 }
 
 /// Runs `config` over `stack`'s recycled address space and returns only
-/// whether the run failed — [`execute_reusable`]`(..).failed()` without
-/// the heap image, history and injection log nobody was going to read.
+/// whether the run failed — [`execute`]`(..).failed()` on a recycled stack,
+/// without the heap image, history and injection log nobody was going to
+/// read.
 /// Detection-only callers (fault screening, verification runs, clean
 /// re-discovery) use this; anything that isolates needs the record.
 #[must_use]
@@ -495,7 +487,9 @@ mod tests {
                 abandoned < 2 || abandoned_failures > 0,
                 "no abandoned prior run was faulty: the test lost its teeth"
             );
-            let reused = execute_reusable(&EspressoLike::new(), &input, config(), &mut stack);
+            let mut active = stack.start(config());
+            active.run(&EspressoLike::new(), &input);
+            let reused = active.finish();
             assert_eq!(
                 fresh, reused,
                 "recycled arena leaked state into the run after {captured} captured and \

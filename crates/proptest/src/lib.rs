@@ -32,16 +32,22 @@ pub mod test_runner;
 pub use strategy::Strategy;
 pub use test_runner::{ProptestConfig, TestCaseError, TestRng};
 
-/// Declares property tests. Mirrors proptest's surface:
+/// Declares property tests. Mirrors proptest's surface; in a test suite
+/// each property carries `#[test]`, and here the generated function is
+/// called directly:
 ///
-/// ```ignore
+/// ```
+/// use proptest::prelude::*;
+///
 /// proptest! {
 ///     #![proptest_config(ProptestConfig::with_cases(64))]
-///     #[test]
 ///     fn my_property(x in 0u64..100, v in proptest::collection::vec(any::<u8>(), 1..9)) {
 ///         prop_assert!(x < 100);
+///         prop_assert!((1..9).contains(&v.len()));
 ///     }
 /// }
+///
+/// my_property();
 /// ```
 #[macro_export]
 macro_rules! proptest {

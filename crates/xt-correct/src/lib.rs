@@ -43,7 +43,7 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use xt_alloc::{AllocTime, FreeOutcome, Heap, HeapError, SiteHash, SitePair};
 use xt_arena::{Addr, Arena};
@@ -77,14 +77,16 @@ pub struct CorrectionStats {
 }
 
 /// The correcting allocator: pads + deferrals over any inner [`Heap`].
+///
+/// The deferral queue is the one record of parked frees: a second free of
+/// a parked pointer is found by scanning it (on the paper's workloads it
+/// holds at most a few entries).
 #[derive(Debug)]
 pub struct CorrectingHeap<H> {
     inner: H,
     patches: PatchTable,
+    /// Parked frees, earliest due first.
     queue: BinaryHeap<Reverse<DeferredFree>>,
-    /// Pointers currently parked in the queue, to keep app-level double
-    /// frees of a deferred object benign.
-    parked: HashSet<Addr>,
     stats: CorrectionStats,
     live_padded_bytes: u64,
     parked_bytes: u64,
@@ -98,7 +100,6 @@ impl<H: Heap> CorrectingHeap<H> {
             inner,
             patches,
             queue: BinaryHeap::new(),
-            parked: HashSet::new(),
             stats: CorrectionStats::default(),
             live_padded_bytes: 0,
             parked_bytes: 0,
@@ -161,7 +162,6 @@ impl<H: Heap> CorrectingHeap<H> {
                 break;
             }
             let Reverse(entry) = self.queue.pop().expect("peeked entry");
-            self.parked.remove(&entry.ptr);
             self.parked_bytes = self.parked_bytes.saturating_sub(entry.size);
             self.inner.free(entry.ptr, entry.site);
         }
@@ -195,11 +195,11 @@ impl<H: Heap> Heap for CorrectingHeap<H> {
     /// resolution, not one here to find the allocation site and another
     /// below.
     fn free(&mut self, ptr: Addr, site: SiteHash) -> FreeOutcome {
-        if self.patches.is_empty() && self.parked.is_empty() {
+        if self.patches.is_empty() && self.queue.is_empty() {
             // Every path below would end in this same call.
             return self.inner.free(ptr, site);
         }
-        if self.parked.contains(&ptr) {
+        if self.queue.iter().any(|Reverse(e)| e.ptr == ptr) {
             // The application freed an object whose release is already
             // scheduled; like any double free, this is benign.
             return FreeOutcome::DoubleFreeIgnored;
@@ -223,7 +223,6 @@ impl<H: Heap> Heap for CorrectingHeap<H> {
             site,
             size,
         }));
-        self.parked.insert(ptr);
         self.stats.frees_deferred += 1;
         self.stats.total_drag_bytes_ticks += size * defer;
         self.parked_bytes += size;
@@ -490,9 +489,9 @@ mod tests {
 
     #[test]
     fn emptied_table_still_honours_parked_pointers() {
-        // The fast path keys on the table *and* the parked set: reloading
-        // an empty table must not let a double free of a still-parked
-        // object through to the inner heap.
+        // The fast path keys on the table *and* the deferral queue:
+        // reloading an empty table must not let a double free of a
+        // still-parked object through to the inner heap.
         let mut patches = PatchTable::new();
         patches.add_deferral(SitePair::new(ALLOC_SITE, FREE_SITE), 3);
         let mut h = heap_with(patches);

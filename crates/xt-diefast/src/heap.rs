@@ -181,13 +181,14 @@ impl Heap for DieFastHeap {
             Err(ignored) => return ignored,
         };
         // "After every deallocation, DieFast checks both the preceding and
-        // following objects" — if they are free, their canaries must be
+        // following objects" — if they are canaried, their canaries must be
         // intact; corruption here is the signature of an overflow from a
         // neighbour, detected immediately upon deallocation.
         let (prev, next) = self.inner.neighbors(loc);
         for neighbor in [prev, next].into_iter().flatten() {
-            let meta = self.inner.meta(neighbor);
-            if meta.state == SlotState::Free && meta.canaried && !self.canary_intact(neighbor) {
+            if self.inner.meta(neighbor).state == SlotState::Canaried
+                && !self.canary_intact(neighbor)
+            {
                 self.signal(SignalKind::CanaryCorruptedOnFree, neighbor);
             }
         }
@@ -200,7 +201,7 @@ impl Heap for DieFastHeap {
                 .arena_mut()
                 .fill_pattern_u32(ptr, size, canary)
                 .expect("slot memory is always mapped");
-            self.inner.set_canaried(loc, true);
+            self.inner.canary_slot(loc);
         }
         FreeOutcome::Freed
     }
@@ -260,7 +261,7 @@ mod tests {
         let p = h.malloc(32, SITE).unwrap();
         h.free(p, SITE);
         let loc = h.inner().location_of(p).unwrap();
-        assert!(h.inner().meta(loc).canaried);
+        assert_eq!(h.inner().meta(loc).state, SlotState::Canaried);
         assert!(h.canary_intact(loc));
         assert_eq!(h.arena().read_u32(p).unwrap(), h.canary());
     }
@@ -272,7 +273,7 @@ mod tests {
             let p = h.malloc(16, SITE).unwrap();
             h.free(p, SITE);
             let loc = h.inner().location_of(p).unwrap();
-            assert!(!h.inner().meta(loc).canaried);
+            assert_eq!(h.inner().meta(loc).state, SlotState::Freed);
         }
     }
 
@@ -284,7 +285,7 @@ mod tests {
             let p = h.malloc(16, SITE).unwrap();
             let loc = h.inner().location_of(p).unwrap();
             h.free(p, SITE);
-            if h.inner().meta(loc).canaried {
+            if h.inner().meta(loc).state == SlotState::Canaried {
                 canaried += 1;
             }
         }

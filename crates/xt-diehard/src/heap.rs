@@ -69,7 +69,8 @@ pub struct ReservedSlot {
     pub addr: Addr,
     /// Size of the slot in bytes (the class's object size, not the request).
     pub size: usize,
-    /// Whether the slot's previous occupant was canary-filled when freed.
+    /// Whether the slot is `Canaried`: its previous occupant was canary-filled
+    /// when freed, so the caller must verify the canary before committing.
     pub canaried: bool,
 }
 
@@ -278,18 +279,16 @@ impl DieHardHeap {
         (prev, next)
     }
 
-    /// Sets the canary flag on a slot (DieFast bookkeeping). Also mirrors
-    /// the flag into the allocation history when tracking is on.
+    /// Records that DieFast filled the freed slot at `loc` with canaries
+    /// (`Freed` → `Canaried`, asserted), mirrored into the allocation
+    /// history when tracking is on.
     #[inline]
-    pub fn set_canaried(&mut self, loc: SlotRef, canaried: bool) {
+    pub fn canary_slot(&mut self, loc: SlotRef) {
         let meta = self.classes[loc.class()].miniheaps[loc.miniheap_index()].meta_mut(loc.slot());
-        meta.canaried = canaried;
+        meta.canary();
         let id = meta.object_id;
-        let was_used = meta.ever_used;
-        if canaried && was_used {
-            if let Some(history) = self.history.as_mut() {
-                history.record_canaried(id);
-            }
+        if let Some(history) = self.history.as_mut() {
+            history.record_canaried(id);
         }
     }
 
@@ -337,7 +336,7 @@ impl DieHardHeap {
             },
             addr: mh.slot_addr(slot),
             size: mh.object_size(),
-            canaried: mh.meta(slot).canaried,
+            canaried: mh.meta(slot).state == SlotState::Canaried,
         })
     }
 
@@ -351,19 +350,8 @@ impl DieHardHeap {
         let alloc_time = self.clock;
         let mh = &mut self.classes[loc.class()].miniheaps[loc.miniheap_index()];
         let addr = mh.slot_addr(loc.slot());
-        let meta = mh.meta_mut(loc.slot());
-        debug_assert_eq!(meta.state, SlotState::Free, "commit of unreserved slot");
-        *meta = SlotMeta {
-            state: SlotState::Live,
-            object_id: id,
-            alloc_site: site,
-            free_site: SiteHash::UNKNOWN,
-            alloc_time,
-            free_time: AllocTime::ZERO,
-            canaried: false,
-            requested: size as u32,
-            ever_used: true,
-        };
+        mh.meta_mut(loc.slot())
+            .commit(id, site, alloc_time, size as u32);
         self.live_objects += 1;
         if let Some(history) = self.history.as_mut() {
             history.record_alloc(ObjectRecord {
@@ -387,16 +375,11 @@ impl DieHardHeap {
     ///
     /// # Panics
     ///
-    /// Panics if the slot's metadata is not in the `Free` state (i.e. the
-    /// slot was not obtained from [`DieHardHeap::reserve_slot`]).
+    /// Panics unless the slot is `Canaried`: only a canary can be corrupt.
     pub fn retire_reserved(&mut self, loc: SlotRef) {
-        let meta = self.classes[loc.class()].miniheaps[loc.miniheap_index()].meta_mut(loc.slot());
-        assert_eq!(
-            meta.state,
-            SlotState::Free,
-            "retire_reserved expects a reserved (metadata-Free) slot"
-        );
-        meta.state = SlotState::Bad;
+        self.classes[loc.class()].miniheaps[loc.miniheap_index()]
+            .meta_mut(loc.slot())
+            .retire();
     }
 
     /// Total slots mapped across all classes.
@@ -521,30 +504,25 @@ impl DieHardHeap {
         let clock = self.clock;
         let mh = &mut self.classes[loc.class()].miniheaps[loc.miniheap_index()];
         let meta = mh.meta_mut(loc.slot());
-        match meta.state {
-            SlotState::Free | SlotState::Bad => Err(FreeOutcome::DoubleFreeIgnored),
-            SlotState::Live => {
-                meta.state = SlotState::Free;
-                meta.free_site = site;
-                meta.free_time = clock;
-                meta.canaried = false;
-                let id = meta.object_id;
-                assert!(mh.bitmap_mut().clear(loc.slot()));
-                self.classes[loc.class()].occupied -= 1;
-                self.live_objects -= 1;
-                if let Some(history) = self.history.as_mut() {
-                    history.record_free(
-                        id,
-                        FreeRecord {
-                            free_site: site,
-                            free_time: clock,
-                            canaried: false,
-                        },
-                    );
-                }
-                Ok(loc)
-            }
+        if meta.state != SlotState::Live {
+            return Err(FreeOutcome::DoubleFreeIgnored);
         }
+        meta.free(site, clock);
+        let id = meta.object_id;
+        assert!(mh.bitmap_mut().clear(loc.slot()));
+        self.classes[loc.class()].occupied -= 1;
+        self.live_objects -= 1;
+        if let Some(history) = self.history.as_mut() {
+            history.record_free(
+                id,
+                FreeRecord {
+                    free_site: site,
+                    free_time: clock,
+                    canaried: false,
+                },
+            );
+        }
+        Ok(loc)
     }
 }
 
@@ -576,16 +554,14 @@ impl Heap for DieHardHeap {
     #[inline]
     fn usable_size(&self, ptr: Addr) -> Option<usize> {
         let loc = self.location_of(ptr)?;
-        self.meta(loc)
-            .is_live()
-            .then(|| class_object_size(loc.class()))
+        (self.meta(loc).state == SlotState::Live).then(|| class_object_size(loc.class()))
     }
 
     #[inline]
     fn alloc_site_of(&self, ptr: Addr) -> Option<SiteHash> {
         let loc = self.location_of(ptr)?;
         let meta = self.meta(loc);
-        meta.is_live().then_some(meta.alloc_site)
+        (meta.state == SlotState::Live).then_some(meta.alloc_site)
     }
 }
 
@@ -690,7 +666,7 @@ mod tests {
         h.free(p, free_site);
         let loc = h.location_of(p).unwrap();
         let meta = h.meta(loc);
-        assert!(meta.is_freed_object());
+        assert_eq!(meta.state, SlotState::Freed);
         assert_eq!(meta.free_site, free_site);
         assert_eq!(meta.free_time, AllocTime::from_raw(2));
     }
@@ -766,12 +742,14 @@ mod tests {
     #[test]
     fn retired_slot_is_never_reused_and_keeps_evidence() {
         let mut h = DieHardHeap::new(DieHardConfig::with_seed(13).initial_slots(4));
-        // Create a freed object whose metadata should survive retirement.
+        // Create a freed, canaried object whose metadata should survive
+        // retirement (only a canaried slot can be found corrupt).
         let p = h.malloc(16, SITE).unwrap();
         let free_site = SiteHash::from_raw(0xf5ee);
         h.free(p, free_site);
-        // Reserve slots until we land on p's slot, then retire it.
         let target = h.location_of(p).unwrap();
+        h.canary_slot(target);
+        // Reserve slots until we land on p's slot, then retire it.
         loop {
             let reserved = h.reserve_slot(16).unwrap().loc;
             if reserved == target {
@@ -800,15 +778,15 @@ mod tests {
         let fsite = SiteHash::from_raw(0xfefe);
         h.free(p, fsite);
         let target = h.location_of(p).unwrap();
-        h.set_canaried(target, true);
+        h.canary_slot(target);
         // Reserve until the old slot comes up again.
         loop {
             let r = h.reserve_slot(16).unwrap();
             if r.loc == target {
                 let meta = *h.meta(r.loc);
-                assert_eq!(meta.state, SlotState::Free);
+                assert_eq!(meta.state, SlotState::Canaried);
                 assert_eq!(meta.free_site, fsite);
-                assert!(meta.canaried && r.canaried);
+                assert!(r.canaried);
                 assert_eq!(meta.object_id, ObjectId::from_raw(1));
                 assert_eq!((r.addr, r.size), (p, 16));
                 break;

@@ -18,6 +18,9 @@
 //! * **Out-of-band metadata.** Object id, allocation/deallocation sites,
 //!   deallocation time and the canary bit are kept per slot, "below the
 //!   line" (Fig. 1), never inline where overflows could destroy them.
+//! * **One slot lifecycle.** [`SlotState`] alone says where a slot is in
+//!   its life; only [`SlotMeta`]'s four transitions write it, each
+//!   asserting the state it leaves.
 //!
 //! # The hot path, and the wrapper protocol
 //!
@@ -26,11 +29,11 @@
 //!
 //! * **`malloc` = reserve, then commit.**
 //!   [`DieHardHeap::reserve_slot`] picks the random slot and returns a
-//!   [`ReservedSlot`] — slot, address, slot size and the previous
-//!   occupant's canary flag in one value — leaving the previous occupant's
-//!   metadata in place; the caller vets the slot and then either
-//!   [`commit_slot`](DieHardHeap::commit_slot)s or
-//!   [`retire_reserved`](DieHardHeap::retire_reserved)s it.
+//!   [`ReservedSlot`] — slot, address, slot size and whether the slot is
+//!   `Canaried` in one value — leaving the previous occupant's metadata in
+//!   place; the caller vets the slot and then either
+//!   [`commit_slot`](DieHardHeap::commit_slot)s or, if its canary is
+//!   corrupt, [`retire_reserved`](DieHardHeap::retire_reserved)s it.
 //! * **`free` resolves the pointer once and says where.**
 //!   [`DieHardHeap::free_slot`] is the heap's one free body; it returns the
 //!   [`SlotRef`] it resolved, and [`Heap::free`](xt_alloc::Heap::free) is
@@ -45,7 +48,7 @@
 //! The accessors and path functions a wrapper calls per `malloc`/`free` —
 //! [`SlotRef`]'s and [`MiniHeap`]'s accessors, [`BitMap`]'s bit
 //! operations, `location_of`, `miniheap`, `meta`, `slot_addr`, `neighbors`,
-//! `set_canaried`, `reserve_slot`, `commit_slot`, `free_slot`,
+//! `canary_slot`, `reserve_slot`, `commit_slot`, `free_slot`,
 //! [`size_class_of`], [`class_object_size`] — are marked `#[inline]`.
 //! Without the attribute each is an out-of-line cross-crate call that
 //! re-indexes `classes[..].miniheaps[..]` with bounds checks (this

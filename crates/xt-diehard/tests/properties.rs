@@ -6,7 +6,9 @@ use proptest::prelude::*;
 
 use xt_alloc::{FreeOutcome, Heap, Rng, SiteHash};
 use xt_arena::Addr;
-use xt_diehard::{class_object_size, size_class_of, DieHardConfig, DieHardHeap, SlotRef};
+use xt_diehard::{
+    class_object_size, size_class_of, DieHardConfig, DieHardHeap, SlotRef, SlotState,
+};
 
 /// The address lookup's reference semantics, rebuilt from the heap's
 /// public miniheap list: a `BTreeMap` from base to extent, a range query
@@ -100,6 +102,47 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..64).prop_map(Op::DoubleFreeNth),
         (0u64..u64::MAX / 2).prop_map(Op::WildFree),
     ]
+}
+
+/// A script over the whole slot lifecycle: the four transitions, driven
+/// through the heap's public calls.
+#[derive(Clone, Debug)]
+enum LifeOp {
+    Malloc(usize),
+    FreeNth(usize),
+    DoubleFreeNth(usize),
+    /// Canary the nth `Freed` slot, as DieFast's free does.
+    CanaryNth(usize),
+    /// Reserve a slot; retire it if it is `Canaried` (as DieFast does on a
+    /// corrupt canary), commit it otherwise.
+    ReserveRetire(usize),
+}
+
+fn life_op_strategy() -> impl Strategy<Value = LifeOp> {
+    prop_oneof![
+        (1usize..64).prop_map(LifeOp::Malloc),
+        (0usize..64).prop_map(LifeOp::FreeNth),
+        (0usize..64).prop_map(LifeOp::DoubleFreeNth),
+        (0usize..64).prop_map(LifeOp::CanaryNth),
+        (1usize..64).prop_map(LifeOp::ReserveRetire),
+    ]
+}
+
+/// Every slot's state, keyed by its base address.
+fn slot_states(heap: &DieHardHeap) -> BTreeMap<u64, SlotState> {
+    heap.miniheaps()
+        .flat_map(|mh| (0..mh.n_slots()).map(move |i| (mh.slot_addr(i).get(), mh.meta(i).state)))
+        .collect()
+}
+
+/// `from → to` is one of the four transitions (or no change).
+fn is_transition(from: SlotState, to: SlotState) -> bool {
+    use SlotState::{Bad, Canaried, Freed, Live, Unused};
+    from == to
+        || matches!(
+            (from, to),
+            (Unused | Freed | Canaried, Live) | (Live, Freed) | (Freed, Canaried) | (Canaried, Bad)
+        )
 }
 
 proptest! {
@@ -257,6 +300,73 @@ proptest! {
                 heap.free(victim, site);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Under seeded scripts of malloc, free, double free, canary and
+    /// reserve-then-retire over a small heap, each step moves every slot
+    /// by one of the four transitions or leaves it alone: `Unused` is never
+    /// re-entered and `Bad` is terminal.
+    #[test]
+    fn slot_states_change_only_by_the_four_transitions(
+        seed in 0u64..10_000,
+        ops in proptest::collection::vec(life_op_strategy(), 1..160),
+    ) {
+        let mut heap = DieHardHeap::new(DieHardConfig::with_seed(seed).initial_slots(4));
+        let site = SiteHash::from_raw(7);
+        let mut live: Vec<Addr> = Vec::new();
+        let mut freed: Vec<Addr> = Vec::new();
+        let mut before = slot_states(&heap);
+        let mut retired = 0;
+        for op in ops {
+            match op {
+                LifeOp::Malloc(size) => live.push(heap.malloc(size, site).unwrap()),
+                LifeOp::FreeNth(n) => {
+                    if live.is_empty() { continue; }
+                    let ptr = live.swap_remove(n % live.len());
+                    prop_assert_eq!(heap.free(ptr, site), FreeOutcome::Freed);
+                    freed.push(ptr);
+                }
+                LifeOp::DoubleFreeNth(n) => {
+                    if freed.is_empty() { continue; }
+                    let ptr = freed[n % freed.len()];
+                    if heap.free(ptr, site) == FreeOutcome::Freed {
+                        live.retain(|&p| p != ptr);
+                    }
+                }
+                LifeOp::CanaryNth(n) => {
+                    let candidates: Vec<u64> = before
+                        .iter()
+                        .filter(|&(_, &state)| state == SlotState::Freed)
+                        .map(|(&addr, _)| addr)
+                        .collect();
+                    if candidates.is_empty() { continue; }
+                    let loc = heap.location_of(Addr::new(candidates[n % candidates.len()])).unwrap();
+                    heap.canary_slot(loc);
+                }
+                LifeOp::ReserveRetire(size) => {
+                    let reserved = heap.reserve_slot(size).unwrap();
+                    if reserved.canaried {
+                        heap.retire_reserved(reserved.loc);
+                        retired += 1;
+                    } else {
+                        live.push(heap.commit_slot(reserved.loc, size, site));
+                    }
+                }
+            }
+            let after = slot_states(&heap);
+            prop_assert!(after.len() >= before.len(), "slots are never unmapped");
+            for (addr, &to) in &after {
+                let from = before.get(addr).copied().unwrap_or(SlotState::Unused);
+                prop_assert!(is_transition(from, to), "slot {addr:#x}: {from:?} -> {to:?}");
+            }
+            before = after;
+        }
+        let bad = before.values().filter(|&&s| s == SlotState::Bad).count();
+        prop_assert_eq!(bad, retired);
     }
 }
 

@@ -417,7 +417,7 @@ mod tests {
         );
         // The victim slot really is free now.
         let loc = h.inner().location_of(ptrs[1]).unwrap();
-        assert_eq!(h.inner().meta(loc).state, SlotState::Free);
+        assert_eq!(h.inner().meta(loc).state, SlotState::Freed);
         assert_eq!(h.inner().meta(loc).free_site, INJECTED_FREE_SITE);
         // The app's own (original) free is suppressed — the bug moved it
         // earlier; it must never free a recycled slot out from under a new

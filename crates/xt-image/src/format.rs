@@ -35,11 +35,6 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
     /// Appends a little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -158,15 +153,6 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
-    /// Consumes one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`ImageDecodeError::UnexpectedEof`] at end of input.
-    pub fn u8(&mut self) -> Result<u8, ImageDecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
     /// Consumes a little-endian `u32`.
     ///
     /// # Errors
@@ -206,15 +192,13 @@ mod tests {
     #[test]
     fn round_trips_all_types() {
         let mut w = ByteWriter::new();
-        w.u8(0xAB);
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 1);
         w.f64(0.25);
         w.bytes(&[1, 2, 3]);
-        assert_eq!(w.len(), 1 + 4 + 8 + 8 + 3);
+        assert_eq!(w.len(), 4 + 8 + 8 + 3);
         let buf = w.into_bytes();
         let mut r = ByteReader::new(&buf);
-        assert_eq!(r.u8().unwrap(), 0xAB);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.f64().unwrap(), 0.25);
@@ -225,7 +209,7 @@ mod tests {
     #[test]
     fn eof_is_reported_with_position() {
         let mut r = ByteReader::new(&[1, 2]);
-        assert_eq!(r.u8().unwrap(), 1);
+        assert_eq!(r.take(1).unwrap(), &[1]);
         let err = r.u32().unwrap_err();
         assert_eq!(err, ImageDecodeError::UnexpectedEof { at: 1 });
         assert!(err.to_string().contains("byte 1"));

@@ -10,7 +10,7 @@ use std::path::Path;
 use xt_alloc::{AllocTime, Heap, ObjectId, SiteHash};
 use xt_arena::{Addr, Arena};
 use xt_diefast::DieFastHeap;
-use xt_diehard::{MiniHeap, MiniHeapId, SlotState};
+use xt_diehard::{MiniHeap, MiniHeapId, SlotMeta, SlotState};
 
 use crate::{ByteReader, ByteWriter, ImageDecodeError};
 
@@ -22,31 +22,28 @@ const VERSION: u32 = 1;
 const MINIHEAP_HEADER_LEN: usize = 4 + 4 + 8 + 4 + 8 + 4;
 
 /// Encoded bytes of a slot record before its `object_size` data bytes
-/// (state, canaried, ever used, object id, two sites, two times,
-/// requested size).
-const SLOT_HEADER_LEN: usize = 1 + 1 + 1 + 8 + 4 + 4 + 8 + 8 + 4;
+/// (the three state bytes, object id, two sites, two times, requested
+/// size).
+const SLOT_HEADER_LEN: usize = 3 + 8 + 4 + 4 + 8 + 8 + 4;
 
-/// Everything recorded about one object slot.
+/// The three header bytes each [`SlotState`] encodes as, in declaration
+/// order: a state code, a canary bit and an ever-used bit, the layout of
+/// the format's first version. No other triple decodes.
+const STATE_BYTES: [(SlotState, [u8; 3]); 5] = [
+    (SlotState::Unused, [0, 0, 0]),
+    (SlotState::Live, [1, 0, 1]),
+    (SlotState::Freed, [0, 0, 1]),
+    (SlotState::Canaried, [0, 1, 1]),
+    (SlotState::Bad, [2, 1, 1]),
+];
+
+/// Everything recorded about one object slot: the allocator's own metadata
+/// for it, and its contents.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SlotImage {
-    /// Life-cycle state at capture time.
-    pub state: SlotState,
-    /// Identity of the current or most recent occupant.
-    pub object_id: ObjectId,
-    /// Allocation site of that occupant.
-    pub alloc_site: SiteHash,
-    /// Deallocation site (meaningful if freed).
-    pub free_site: SiteHash,
-    /// Allocation time of the occupant.
-    pub alloc_time: AllocTime,
-    /// Deallocation time (meaningful if freed).
-    pub free_time: AllocTime,
-    /// Whether the slot was canary-filled on free (Fig. 1's canary bitset).
-    pub canaried: bool,
-    /// Whether the slot ever held an object.
-    pub ever_used: bool,
-    /// Bytes the occupant requested.
-    pub requested: u32,
+    /// The slot's metadata at capture time (state, occupant, sites, times,
+    /// requested size).
+    pub meta: SlotMeta,
     /// The slot's full contents (object-size bytes).
     pub data: Box<[u8]>,
 }
@@ -236,17 +233,8 @@ impl HeapImage {
             let region = miniheap_region(heap.arena(), mh)?;
             let mut slots = Vec::with_capacity(mh.n_slots());
             for idx in 0..mh.n_slots() {
-                let meta = mh.meta(idx);
                 slots.push(SlotImage {
-                    state: meta.state,
-                    object_id: meta.object_id,
-                    alloc_site: meta.alloc_site,
-                    free_site: meta.free_site,
-                    alloc_time: meta.alloc_time,
-                    free_time: meta.free_time,
-                    canaried: meta.canaried,
-                    ever_used: meta.ever_used,
-                    requested: meta.requested,
+                    meta: *mh.meta(idx),
                     data: slot_bytes(mh, region, idx)?.into(),
                 });
             }
@@ -293,7 +281,7 @@ impl HeapImage {
         for (mh_idx, mh) in miniheaps.iter().enumerate() {
             by_base.push((mh.base.get(), mh_idx));
             for (slot_idx, slot) in mh.slots.iter().enumerate() {
-                if !slot.ever_used {
+                if slot.meta.state == SlotState::Unused {
                     continue;
                 }
                 let r = ObjectRef {
@@ -303,15 +291,15 @@ impl HeapImage {
                 // An object id can label two slots after bad-object
                 // isolation (the retired slot and the live replacement);
                 // prefer the live one.
-                match index.entry(slot.object_id) {
+                match index.entry(slot.meta.object_id) {
                     std::collections::hash_map::Entry::Vacant(e) => {
                         e.insert(r);
                     }
                     std::collections::hash_map::Entry::Occupied(mut e) => {
                         let existing: ObjectRef = *e.get();
                         let existing_state =
-                            miniheaps[existing.miniheap].slots[existing.slot].state;
-                        if slot.state == SlotState::Live && existing_state != SlotState::Live {
+                            miniheaps[existing.miniheap].slots[existing.slot].meta.state;
+                        if slot.meta.state == SlotState::Live && existing_state != SlotState::Live {
                             e.insert(r);
                         }
                     }
@@ -389,15 +377,16 @@ impl HeapImage {
                 miniheap: mh_idx,
                 slot: slot_idx,
             },
-            object_id: slot.object_id,
+            object_id: slot.meta.object_id,
             offset: off % u64::from(mh.object_size),
-            state: slot.state,
+            state: slot.meta.state,
         })
     }
 
     /// Iterates over all live objects as `(ref, slot)` pairs.
     pub fn live_objects(&self) -> impl Iterator<Item = (ObjectRef, &SlotImage)> {
-        self.slots().filter(|(_, s)| s.state == SlotState::Live)
+        self.slots()
+            .filter(|(_, s)| s.meta.state == SlotState::Live)
     }
 
     /// Iterates over every slot of every miniheap.
@@ -422,12 +411,12 @@ impl HeapImage {
     #[must_use]
     pub fn scan_canary_corruptions(&self) -> Vec<CanaryCorruption> {
         self.slots()
-            .filter(|(_, slot)| holds_canary(slot.canaried, slot.state))
+            .filter(|(_, slot)| matches!(slot.meta.state, SlotState::Canaried | SlotState::Bad))
             .filter_map(|(r, slot)| {
                 canary_corruption(
                     r,
                     self.slot_addr(r),
-                    slot.object_id,
+                    slot.meta.object_id,
                     &slot.data,
                     self.canary,
                 )
@@ -454,19 +443,14 @@ impl HeapImage {
             w.u64(mh.created_at.raw());
             w.u32(mh.slots.len() as u32);
             for s in &mh.slots {
-                w.u8(match s.state {
-                    SlotState::Free => 0,
-                    SlotState::Live => 1,
-                    SlotState::Bad => 2,
-                });
-                w.u8(u8::from(s.canaried));
-                w.u8(u8::from(s.ever_used));
-                w.u64(s.object_id.raw());
-                w.u32(s.alloc_site.raw());
-                w.u32(s.free_site.raw());
-                w.u64(s.alloc_time.raw());
-                w.u64(s.free_time.raw());
-                w.u32(s.requested);
+                let m = &s.meta;
+                w.bytes(&STATE_BYTES[m.state as usize].1);
+                w.u64(m.object_id.raw());
+                w.u32(m.alloc_site.raw());
+                w.u32(m.free_site.raw());
+                w.u64(m.alloc_time.raw());
+                w.u64(m.free_time.raw());
+                w.u32(m.requested);
                 w.bytes(&s.data);
             }
         }
@@ -512,33 +496,21 @@ impl HeapImage {
             let slot_len = SLOT_HEADER_LEN + object_size as usize;
             let mut slots = Vec::with_capacity(n_slots.min(r.remaining() / slot_len));
             for _ in 0..n_slots {
-                let state = match r.u8()? {
-                    0 => SlotState::Free,
-                    1 => SlotState::Live,
-                    2 => SlotState::Bad,
-                    _ => return Err(ImageDecodeError::BadField { field: "state" }),
+                let header = r.take(3)?;
+                let Some(&(state, _)) = STATE_BYTES.iter().find(|(_, b)| b[..] == *header) else {
+                    return Err(ImageDecodeError::BadField { field: "state" });
                 };
-                let canaried = r.u8()? != 0;
-                let ever_used = r.u8()? != 0;
-                let object_id = ObjectId::from_raw(r.u64()?);
-                let alloc_site = SiteHash::from_raw(r.u32()?);
-                let free_site = SiteHash::from_raw(r.u32()?);
-                let alloc_time = AllocTime::from_raw(r.u64()?);
-                let free_time = AllocTime::from_raw(r.u64()?);
-                let requested = r.u32()?;
-                let data = r.take(object_size as usize)?.into();
-                slots.push(SlotImage {
+                let meta = SlotMeta {
                     state,
-                    object_id,
-                    alloc_site,
-                    free_site,
-                    alloc_time,
-                    free_time,
-                    canaried,
-                    ever_used,
-                    requested,
-                    data,
-                });
+                    object_id: ObjectId::from_raw(r.u64()?),
+                    alloc_site: SiteHash::from_raw(r.u32()?),
+                    free_site: SiteHash::from_raw(r.u32()?),
+                    alloc_time: AllocTime::from_raw(r.u64()?),
+                    free_time: AllocTime::from_raw(r.u64()?),
+                    requested: r.u32()?,
+                };
+                let data = r.take(object_size as usize)?.into();
+                slots.push(SlotImage { meta, data });
             }
             miniheaps.push(MiniHeapImage {
                 id: MiniHeapId::new(class, index),
@@ -596,7 +568,7 @@ pub fn scan_live_canary_corruptions(
         let region = miniheap_region(heap.arena(), mh)?;
         for idx in 0..mh.n_slots() {
             let meta = mh.meta(idx);
-            if !holds_canary(meta.canaried, meta.state) {
+            if !matches!(meta.state, SlotState::Canaried | SlotState::Bad) {
                 continue;
             }
             let r = ObjectRef {
@@ -614,13 +586,6 @@ pub fn scan_live_canary_corruptions(
         }
     }
     Ok(out)
-}
-
-/// Whether a slot should still hold the canary pattern: filled on free
-/// and not handed out since. Bad slots count — they were retired
-/// *because* their canary was corrupt.
-fn holds_canary(canaried: bool, state: SlotState) -> bool {
-    canaried && state != SlotState::Live
 }
 
 /// The one canary word loop: where `data`, the bytes of the slot at `r`,
@@ -732,7 +697,7 @@ mod tests {
         let img = capture(&h);
         for id in 1..=40u64 {
             let r = img.find_object(ObjectId::from_raw(id)).unwrap();
-            assert_eq!(img.slot(r).object_id, ObjectId::from_raw(id));
+            assert_eq!(img.slot(r).meta.object_id, ObjectId::from_raw(id));
         }
         assert_eq!(img.clock, AllocTime::from_raw(40));
         assert_eq!(img.canary, h.canary());
@@ -744,7 +709,7 @@ mod tests {
         let img = capture(&h);
         // Object #2 (index 1) was never freed: its first word is 1.
         let r = img.find_object(ObjectId::from_raw(2)).unwrap();
-        assert_eq!(img.slot(r).state, SlotState::Live);
+        assert_eq!(img.slot(r).meta.state, SlotState::Live);
         assert_eq!(&img.slot(r).data[..8], &1u64.to_le_bytes());
     }
 
@@ -756,8 +721,7 @@ mod tests {
         // its slot must be canaried and intact.
         let r = img.find_object(ObjectId::from_raw(1)).unwrap();
         let slot = img.slot(r);
-        assert_eq!(slot.state, SlotState::Free);
-        assert!(slot.canaried);
+        assert_eq!(slot.meta.state, SlotState::Canaried);
         assert!(img.scan_canary_corruptions().is_empty());
     }
 

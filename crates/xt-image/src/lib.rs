@@ -6,9 +6,9 @@
 //! image file. This file is akin to a core dump, but contains less data
 //! (e.g., no code), and is organized to simplify processing."
 //!
-//! A [`HeapImage`] captures, for every slot of every miniheap: its contents,
-//! its life-cycle state, and the out-of-band metadata of Fig. 1 (object id,
-//! allocation/deallocation sites, deallocation time, canary bit), plus the
+//! A [`HeapImage`] captures, for every slot of every miniheap: its contents
+//! and a copy of the allocator's own `SlotMeta` for it (life-cycle state,
+//! canary bit included, and the out-of-band metadata of Fig. 1), plus the
 //! global allocation clock and the execution's canary value. Images support:
 //!
 //! * object lookup by id — how the isolator matches "the same logical

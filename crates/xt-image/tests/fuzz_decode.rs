@@ -11,6 +11,7 @@ use proptest::prelude::*;
 
 use xt_alloc::{Heap, Rng, SiteHash};
 use xt_diefast::{DieFastConfig, DieFastHeap};
+use xt_diehard::SlotState;
 use xt_image::{HeapImage, ImageDecodeError};
 
 /// Offset of the miniheap count: after magic, version, clock, canary,
@@ -94,6 +95,48 @@ fn hostile_counts_are_errors_not_aborts() {
     // Maximal counts in front of a whole, real image are errors too.
     for at in [N_MINIHEAPS_AT, FIRST_N_SLOTS_AT] {
         assert!(HeapImage::from_bytes(&with_u32(&bytes, at, u32::MAX)).is_err());
+    }
+}
+
+/// A slot's three header bytes spell one of five states; the other seven
+/// triples the three former fields (state code, canary bit, ever-used
+/// bit) could spell, and any byte outside them, are refused.
+#[test]
+fn slot_header_triples_decode_to_the_five_states() {
+    let bytes = churned_image_bytes(3, 40);
+    let at = FIRST_N_SLOTS_AT + 4;
+    let with_triple = |triple: [u8; 3]| {
+        let mut b = bytes.clone();
+        b[at..at + 3].copy_from_slice(&triple);
+        b
+    };
+    let legal = [
+        ([0, 0, 0], SlotState::Unused),
+        ([1, 0, 1], SlotState::Live),
+        ([0, 0, 1], SlotState::Freed),
+        ([0, 1, 1], SlotState::Canaried),
+        ([2, 1, 1], SlotState::Bad),
+    ];
+    for (triple, state) in legal {
+        let encoded = with_triple(triple);
+        let image = HeapImage::from_bytes(&encoded).unwrap();
+        assert_eq!(image.miniheaps[0].slots[0].meta.state, state);
+        assert_eq!(image.to_bytes(), encoded, "{state:?} round-trips");
+    }
+    let spelled = (0..3).flat_map(|code| (0..4).map(move |bits| [code, bits >> 1, bits & 1]));
+    let illegal: Vec<[u8; 3]> = spelled
+        .filter(|t| legal.iter().all(|(l, _)| l != t))
+        .collect();
+    assert_eq!(illegal.len(), 7);
+    for triple in illegal
+        .into_iter()
+        .chain([[3, 0, 1], [0, 2, 1], [1, 0, 2], [0xFF; 3]])
+    {
+        assert_eq!(
+            HeapImage::from_bytes(&with_triple(triple)),
+            Err(ImageDecodeError::BadField { field: "state" }),
+            "{triple:?}"
+        );
     }
 }
 

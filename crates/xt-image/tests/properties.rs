@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use xt_alloc::{Heap, ObjectId, Rng, SiteHash};
 use xt_diefast::{DieFastConfig, DieFastHeap};
+use xt_diehard::SlotState;
 use xt_image::{scan_live_canary_corruptions, HeapImage};
 
 /// Capture cannot fail here: the heap was only ever touched through the
@@ -59,12 +60,12 @@ proptest! {
         let heap = churned_heap(seed, steps, 1.0);
         let image = capture(&heap);
         for (r, slot) in image.live_objects() {
-            prop_assert_eq!(image.find_object(slot.object_id), Some(r));
+            prop_assert_eq!(image.find_object(slot.meta.object_id), Some(r));
         }
         for (_, slot) in image.slots() {
-            if slot.ever_used {
-                let found = image.find_object(slot.object_id).unwrap();
-                prop_assert_eq!(image.slot(found).object_id, slot.object_id);
+            if slot.meta.state != SlotState::Unused {
+                let found = image.find_object(slot.meta.object_id).unwrap();
+                prop_assert_eq!(image.slot(found).meta.object_id, slot.meta.object_id);
             }
         }
         prop_assert!(image.clock.raw() >= 1);
@@ -81,7 +82,7 @@ proptest! {
             let hit = image.resolve_addr(base).unwrap();
             prop_assert_eq!(hit.slot, r);
             prop_assert_eq!(hit.offset, 0);
-            prop_assert_eq!(hit.object_id, slot.object_id);
+            prop_assert_eq!(hit.object_id, slot.meta.object_id);
         }
     }
 

@@ -770,6 +770,7 @@ mod tests {
     use super::*;
     use xt_alloc::Heap;
     use xt_diefast::{DieFastConfig, DieFastHeap};
+    use xt_diehard::SlotState;
 
     /// Capture cannot fail here: the heap was only ever touched through the
     /// allocator, so every miniheap it records is backed by its own arena.
@@ -855,7 +856,7 @@ mod tests {
         let victim = ptrs[7];
         h.free(victim, SiteHash::from_raw(1));
         let loc = h.inner().location_of(victim).unwrap();
-        if !h.inner().meta(loc).canaried {
+        if h.inner().meta(loc).state != SlotState::Canaried {
             // With p = 1/2 the slot may not be canaried under this seed;
             // the test requires it, so re-run deterministically.
             // (Seed 9 canaries this free; guard anyway.)

@@ -137,7 +137,7 @@ fn classify_dangling(
                 continue 'candidates;
             };
             let slot = img.slot(r);
-            if slot.state == SlotState::Live || !slot.canaried {
+            if !matches!(slot.meta.state, SlotState::Canaried | SlotState::Bad) {
                 continue 'candidates;
             }
             slots.push(slot);
@@ -165,7 +165,7 @@ fn classify_dangling(
         if !identical {
             continue;
         }
-        let s0 = slots[0];
+        let s0 = &slots[0].meta;
         reports.push(DanglingReport {
             object_id: id,
             alloc_site: s0.alloc_site,
@@ -213,13 +213,13 @@ fn diff_live_objects(images: &[HeapImage]) -> Vec<Corruption> {
     let k = images.len();
     let mut out = Vec::new();
     for (r0, s0) in images[0].live_objects() {
-        let id = s0.object_id;
+        let id = s0.meta.object_id;
         let mut refs: Vec<ObjectRef> = Vec::with_capacity(k);
         refs.push(r0);
         let mut all_live = true;
         for img in &images[1..] {
             match img.find_object(id) {
-                Some(r) if img.slot(r).state == SlotState::Live => refs.push(r),
+                Some(r) if img.slot(r).meta.state == SlotState::Live => refs.push(r),
                 _ => {
                     all_live = false;
                     break;
@@ -367,12 +367,12 @@ fn find_culprits(
         let mh = &img.miniheaps[c.miniheap];
         for (slot_idx, slot) in mh.slots.iter().enumerate() {
             let slot_addr = mh.slot_addr(slot_idx);
-            if slot_addr >= c.victim_base || !slot.ever_used {
+            if slot_addr >= c.victim_base || slot.meta.state == SlotState::Unused {
                 continue;
             }
             let delta = c.start - slot_addr;
             let entry = per_image[c.image]
-                .entry((slot.object_id, delta))
+                .entry((slot.meta.object_id, delta))
                 .or_default();
             entry.corrupt_bytes += c.end - c.start;
             entry.extent = entry.extent.max(c.end - slot_addr);
@@ -415,8 +415,7 @@ fn find_culprits(
                 continue;
             };
             let slot = img.slot(hit.slot);
-            if slot.state != SlotState::Live
-                && slot.canaried
+            if matches!(slot.meta.state, SlotState::Canaried | SlotState::Bad)
                 && !corrupted_slots[i].contains(&hit.slot)
             {
                 continue 'keys; // refuted
@@ -434,7 +433,7 @@ fn find_culprits(
         .into_iter()
         .filter_map(|(culprit, e)| {
             let r = images[0].find_object(culprit)?;
-            let slot = images[0].slot(r);
+            let slot = &images[0].slot(r).meta;
             let pad = e.extent.saturating_sub(u64::from(slot.requested));
             Some(OverflowReport {
                 culprit_id: culprit,
@@ -508,10 +507,7 @@ mod tests {
     fn next_slot_canaried(h: &DieFastHeap, ptr: Addr) -> bool {
         let loc = h.inner().location_of(ptr).unwrap();
         let (_, next) = h.inner().neighbors(loc);
-        next.is_some_and(|n| {
-            let meta = h.inner().meta(n);
-            meta.state == SlotState::Free && meta.canaried
-        })
+        next.is_some_and(|n| h.inner().meta(n).state == SlotState::Canaried)
     }
 
     /// True if the slot physically after `ptr`'s slot holds a live object.

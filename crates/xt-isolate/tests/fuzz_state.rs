@@ -39,7 +39,7 @@ fn real_state_text(seed: u64, runs: usize) -> String {
             .miniheaps()
             .flat_map(|mh| {
                 (0..mh.n_slots())
-                    .filter(|&i| mh.meta(i).canaried && mh.meta(i).state == SlotState::Free)
+                    .filter(|&i| mh.meta(i).state == SlotState::Canaried)
                     .map(|i| mh.slot_addr(i))
             })
             .collect();

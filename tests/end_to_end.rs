@@ -98,7 +98,7 @@ fn breakpoint_replays_reproduce_object_ids_across_seeds() {
         let mut ids: Vec<u64> = rec
             .image
             .live_objects()
-            .map(|(_, s)| s.object_id.raw())
+            .map(|(_, s)| s.meta.object_id.raw())
             .collect();
         ids.sort_unstable();
         id_sets.push(ids);
